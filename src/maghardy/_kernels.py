@@ -1,27 +1,12 @@
 """Hot scalar kernels: tridiagonal inertia and the Pruefer phase sweep.
 
-Both loops are inherently sequential recurrences, so they are compiled with
-numba's ``@njit`` when available.  Setting the environment variable
-``MAGNETIC_HARDY_NO_NUMBA=1`` (or running without numba installed) selects
-the pure-NumPy/Python fallback path.  The plain implementations are kept as
-module attributes (``*_py``) so the benchmark can time both paths in one
-process.
+Both loops are inherently sequential recurrences over one mode's nodes.
 """
-
-import os
 
 import numpy as np
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get("MAGNETIC_HARDY_NO_NUMBA", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-    )
-
-
-def tridiag_inertia_py(diag, off, pivmin):
+def tridiag_inertia(diag, off, pivmin):
     """Count negative eigenvalues of a symmetric tridiagonal matrix.
 
     LDL^T recurrence d_i = a_i - b_{i-1}^2 / d_{i-1}; the number of negative
@@ -53,37 +38,7 @@ def tridiag_inertia_py(diag, off, pivmin):
     return neg, zero_pivots
 
 
-def tridiag_inertia_shifted_py(kdiag, off, mdiag, mu, pivmin):
-    """Negative-eigenvalue count of K - mu*M with diagonal M, fused.
-
-    Equivalent to ``tridiag_inertia(kdiag - mu*mdiag, off)`` without building
-    the shifted diagonal; this is the inner loop of the Hardy-constant
-    bisection, executed once per bisection step and per mode.
-    """
-    n = kdiag.shape[0]
-    neg = 0
-    zero_pivots = 0
-    d = kdiag[0] - mu * mdiag[0]
-    if d == 0.0:
-        d = pivmin
-        zero_pivots += 1
-    elif abs(d) < pivmin:
-        d = pivmin if d > 0.0 else -pivmin
-    if d < 0.0:
-        neg += 1
-    for i in range(1, n):
-        d = (kdiag[i] - mu * mdiag[i]) - off[i - 1] * off[i - 1] / d
-        if d == 0.0:
-            d = pivmin
-            zero_pivots += 1
-        elif abs(d) < pivmin:
-            d = pivmin if d > 0.0 else -pivmin
-        if d < 0.0:
-            neg += 1
-    return neg, zero_pivots
-
-
-def prufer_sweep_py(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
+def prufer_sweep(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
     """Integrate the Pruefer angle for -u'' + Q(t) u = 0 from t0 to t1.
 
     theta' = cos^2(theta) - Q(t) sin^2(theta), theta(t0) = 0 (u(t0) = 0).
@@ -102,9 +57,9 @@ def prufer_sweep_py(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
             h = t1 - t
         accepted = False
         while not accepted:
-            big = _rk4_step_py(t_nodes, q_nodes, n, t, theta, h)
-            half = _rk4_step_py(t_nodes, q_nodes, n, t, theta, 0.5 * h)
-            two = _rk4_step_py(t_nodes, q_nodes, n, t + 0.5 * h, half, 0.5 * h)
+            big = _rk4_step(t_nodes, q_nodes, n, t, theta, h)
+            half = _rk4_step(t_nodes, q_nodes, n, t, theta, 0.5 * h)
+            two = _rk4_step(t_nodes, q_nodes, n, t + 0.5 * h, half, 0.5 * h)
             err = abs(big - two)
             if err <= tol:
                 theta = two
@@ -120,22 +75,22 @@ def prufer_sweep_py(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
     return theta, fail
 
 
-def _rk4_step_py(t_nodes, q_nodes, n, t, theta, h):
-    k1 = _theta_rhs_py(t_nodes, q_nodes, n, t, theta)
-    k2 = _theta_rhs_py(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k1)
-    k3 = _theta_rhs_py(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k2)
-    k4 = _theta_rhs_py(t_nodes, q_nodes, n, t + h, theta + h * k3)
+def _rk4_step(t_nodes, q_nodes, n, t, theta, h):
+    k1 = _theta_rhs(t_nodes, q_nodes, n, t, theta)
+    k2 = _theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k1)
+    k3 = _theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k2)
+    k4 = _theta_rhs(t_nodes, q_nodes, n, t + h, theta + h * k3)
     return theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _theta_rhs_py(t_nodes, q_nodes, n, t, theta):
-    q = _interp_py(t_nodes, q_nodes, n, t)
+def _theta_rhs(t_nodes, q_nodes, n, t, theta):
+    q = _interp(t_nodes, q_nodes, n, t)
     s = np.sin(theta)
     c = np.cos(theta)
     return c * c - q * s * s
 
 
-def _interp_py(t_nodes, q_nodes, n, t):
+def _interp(t_nodes, q_nodes, n, t):
     if t <= t_nodes[0]:
         return q_nodes[0]
     if t >= t_nodes[n - 1]:
@@ -147,69 +102,3 @@ def _interp_py(t_nodes, q_nodes, n, t):
         i = n - 2
     w = (t - t_nodes[i]) / (t_nodes[i + 1] - t_nodes[i])
     return q_nodes[i] * (1.0 - w) + q_nodes[i + 1] * w
-
-
-NUMBA_ENABLED = False
-
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        _interp = njit(cache=True)(_interp_py)
-
-        @njit(cache=True)
-        def _theta_rhs(t_nodes, q_nodes, n, t, theta):
-            q = _interp(t_nodes, q_nodes, n, t)
-            s = np.sin(theta)
-            c = np.cos(theta)
-            return c * c - q * s * s
-
-        @njit(cache=True)
-        def _rk4_step(t_nodes, q_nodes, n, t, theta, h):
-            k1 = _theta_rhs(t_nodes, q_nodes, n, t, theta)
-            k2 = _theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k1)
-            k3 = _theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k2)
-            k4 = _theta_rhs(t_nodes, q_nodes, n, t + h, theta + h * k3)
-            return theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        @njit(cache=True)
-        def _prufer_sweep_nb(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
-            theta = 0.0
-            t = t0
-            h = h_init
-            fail = 0
-            n = t_nodes.shape[0]
-            while t < t1:
-                if t + h > t1:
-                    h = t1 - t
-                accepted = False
-                while not accepted:
-                    big = _rk4_step(t_nodes, q_nodes, n, t, theta, h)
-                    half = _rk4_step(t_nodes, q_nodes, n, t, theta, 0.5 * h)
-                    two = _rk4_step(t_nodes, q_nodes, n, t + 0.5 * h, half, 0.5 * h)
-                    err = abs(big - two)
-                    if err <= tol:
-                        theta = two
-                        t = t + h
-                        accepted = True
-                        if err < 0.03125 * tol and h < 0.25 * (t1 - t0):
-                            h = 2.0 * h
-                    else:
-                        h = 0.5 * h
-                        if h < h_min:
-                            fail = 1
-                            return theta, fail
-            return theta, fail
-
-        tridiag_inertia = njit(cache=True)(tridiag_inertia_py)
-        tridiag_inertia_shifted = njit(cache=True)(tridiag_inertia_shifted_py)
-        prufer_sweep = _prufer_sweep_nb
-        NUMBA_ENABLED = True
-    except ImportError:
-        tridiag_inertia = tridiag_inertia_py
-        tridiag_inertia_shifted = tridiag_inertia_shifted_py
-        prufer_sweep = prufer_sweep_py
-else:
-    tridiag_inertia = tridiag_inertia_py
-    tridiag_inertia_shifted = tridiag_inertia_shifted_py
-    prufer_sweep = prufer_sweep_py

@@ -29,8 +29,6 @@ Config schema (keys with their defaults)::
     out, seed
 
 Exit status: 0 success, 2 success with collected warnings, 1 error.
-Environment: MAGNETIC_HARDY_THREADS caps worker parallelism;
-MAGNETIC_HARDY_NO_NUMBA=1 selects the pure-NumPy kernel path.
 """
 
 import argparse
@@ -48,7 +46,6 @@ from . import __version__, counting, profiles, quadform, spectral, weights
 from .errors import (
     ConfigError,
     MagHardyError,
-    NoTruncationWarning,
     ScanResolutionWarning,
     UnboundedWarning,
     ZeroPivotWarning,
@@ -58,7 +55,6 @@ from .grids import Grid
 _REPORT_WARNINGS = (
     ZeroPivotWarning,
     ScanResolutionWarning,
-    NoTruncationWarning,
     UnboundedWarning,
 )
 
@@ -533,24 +529,29 @@ def _add_common(sp):
     sp.add_argument("--grid-kind", choices=["uniform", "geometric", "auto"])
 
 
-def build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON config file; flags override its values")
-    shared.add_argument("--out", default=None, help="output directory")
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--pretty", action="store_true", help="print a readable table")
+def _add_shared(p):
+    p.add_argument("--config", help="JSON config file; flags override its values")
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--pretty", action="store_true", help="print a readable table")
 
+
+def build_parser():
     p = argparse.ArgumentParser(
         prog="maghardy",
-        parents=[shared],
         description="Flux profiles, Hardy weights and negative-eigenvalue "
         "counting for two-dimensional magnetic Schroedinger operators.",
     )
+    _add_shared(p)
+    p.set_defaults(seed=0)
+    # The subcommands accept the global options too.  Their copies have no
+    # defaults, so a flag given before the subcommand is not reset.
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    _add_shared(shared)
     subs = p.add_subparsers(dest="subcommand")
 
     def add_parser(name, **kw):
         return subs.add_parser(name, parents=[shared], **kw)
-
 
     sp = add_parser("flux", help="flux function of a radial field")
     _add_common(sp)

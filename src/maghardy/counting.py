@@ -8,9 +8,7 @@ bound verification, including divergence detection for borderline
 potentials.
 """
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +30,6 @@ from .weights import v_norm_a
 METHOD_INERTIA = "inertia"
 METHOD_PRUFER = "prufer"
 METHOD_PHASE = "phase"
-
-
-def max_workers() -> int:
-    env = os.environ.get("MAGNETIC_HARDY_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -117,20 +108,14 @@ def count_total(
         m_max = mode_truncation(field, V, probe, lam)
     modes = list(range(-m_max, m_max + 1))
 
-    def one(m):
-        if method == METHOD_INERTIA:
-            return count_negative(assemble_mode(field, V, m, grid, lam=lam))
-        if method == METHOD_PRUFER:
-            return prufer_count(field, V, m, (grid.t_min, grid.t_max), lam=lam)
-        dom = (grid.t_min, grid.t_max) if grid is not None else None
-        return phase_integral_count(field, V, m, lam, t_domain=dom)
-
-    workers = min(max_workers(), max(len(modes), 1))
-    if workers > 1 and len(modes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(one, modes))
+    if method == METHOD_INERTIA:
+        counts = [count_negative(assemble_mode(field, V, m, grid, lam=lam)) for m in modes]
+    elif method == METHOD_PRUFER:
+        span = (grid.t_min, grid.t_max)
+        counts = [prufer_count(field, V, m, span, lam=lam) for m in modes]
     else:
-        counts = [one(m) for m in modes]
+        dom = (grid.t_min, grid.t_max) if grid is not None else None
+        counts = phase_integral_count(field, V, modes, lam, t_domain=dom)
     per_mode = dict(zip(modes, counts))
     total = sum(per_mode.values())
     margin = None
@@ -272,15 +257,7 @@ def sweep_exponent(
     if np.max(ratios) / np.min(ratios) > 1.2:
         raise ValueError("ladder must be geometric")
 
-    workers = min(max_workers(), lams.size)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(
-                pool.map(lambda l: count_total(field, V, l, grid, method=method), lams)
-            )
-    else:
-        reports = [count_total(field, V, l, grid, method=method) for l in lams]
-    reports.sort(key=lambda r: r.lam)
+    reports = [count_total(field, V, l, grid, method=method) for l in lams]
     totals = np.array([r.total for r in reports], dtype=float)
 
     eligible = totals >= 10.0

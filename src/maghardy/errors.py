@@ -65,9 +65,5 @@ class ScanResolutionWarning(UserWarning):
     """Level-set scan grid may be too coarse for the potential ratio."""
 
 
-class NoTruncationWarning(UserWarning):
-    """Reported when mode truncation needed a fallback bound."""
-
-
 class UnboundedWarning(UserWarning):
     """A capped integral kept growing without saturating."""

@@ -355,6 +355,7 @@ def radial_1d_inequality_check(
     h = grid.steps
     inner = t <= 1.0
     outer = t >= 1.0
+    t2_outer = t[outer] ** 2
     best = np.inf
     for f in samples:
         vals = f.values(t)
@@ -362,7 +363,10 @@ def radial_1d_inequality_check(
         lhs = stiff + c * float(
             np.trapezoid(np.where(inner, vals**2 * np.exp(2.0 * t), 0.0), t)
         )
-        rhs = float(np.trapezoid(np.where(outer, vals**2 / t**2, 0.0), t))
+        # the quotient only on t >= 1: t = 0 may be a node
+        tail = np.zeros_like(t)
+        tail[outer] = vals[outer] ** 2 / t2_outer
+        rhs = float(np.trapezoid(tail, t))
         if rhs <= 1e-12 * max(lhs, 1.0):
             continue
         best = min(best, lhs / rhs)

@@ -13,6 +13,7 @@ independent cross-checks of the inertia route.
 """
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,14 +182,14 @@ def smallest_generalized_mu(
     hi = float(np.min(kdiag[positive] / mdiag[positive]))
     hi = max(hi, 1e-300)
     for _ in range(200):
-        neg, _z = _kernels.tridiag_inertia_shifted(kdiag, off, mdiag, hi, pivmin)
+        neg, _z = _kernels.tridiag_inertia(kdiag - hi * mdiag, off, pivmin)
         if neg >= 1:
             break
         hi *= 2.0
     lo = 0.0
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
-        neg, _z = _kernels.tridiag_inertia_shifted(kdiag, off, mdiag, mid, pivmin)
+        neg, _z = _kernels.tridiag_inertia(kdiag - mid * mdiag, off, pivmin)
         if neg >= 1:
             hi = mid
         else:
@@ -293,11 +294,11 @@ def _unwrap_scaled(V: Potential, lam: float):
 def phase_integral_count(
     field: RadialField,
     V: Potential,
-    m: int,
+    m: int | Sequence[int],
     lambda_coupling: float,
     critical_shift: bool = True,
     t_domain: tuple | None = None,
-) -> float:
+) -> float | list[float]:
     """(1/pi) int sqrt( (lam e^{2t} V - (m-alpha)^2 - kappa)_+ ) dt.
 
     kappa = 1/(4(1+t^2)) is the critical marginal coupling (enabled by
@@ -308,16 +309,25 @@ def phase_integral_count(
 
     For the borderline potential the integration runs in s = log|t| so
     turning points at astronomically large |t| cost O(1) nodes.
+
+    ``m`` is one mode or a sequence of modes; a sequence gives the list of
+    per-mode counts, equal to the one-mode calls.
     """
     if lambda_coupling < 0:
         raise ValueError("coupling must be nonnegative")
+    modes = [m] if np.ndim(m) == 0 else list(m)
     base, lam = _unwrap_scaled(V, lambda_coupling)
     if isinstance(base, VSigma):
-        return _phase_integral_loglog(field, base, m, lam, critical_shift, t_domain)
-    return _phase_integral_direct(field, V, m, lambda_coupling, critical_shift, t_domain)
+        counts = _phase_integral_loglog(field, base, modes, lam, critical_shift, t_domain)
+    else:
+        counts = [
+            _phase_integral_direct(field, V, k, lambda_coupling, critical_shift, t_domain)
+            for k in modes
+        ]
+    return counts[0] if np.ndim(m) == 0 else counts
 
 
-def _phase_integral_loglog(field, V: VSigma, m, lam, critical_shift, t_domain):
+def _phase_integral_loglog(field, V: VSigma, modes, lam, critical_shift, t_domain):
     s_lo = np.log(2.0)
     if critical_shift:
         # turning point of lam s^{-1/sigma} = 1/4 caps the s-range
@@ -327,7 +337,7 @@ def _phase_integral_loglog(field, V: VSigma, m, lam, critical_shift, t_domain):
     if t_domain is not None:
         t_min = min(t_domain)
         if t_min >= -2.0:
-            return 0.0
+            return [0.0] * len(modes)
         s_cap = min(s_cap, np.log(-t_min))
     if not np.isfinite(s_cap):
         raise ValueError(
@@ -335,27 +345,28 @@ def _phase_integral_loglog(field, V: VSigma, m, lam, critical_shift, t_domain):
             "for the borderline potential"
         )
     if s_cap <= s_lo:
-        return 0.0
+        return [0.0] * len(modes)
 
-    def integrand(s):
-        s = _as_array(s)
-        well = lam * s ** (-1.0 / V.sigma)
+    # everything but the angular term is shared by the modes
+    s = np.geomspace(s_lo, s_cap, 20000)
+    well = lam * s ** (-1.0 / V.sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        es = np.exp(s)
+        alpha = field.alpha(-es)
+    barrier = 1.0 / (4.0 * (1.0 + np.exp(-2.0 * s))) if critical_shift else 0.0
+    counts = []
+    for m in modes:
         with np.errstate(over="ignore", invalid="ignore"):
-            es = np.exp(s)
-            am = np.abs(m - field.alpha(-es))
+            am = np.abs(m - alpha)
             # (e^s * am)^2 with am == 0 short-circuited: e^s may overflow to
             # inf, which is the correct "forbidden" limit whenever am > 0.
             ang = np.zeros_like(s)
             pos = am > 0.0
             ang[pos] = (es[pos] * am[pos]) ** 2
-        barrier = 1.0 / (4.0 * (1.0 + np.exp(-2.0 * s))) if critical_shift else 0.0
         inside = well - ang - barrier
-        return np.sqrt(np.maximum(inside, 0.0))
-
-    s_nodes = np.geomspace(s_lo, s_cap, 20000)
-    vals = integrand(s_nodes)
-    total = np.trapezoid(vals, s_nodes)
-    return float(total / np.pi)
+        vals = np.sqrt(np.maximum(inside, 0.0))
+        counts.append(float(np.trapezoid(vals, s) / np.pi))
+    return counts
 
 
 def _phase_integral_direct(field, V, m, lam, critical_shift, t_domain):

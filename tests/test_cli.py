@@ -157,6 +157,35 @@ def test_main_config_file_with_flag_override(tmp_path):
     assert payload["results"]["alpha"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_global_flags_before_subcommand(tmp_path, monkeypatch, capsys):
+    # the documented usage: maghardy [--config FILE] [--out DIR] [--seed N] [--pretty] SUB
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "subcommand": "flux",
+                "field": {"kind": "example1", "b0": 1.0, "gamma": 2.0},
+                "r": 0.1353352832,
+            }
+        )
+    )
+    out = tmp_path / "out"
+    code = cli.main(["--config", str(cfg), "--out", str(out), "--seed", "5", "--pretty", "flux"])
+    assert code == 0
+    assert not (tmp_path / "maghardy-out").exists()
+    reports = list(out.glob("flux-*.json"))
+    assert len(reports) == 1
+    payload = json.loads(reports[0].read_text())
+    assert payload["results"]["alpha"] == pytest.approx(0.5, abs=1e-9)
+    assert payload["config"]["seed"] == 5
+    assert "alpha: " in capsys.readouterr().out  # --pretty, not the JSON line
+    # after the subcommand the same flags still work, and win
+    later = tmp_path / "later"
+    assert cli.main(["--out", str(out), "flux", "--config", str(cfg), "--out", str(later)]) == 0
+    assert len(list(later.glob("flux-*.json"))) == 1
+
+
 def test_console_entrypoint_smoke(tmp_path):
     out = subprocess.run(
         [

@@ -190,15 +190,6 @@ def test_no_truncation_propagates():
         mh.count_total(mh.ZeroField(), mh.StepWell(depth=5.0, radius=2.0), 1.0, g)
 
 
-def test_thread_cap_env(monkeypatch):
-    from maghardy import counting
-
-    monkeypatch.setenv("MAGNETIC_HARDY_THREADS", "2")
-    assert counting.max_workers() == 2
-    monkeypatch.delenv("MAGNETIC_HARDY_THREADS")
-    assert counting.max_workers() >= 1
-
-
 def test_count_report_serialization():
     g = mh.Grid.uniform(-10.0, 2.0, 301)
     rep = mh.count_total(mh.ZeroField(), mh.GaussianWell(), 30.0, g)

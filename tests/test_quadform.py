@@ -284,7 +284,10 @@ def test_radial_inequality_random_family_vs_rayleigh_oracle():
     lump = _lumps(g)
     angular = np.where(ti <= 1.0, 0.5 * np.exp(2.0 * ti), 0.0)
     op = assemble_mode(mh.ZeroField(), mh.ZeroPotential(), 0, g, angular_override=angular)
-    mass = np.where(ti >= 1.0, 1.0 / ti**2, 0.0) * lump
+    outer = ti >= 1.0
+    inv_t2 = np.zeros_like(ti)
+    inv_t2[outer] = 1.0 / ti[outer] ** 2
+    mass = inv_t2 * lump
     theta_star = smallest_generalized_mu(op.diag, op.offdiag, mass)
     assert theta_star > 0.01
     assert min_ratio >= theta_star * (1.0 - 1e-6)

@@ -271,6 +271,31 @@ def test_phase_integral_threshold_for_borderline_potential():
     assert mh.phase_integral_count(bump, V, 0, 0.5) > 0.0
 
 
+@pytest.mark.parametrize(
+    "V, lam, kw",
+    [
+        (mh.VSigma(sigma=2.0), 300.0, {}),
+        (mh.VSigma(sigma=1.5), 40.0, {"t_domain": (-50.0, 1.0)}),
+        (mh.VSigma(sigma=2.0), 300.0, {"t_domain": (-1.5, 1.0)}),  # t_min >= -2
+        (mh.VSigma(sigma=2.0), 0.05, {}),  # s-range empty below the barrier
+        (
+            mh.ScaledPotential(mh.VSigma(sigma=2.0), 3.0),
+            100.0,
+            {"critical_shift": False, "t_domain": (-1e6, 0.0)},
+        ),
+        (mh.GaussianWell(depth=2.0, width=0.8), 60.0, {}),
+    ],
+)
+def test_phase_integral_mode_sequence_equals_single_modes(V, lam, kw):
+    bump = mh.BumpField(flux=0.5)
+    modes = list(range(-6, 7))
+    many = mh.phase_integral_count(bump, V, modes, lam, **kw)
+    single = [mh.phase_integral_count(bump, V, m, lam, **kw) for m in modes]
+    assert isinstance(many, list) and len(many) == len(modes)
+    assert many == single  # exact, not approximate
+    assert isinstance(single[0], float)
+
+
 def test_phase_integral_quadratic_growth():
     bump = mh.BumpField(flux=0.5)
     V = mh.VSigma(sigma=2.0)

@@ -10,16 +10,17 @@ The sup-functional over thresholds tau,
 
     ([V]_a)^a = sup_{tau>0} tau^a * int_{ {V > tau w0} } w0(r) (1+|log r|) r dr
 
-with w0 the baseline weight, is evaluated with level sets found by scan +
-bisection, closed-form measure integrals, a geometric tau grid and golden
-section refinement.  Divergence is detected by sweeping the lower domain cap.
+with w0 the baseline weight, is evaluated from one scan of V/w0 per cap: one
+bracketed root solve refines the crossings of a whole geometric tau grid, the
+measures are closed form, golden section refines the best tau, and sweeping
+the lower domain cap detects divergence.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
 from .errors import DomainError, QuadratureFailure, ScanResolutionWarning, UnboundedWarning
 from .profiles import Potential, RadialField, _as_array
@@ -213,8 +214,6 @@ def select_eta_log(field: RadialField, t_lo: float = -1e9, t_hi: float = 0.0) ->
 # Level sets of V / w0 and the capped sup-functional
 # ---------------------------------------------------------------------------
 
-_BASE = LogSquaredWeight()
-
 
 @dataclass(frozen=True)
 class LevelSet:
@@ -233,46 +232,95 @@ class LevelSet:
         return len(self.intervals) == 0
 
 
-def _ratio_fn(V: Potential):
-    """V(t)/w0(t) = e^{2t} V(t) (1 + t^2), as a vectorized callable."""
+def _roots(ratio, a, b, fa, fb, tau):
+    """Roots of ratio - tau in brackets [a, b] whose ends straddle tau, all at once.
+
+    Illinois steps (regula falsi halving the end kept twice in a row) held
+    tol/2 inside the bracket, so a step next to the root lands across it, and
+    bisection where two steps did not halve the bracket.  Each bracket shrinks
+    to brentq's tolerance 1e-9 + 8.9e-16 |t|; a last secant step through its
+    ends gives the root.
+    """
+    up = fa > 0
+    x0, x1 = np.where(up, b, a), np.where(up, a, b)  # ratio <= tau at x0, > tau at x1
+    f0, f1 = np.where(up, fb, fa), np.where(up, fa, fb)
+    g0, g1 = f0, f1  # the values the Illinois steps use, halved where an end is kept
+    side = np.zeros(x0.shape)  # +1 (-1): the last step moved x1 (x0)
+    w1 = w2 = np.full(x0.shape, np.inf)  # widths one and two steps back
+    while True:
+        w, mid = np.abs(x1 - x0), 0.5 * (x0 + x1)
+        tol = 1e-9 + 8.9e-16 * np.abs(mid)
+        active = w > tol
+        if not active.any():
+            return x0 - f0 * (x1 - x0) / (f1 - f0)
+        x = np.where(w > 0.5 * w2, mid, x0 - g0 * (x1 - x0) / (g1 - g0))
+        x = np.clip(x, np.minimum(x0, x1) + 0.5 * tol, np.maximum(x0, x1) - 0.5 * tol)
+        x = np.where(active, x, mid)  # converged brackets: evaluate inside, keep as is
+        fx = ratio(x) - tau
+        move1, move0 = active & (fx > 0), active & (fx <= 0)
+        g0 = np.where(move1 & (side > 0), 0.5 * g0, g0)
+        g1 = np.where(move0 & (side < 0), 0.5 * g1, g1)
+        x1, f1, g1 = np.where(move1, x, x1), np.where(move1, fx, f1), np.where(move1, fx, g1)
+        x0, f0, g0 = np.where(move0, x, x0), np.where(move0, fx, f0), np.where(move0, fx, g0)
+        side = np.where(move1, 1.0, np.where(move0, -1.0, side))
+        w1, w2 = w, w1
+
+
+def _scan_levels(V: Potential, t_min_cap: float, t_max: float = 30.0, scan_n: int = 4000):
+    """Scan V/w0 = e^{2t} V (1 + t^2) once; return its maximum and ``levels``.
+
+    ``levels(taus)`` gives, for a threshold grid, the ends of all intervals of
+    {V/w0 > tau} as one flat array (start, end, start, ...), each threshold's
+    level-set measure and whether its set reaches the lower cap.  Crossings
+    are the scan's sign changes, refined by one bracketed solve for the grid.
+    A ScanResolutionWarning is emitted when, for a threshold below the scan
+    maximum, the midpoint-refined scan sees another crossing count.
+    """
 
     def ratio(t):
-        t = _as_array(t)
-        return V.vplus_density(t) * (1.0 + t * t)
+        vals = V.vplus_density(t) * (1.0 + t * t)
+        if not np.isfinite(vals).all():
+            raise DomainError(f"V/w0 is not finite at t = {float(t[~np.isfinite(vals)][0])!r}")
+        return vals
 
-    return ratio
-
-
-def _scan_nodes(t_min_cap: float, t_max: float, n: int) -> np.ndarray:
-    pieces = [np.linspace(max(t_min_cap, -2.0), t_max, max(n // 4, 16))]
+    pieces = [np.linspace(max(t_min_cap, -2.0), t_max, max(scan_n // 4, 16))]
     if t_min_cap < -2.0:
-        pieces.insert(0, -np.geomspace(2.0, -t_min_cap, n)[::-1])
-    return np.unique(np.concatenate(pieces))
+        pieces.insert(0, -np.geomspace(2.0, -t_min_cap, scan_n)[::-1])
+    nodes = np.unique(np.concatenate(pieces))
+    fine_t = np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))  # interleaved
+    fine = ratio(fine_t)
+    vals = np.ascontiguousarray(fine[0::2])
+    rmax = float(np.max(vals))
+    # segment i is crossed by tau iff min(v_i, v_i+1) <= tau < max(v_i, v_i+1)
+    spans = [np.sort(f(v[:-1], v[1:])) for v in (vals, fine) for f in (np.minimum, np.maximum)]
+    above = np.zeros(nodes.size + 2, dtype=bool)  # padded, so open ends count as crossings
 
+    def crossings(lo, hi, taus):
+        return np.searchsorted(lo, taus, "right") - np.searchsorted(hi, taus, "right")
 
-def _intervals_above(ratio, nodes, vals, t_val):
-    """Crossing intervals of {ratio > t_val} from cached scan values."""
-    above = vals > t_val
+    def levels(taus):
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        # at or above rmax the scan's level set is empty by construction
+        differ = crossings(*spans[:2], taus) != crossings(*spans[2:], taus)
+        if np.any(differ & (taus < rmax)):
+            msg = "ratio oscillates faster than the level-set scan grid"
+            warnings.warn(msg, ScanResolutionWarning)
+        cuts = []
+        for tau in taus:
+            np.greater(vals, tau, out=above[1:-1])
+            cuts.append(np.flatnonzero(above[1:] != above[:-1]) - 1)
+        cut = np.concatenate(cuts)
+        # cut -1 opens at the cap, cut n-1 closes at t_max, other ends lie in (cut, cut+1)
+        ends = np.where(cut < 0, nodes[0], nodes[-1])
+        inner = (cut >= 0) & (cut < nodes.size - 1)
+        i, lvl = cut[inner], np.repeat(taus, [c.size for c in cuts])[inner]
+        ends[inner] = _roots(ratio, nodes[i], nodes[i + 1], vals[i] - lvl, vals[i + 1] - lvl, lvl)
+        F = _measure_antiderivative(ends)
+        owner = np.repeat(np.arange(taus.size), [c.size // 2 for c in cuts])
+        measure = np.bincount(owner, weights=F[1::2] - F[0::2], minlength=taus.size)
+        return ends, measure, vals[0] > taus
 
-    def refine(a, b):
-        f = lambda t: float(ratio(t) - t_val)
-        try:
-            return float(optimize.brentq(f, a, b, xtol=1e-9, rtol=8.9e-16))
-        except ValueError:
-            return 0.5 * (a + b)
-
-    intervals = []
-    truncated = bool(above[0])
-    open_left = nodes[0] if above[0] else None
-    for i in range(len(nodes) - 1):
-        if above[i + 1] and not above[i]:
-            open_left = refine(nodes[i], nodes[i + 1])
-        elif above[i] and not above[i + 1]:
-            intervals.append((open_left, refine(nodes[i], nodes[i + 1])))
-            open_left = None
-    if open_left is not None:
-        intervals.append((open_left, nodes[-1]))
-    return tuple(intervals), truncated
+    return rmax, levels
 
 
 def level_set(
@@ -282,44 +330,30 @@ def level_set(
     t_max: float = 30.0,
     scan_n: int = 4000,
 ) -> LevelSet:
-    """Level set {V > t_val * w0} by scan + bisection, t-tolerance 1e-9.
+    """Level set {V > t_val * w0} from a cached scan and a bracketed root solve.
 
-    For roots beyond |t| ~ 1e9 the absolute tolerance degrades to float
-    resolution; bisection then stops at machine-relative accuracy.  A
-    ScanResolutionWarning is emitted (never silently dropped) when a 2x finer
-    scan sees a different crossing count.
+    Each end is refined until its bracket is at most 1e-9 + 8.9e-16 |t| wide
+    (brentq's tolerance, attainable at any float magnitude).  A 2x finer scan
+    that sees a different crossing count emits a ScanResolutionWarning (never
+    silently dropped); a non-finite V/w0 on the scan raises DomainError.
     """
     if t_val <= 0:
         raise ValueError("threshold must be positive")
-    ratio = _ratio_fn(V)
-    nodes = _scan_nodes(t_min_cap, t_max, scan_n)
-    vals = ratio(nodes)
-
-    fine = np.unique(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
-    changes = int(np.sum(np.diff((vals > t_val).astype(int)) != 0))
-    changes_fine = int(np.sum(np.diff((ratio(fine) > t_val).astype(int)) != 0))
-    if changes_fine != changes:
-        warnings.warn(
-            "ratio oscillates faster than the level-set scan grid",
-            ScanResolutionWarning,
-        )
-
-    intervals, truncated = _intervals_above(ratio, nodes, vals, t_val)
-    return LevelSet(threshold=float(t_val), intervals=intervals, truncated_left=truncated)
+    _, levels = _scan_levels(V, t_min_cap, t_max, scan_n)
+    ends, _, truncated = levels(t_val)
+    intervals = tuple(zip(ends[0::2].tolist(), ends[1::2].tolist()))
+    return LevelSet(threshold=float(t_val), intervals=intervals, truncated_left=bool(truncated[0]))
 
 
 def _measure_antiderivative(t):
     """Antiderivative of (1+|t|)/(1+t^2) dt, the level-set measure density."""
-    t = _as_array(t)
     return np.arctan(t) + 0.5 * np.sign(t) * np.log1p(t * t)
 
 
 def level_measure(ls: LevelSet) -> float:
     """int over the level set of w0(r)(1+|log r|) r dr, in closed form."""
-    total = 0.0
-    for a, b in ls.intervals:
-        total += float(_measure_antiderivative(b) - _measure_antiderivative(a))
-    return total
+    F = _measure_antiderivative(np.reshape(ls.intervals, -1))
+    return float(np.sum(F[1::2] - F[0::2]))
 
 
 @dataclass(frozen=True)
@@ -339,49 +373,35 @@ class VNormResult:
 
 
 def _sup_over_thresholds(V: Potential, a: float, t_min_cap: float, tau_grid_n: int = 512):
-    ratio = _ratio_fn(V)
-    nodes = _scan_nodes(t_min_cap, 30.0, 4000)
-    vals = ratio(nodes)
-    rmax = float(np.max(vals))
+    rmax, levels = _scan_levels(V, t_min_cap)
     if rmax <= 0.0:
         return 0.0, 0.0
+
+    def g(taus):
+        return taus**a * levels(taus)[1]
+
     taus = np.geomspace(rmax * 1e-8, rmax * 1e8, tau_grid_n)
-
-    def g(tau):
-        intervals, _ = _intervals_above(ratio, nodes, vals, tau)
-        measure = sum(
-            float(_measure_antiderivative(b) - _measure_antiderivative(a_))
-            for a_, b in intervals
-        )
-        return tau**a * measure
-
-    grid_vals = np.array([g(tau) for tau in taus])
+    grid_vals = g(taus)
     k = int(np.argmax(grid_vals))
-    lo = taus[max(k - 1, 0)]
-    hi = taus[min(k + 1, len(taus) - 1)]
 
     # golden-section on log tau around the grid argmax
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x_lo, x_hi = np.log(lo), np.log(hi)
-    c = x_hi - invphi * (x_hi - x_lo)
-    d = x_lo + invphi * (x_hi - x_lo)
-    gc, gd = g(np.exp(c)), g(np.exp(d))
+    x_lo, x_hi = np.log(taus[max(k - 1, 0)]), np.log(taus[min(k + 1, len(taus) - 1)])
+    c, d = x_hi - invphi * (x_hi - x_lo), x_lo + invphi * (x_hi - x_lo)
+    gc, gd = g(np.exp([c, d]))
     for _ in range(60):
         if gc < gd:
-            x_lo = c
-            c, gc = d, gd
+            x_lo, c, gc = c, d, gd
             d = x_lo + invphi * (x_hi - x_lo)
-            gd = g(np.exp(d))
+            gd = g(np.exp(d))[0]
         else:
-            x_hi = d
-            d, gd = c, gc
+            x_hi, d, gd = d, c, gc
             c = x_hi - invphi * (x_hi - x_lo)
-            gc = g(np.exp(c))
+            gc = g(np.exp(c))[0]
         if x_hi - x_lo < 1e-10:
             break
     x_best = 0.5 * (x_lo + x_hi)
-    best = g(np.exp(x_best))
-    best = max(best, float(np.max(grid_vals)))
+    best = max(g(np.exp(x_best))[0], float(np.max(grid_vals)))
     return best, float(np.exp(x_best))
 
 
@@ -414,24 +434,15 @@ def v_norm_a(
         caps = [-((-t_min_cap) ** (2.0**k)) for k in range(cap_doublings + 1)]
     else:
         raise ValueError("cap_schedule must be 'double' or 'square'")
-    values = []
-    args = []
-    for cap in caps:
-        raw, arg = _sup_over_thresholds(V, a, cap)
-        values.append(raw ** (1.0 / a) if raw > 0 else 0.0)
-        args.append(arg)
-    rel_steps = [
-        abs(v2 - v1) / v2 if v2 > 0 else 0.0 for v1, v2 in zip(values[:-1], values[1:])
-    ]
+    sups = [_sup_over_thresholds(V, a, cap) for cap in caps]
+    values = [raw ** (1.0 / a) if raw > 0 else 0.0 for raw, _ in sups]
+    rel_steps = [abs(v2 - v1) / v2 if v2 > 0 else 0.0 for v1, v2 in zip(values[:-1], values[1:])]
     saturated = bool(rel_steps[-1] < saturation_tol) if rel_steps else True
     if rel_steps and all(s >= saturation_tol for s in rel_steps):
-        warnings.warn(
-            "sup-functional kept growing across every cap doubling",
-            UnboundedWarning,
-        )
+        warnings.warn("sup-functional kept growing across every cap doubling", UnboundedWarning)
     return VNormResult(
         value=float(values[-1]),
-        arg_t=float(args[-1]),
+        arg_t=float(sups[-1][1]),
         saturated=saturated,
         cap_sequence=tuple(zip(caps, values)),
     )
@@ -439,22 +450,11 @@ def v_norm_a(
 
 def threshold_curve(V: Potential, a: float, t_min_cap: float = -1e4, n: int = 200):
     """(tau, tau^a * measure(level set)) samples for plotting the sup search."""
-    ratio = _ratio_fn(V)
-    nodes = _scan_nodes(t_min_cap, 30.0, 4000)
-    vals = ratio(nodes)
-    rmax = float(np.max(vals))
+    rmax, levels = _scan_levels(V, t_min_cap)
     if rmax <= 0:
         return np.zeros(0), np.zeros(0)
     taus = np.geomspace(rmax * 1e-6, rmax, n)
-    curve = []
-    for tau in taus:
-        intervals, _ = _intervals_above(ratio, nodes, vals, tau)
-        measure = sum(
-            float(_measure_antiderivative(b) - _measure_antiderivative(a_))
-            for a_, b in intervals
-        )
-        curve.append(tau**a * measure)
-    return taus, np.asarray(curve)
+    return taus, taus**a * levels(taus)[1]
 
 
 def log_moment(w: Weight, alpha: float, R: float) -> float:

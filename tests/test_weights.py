@@ -4,10 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 import maghardy as mh
-from maghardy.errors import DomainError, UnboundedWarning
+from maghardy.errors import DomainError, ScanResolutionWarning, UnboundedWarning
 from maghardy.weights import level_measure
 
 
@@ -107,16 +109,150 @@ def test_level_set_vsigma_crossing_matches_scalar_root():
     assert len(ls_cap.intervals) == 1 and ls_cap.truncated_left
 
 
-def test_level_set_scan_resolution_warning():
-    from maghardy.errors import ScanResolutionWarning
+# ---------------------------------------------------------------------------
+# Reference: the scalar scan loop with one brentq per crossing that the
+# batched level-set engine replaced, kept here as an oracle for it.
+# ---------------------------------------------------------------------------
 
+
+def _ref_scan(V, t_min_cap):
+    def ratio(t):
+        t = np.asarray(t, dtype=float)
+        return V.vplus_density(t) * (1.0 + t * t)
+
+    pieces = [np.linspace(max(t_min_cap, -2.0), 30.0, 1000)]
+    if t_min_cap < -2.0:
+        pieces.insert(0, -np.geomspace(2.0, -t_min_cap, 4000)[::-1])
+    nodes = np.unique(np.concatenate(pieces))
+    return ratio, nodes, ratio(nodes)
+
+
+def _ref_intervals(ratio, nodes, vals, t_val):
+    above = vals > t_val
+
+    # the brackets are sign changes of the scan, so brentq cannot fail on them;
+    # the engine's old midpoint fallback is left out so that a failure shows
+    def refine(a, b):
+        f = lambda t: float(ratio(t) - t_val)
+        return float(optimize.brentq(f, a, b, xtol=1e-9, rtol=8.9e-16))
+
+    intervals = []
+    truncated = bool(above[0])
+    open_left = nodes[0] if above[0] else None
+    for i in range(len(nodes) - 1):
+        if above[i + 1] and not above[i]:
+            open_left = refine(nodes[i], nodes[i + 1])
+        elif above[i] and not above[i + 1]:
+            intervals.append((open_left, refine(nodes[i], nodes[i + 1])))
+            open_left = None
+    if open_left is not None:
+        intervals.append((open_left, nodes[-1]))
+    return intervals, truncated
+
+
+def _ref_sup(V, a, t_min_cap):
+    F = lambda t: np.arctan(t) + 0.5 * np.sign(t) * np.log1p(t * t)
+    ratio, nodes, vals = _ref_scan(V, t_min_cap)
+    rmax = float(np.max(vals))
+    if rmax <= 0.0:
+        return 0.0
+
+    def g(tau):
+        intervals, _ = _ref_intervals(ratio, nodes, vals, tau)
+        return tau**a * sum(float(F(hi) - F(lo)) for lo, hi in intervals)
+
+    taus = np.geomspace(rmax * 1e-8, rmax * 1e8, 512)
+    grid_vals = np.array([g(tau) for tau in taus])
+    k = int(np.argmax(grid_vals))
+    x_lo, x_hi = np.log(taus[max(k - 1, 0)]), np.log(taus[min(k + 1, len(taus) - 1)])
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = x_hi - invphi * (x_hi - x_lo)
+    d = x_lo + invphi * (x_hi - x_lo)
+    gc, gd = g(np.exp(c)), g(np.exp(d))
+    for _ in range(60):
+        if gc < gd:
+            x_lo, c, gc = c, d, gd
+            d = x_lo + invphi * (x_hi - x_lo)
+            gd = g(np.exp(d))
+        else:
+            x_hi, d, gd = d, c, gc
+            c = x_hi - invphi * (x_hi - x_lo)
+            gc = g(np.exp(c))
+        if x_hi - x_lo < 1e-10:
+            break
+    return max(g(np.exp(0.5 * (x_lo + x_hi))), float(np.max(grid_vals)))
+
+
+_potentials = st.one_of(
+    st.builds(mh.VSigma, st.floats(1.2, 3.5)),
+    st.builds(mh.GaussianWell, st.floats(0.1, 10.0), st.floats(0.3, 3.0)),
+    # V/w0 increases up to the jump at log(radius); past t_max = 30 the set stays open
+    st.builds(mh.StepWell, st.floats(1e-3, 10.0), st.floats(1.0, 60.0).map(np.exp)),
+)
+_caps = st.floats(np.log10(50.0), 8.0).map(lambda e: -(10.0**e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_potentials, _caps, st.floats(-8.0, 2.0))
+def test_level_set_matches_scalar_reference(V, cap, log_rel_tau):
+    ratio, nodes, vals = _ref_scan(V, cap)
+    tau = float(np.max(vals)) * 10.0**log_rel_tau
+    want, truncated = _ref_intervals(ratio, nodes, vals, tau)
+    got = mh.level_set(V, tau, t_min_cap=cap)
+    assert len(got.intervals) == len(want)
+    assert got.truncated_left == truncated
+    for ends, ref_ends in zip(got.intervals, want):
+        for t, t_ref in zip(ends, ref_ends):
+            assert abs(t - t_ref) <= 2e-9 * max(1.0, abs(t_ref))
+
+
+@settings(max_examples=3, deadline=None)
+@given(_potentials, _caps, st.floats(1.2, 3.5))
+def test_v_norm_matches_scalar_reference(V, cap, a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnboundedWarning)
+        res = mh.v_norm_a(V, a, t_min_cap=cap, cap_doublings=1)
+    for cap_k, value in res.cap_sequence:
+        want = _ref_sup(V, a, cap_k) ** (1.0 / a)
+        assert value == pytest.approx(want, rel=1e-7)
+
+
+def test_non_finite_ratio_raises_domain_error():
+    # NaN on -5 < t < -3 only: the scan must not read it as "below threshold"
+    holed = mh.profiles.CallablePotential(
+        density=lambda t: np.where((t > -5.0) & (t < -3.0), np.nan, 2.0 / (1.0 + t * t))
+    )
+    with pytest.raises(DomainError, match=r"t = -4\.99"):
+        mh.level_set(holed, 1.0, t_min_cap=-100.0)
+    with pytest.raises(DomainError):
+        mh.v_norm_a(holed, 2.0, t_min_cap=-100.0)
+    with pytest.raises(DomainError):
+        mh.weights.threshold_curve(holed, 2.0, t_min_cap=-100.0)
+
+
+def test_level_set_scan_resolution_warning():
     osc = mh.profiles.CallablePotential(
         density=lambda t: (1.1 + np.sin(40.0 * t)) / (1.0 + t * t)
     )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        mh.level_set(osc, 1.0, t_min_cap=-30.0, scan_n=40)
-    assert any(issubclass(w.category, ScanResolutionWarning) for w in caught)
+    calls = (
+        lambda: mh.level_set(osc, 1.0, t_min_cap=-30.0, scan_n=40),
+        lambda: mh.v_norm_a(osc, 2.0, t_min_cap=-30.0, cap_doublings=0),
+        lambda: mh.weights.threshold_curve(osc, 2.0, t_min_cap=-30.0),
+    )
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert any(issubclass(w.category, ScanResolutionWarning) for w in caught)
+
+
+def test_threshold_at_scan_maximum_does_not_warn():
+    # the midpoint scan of this well peaks above the node maximum, the curve's
+    # last threshold; the empty level set there is no sign of a coarse scan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ScanResolutionWarning)
+        _, curve = mh.weights.threshold_curve(mh.GaussianWell(1.0, 1.0), 2.0)
+    assert curve[-1] == 0.0
 
 
 def test_level_set_nesting_property():

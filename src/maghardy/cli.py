@@ -2,19 +2,20 @@
 
 One entry point with subcommands::
 
-    maghardy [--config FILE] [--out DIR] [--seed N] [--pretty] SUBCOMMAND [flags]
+    maghardy [--config FILE] [--out DIR] [--pretty] SUBCOMMAND [flags]
 
 Subcommands: flux | weight | vnorm | identity-check | probe-zero |
 probe-infinity | hardy | count | sweep | bound.
 
-Configuration is a JSON file with the sections below; command-line flags
-override file values (flags win).  Every run writes one JSON report
-(config echo, results, tool version, wall clock, collected warnings) plus
-CSV plot data, with file names derived from the subcommand and a hash of the
-resolved config.  Identical configs produce byte-identical JSON payloads
-apart from the wall-clock field.
+Configuration is a JSON file with the sections below.  A flag given on the
+command line replaces the one config value it maps to (``_FLAGS``); every
+other file value is kept, and a value given nowhere takes the runner's
+default.  Every run writes one JSON report (the config as given, results,
+tool version, wall clock, collected warnings) plus CSV plot data, with file
+names derived from the subcommand and a hash of that config.  Identical
+configs produce byte-identical JSON payloads apart from the wall-clock field.
 
-Config schema (keys with their defaults)::
+Config schema::
 
     field:     kind zero|example1|example2|bump|sum|custom,
                b0, gamma, total_flux, r1, parts (sum), path, integrability
@@ -26,9 +27,10 @@ Config schema (keys with their defaults)::
     lambda, lambdas {min,max,n}, method inertia|prufer|phase,
     m_range [lo,hi], refine, a, t_min_cap, cap_doublings, cap_schedule,
     r | t, b, alpha, cuts [...], alpha_exp, n_list [...], bad_weight, r0,
-    out, seed
+    out
 
-Exit status: 0 success, 2 success with collected warnings, 1 error.
+Exit status: 0 success, 2 success with collected warnings, 1 error (usage
+and config errors included).
 """
 
 import argparse
@@ -56,19 +58,6 @@ _REPORT_WARNINGS = (
     ZeroPivotWarning,
     ScanResolutionWarning,
     UnboundedWarning,
-)
-
-SUBCOMMANDS = (
-    "flux",
-    "weight",
-    "vnorm",
-    "identity-check",
-    "probe-zero",
-    "probe-infinity",
-    "hardy",
-    "count",
-    "sweep",
-    "bound",
 )
 
 
@@ -143,7 +132,7 @@ def build_weight(spec: dict | None, field=None) -> weights.Weight:
                 t_eta = weights.select_eta_log(field)
             return weights.FluxAugmentedWeight(field=field, t_eta=float(t_eta))
         if kind == "shifted_log":
-            return weights.ShiftedLogWeight(r0=float(spec["r0"]))
+            return weights.ShiftedLogWeight(r0=_parse_float(spec["r0"], "weight.r0"))
         if kind == "aharonov_bohm":
             return weights.AharonovBohmWeight(mu=float(spec["mu"]))
         if kind == "slow_log":
@@ -357,10 +346,11 @@ def _run_count(config):
 
 
 def _lambda_ladder(config):
-    lam_spec = config.get("lambdas", {"min": 10.0, "max": 1e4, "n": 7})
-    return np.geomspace(
-        float(lam_spec["min"]), float(lam_spec["max"]), int(lam_spec.get("n", 7))
-    )
+    lam_spec = config.get("lambdas", {})
+    if not isinstance(lam_spec, dict):
+        raise ConfigError("lambdas: expected an object with keys min, max, n")
+    lam_spec = {"min": 10.0, "max": 1e4, "n": 7, **lam_spec}
+    return np.geomspace(float(lam_spec["min"]), float(lam_spec["max"]), int(lam_spec["n"]))
 
 
 def _run_sweep(config):
@@ -509,210 +499,178 @@ def _pretty(results: dict, indent=0):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp):
-    sp.add_argument("--field", dest="field_kind")
-    sp.add_argument("--b0", type=float)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--total-flux", type=float)
-    sp.add_argument("--r1", type=float)
-    sp.add_argument("--potential", dest="potential_kind")
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--depth", type=float)
-    sp.add_argument("--width", type=float)
-    sp.add_argument("--radius", type=float)
-    sp.add_argument("--weight", dest="weight_kind")
-    sp.add_argument("--t-eta", type=float)
-    sp.add_argument("--mu", type=float)
-    sp.add_argument("--t-min", type=float)
-    sp.add_argument("--t-max", type=float)
-    sp.add_argument("--grid", type=int, help="number of grid nodes")
-    sp.add_argument("--grid-kind", choices=["uniform", "geometric", "auto"])
+def _floats(text):
+    """``8,16,32`` -> [8.0, 16.0, 32.0]."""
+    try:
+        return [float(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected numbers like 8,16,32, got {text!r}") from None
+
+
+def _int_range(text):
+    """``-3:3`` -> [-3, 3]."""
+    lo, _, hi = text.partition(":")
+    try:
+        return [int(lo), int(hi)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI like -3:3, got {text!r}") from None
+
+
+_FLOAT = {"type": float}
+_INT = {"type": int}
+_MODEL_FLAGS = (
+    ("--field", "field.kind", {}),
+    ("--b0", "field.b0", _FLOAT),
+    ("--gamma", "field.gamma", _FLOAT),
+    ("--total-flux", "field.total_flux", _FLOAT),
+    ("--r1", "field.r1", _FLOAT),
+    ("--potential", "potential.kind", {}),
+    ("--sigma", "potential.sigma", _FLOAT),
+    ("--depth", "potential.depth", _FLOAT),
+    ("--width", "potential.width", _FLOAT),
+    ("--radius", "potential.radius", _FLOAT),
+    ("--weight", "weight.kind", {}),
+    ("--t-eta", "weight.t_eta", _FLOAT),
+    ("--mu", "weight.mu", _FLOAT),
+    ("--t-min", "grid.t_min", _FLOAT),
+    ("--t-max", "grid.t_max", _FLOAT),
+    ("--grid", "grid.n", {"type": int, "help": "number of grid nodes"}),
+    ("--grid-kind", "grid.kind", {"choices": ("uniform", "geometric", "auto")}),
+)
+_RADIUS_FLAGS = (("--r", "r", {}), ("--t", "t", _FLOAT))
+_LAMBDA_FLAGS = (
+    ("--lambda-min", "lambdas.min", _FLOAT),
+    ("--lambda-max", "lambdas.max", _FLOAT),
+    ("--lambda-n", "lambdas.n", _INT),
+)
+_METHOD_FLAG = ("--method", "method", {"choices": ("inertia", "prufer", "phase")})
+
+# The one map from flag to config key, per subcommand: (flag, key, argparse
+# keywords).  A dotted key is an entry of a section, e.g. potential.sigma;
+# --b, --r0 and --grid map to different keys in different subcommands.  No
+# flag has a default: an absent flag leaves the config value, and the runner
+# supplies the default.
+_FLAGS = {
+    "flux": ("flux function of a radial field", _MODEL_FLAGS + _RADIUS_FLAGS),
+    "weight": (
+        "evaluate a Hardy weight",
+        _MODEL_FLAGS + _RADIUS_FLAGS + (("--b", "weight.b", _FLOAT), ("--r0", "weight.r0", {})),
+    ),
+    "vnorm": (
+        "capped sup-functional of a potential",
+        _MODEL_FLAGS
+        + (
+            ("--a", "a", _FLOAT),
+            ("--t-min-cap", "t_min_cap", _FLOAT),
+            ("--cap-doublings", "cap_doublings", _INT),
+            ("--cap-schedule", "cap_schedule", {"choices": ("double", "square")}),
+        ),
+    ),
+    "identity-check": ("algebraic identity residual", (("--r0", "r0", {}), ("--grid", "n", _INT))),
+    "probe-zero": (
+        "weight optimality probe at the origin",
+        _MODEL_FLAGS
+        + (
+            ("--b", "b", _FLOAT),
+            ("--alpha", "alpha", _FLOAT),
+            ("--cuts", "cuts", {"type": _floats}),
+        ),
+    ),
+    "probe-infinity": (
+        "weight optimality probe at infinity",
+        _MODEL_FLAGS
+        + (
+            ("--alpha-exp", "alpha_exp", _FLOAT),
+            ("--n-list", "n_list", {"type": _floats}),
+            ("--bad-weight", "bad_weight", {}),
+        ),
+    ),
+    "hardy": (
+        "discrete Hardy-constant estimate",
+        _MODEL_FLAGS + (("--m-range", "m_range", {"type": _int_range}), ("--refine", "refine", _INT)),
+    ),
+    "count": (
+        "negative-eigenvalue count at one coupling",
+        _MODEL_FLAGS + (("--lambda", "lambda", _FLOAT), _METHOD_FLAG),
+    ),
+    "sweep": ("coupling sweep and exponent fit", _MODEL_FLAGS + _LAMBDA_FLAGS + (_METHOD_FLAG,)),
+    "bound": (
+        "integral bound and counting-bound table",
+        _MODEL_FLAGS
+        + (("--a", "a", _FLOAT), ("--t-min-cap", "t_min_cap", _FLOAT))
+        + _LAMBDA_FLAGS
+        + (_METHOD_FLAG,),
+    ),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: exit status 2 means "ok with warnings"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _add_shared(p):
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
     p.add_argument("--pretty", action="store_true", help="print a readable table")
 
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="maghardy",
         description="Flux profiles, Hardy weights and negative-eigenvalue "
         "counting for two-dimensional magnetic Schroedinger operators.",
     )
     _add_shared(p)
-    p.set_defaults(seed=0)
     # The subcommands accept the global options too.  Their copies have no
     # defaults, so a flag given before the subcommand is not reset.
     shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     _add_shared(shared)
     subs = p.add_subparsers(dest="subcommand")
-
-    def add_parser(name, **kw):
-        return subs.add_parser(name, parents=[shared], **kw)
-
-    sp = add_parser("flux", help="flux function of a radial field")
-    _add_common(sp)
-    sp.add_argument("--r")
-    sp.add_argument("--t", type=float)
-
-    sp = add_parser("weight", help="evaluate a Hardy weight")
-    _add_common(sp)
-    sp.add_argument("--r")
-    sp.add_argument("--t", type=float)
-    sp.add_argument("--b", type=float)
-    sp.add_argument("--r0")
-
-    sp = add_parser("vnorm", help="capped sup-functional of a potential")
-    _add_common(sp)
-    sp.add_argument("--a", type=float, default=2.0)
-    sp.add_argument("--t-min-cap", type=float, default=-1e4)
-    sp.add_argument("--cap-doublings", type=int, default=1)
-    sp.add_argument("--cap-schedule", choices=["double", "square"], default="double")
-
-    sp = add_parser("identity-check", help="algebraic identity residual")
-    sp.add_argument("--r0", default="e")
-    sp.add_argument("--grid", type=int, default=1000)
-
-    sp = add_parser("probe-zero", help="weight optimality probe at the origin")
-    _add_common(sp)
-    sp.add_argument("--b", type=float, default=1.5)
-    sp.add_argument("--alpha", type=float, default=0.4)
-    sp.add_argument("--cuts", default="8,16,32,64")
-
-    sp = add_parser("probe-infinity", help="weight optimality probe at infinity")
-    _add_common(sp)
-    sp.add_argument("--alpha-exp", type=float, default=0.5)
-    sp.add_argument("--n-list", default="100,1000,10000")
-    sp.add_argument("--bad-weight", default="slow_log")
-
-    sp = add_parser("hardy", help="discrete Hardy-constant estimate")
-    _add_common(sp)
-    sp.add_argument("--m-range", default="-3:3")
-    sp.add_argument("--refine", type=int, default=1)
-
-    sp = add_parser("count", help="negative-eigenvalue count at one coupling")
-    _add_common(sp)
-    sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sp.add_argument("--method", choices=["inertia", "prufer", "phase"], default="inertia")
-
-    sp = add_parser("sweep", help="coupling sweep and exponent fit")
-    _add_common(sp)
-    sp.add_argument("--lambda-min", type=float, default=10.0)
-    sp.add_argument("--lambda-max", type=float, default=1e4)
-    sp.add_argument("--lambda-n", type=int, default=7)
-    sp.add_argument("--method", choices=["inertia", "prufer", "phase"], default="phase")
-
-    sp = add_parser("bound", help="integral bound and counting-bound table")
-    _add_common(sp)
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--t-min-cap", type=float, default=-1e4)
-    sp.add_argument("--lambda-min", type=float, default=10.0)
-    sp.add_argument("--lambda-max", type=float, default=1e4)
-    sp.add_argument("--lambda-n", type=int, default=7)
-    sp.add_argument("--method", choices=["inertia", "prufer", "phase"], default="phase")
+    for name, (help_text, flags) in _FLAGS.items():
+        sp = subs.add_parser(
+            name, parents=[shared], help=help_text, argument_default=argparse.SUPPRESS
+        )
+        for flag, key, kwargs in flags:
+            sp.add_argument(flag, dest=key, **kwargs)
     return p
 
 
 def _merge_args(config: dict, args) -> dict:
-    """Overlay parsed flags onto the config dict (flags win)."""
+    """Write each flag given onto its config key (flags win)."""
     cfg = dict(config)
     cfg["subcommand"] = args.subcommand or cfg.get("subcommand")
-    cfg.setdefault("seed", args.seed)
-    if args.seed:
-        cfg["seed"] = args.seed
-
-    def section(name):
-        sec = dict(cfg.get(name) or {})
-        cfg[name] = sec
-        return sec
-
-    a = vars(args)
-    if a.get("field_kind"):
-        section("field")["kind"] = a["field_kind"]
-    for key, sec_key in (
-        ("b0", "b0"),
-        ("gamma", "gamma"),
-        ("total_flux", "total_flux"),
-        ("r1", "r1"),
-    ):
-        if a.get(key) is not None:
-            section("field")[sec_key] = a[key]
-    if a.get("potential_kind"):
-        section("potential")["kind"] = a["potential_kind"]
-    for key in ("sigma", "depth", "width", "radius"):
-        if a.get(key) is not None:
-            section("potential")[key] = a[key]
-    if a.get("weight_kind"):
-        section("weight")["kind"] = a["weight_kind"]
-    if a.get("t_eta") is not None:
-        section("weight")["t_eta"] = a["t_eta"]
-    if a.get("mu") is not None:
-        section("weight")["mu"] = a["mu"]
-    if args.subcommand == "weight" and a.get("b") is not None:
-        section("weight")["b"] = a["b"]
-    if args.subcommand == "weight" and a.get("r0") is not None:
-        section("weight")["r0"] = _parse_float(a["r0"], "r0")
-    for key in ("t_min", "t_max"):
-        if a.get(key) is not None:
-            section("grid")[key] = a[key]
-    if a.get("grid") is not None:
-        section("grid")["n"] = a["grid"]
-    if a.get("grid_kind"):
-        section("grid")["kind"] = a["grid_kind"]
-
-    for key in (
-        "r",
-        "t",
-        "a",
-        "t_min_cap",
-        "cap_doublings",
-        "cap_schedule",
-        "alpha",
-        "alpha_exp",
-        "bad_weight",
-        "refine",
-        "method",
-    ):
-        if a.get(key) is not None:
-            cfg[key] = a[key]
-    if args.subcommand == "probe-zero" and a.get("b") is not None:
-        cfg["b"] = a["b"]
-    if args.subcommand == "identity-check":
-        if a.get("r0") is not None:
-            cfg["r0"] = a["r0"]
-        if a.get("grid") is not None:
-            cfg["n"] = a["grid"]
-    if a.get("lam") is not None:
-        cfg["lambda"] = a["lam"]
-    if a.get("cuts"):
-        cfg["cuts"] = [float(x) for x in str(a["cuts"]).split(",") if x]
-    if a.get("n_list"):
-        cfg["n_list"] = [float(x) for x in str(a["n_list"]).split(",") if x]
-    if a.get("m_range"):
-        lo, hi = str(a["m_range"]).split(":")
-        cfg["m_range"] = [int(lo), int(hi)]
-    if a.get("lambda_min") is not None:
-        cfg["lambdas"] = {
-            "min": a["lambda_min"],
-            "max": a["lambda_max"],
-            "n": a["lambda_n"],
-        }
-    if not cfg.get("grid"):
-        cfg.pop("grid", None)
+    for key, value in vars(args).items():
+        if key in ("config", "out", "pretty", "subcommand"):
+            continue
+        section, _, name = key.rpartition(".")
+        if section:
+            cfg[section] = {**(cfg.get(section) or {}), name: value}
+        else:
+            cfg[name] = value
     return cfg
+
+
+def _load_config(path) -> dict:
+    try:
+        config = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object")
+    return config
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        base = {}
-        if args.config:
-            base = json.loads(Path(args.config).read_text())
-        config = _merge_args(base, args)
+        config = _merge_args(_load_config(args.config) if args.config else {}, args)
         if not config.get("subcommand"):
             parser.print_help()
             return 1

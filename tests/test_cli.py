@@ -1,9 +1,13 @@
 """CLI dispatch, report determinism, CSV emission, exit codes."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from maghardy import cli
@@ -158,7 +162,7 @@ def test_main_config_file_with_flag_override(tmp_path):
 
 
 def test_global_flags_before_subcommand(tmp_path, monkeypatch, capsys):
-    # the documented usage: maghardy [--config FILE] [--out DIR] [--seed N] [--pretty] SUB
+    # the documented usage: maghardy [--config FILE] [--out DIR] [--pretty] SUB
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.json"
     cfg.write_text(
@@ -171,14 +175,13 @@ def test_global_flags_before_subcommand(tmp_path, monkeypatch, capsys):
         )
     )
     out = tmp_path / "out"
-    code = cli.main(["--config", str(cfg), "--out", str(out), "--seed", "5", "--pretty", "flux"])
+    code = cli.main(["--config", str(cfg), "--out", str(out), "--pretty", "flux"])
     assert code == 0
     assert not (tmp_path / "maghardy-out").exists()
     reports = list(out.glob("flux-*.json"))
     assert len(reports) == 1
     payload = json.loads(reports[0].read_text())
     assert payload["results"]["alpha"] == pytest.approx(0.5, abs=1e-9)
-    assert payload["config"]["seed"] == 5
     assert "alpha: " in capsys.readouterr().out  # --pretty, not the JSON line
     # after the subcommand the same flags still work, and win
     later = tmp_path / "later"
@@ -283,3 +286,133 @@ def test_sweep_subcommand_payload():
     assert code == 0
     assert 1.5 <= report["results"]["fitted_exponent"] <= 2.3
     assert tables["sweep"]["columns"] == ["lambda", "N", "method", "m_max"]
+
+
+# The config each README command line merges to, keyed by subcommand.
+_README_CONFIGS = {
+    "flux": {"field": {"kind": "example1", "b0": 1.0, "gamma": 2.0}, "r": "0.1353352832"},
+    "identity-check": {"r0": "e", "n": 1000},
+    "probe-zero": {"b": 1.5, "alpha": 0.4, "cuts": [8.0, 16.0, 32.0, 64.0]},
+    "probe-infinity": {"field": {"kind": "bump", "total_flux": 1.0}, "alpha_exp": 0.5},
+    "hardy": {
+        "field": {"kind": "bump", "total_flux": 0.5},
+        "weight": {"kind": "log_squared"},
+        "grid": {"t_min": -8.0, "t_max": 8.0, "n": 801},
+    },
+    "count": {
+        "potential": {"kind": "vsigma", "sigma": 2.0},
+        "lambda": 20.0,
+        "method": "inertia",
+        "grid": {"t_min": -400.0, "t_max": 0.5, "n": 6000, "kind": "auto"},
+    },
+    "sweep": {"potential": {"kind": "vsigma", "sigma": 2.0}, "lambdas": {"min": 10.0, "max": 1e4}},
+    "bound": {"potential": {"kind": "vsigma", "sigma": 2.0}, "a": 2.0},
+}
+
+
+def test_readme_command_lines_merge_to_their_configs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    lines = [
+        line
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("maghardy ")
+    ]
+    merged = {}
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        merged[args.subcommand] = cli._merge_args({}, args)
+    assert len(merged) == len(lines)
+    assert merged == {sub: {**cfg, "subcommand": sub} for sub, cfg in _README_CONFIGS.items()}
+
+
+# Config files whose every scalar differs from the runner's default.
+_FILE_CONFIGS = {
+    "vnorm": {
+        "potential": {"kind": "vsigma", "sigma": 2.0},
+        "a": 3.0,
+        "t_min_cap": -50.0,
+        "cap_doublings": 0,
+    },
+    "probe-zero": {"b": 1.2, "alpha": 0.3, "cuts": [8.0, 16.0]},
+    "identity-check": {"r0": 5.0, "n": 300},
+    "sweep": {"lambdas": {"min": 10.0, "max": 100.0, "n": 5}, "method": "phase"},
+}
+
+
+def _only_report(out_dir):
+    (path,) = out_dir.glob("*.json")
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("sub", sorted(_FILE_CONFIGS))
+def test_config_file_values_reach_the_report(tmp_path, sub):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(_FILE_CONFIGS[sub]))
+    assert cli.main(["--config", str(cfg), sub, "--out", str(tmp_path / "out")]) == 0
+    report = _only_report(tmp_path / "out")
+    expected = {**_FILE_CONFIGS[sub], "subcommand": sub}
+    direct = json.loads(json.dumps(cli.run(expected)[0]["results"]))
+    assert report["results"] == direct
+    assert report["config"] == expected
+
+
+def test_flags_after_subcommand_override_config_file(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(_FILE_CONFIGS["vnorm"]))
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "vnorm", "--a", "2.5", "--sigma", "2.5", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert _only_report(out)["config"] == {
+        **_FILE_CONFIGS["vnorm"],
+        "potential": {"kind": "vsigma", "sigma": 2.5},
+        "a": 2.5,
+        "subcommand": "vnorm",
+    }
+
+
+def test_partial_lambdas_section_takes_ladder_defaults():
+    np.testing.assert_array_equal(cli._lambda_ladder({}), np.geomspace(10.0, 1e4, 7))
+    np.testing.assert_array_equal(
+        cli._lambda_ladder({"lambdas": {"max": 100.0, "n": 3}}), np.geomspace(10.0, 100.0, 3)
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--method", "bogus"],
+        ["flux", "--nonsense", "1"],
+        ["probe-zero", "--cuts", "8,x"],
+        ["hardy", "--m-range", "3"],
+    ],
+    ids=["bad-choice", "unknown-flag", "malformed-cuts", "malformed-m-range"],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    # exit status 2 means "ok with warnings", so usage errors must not use it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert "error: " in capsys.readouterr().err.splitlines()[-1]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["vnorm", "--help"])
+    assert exc.value.code == 0
+    assert "--t-min-cap" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{", "[1, 2]", '{"lambdas": [10, 100]}'],
+    ids=["missing-file", "invalid-json", "not-an-object", "lambdas-not-an-object"],
+)
+def test_malformed_config_file_is_a_config_error(tmp_path, capsys, content):
+    cfg = tmp_path / "run.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert cli.main(["--config", str(cfg), "sweep", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()

@@ -15,7 +15,7 @@ def tridiag_inertia(diag, off, pivmin):
     small nonzero pivots are clamped sign-preservingly so the recurrence never
     divides by zero.
     """
-    n = diag.shape[0]
+    n = len(diag)
     neg = 0
     zero_pivots = 0
     d = diag[0]

@@ -663,6 +663,9 @@ def _load_config(path) -> dict:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: the top level must be a JSON object")
+    for section in ("field", "potential", "weight", "grid"):
+        if config.get(section) is not None and not isinstance(config[section], dict):
+            raise ConfigError(f"{section}: expected a JSON object")
     return config
 
 
@@ -688,7 +691,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except MagHardyError as exc:
+    except (MagHardyError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

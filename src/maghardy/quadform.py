@@ -177,12 +177,12 @@ def qform_checked(field, u, grid, rtol: float = 1e-6):
     from .errors import QuadratureFailure
 
     coarse = qform(field, u, grid).total
-    fine = qform(field, u, grid.refine()).total
-    if abs(fine - coarse) > rtol * max(abs(fine), 1e-300):
+    fine = qform(field, u, grid.refine())
+    if abs(fine.total - coarse) > rtol * max(abs(fine.total), 1e-300):
         raise QuadratureFailure(
-            f"composite quadrature not converged: {coarse!r} vs {fine!r}"
+            f"composite quadrature not converged: {coarse!r} vs {fine.total!r}"
         )
-    return qform(field, u, grid.refine())
+    return fine
 
 
 def weighted_norm(u: TestFunction, w: Weight, grid: Grid) -> float:

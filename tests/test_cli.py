@@ -406,8 +406,14 @@ def test_help_exits_0(capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "{", "[1, 2]", '{"lambdas": [10, 100]}'],
-    ids=["missing-file", "invalid-json", "not-an-object", "lambdas-not-an-object"],
+    [None, "{", "[1, 2]", '{"lambdas": [10, 100]}', '{"potential": "vsigma"}'],
+    ids=[
+        "missing-file",
+        "invalid-json",
+        "not-an-object",
+        "lambdas-not-an-object",
+        "section-not-an-object",
+    ],
 )
 def test_malformed_config_file_is_a_config_error(tmp_path, capsys, content):
     cfg = tmp_path / "run.json"
@@ -415,4 +421,23 @@ def test_malformed_config_file_is_a_config_error(tmp_path, capsys, content):
         cfg.write_text(content)
     assert cli.main(["--config", str(cfg), "sweep", "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        (None, ["count", "--lambda", "-1"]),
+        (None, ["sweep", "--lambda-n", "3"]),
+        ({"potential": {"kind": "vsigma", "sigma": 2.0}, "a": "x"}, ["vnorm"]),
+    ],
+    ids=["negative-coupling", "short-ladder", "non-numeric-value"],
+)
+def test_library_value_errors_exit_1(tmp_path, capsys, config, argv):
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), *argv]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: ")
     assert not (tmp_path / "out").exists()

@@ -83,7 +83,7 @@ def test_inertia_near_zero_pivots_matches_lapack(mat):
 )
 def test_shifted_inertia_matches_lapack(mats, mu):
     # K - mu M with K diagonally dominant (positive semidefinite) and M a
-    # nonnegative diagonal, as in the Hardy bisection
+    # nonnegative diagonal, as in the shifted Hardy pencil
     kd, e, md = (np.array(x) for x in mats)
     kd = kd + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])
     shifted = kd - mu * md

@@ -165,11 +165,32 @@ def test_smallest_generalized_mu_vs_dense():
     for field in (mh.ZeroField(), mh.BumpField(flux=0.5)):
         for m in (0, 1):
             op = assemble_mode(field, ZeroPotential(), m, g)
-            mine = smallest_generalized_mu(op.diag, op.offdiag, mass, rel_tol=1e-6)
+            mine = smallest_generalized_mu(op.diag, op.offdiag, mass)
             A = (np.diag(op.diag) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1))
             scale = 1.0 / np.sqrt(mass)
             dense = np.linalg.eigvalsh(A * scale[None, :] * scale[:, None])[0]
-            assert mine == pytest.approx(dense, rel=1e-5)
+            assert mine == pytest.approx(dense, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "massless",
+    [slice(0, 40), slice(120, 150), slice(260, 299), [0, 1, 77, 78, 79, 200, 297, 298]],
+    ids=["leading", "interior", "trailing", "mixed"],
+)
+def test_smallest_generalized_mu_massless_nodes_vs_dense_schur(massless):
+    g = mh.Grid.uniform(-6.0, 6.0, 301)
+    op = assemble_mode(mh.BumpField(flux=0.5), ZeroPotential(), 1, g)
+    mass = mh.LogSquaredWeight().mass_density(g.t[1:-1]) * _lumps(g)
+    mass[massless] = 0.0
+    mine = smallest_generalized_mu(op.diag, op.offdiag, mass)
+    # dense oracle: K_PP - K_PZ K_ZZ^{-1} K_ZP against the positive masses
+    A = np.diag(op.diag) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
+    P, Z = mass > 0, mass == 0
+    schur = A[np.ix_(P, P)] - A[np.ix_(P, Z)] @ np.linalg.solve(A[np.ix_(Z, Z)], A[np.ix_(Z, P)])
+    scale = 1.0 / np.sqrt(mass[P])
+    dense = np.linalg.eigvalsh(schur * scale[None, :] * scale[:, None])[0]
+    assert mine == pytest.approx(dense, rel=1e-10)
+    assert smallest_generalized_mu(op.diag, op.offdiag, np.zeros_like(mass)) == np.inf
 
 
 def test_hardy_zero_field_minimum_decays_with_domain():
@@ -193,7 +214,8 @@ def test_hardy_refinement_history_nonincreasing():
         refine_levels=2,
     )
     history = [mu for _, mu in est.refinement_history]
-    # non-increasing up to the bisection tolerance granularity
+    # the lumped-mass values rise like O(h^2) under refinement (0.39915180,
+    # 0.39915527, 0.39915613); the 2e-4 slack covers that rise
     for a, b in zip(history[:-1], history[1:]):
         assert b <= a * (1.0 + 2e-4)
     assert est.mu_star > 0

@@ -3,6 +3,8 @@
 Both loops are inherently sequential recurrences over one mode's nodes.
 """
 
+from bisect import bisect_left
+
 import numpy as np
 
 
@@ -18,12 +20,13 @@ def tridiag_inertia(diag, off, pivmin):
     n = len(diag)
     neg = 0
     zero_pivots = 0
+    low = -pivmin  # -pivmin < d < pivmin is abs(d) < pivmin, NaN and inf included
     d = diag[0]
     if d == 0.0:
         d = pivmin
         zero_pivots += 1
-    elif abs(d) < pivmin:
-        d = pivmin if d > 0.0 else -pivmin
+    elif low < d < pivmin:
+        d = pivmin if d > 0.0 else low
     if d < 0.0:
         neg += 1
     for i in range(1, n):
@@ -31,8 +34,8 @@ def tridiag_inertia(diag, off, pivmin):
         if d == 0.0:
             d = pivmin
             zero_pivots += 1
-        elif abs(d) < pivmin:
-            d = pivmin if d > 0.0 else -pivmin
+        elif low < d < pivmin:
+            d = pivmin if d > 0.0 else low
         if d < 0.0:
             neg += 1
     return neg, zero_pivots
@@ -51,6 +54,8 @@ def prufer_sweep(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
     h = h_init
     fail = 0
     n = t_nodes.shape[0]
+    # Python lists: a scalar bisect and list indexing beat numpy's per-call cost
+    t_nodes, q_nodes = t_nodes.tolist(), q_nodes.tolist()
 
     while t < t1:
         if t + h > t1:
@@ -91,11 +96,13 @@ def _theta_rhs(t_nodes, q_nodes, n, t, theta):
 
 
 def _interp(t_nodes, q_nodes, n, t):
+    """Linear interpolation of q at t, constant beyond the ends; the nodes
+    are sorted lists, and bisect_left finds np.searchsorted's index."""
     if t <= t_nodes[0]:
         return q_nodes[0]
     if t >= t_nodes[n - 1]:
         return q_nodes[n - 1]
-    i = np.searchsorted(t_nodes, t) - 1
+    i = bisect_left(t_nodes, t) - 1
     if i < 0:
         i = 0
     if i > n - 2:

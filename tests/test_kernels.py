@@ -110,3 +110,26 @@ def test_prufer_harmonic_oscillator_node_count():
     assert fail == 0
     assert abs(theta - k * L) < 1e-6
     assert int(np.floor(theta / np.pi)) == 2  # sin(3t) has nodes at pi/3, 2pi/3
+
+
+def test_interp_lookup_equals_searchsorted():
+    # the Pruefer coefficient lookup bisects a node list; it must pick the
+    # interval np.searchsorted picks, so theta stays the same to the bit
+    rng = np.random.default_rng(11)
+    nodes = np.sort(rng.uniform(-8.0, 2.0, 257))
+    vals = rng.normal(size=nodes.size)
+    n = nodes.size
+
+    def searchsorted_interp(t):
+        if t <= nodes[0]:
+            return vals[0]
+        if t >= nodes[n - 1]:
+            return vals[n - 1]
+        i = min(max(int(np.searchsorted(nodes, t)) - 1, 0), n - 2)
+        w = (t - nodes[i]) / (nodes[i + 1] - nodes[i])
+        return vals[i] * (1.0 - w) + vals[i + 1] * w
+
+    points = np.concatenate([rng.uniform(-8.0, 2.0, 2000), nodes, [-9.0, -8.0, 2.0, 3.0, 1e300]])
+    t_list, q_list = nodes.tolist(), vals.tolist()
+    for t in points.tolist():
+        assert _kernels._interp(t_list, q_list, n, t) == searchsorted_interp(t)

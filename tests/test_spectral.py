@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import maghardy as mh
-from maghardy.errors import NoTruncation
+from maghardy.errors import DomainError, NoTruncation, QuadratureFailure
 from maghardy.profiles import ZeroPotential
 from maghardy.spectral import (
     _lumps,
@@ -306,6 +306,7 @@ def test_phase_integral_threshold_for_borderline_potential():
             {"critical_shift": False, "t_domain": (-1e6, 0.0)},
         ),
         (mh.GaussianWell(depth=2.0, width=0.8), 60.0, {}),
+        (mh.StepWell(3.0, 1.0), 7.0, {"critical_shift": False}),
     ],
 )
 def test_phase_integral_mode_sequence_equals_single_modes(V, lam, kw):
@@ -324,3 +325,94 @@ def test_phase_integral_quadratic_growth():
     for lam in (100.0, 1000.0):
         n = mh.phase_integral_count(bump, V, 0, lam)
         assert n / lam**2 == pytest.approx(2.0, rel=0.01)
+
+
+def _phase_direct_reference(field, V, m, lam, critical_shift=True, t_domain=None):
+    """One mode of the direct phase integral by scalar brentq and quad: the
+    probe, the break rule and the integrand of the batched path, solved
+    independently."""
+    from scipy import integrate, optimize
+
+    if t_domain is None:
+        sup = V.support_t_max
+        t_lo, t_hi = -60.0, (2.0 if sup is None else max(sup + 1.0, 1.0))
+    else:
+        t_lo, t_hi = float(min(t_domain)), float(max(t_domain))
+
+    def w_neg(t):
+        t = np.asarray(t, dtype=float)
+        barrier = 1.0 / (4.0 * (1.0 + t * t)) if critical_shift else 0.0
+        return lam * V.e2t_v(t) - (m - field.alpha(t)) ** 2 - barrier
+
+    probe = np.linspace(t_lo, t_hi, 4001)
+    vals = w_neg(probe)
+    if np.all(vals <= 0):
+        return 0.0
+    sign = vals > 0
+    breaks = {t_lo, t_hi}
+    for i in range(len(probe) - 1):
+        if sign[i] != sign[i + 1]:
+            breaks.add(float(optimize.brentq(lambda x: float(w_neg(x)), probe[i], probe[i + 1])))
+    sup = V.support_t_max
+    if sup is not None and np.isfinite(sup) and t_lo < sup < t_hi:
+        breaks.add(float(sup))
+    breaks.update(float(k) for k in field.kinks if t_lo < k < t_hi)
+    pts = sorted(breaks)
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        if w_neg(0.5 * (a + b)) <= 0:
+            continue
+        total += integrate.quad(
+            lambda x: float(np.sqrt(max(w_neg(x), 0.0))), a, b,
+            epsabs=1e-12, epsrel=1e-10, limit=300,
+        )[0]
+    return total / np.pi
+
+
+@pytest.mark.parametrize(
+    "field, V, lam, modes, kw",
+    [
+        # the count workload's ladder: lam depth width^2 = 1e2, 1e3, 1e4
+        (mh.BumpField(flux=0.5), mh.GaussianWell(1.0, 0.8), 1e2 / 0.64, range(-10, 11), {}),
+        (mh.BumpField(flux=0.5), mh.GaussianWell(1.0, 0.8), 1e3 / 0.64, range(-32, 33, 3), {}),
+        (mh.BumpField(flux=0.5), mh.GaussianWell(1.0, 0.8), 1e4 / 0.64, range(-99, 100, 9), {}),
+        (mh.ZeroField(), mh.StepWell(3.0, 1.0), 7.0, range(-5, 6), {"critical_shift": False}),
+        (mh.ZeroField(), mh.StepWell(3.0, 1.0), 7.0, range(-5, 6), {}),
+        (
+            mh.BumpField(flux=0.5), mh.StepWell(3.0, 1.0), 40.0, range(-12, 13),
+            {"t_domain": (-8, 2)},
+        ),
+    ],
+    ids=["gauss1e2", "gauss1e3", "gauss1e4", "step-noshift", "step-shift", "step-domain"],
+)
+def test_phase_integral_matches_quad_reference(field, V, lam, modes, kw):
+    modes = list(modes)
+    got = mh.phase_integral_count(field, V, modes, lam, **kw)
+    want = [_phase_direct_reference(field, V, m, lam, **kw) for m in modes]
+    assert any(want) and not all(want)  # open and closed modes both checked
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_phase_integral_non_finite_potential_raises():
+    # +inf on a band inside the open region: quad would integrate it to inf
+    band = mh.profiles.CallablePotential(
+        density=lambda t: np.where(np.abs(t + 1.0) < 0.3, np.inf, np.exp(2.0 * t))
+    )
+    with pytest.raises(DomainError, match="not finite"):
+        mh.phase_integral_count(mh.ZeroField(), band, 0, 50.0)
+
+
+@pytest.mark.parametrize(
+    "density",
+    [
+        lambda t: np.exp(2.0 * t) * (2.0 + np.sin(1e6 * t)),  # unresolvable oscillation
+        lambda t: np.exp(2.0 * t) * np.where(t < -1.0, 1e20, 1.0),  # huge jump inside a panel
+    ],
+    ids=["oscillation", "jump"],
+)
+def test_phase_integral_unconverged_quadrature_raises(density):
+    # scipy's quad gives a number and a warning on these; the Gauss panels
+    # must raise at their depth or open-interval limit
+    V = mh.profiles.CallablePotential(density=density)
+    with pytest.raises(QuadratureFailure):
+        mh.phase_integral_count(mh.ZeroField(), V, 0, 50.0)

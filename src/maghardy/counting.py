@@ -3,16 +3,15 @@
 Per-mode counts (inertia, oscillation, or phase-integral) are truncated at
 the mode bound and summed; coupling sweeps fit the growth exponent of N(lam)
 on the largest decade with at least 10 eigenvalues.  The integral bound
-int V_+ (1 + |log r|) r dr and the sup-functional route are provided for
-bound verification, including divergence detection for borderline
-potentials.
+int V_+ (1 + |log r|) r dr (on the sin^2-mapped Gauss panels, its deep tail
+in s = log|t|) and the sup-functional route are provided for bound
+verification, including divergence detection for borderline potentials.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InsufficientGrowth, UnboundedWarning
 from .grids import Grid
@@ -25,7 +24,7 @@ from .spectral import (
     phase_integral_count,
     prufer_count,
 )
-from .weights import v_norm_a
+from .weights import _sin2_gauss_panels, v_norm_a
 
 METHOD_INERTIA = "inertia"
 METHOD_PRUFER = "prufer"
@@ -152,27 +151,26 @@ class BoundValue:
 
 
 def _log_weight_integral(V: Potential, t_min: float, t_max: float) -> float:
-    """int V_+(t) e^{2t} (1+|t|) dt, split so deep tails run in s = log|t|."""
-    total = 0.0
+    """int V_+(t) e^{2t} (1+|t|) dt on Gauss panels; the tail below -e runs in
+    s = log|t|, and in both coordinates the panels end at the support edge,
+    where V_+ may jump."""
+    sup = V.support_t_max
+
+    def integral(lo, hi, edge, density):
+        pts = np.unique([lo, hi] + ([edge] if lo < edge < hi else []))
+        return float(np.sum(_sin2_gauss_panels(lambda x, _: density(x), pts[:-1], pts[1:])))
+
+    def tail(s):
+        t = -np.exp(s)
+        return V.vplus_density(t) * (1.0 + np.abs(t)) * np.exp(s)
+
     t_inner = max(t_min, -np.e)
+    total = 0.0
     if t_min < -np.e:
-
-        def tail(s):
-            t = -np.exp(s)
-            return float(V.vplus_density(np.array(t)) * (1.0 + np.abs(t)) * np.exp(s))
-
-        val, _ = integrate.quad(
-            tail, 1.0, np.log(-t_min), epsabs=1e-13, epsrel=1e-10, limit=400
-        )
-        total += val
-
-    def direct(t):
-        return float(V.vplus_density(np.array(t)) * (1.0 + abs(t)))
-
-    val, _ = integrate.quad(
-        direct, t_inner, t_max, epsabs=1e-13, epsrel=1e-10, limit=400
-    )
-    return total + val
+        edge = np.log(-sup) if sup is not None and sup < -np.e else np.nan
+        total += integral(1.0, np.log(-t_min), edge, tail)
+    edge = np.nan if sup is None else sup
+    return total + integral(t_inner, t_max, edge, lambda t: V.vplus_density(t) * (1.0 + np.abs(t)))
 
 
 def bound_jst(

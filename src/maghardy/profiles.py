@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NonIntegrableField, QuadratureFailure, UnknownClass
 
@@ -72,6 +71,8 @@ class RadialField:
         return float(vals[0]) if scalar else vals
 
     def _alpha_quad_scalar(self, t):
+        from scipy import integrate  # on use: it would dominate the package's import time
+
         self._check_integrable()
         points = sorted(k for k in self.kinks if k < t)
         total = 0.0
@@ -428,10 +429,9 @@ class CustomField(RadialField):
 
     def alpha(self, t):
         t = _as_array(t)
-        dens = self.b_samples * np.exp(2.0 * self.t_samples)
-        cum = np.concatenate(
-            [[0.0], integrate.cumulative_trapezoid(dens, self.t_samples)]
-        )
+        d = self.b_samples * np.exp(2.0 * self.t_samples)
+        # cumulative trapezoid, in scipy's cumulative_trapezoid operation order
+        cum = np.concatenate([[0.0], np.cumsum(np.diff(self.t_samples) * (d[1:] + d[:-1]) / 2.0)])
         return np.interp(t, self.t_samples, cum, left=0.0, right=cum[-1])
 
     def total_flux(self):

@@ -9,35 +9,27 @@ terms on a Dirichlet grid, giving a symmetric tridiagonal matrix whose
 inertia yields exact negative-eigenvalue counts.  The same matrices drive the
 Hardy-constant estimator: the lowest generalized eigenvalue against a lumped
 weight mass, by LAPACK's Sturm bisection (stebz).  Oscillation (Pruefer) and
-phase-integral counts provide independent cross-checks of the inertia route.
+phase-integral counts provide independent cross-checks of the inertia route;
+the phase integral of every well, the borderline one in s = log|t|, runs on
+the sin^2-mapped Gauss panels of ``weights._sin2_gauss_panels``.
 """
 
-import functools
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import _kernels
 from .errors import (
     DomainError,
     NoTruncation,
-    QuadratureFailure,
     StiffnessFailure,
     ZeroPivotWarning,
 )
 from .grids import Grid
 from .profiles import Potential, RadialField, ScaledPotential, VSigma, ZeroPotential
-from .weights import Weight, _roots
-
-_EPS = np.finfo(float).eps
-# refinement limits per phase panel: halvings of one theta-interval, and
-# intervals open at once (the old adaptive limit of 300 subintervals), which
-# bounds memory
-_MAX_HALVINGS = 50
-_MAX_OPEN = 300
+from .weights import Weight, _roots, _sin2_gauss_panels
 
 
 @dataclass(frozen=True)
@@ -189,6 +181,8 @@ def smallest_generalized_mu(kdiag, off, mdiag) -> float:
     the scaled matrix can span many decades, so the default tolerance
     (eps * norm) would be too coarse.
     """
+    from scipy.linalg import eigvalsh_tridiagonal  # on use: slow to import, needed only here
+
     positive = mdiag > 0
     keep = np.flatnonzero(positive)
     if keep.size == 0:
@@ -325,14 +319,14 @@ def phase_integral_count(
     counting law with a finite turning point.  Set critical_shift=False for
     closed-form cross-checks on compact wells.
 
-    For the borderline potential the integration runs in s = log|t| so
-    turning points at astronomically large |t| cost O(1) nodes.  Other
-    potentials are integrated directly in t, all modes at once: one shared
-    4001-node probe brackets the turning points, one batched root solve
-    refines them, and the panels between turning points, support edge and
-    field kinks are mapped by x = a + (b - a) sin^2(theta) and summed by a
-    24-point Gauss rule with adaptive halving (QuadratureFailure if that
-    does not converge; DomainError if the integrand is not finite).
+    All modes are integrated at once: one shared 4001-node probe brackets
+    the turning points, one batched root solve refines them, and the panels
+    between turning points, domain ends, support edge and field kinks are
+    mapped by x = a + (b - a) sin^2(theta) and summed by a 24-point Gauss
+    rule with adaptive halving (QuadratureFailure if that does not converge;
+    DomainError if the integrand is not finite).  Wells are integrated in t,
+    except the borderline well, which runs in s = log|t| on a geometric
+    probe, so turning points at astronomically large |t| cost O(1) nodes.
 
     ``m`` is one mode or a sequence of modes; a sequence gives the list of
     per-mode counts, equal to the one-mode calls.
@@ -342,83 +336,97 @@ def phase_integral_count(
     modes = [m] if np.ndim(m) == 0 else list(m)
     base, lam = _unwrap_scaled(V, lambda_coupling)
     if isinstance(base, VSigma):
-        counts = _phase_integral_loglog(field, base, modes, lam, critical_shift, t_domain)
+        coordinate = _loglog_coordinate(field, base, lam, critical_shift, t_domain)
     else:
-        counts = _phase_integral_direct(field, V, modes, lambda_coupling, critical_shift, t_domain)
+        coordinate = _direct_coordinate(field, V, lambda_coupling, critical_shift, t_domain)
+    counts = [0.0] * len(modes) if coordinate is None else _phase_panels(modes, *coordinate)
     return counts[0] if np.ndim(m) == 0 else counts
 
 
-def _phase_integral_loglog(field, V: VSigma, modes, lam, critical_shift, t_domain):
-    s_lo = np.log(2.0)
-    if critical_shift:
-        # turning point of lam s^{-1/sigma} = 1/4 caps the s-range
-        s_cap = (4.0 * lam) ** V.sigma
-    else:
-        s_cap = np.inf
-    if t_domain is not None:
-        t_min = min(t_domain)
-        if t_min >= -2.0:
-            return [0.0] * len(modes)
-        s_cap = min(s_cap, np.log(-t_min))
-    if not np.isfinite(s_cap):
-        raise ValueError(
-            "phase integral without the critical shift needs a finite t-domain "
-            "for the borderline potential"
-        )
-    if s_cap <= s_lo:
-        return [0.0] * len(modes)
-
-    # everything but the angular term is shared by the modes
-    s = np.geomspace(s_lo, s_cap, 20000)
-    well = lam * s ** (-1.0 / V.sigma)
-    with np.errstate(over="ignore", invalid="ignore"):
-        es = np.exp(s)
-        alpha = field.alpha(-es)
-    barrier = 1.0 / (4.0 * (1.0 + np.exp(-2.0 * s))) if critical_shift else 0.0
-    counts = []
-    for m in modes:
-        with np.errstate(over="ignore", invalid="ignore"):
-            am = np.abs(m - alpha)
-            # (e^s * am)^2 with am == 0 short-circuited: e^s may overflow to
-            # inf, which is the correct "forbidden" limit whenever am > 0.
-            ang = np.zeros_like(s)
-            pos = am > 0.0
-            ang[pos] = (es[pos] * am[pos]) ** 2
-        inside = well - ang - barrier
-        vals = np.sqrt(np.maximum(inside, 0.0))
-        counts.append(float(np.trapezoid(vals, s) / np.pi))
-    return counts
-
-
-def _phase_integral_direct(field, V, modes, lam, critical_shift, t_domain):
+def _direct_coordinate(field, V, lam, critical_shift, t_domain):
+    """The phase integrand in t: probe, breaks and mode-independent terms."""
     if t_domain is None:
         sup = V.support_t_max
-        t_hi = 2.0 if sup is None else max(sup + 1.0, 1.0)
-        t_lo = -60.0
+        t_lo, t_hi = -60.0, (2.0 if sup is None else max(sup + 1.0, 1.0))
     else:
         t_lo, t_hi = float(min(t_domain)), float(max(t_domain))
 
     def terms(t):
-        """The mode-independent parts of the integrand: well, alpha, barrier."""
-        well, alpha = lam * V.e2t_v(t), field.alpha(t)
+        barrier = 1.0 / (4.0 * (1.0 + t * t)) if critical_shift else 0.0
+        return lam * V.e2t_v(t), field.alpha(t), 1.0, barrier
+
+    # split at known jumps so no quadrature panel straddles a discontinuity
+    fixed = [t_lo, t_hi, V.support_t_max, *field.kinks]
+    return np.linspace(t_lo, t_hi, 4001), terms, fixed
+
+
+def _loglog_coordinate(field, V: VSigma, lam, critical_shift, t_domain):
+    """The borderline well's phase integrand in s = log|t|, t = -e^s <= -2.
+
+    dt = -e^s ds turns the radicand into lam s^{-1/sigma} - (e^s |m - alpha|)^2
+    - 1/(4(1 + e^{-2s})); None when the s-range is empty.
+    """
+    s_lo, s_hi = np.log(2.0), np.inf
+    if critical_shift:
+        # turning point of lam s^{-1/sigma} = 1/4 caps the s-range
+        s_hi = (4.0 * lam) ** V.sigma
+    if t_domain is not None:
+        t_lo, t_hi = float(min(t_domain)), float(max(t_domain))
+        if t_lo >= -2.0:
+            return None
+        s_hi = min(s_hi, np.log(-t_lo))
+        if t_hi < -2.0:
+            s_lo = np.log(-t_hi)
+    if not np.isfinite(s_hi):
+        raise ValueError(
+            "phase integral without the critical shift needs a finite t-domain "
+            "for the borderline potential"
+        )
+    if s_hi <= s_lo:
+        return None
+
+    def terms(s):
+        with np.errstate(over="ignore", invalid="ignore"):
+            es = np.exp(s)  # inf beyond s = 709: the forbidden limit wherever m != alpha
+            alpha = field.alpha(-es)
+        barrier = 1.0 / (4.0 * (1.0 + np.exp(-2.0 * s))) if critical_shift else 0.0
+        return lam * s ** (-1.0 / V.sigma), alpha, es, barrier
+
+    # the support edge t = -2 is s = log 2, at or below s_lo
+    fixed = [s_lo, s_hi, *(np.log(-k) for k in field.kinks if k < 0.0)]
+    return np.geomspace(s_lo, s_hi, 4001), terms, fixed
+
+
+def _phase_panels(modes, probe, terms, fixed):
+    """Per-mode (1/pi) int sqrt(max(well - (g |m - alpha|)^2 - barrier, 0)) dx
+    over the probe's span, from ``terms(x) = (well, alpha, g, barrier)``.
+    ``fixed`` lists known jumps and kinks; those outside the span are ignored."""
+    x_lo, x_hi = probe[0], probe[-1]
+
+    def finite_terms(x):
+        well, alpha, g, barrier = terms(x)
         bad = ~(np.isfinite(well) & np.isfinite(alpha))
         if bad.any():
-            raise DomainError(f"phase integrand is not finite at t = {float(t[bad][0])!r}")
-        return well, alpha, 1.0 / (4.0 * (1.0 + t * t)) if critical_shift else 0.0
+            raise DomainError(f"phase integrand is not finite at {float(x[bad][0])!r}")
+        return well, alpha, g, barrier
 
-    def w_neg(t, m):
-        """lam e^{2t} V - (m - alpha)^2 - kappa at points t of modes m (broadcast to t)."""
-        well, alpha, barrier = terms(t.ravel())
-        m = np.broadcast_to(m, t.shape).ravel()
-        return (well - (m - alpha) ** 2 - barrier).reshape(t.shape)
+    def radicand(m, well, alpha, g, barrier):
+        am = np.abs(m - alpha)
+        # g = e^s may be inf: (g am)^2 overflows to the forbidden limit, and
+        # am == 0 is short-circuited
+        with np.errstate(over="ignore", invalid="ignore"):
+            return well - np.where(am > 0.0, (g * am) ** 2, 0.0) - barrier
+
+    def w_neg(x, m):
+        """The radicand at points x of modes m (x and m of one shape)."""
+        return radicand(m, *finite_terms(x))
 
     # sign changes on the probe bracket the turning points; a mode's row is
-    # built from the shared terms in w_neg's own order, so signs agree with it
-    probe = np.linspace(t_lo, t_hi, 4001)
-    well, alpha, barrier = terms(probe)
+    # built from the shared terms by w_neg's own formula, so signs agree with it
+    shared = finite_terms(probe)
     brackets, open_modes = [], []
     for k, m in enumerate(modes):
-        vals = well - (m - alpha) ** 2 - barrier
+        vals = radicand(m, *shared)
         sign = vals > 0
         if not sign.any():
             continue
@@ -433,12 +441,7 @@ def _phase_integral_direct(field, V, modes, lam, critical_shift, t_domain):
         lambda x: w_neg(x, m_of[bracket_mode]), probe[i_lo], probe[i_lo + 1], f_lo, f_hi, 0.0
     )
 
-    # split at known jumps so no quadrature panel straddles a discontinuity
-    fixed = [t_lo, t_hi]
-    sup = V.support_t_max
-    if sup is not None and np.isfinite(sup) and t_lo < sup < t_hi:
-        fixed.append(float(sup))
-    fixed += [float(k) for k in field.kinks if t_lo < k < t_hi]
+    fixed = [float(x) for x in fixed if x is not None and x_lo <= x <= x_hi]
     panels = []
     for k in open_modes:
         pts = np.unique(np.concatenate([edges[bracket_mode == k], fixed]))
@@ -447,68 +450,8 @@ def _phase_integral_direct(field, V, modes, lam, critical_shift, t_domain):
     keep = w_neg(0.5 * (a + b), m_of[panel_mode]) > 0
     a, b, panel_mode = a[keep], b[keep], panel_mode[keep]
     vals = _sin2_gauss_panels(
-        lambda x, rows: np.sqrt(np.maximum(w_neg(x, m_of[panel_mode[rows], None]), 0.0)), a, b
+        lambda x, rows: np.sqrt(np.maximum(w_neg(x, m_of[panel_mode[rows]]), 0.0)), a, b
     )
     # each mode's panels are added in ascending order, as in a one-mode call
     counts = np.bincount(panel_mode, weights=vals, minlength=len(modes))
     return (counts / np.pi).tolist()
-
-
-@functools.cache
-def _gauss_legendre_24():
-    """The 24-point Gauss-Legendre rule on [-1, 1], read-only.  Built on
-    first use rather than at import: building it pages in numpy's LAPACK
-    (about 1 MB of resident memory) and takes about 0.5 ms."""
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def _sin2_gauss_panels(integrand, a, b):
-    """Integrals of ``integrand`` over the panels [a_p, b_p], all at once.
-
-    ``integrand(x, rows)`` takes points x of shape (k, 24), row j lying in
-    panel ``rows[j]``.  Each panel is mapped by x = a + (b - a) sin^2(theta),
-    theta in [0, pi/2], which makes square-root endpoint behaviour smooth.
-    Every theta-interval is compared with the sum of its two Gauss halves;
-    it is accepted where they differ by at most max(1e-11, 1e-10 |I|) and
-    halved otherwise.  Each interval reduces row by row and each panel adds
-    its accepted intervals in a fixed order, so a panel's value does not
-    depend on the other panels of the call.
-    """
-    width = b - a
-    nodes, weights = _gauss_legendre_24()
-
-    def rule(lo, hi, rows):
-        half = 0.5 * (hi - lo)
-        theta = (lo + half)[:, None] + half[:, None] * nodes
-        s = np.sin(theta)
-        x = a[rows, None] + width[rows, None] * (s * s)
-        f = integrand(x, rows) * (width[rows, None] * np.sin(2.0 * theta))
-        return half * np.sum(f * weights, axis=1)
-
-    rows = np.arange(a.size)
-    lo, hi = np.zeros(a.size), np.full(a.size, 0.5 * np.pi)
-    whole = rule(lo, hi, rows)
-    done_rows, done_vals = [rows[:0]], [whole[:0]]
-    depth = 0
-    while rows.size:
-        if depth == _MAX_HALVINGS or np.bincount(rows).max() > _MAX_OPEN:
-            p = int(np.argmax(np.bincount(rows)))
-            raise QuadratureFailure(
-                f"phase integral did not converge on [{float(a[p])!r}, {float(b[p])!r}] within "
-                f"{_MAX_HALVINGS} halvings and {_MAX_OPEN} open intervals per panel"
-            )
-        mid = 0.5 * (lo + hi)
-        n = rows.size
-        halves = rule(np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(rows, 2))
-        both = halves[:n] + halves[n:]
-        ok = np.abs(both - whole) <= np.maximum(1e-11, 1e-10 * np.abs(both))
-        done_rows.append(rows[ok])
-        done_vals.append(both[ok])
-        split = ~ok
-        lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
-        whole = np.concatenate([halves[:n][split], halves[n:][split]])
-        rows = np.tile(rows[split], 2)
-        depth += 1
-    return np.bincount(np.concatenate(done_rows), np.concatenate(done_vals), minlength=a.size)

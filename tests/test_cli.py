@@ -441,3 +441,31 @@ def test_library_value_errors_exit_1(tmp_path, capsys, config, argv):
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ValueError: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"m_range": 5}, ["hardy"]),
+        ({"cuts": 5}, ["probe-zero"]),
+        ({"refine": None}, ["hardy"]),
+        ({"lambdas": {"n": None}}, ["sweep"]),
+    ],
+    ids=["m-range-int", "cuts-int", "refine-null", "lambda-n-null"],
+)
+def test_config_type_errors_exit_1(tmp_path, capsys, config, argv):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["--config", str(cfg), *argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: TypeError: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_import_loads_no_scipy_submodule():
+    # a fresh interpreter: scipy is imported only inside the functions that use it
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg")
+    code = f"import sys, maghardy, maghardy.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -88,6 +88,16 @@ def test_bound_integral_zero_and_gaussian():
     assert abs(caps[-1] - caps[-2]) <= 1e-8 * caps[-1]
 
 
+@pytest.mark.parametrize("radius", [0.01, 0.5], ids=["edge-in-s", "edge-in-t"])
+def test_bound_integral_step_well_closed_form(radius):
+    # int_{-inf}^L D e^{2t} (1 - t) dt = D e^{2L} (3/4 - L/2) for L = log radius
+    # <= 0; the edge lies in the s = log|t| tail for L < -e, else in t
+    D, L = 2.0, np.log(radius)
+    want = D * np.exp(2.0 * L) * (0.75 - 0.5 * L)
+    for cap, value in mh.bound_jst(mh.StepWell(D, radius)).cap_sequence:
+        assert value == pytest.approx(want, rel=1e-12), cap
+
+
 def test_bound_integral_linearity():
     V = mh.GaussianWell(depth=1.3, width=0.9)
     v1 = mh.bound_jst(V).value

@@ -307,6 +307,7 @@ def test_phase_integral_threshold_for_borderline_potential():
         ),
         (mh.GaussianWell(depth=2.0, width=0.8), 60.0, {}),
         (mh.StepWell(3.0, 1.0), 7.0, {"critical_shift": False}),
+        (mh.VSigma(sigma=3.0), 1e3, {}),
     ],
 )
 def test_phase_integral_mode_sequence_equals_single_modes(V, lam, kw):
@@ -416,3 +417,83 @@ def test_phase_integral_unconverged_quadrature_raises(density):
     V = mh.profiles.CallablePotential(density=density)
     with pytest.raises(QuadratureFailure):
         mh.phase_integral_count(mh.ZeroField(), V, 0, 50.0)
+
+
+def _phase_vsigma_reference(field, sigma, m, lam, critical_shift=True, t_domain=None):
+    """One mode of the borderline well's phase integral by scalar brentq and
+    quad in u = log s, s = log|t| (t = -e^s, so dt = -e^s ds and ds = s du),
+    with turning points bracketed on a 4001-node probe in u."""
+    from scipy import integrate, optimize
+
+    s_lo, s_hi = np.log(2.0), np.inf
+    if critical_shift:
+        s_hi = (4.0 * lam) ** sigma
+    if t_domain is not None:
+        t_lo, t_hi = min(t_domain), max(t_domain)
+        if t_lo >= -2.0:
+            return 0.0
+        s_hi = min(s_hi, np.log(-t_lo))
+        if t_hi < -2.0:
+            s_lo = np.log(-t_hi)
+    if s_hi <= s_lo:
+        return 0.0
+
+    def w_neg(u):
+        """The radicand in s, at s = e^u."""
+        s = np.exp(np.asarray(u, dtype=float))
+        with np.errstate(over="ignore", invalid="ignore"):
+            es = np.exp(s)
+            am = np.abs(m - field.alpha(-es))
+            ang = np.where(am > 0.0, (es * am) ** 2, 0.0)
+        barrier = 1.0 / (4.0 * (1.0 + np.exp(-2.0 * s))) if critical_shift else 0.0
+        return lam * s ** (-1.0 / sigma) - ang - barrier
+
+    u_lo, u_hi = np.log(s_lo), np.log(s_hi)
+    probe = np.linspace(u_lo, u_hi, 4001)
+    vals = w_neg(probe)
+    breaks = {u_lo, u_hi}
+    for i in np.flatnonzero((vals[:-1] > 0) != (vals[1:] > 0)):
+        # array and scalar evaluations may differ by an ulp where the radicand
+        # vanishes at a node; then the node itself is the turning point
+        if (w_neg(probe[i]) > 0) != (w_neg(probe[i + 1]) > 0):
+            breaks.add(optimize.brentq(lambda u: float(w_neg(u)), probe[i], probe[i + 1], xtol=1e-14))
+    pts = sorted(breaks)
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        if w_neg(0.5 * (a + b)) <= 0:
+            continue
+        total += integrate.quad(
+            lambda u: float(np.sqrt(max(w_neg(u), 0.0)) * np.exp(u)), a, b,
+            epsabs=0.0, epsrel=1e-12, limit=500,
+        )[0]
+    return total / np.pi
+
+
+@pytest.mark.parametrize("lam", [10.0, 1e3, 1e4])
+@pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0])
+def test_phase_integral_vsigma_matches_quad_reference(sigma, lam):
+    bump = mh.BumpField(flux=0.5)
+    m_max = int(np.sqrt(lam * np.log(2.0) ** (-1.0 / sigma))) + 2
+    modes = sorted({0, 1, -1, *np.linspace(-m_max, m_max, 15).astype(int).tolist()})
+    got = mh.phase_integral_count(bump, mh.VSigma(sigma), modes, lam)
+    want = [_phase_vsigma_reference(bump, sigma, m, lam) for m in modes]
+    assert any(want) and not all(want)  # open and closed modes both checked
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"critical_shift": False, "t_domain": (-1e6, 0.0)},
+        {"t_domain": (-50.0, -10.0)},  # the upper end cuts the s-range
+        {"t_domain": (-50.0, -49.9)},
+    ],
+    ids=["no-shift", "upper-cut", "sliver"],
+)
+def test_phase_integral_vsigma_t_domain_matches_quad_reference(kw):
+    bump = mh.BumpField(flux=0.5)
+    modes = list(range(-6, 7))
+    got = mh.phase_integral_count(bump, mh.VSigma(2.0), modes, 300.0, **kw)
+    want = [_phase_vsigma_reference(bump, 2.0, m, 300.0, **kw) for m in modes]
+    assert any(want)
+    assert got == pytest.approx(want, rel=1e-9)

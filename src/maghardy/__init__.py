@@ -64,6 +64,7 @@ from .spectral import (
     HardyEstimate,
     ModeOperator,
     assemble_mode,
+    count_modes,
     count_negative,
     hardy_constant,
     mode_truncation,

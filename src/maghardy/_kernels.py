@@ -1,11 +1,17 @@
 """Hot scalar kernels: tridiagonal inertia and the Pruefer phase sweep.
 
-Both loops are inherently sequential recurrences over one mode's nodes.
+Both loops are inherently sequential recurrences over one mode's nodes, run
+on Python floats (IEEE doubles, so results equal those on float64 arrays).
+The inertia loop gives the common case, a pivot at or above pivmin, one
+comparison per row; zero, tiny, negative and -inf pivots are sorted out
+inside that comparison's branch, and NaN and +inf pass it untouched.  The
+Pruefer right-hand side uses math.sin and math.cos, which keep the angle a
+Python float; the tests compare them bit for bit with np.sin and np.cos.
 """
 
 from bisect import bisect_left
-
-import numpy as np
+from itertools import chain
+from math import cos, sin
 
 
 def tridiag_inertia(diag, off, pivmin):
@@ -15,29 +21,23 @@ def tridiag_inertia(diag, off, pivmin):
     pivots equals the number of negative eigenvalues (Sylvester).  Exact zero
     pivots are replaced by +pivmin (they count as non-negative) and reported;
     small nonzero pivots are clamped sign-preservingly so the recurrence never
-    divides by zero.
+    divides by zero.  An empty matrix has no negative eigenvalue: (0, 0).
     """
-    n = len(diag)
     neg = 0
     zero_pivots = 0
-    low = -pivmin  # -pivmin < d < pivmin is abs(d) < pivmin, NaN and inf included
-    d = diag[0]
-    if d == 0.0:
-        d = pivmin
-        zero_pivots += 1
-    elif low < d < pivmin:
-        d = pivmin if d > 0.0 else low
-    if d < 0.0:
-        neg += 1
-    for i in range(1, n):
-        d = diag[i] - off[i - 1] * off[i - 1] / d
-        if d == 0.0:
-            d = pivmin
-            zero_pivots += 1
-        elif low < d < pivmin:
-            d = pivmin if d > 0.0 else low
-        if d < 0.0:
-            neg += 1
+    # a zero coupling ahead of the first row makes its pivot a - 0 / 1 = a
+    d = 1.0
+    for a, b in zip(diag, chain((0.0,), off)):
+        d = a - b * b / d
+        # a positive pivot, +inf and NaN pass untouched and count non-negative
+        if d < pivmin:
+            if d == 0.0:
+                d = pivmin
+                zero_pivots += 1
+            elif d > -pivmin:
+                d = pivmin if d > 0.0 else -pivmin
+            if d < 0.0:
+                neg += 1
     return neg, zero_pivots
 
 
@@ -90,8 +90,8 @@ def _rk4_step(t_nodes, q_nodes, n, t, theta, h):
 
 def _theta_rhs(t_nodes, q_nodes, n, t, theta):
     q = _interp(t_nodes, q_nodes, n, t)
-    s = np.sin(theta)
-    c = np.cos(theta)
+    s = sin(theta)
+    c = cos(theta)
     return c * c - q * s * s
 
 

@@ -17,8 +17,7 @@ from .errors import InsufficientGrowth, UnboundedWarning
 from .grids import Grid
 from .profiles import Potential, RadialField
 from .spectral import (
-    assemble_mode,
-    count_negative,
+    count_modes,
     forbidden_margin,
     mode_truncation,
     phase_integral_count,
@@ -108,7 +107,7 @@ def count_total(
     modes = list(range(-m_max, m_max + 1))
 
     if method == METHOD_INERTIA:
-        counts = [count_negative(assemble_mode(field, V, m, grid, lam=lam)) for m in modes]
+        counts = count_modes(field, V, modes, grid, lam)
     elif method == METHOD_PRUFER:
         span = (grid.t_min, grid.t_max)
         counts = [prufer_count(field, V, m, span, lam=lam) for m in modes]

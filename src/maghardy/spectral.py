@@ -81,15 +81,49 @@ def assemble_mode(
 
 def count_negative(op: ModeOperator) -> int:
     """Exact negative-eigenvalue count by LDL^T inertia (Sturm sequence)."""
-    pivmin = _pivmin(op.diag, op.offdiag)
-    # Python floats are IEEE doubles: the same count as on the arrays, faster
-    neg, zero_pivots = _kernels.tridiag_inertia(op.diag.tolist(), op.offdiag.tolist(), pivmin)
-    if zero_pivots:
-        warnings.warn(
-            f"{zero_pivots} exact zero pivot(s) perturbed in inertia count",
-            ZeroPivotWarning,
-        )
-    return int(neg)
+    return _inertia_counter(op.offdiag)(op.diag)
+
+
+def count_modes(field: RadialField, V: Potential, modes, grid: Grid, lam: float = 1.0) -> list[int]:
+    """Per-mode inertia counts, equal to ``count_negative(assemble_mode(field,
+    V, m, grid, lam))`` for each m in ``modes``.
+
+    Everything that does not depend on the mode (alpha, the potential, the
+    lumps, the stiffness and the off-diagonal) is evaluated once.
+    """
+    h = grid.steps
+    ti = grid.t[1:-1]
+    alpha = field.alpha(ti)
+    lv = lam * V.e2t_v(ti)
+    lump = _lumps(grid)
+    stiff = 1.0 / h[:-1] + 1.0 / h[1:]
+    count = _inertia_counter(-1.0 / h[1:-1])
+    # assemble_mode's own operation order: each diagonal is the same to the bit
+    return [count(stiff + ((m - alpha) ** 2 - lv) * lump) for m in modes]
+
+
+def _inertia_counter(off):
+    """The inertia count of the tridiagonal (diag, off) as a function of diag.
+
+    The off-diagonal's list and its largest square are made once, for every
+    diagonal counted against it.
+    """
+    off_list = off.tolist()
+    # the one entry whose square is _pivmin's off-diagonal term
+    peak = off[[np.argmax(off * off)]] if off.size else off
+
+    def count(diag):
+        # the kernel reads Python floats (IEEE doubles), which a memoryview
+        # hands out one at a time: the same count as on the array, faster
+        neg, zero_pivots = _kernels.tridiag_inertia(memoryview(diag), off_list, _pivmin(diag, peak))
+        if zero_pivots:
+            warnings.warn(
+                f"{zero_pivots} exact zero pivot(s) perturbed in inertia count",
+                ZeroPivotWarning,
+            )
+        return int(neg)
+
+    return count
 
 
 def _pivmin(diag, off):
@@ -126,28 +160,23 @@ def mode_truncation(field: RadialField, V: Potential, grid: Grid, lam: float = 1
     alpha = field.alpha(t)
     a_max = float(np.max(np.abs(alpha)))
     bound = int(np.ceil(a_max + np.sqrt(v_max))) + 1
-
-    def forbidden(m):
-        return np.all((m - alpha) ** 2 >= vt)
-
-    m_max = 0
-    for m in range(-bound, bound + 1):
-        if not forbidden(m):
-            m_max = max(m_max, abs(m))
-    return m_max
+    # from the outside in: the first |m| with an allowed mode is M
+    for k in range(bound, 0, -1):
+        if not (np.all((k - alpha) ** 2 >= vt) and np.all((-k - alpha) ** 2 >= vt)):
+            return k
+    return 0
 
 
 def forbidden_margin(field, V, grid, lam, m_values) -> float:
     """Signed edge margin ((m-a)^2 - v)/((m-a)^2 + v) minimized over modes."""
     edges = np.array([grid.t_min, grid.t_max])
     v = lam * V.vplus_density(edges)
-    worst = 1.0
-    for m in m_values:
-        lam2 = (m - field.alpha(edges)) ** 2
-        denom = lam2 + v
-        frac = np.where(denom > 0, (lam2 - v) / np.where(denom > 0, denom, 1.0), 1.0)
-        worst = min(worst, float(np.min(frac)))
-    return worst
+    lam2 = (np.asarray(m_values, dtype=float).reshape(-1, 1) - field.alpha(edges)) ** 2
+    denom = lam2 + v
+    frac = np.where(denom > 0, (lam2 - v) / np.where(denom > 0, denom, 1.0), 1.0)
+    # 1.0 goes first: a NaN margin (V_+ or alpha infinite at an edge, the
+    # same for every mode) leaves 1.0
+    return min(1.0, float(np.min(frac, initial=1.0)))
 
 
 # ---------------------------------------------------------------------------

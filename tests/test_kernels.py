@@ -1,6 +1,8 @@
-"""The scalar kernels against LAPACK counts and closed forms."""
+"""The scalar kernels against LAPACK counts, closed forms and the
+recurrences they replaced."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
@@ -92,6 +94,77 @@ def test_shifted_inertia_matches_lapack(mats, mu):
         assert _kernels.tridiag_inertia(shifted, e, _pivmin(kd, e))[0] == want
 
 
+def _reference_inertia(diag, off, pivmin):
+    """The indexed LDL^T loop the kernel replaced, kept as its oracle."""
+    n = len(diag)
+    neg = 0
+    zero_pivots = 0
+    low = -pivmin  # -pivmin < d < pivmin is abs(d) < pivmin, NaN and inf included
+    d = diag[0]
+    if d == 0.0:
+        d = pivmin
+        zero_pivots += 1
+    elif low < d < pivmin:
+        d = pivmin if d > 0.0 else low
+    if d < 0.0:
+        neg += 1
+    for i in range(1, n):
+        d = diag[i] - off[i - 1] * off[i - 1] / d
+        if d == 0.0:
+            d = pivmin
+            zero_pivots += 1
+        elif low < d < pivmin:
+            d = pivmin if d > 0.0 else low
+        if d < 0.0:
+            neg += 1
+    return neg, zero_pivots
+
+
+# "+piv" and "-piv" stand for +-pivmin, so that pivots land on it exactly
+_EDGE_ENTRIES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, np.nan, np.inf, -np.inf, "+piv", "-piv"]
+    ),
+    st.floats(-1e3, 1e3),
+    st.floats(),
+)
+
+
+@st.composite
+def _edge_tridiagonals(draw):
+    """Entries at the recurrence's edges: zeros, subnormals, NaN, +-inf and
+    +-pivmin itself, in both the diagonal and the couplings; couplings are
+    often zero, so that a drawn +-pivmin reaches the pivot unchanged."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.lists(_EDGE_ENTRIES, min_size=n, max_size=n))
+    e = draw(st.lists(st.one_of(st.just(0.0), _EDGE_ENTRIES), min_size=n - 1, max_size=n - 1))
+
+    def values(xs, piv):
+        return [{"+piv": piv, "-piv": -piv}.get(x, x) if isinstance(x, str) else x for x in xs]
+
+    pivmin = draw(st.sampled_from(["_pivmin", 1e-290, 1.0]))
+    if pivmin == "_pivmin":
+        with np.errstate(over="ignore", invalid="ignore"):
+            pivmin = _pivmin(np.array(values(d, 0.0)), np.array(values(e, 0.0)))
+    return values(d, pivmin), values(e, pivmin), pivmin
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edge_tridiagonals())
+def test_inertia_equals_reference_recurrence(mat):
+    d, e, pivmin = mat
+    want = _reference_inertia(d, e, pivmin)
+    assert _kernels.tridiag_inertia(d, e, pivmin) == want
+    # the library hands the diagonal over as a memoryview of an array
+    assert _kernels.tridiag_inertia(memoryview(np.array(d)), e, pivmin) == want
+
+
+def test_inertia_empty_matrix():
+    # a 0x0 matrix has no negative eigenvalue
+    assert _kernels.tridiag_inertia([], [], 1e-290) == (0, 0)
+    assert _kernels.tridiag_inertia(memoryview(np.zeros(0)), [], 1.0) == (0, 0)
+
+
 def test_zero_pivot_counted_nonnegative():
     # matrix diag(0): the zero pivot is perturbed positive and reported
     d = np.zeros(3)
@@ -110,6 +183,47 @@ def test_prufer_harmonic_oscillator_node_count():
     assert fail == 0
     assert abs(theta - k * L) < 1e-6
     assert int(np.floor(theta / np.pi)) == 2  # sin(3t) has nodes at pi/3, 2pi/3
+
+
+def _numpy_theta_rhs(t_nodes, q_nodes, n, t, theta):
+    """The Pruefer right-hand side on np.sin/np.cos, kept as the reference
+    for the math.sin/math.cos one."""
+    q = _kernels._interp(t_nodes, q_nodes, n, t)
+    s = np.sin(theta)
+    c = np.cos(theta)
+    return c * c - q * s * s
+
+
+@pytest.mark.parametrize(
+    "q_of_t, span, tol",
+    [
+        (lambda t: np.full_like(t, -9.0), (0.0, np.pi), 1e-9),
+        (lambda t: 0.25 - 400.0 * np.exp(2.0 * t - t * t), (-12.0, 3.0), 1e-6),
+        (lambda t: 1.0 - 2500.0 * (np.abs(t) < 1.0), (-8.0, 2.0), 1e-6),
+    ],
+    ids=["harmonic", "gaussian-well", "step-well"],
+)
+def test_prufer_theta_equals_numpy_trig_reference(monkeypatch, q_of_t, span, tol):
+    tq = np.linspace(*span, 4096)
+    qq = q_of_t(tq)
+    args = (tq, qq, span[0], span[1], tol, (span[1] - span[0]) / 1024.0, 1e-12)
+    theta, fail = _kernels.prufer_sweep(*args)
+    monkeypatch.setattr(_kernels, "_theta_rhs", _numpy_theta_rhs)
+    want_theta, want_fail = _kernels.prufer_sweep(*args)
+    assert (theta, fail) == (want_theta, want_fail)
+    assert theta > np.pi
+
+
+def test_prufer_rhs_equals_numpy_trig_reference():
+    # theta absorbs a one-ulp change in the right-hand side, so the sweep
+    # test alone would miss one; compare the right-hand side itself
+    rng = np.random.default_rng(5)
+    nodes = np.linspace(-12.0, 3.0, 257)
+    t_list, q_list = nodes.tolist(), (100.0 * rng.normal(size=nodes.size)).tolist()
+    thetas = np.concatenate([rng.uniform(-10.0, 200.0, 20000), rng.normal(size=2000) * 1e-8])
+    for t, theta in zip(rng.uniform(-13.0, 4.0, thetas.size).tolist(), thetas.tolist()):
+        got = _kernels._theta_rhs(t_list, q_list, nodes.size, t, theta)
+        assert got == _numpy_theta_rhs(t_list, q_list, nodes.size, t, theta)
 
 
 def test_interp_lookup_equals_searchsorted():

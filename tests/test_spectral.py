@@ -1,15 +1,21 @@
 """Mode-operator assembly, inertia counting, phase methods, Hardy constants."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import maghardy as mh
-from maghardy.errors import DomainError, NoTruncation, QuadratureFailure
+from maghardy import _kernels
+from maghardy.errors import DomainError, NoTruncation, QuadratureFailure, ZeroPivotWarning
 from maghardy.profiles import ZeroPotential
 from maghardy.spectral import (
     _lumps,
+    _pivmin,
     assemble_mode,
+    count_modes,
     forbidden_margin,
     smallest_generalized_mu,
 )
@@ -150,6 +156,125 @@ def test_zero_pivot_warning_reported():
         _warnings.simplefilter("always")
         assert mh.count_negative(op) == 0
     assert any(issubclass(w.category, ZeroPivotWarning) for w in caught)
+
+
+def _with_zero_pivot_warnings(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn()
+    return result, sum(issubclass(w.category, ZeroPivotWarning) for w in caught)
+
+
+# V = 2 at t = 0 only: mode 0's first pivot is 1 + 1 + (0 - 2) * 1 = 0 exactly
+_SPIKE = mh.CustomPotential(np.array([-0.5, 0.0, 0.5]), np.array([0.0, 2.0, 0.0]))
+_GAUSS = mh.GaussianWell(1.3, 0.8)
+
+
+@pytest.mark.parametrize(
+    "field, V, grid, lam, zero_pivots",
+    [
+        *(
+            (mh.BumpField(flux=0.5), _GAUSS, mh.Grid.uniform(-12.0, 3.0, 6001), lam, 0)
+            for lam in np.geomspace(1e2, 1e4, 5) / (1.3 * 0.8 * 0.8)
+        ),
+        (mh.BumpField(flux=0.5), mh.VSigma(sigma=2.0), mh.Grid.auto(-400.0, 0.5, 6000), 50.0, 0),
+        (mh.ZeroField(), mh.StepWell(3.0, 1.0), mh.Grid.uniform(-8.0, 2.0, 2001), 40.0, 0),
+        (mh.ZeroField(), _SPIKE, mh.Grid.uniform(-1.0, 3.0, 5), 1.0, 1),
+    ],
+    ids=[*(f"gauss-ladder{k}" for k in range(5)), "vsigma", "step-zero-field", "zero-pivot"],
+)
+def test_count_modes_equals_count_negative_per_mode(
+    monkeypatch, field, V, grid, lam, zero_pivots
+):
+    # the kernel sees the same diagonal, off-diagonal and pivmin, to the bit,
+    # and pivmin is _pivmin's on the whole matrix
+    kernel, inputs = _kernels.tridiag_inertia, []
+
+    def recording(diag, off, pivmin):
+        diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+        assert pivmin == _pivmin(diag, off)
+        digest = hashlib.sha256(diag.tobytes())
+        digest.update(off.tobytes())
+        inputs.append((digest.hexdigest(), pivmin))
+        return kernel(diag, off.tolist(), pivmin)
+
+    monkeypatch.setattr(_kernels, "tridiag_inertia", recording)
+    m_max = mh.mode_truncation(field, V, grid, lam)
+    modes = list(range(-m_max - 1, m_max + 2))
+    many = _with_zero_pivot_warnings(lambda: count_modes(field, V, modes, grid, lam))
+    many_inputs = inputs[:]
+    inputs.clear()
+    single = _with_zero_pivot_warnings(
+        lambda: [mh.count_negative(assemble_mode(field, V, m, grid, lam=lam)) for m in modes]
+    )
+    assert many == single
+    assert many_inputs == inputs
+    assert sum(many[0]) > 0 and many[1] == zero_pivots
+
+
+def _mode_truncation_loop(field, V, grid, lam):
+    """mode_truncation as a loop over every |m| <= bound, kept as the
+    reference for its early exit."""
+    t = grid.t
+    vt = lam * V.vplus_density(t)
+    if not np.any(vt > 0):
+        return 0
+    v_max = float(np.max(vt))
+    if vt[0] > 0.1 * v_max or vt[-1] > 0.1 * v_max:
+        raise NoTruncation("edges")
+    alpha = field.alpha(t)
+    bound = int(np.ceil(float(np.max(np.abs(alpha))) + np.sqrt(v_max))) + 1
+    m_max = 0
+    for m in range(-bound, bound + 1):
+        if not np.all((m - alpha) ** 2 >= vt):
+            m_max = max(m_max, abs(m))
+    return m_max
+
+
+def _forbidden_margin_loop(field, V, grid, lam, m_values):
+    """forbidden_margin as a loop over the modes, kept as the reference for
+    its one array over modes and edges."""
+    edges = np.array([grid.t_min, grid.t_max])
+    v = lam * V.vplus_density(edges)
+    worst = 1.0
+    for m in m_values:
+        lam2 = (m - field.alpha(edges)) ** 2
+        denom = lam2 + v
+        frac = np.where(denom > 0, (lam2 - v) / np.where(denom > 0, denom, 1.0), 1.0)
+        worst = min(worst, float(np.min(frac)))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        mh.ZeroField(),
+        mh.BumpField(flux=0.5),
+        mh.BumpField(flux=2.7),
+        mh.BumpField(flux=-2.7),
+        mh.LogPowerField(1.0, 2.0),
+    ],
+    ids=["zero", "bump0.5", "bump2.7", "bump-2.7", "logpower"],
+)
+@pytest.mark.parametrize(
+    "V, grid",
+    [
+        (mh.StepWell(depth=0.9, radius=1.0), mh.Grid.uniform(-8.0, 2.0, 2001)),
+        (mh.GaussianWell(1.3, 0.8), mh.Grid.uniform(-12.0, 3.0, 1501)),
+        (mh.VSigma(sigma=2.0), mh.Grid.auto(-400.0, 0.5, 1500)),
+        (ZeroPotential(), mh.Grid.uniform(-6.0, 2.0, 101)),
+    ],
+    ids=["step", "gauss", "vsigma", "zero"],
+)
+@pytest.mark.parametrize("lam", [0.3, 1.0, 7.0, 50.0, 1e3, 1e4])
+def test_truncation_and_margin_equal_loop_references(field, V, grid, lam):
+    m_max = mh.mode_truncation(field, V, grid, lam)
+    assert m_max == _mode_truncation_loop(field, V, grid, lam)
+    for modes in ([0], range(-m_max, m_max + 1), range(-m_max - 3, m_max + 4)):
+        assert forbidden_margin(field, V, grid, lam, modes) == _forbidden_margin_loop(
+            field, V, grid, lam, modes
+        )
+    assert forbidden_margin(field, V, grid, lam, []) == 1.0
 
 
 # ---------------------------------------------------------------------------

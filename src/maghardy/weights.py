@@ -10,10 +10,13 @@ The sup-functional over thresholds tau,
 
     ([V]_a)^a = sup_{tau>0} tau^a * int_{ {V > tau w0} } w0(r) (1+|log r|) r dr
 
-with w0 the baseline weight, is evaluated from one scan of V/w0 per cap: one
-bracketed root solve refines the crossings of a whole geometric tau grid, the
-measures are closed form, golden section refines the best tau, and sweeping
-the lower domain cap detects divergence.
+with w0 the baseline weight, is evaluated from one scan of V/w0 per cap.  The
+scan segments crossed by every threshold of a batch are found in one pass
+(sorted thresholds against each segment's value range), one bracketed root
+solve refines all those crossings, and the measures are closed form.  A
+geometric tau grid brackets the best tau, a zoom of 32 log-spaced thresholds
+per round narrows the bracket, and sweeping the lower domain cap detects
+divergence.
 
 The sin^2-mapped Gauss panels (``_sin2_gauss_panels``) integrate every
 closed-form density of the library: the log moments here, the phase
@@ -34,6 +37,8 @@ from .profiles import Potential, RadialField, _as_array
 # bounds memory
 _MAX_HALVINGS = 50
 _MAX_OPEN = 300
+# interior thresholds per zoom round of the [V]_a search
+_ZOOM_POINTS = 32
 
 
 class Weight:
@@ -365,7 +370,8 @@ def _scan_levels(V: Potential, t_min_cap: float, t_max: float = 30.0, scan_n: in
     rmax = float(np.max(vals))
     # segment i is crossed by tau iff min(v_i, v_i+1) <= tau < max(v_i, v_i+1)
     spans = [np.sort(f(v[:-1], v[1:])) for v in (vals, fine) for f in (np.minimum, np.maximum)]
-    above = np.zeros(nodes.size + 2, dtype=bool)  # padded, so open ends count as crossings
+    padded = np.concatenate([[-np.inf], vals, [-np.inf]])  # so open ends count as crossings
+    seg_lo, seg_hi = np.minimum(padded[:-1], padded[1:]), np.maximum(padded[:-1], padded[1:])
 
     def crossings(lo, hi, taus):
         return np.searchsorted(lo, taus, "right") - np.searchsorted(hi, taus, "right")
@@ -377,19 +383,22 @@ def _scan_levels(V: Potential, t_min_cap: float, t_max: float = 30.0, scan_n: in
         if np.any(differ & (taus < rmax)):
             msg = "ratio oscillates faster than the level-set scan grid"
             warnings.warn(msg, ScanResolutionWarning)
-        cuts = []
-        for tau in taus:
-            np.greater(vals, tau, out=above[1:-1])
-            cuts.append(np.flatnonzero(above[1:] != above[:-1]) - 1)
-        cut = np.concatenate(cuts)
+        # padded segment j (cut j-1) is crossed by the taus of sorted rank
+        # first_j .. first_j + hits_j - 1; owner is each crossing's tau index
+        order = np.argsort(taus)
+        first = np.searchsorted(taus[order], seg_lo)
+        hits = np.searchsorted(taus[order], seg_hi) - first
+        seg = np.repeat(np.arange(hits.size), hits)
+        owner = order[np.arange(seg.size) - np.repeat(np.cumsum(hits) - hits - first, hits)]
+        by_tau = np.lexsort((seg, owner))  # each threshold's cuts in increasing order
+        cut, owner = seg[by_tau] - 1, owner[by_tau]
         # cut -1 opens at the cap, cut n-1 closes at t_max, other ends lie in (cut, cut+1)
         ends = np.where(cut < 0, nodes[0], nodes[-1])
         inner = (cut >= 0) & (cut < nodes.size - 1)
-        i, lvl = cut[inner], np.repeat(taus, [c.size for c in cuts])[inner]
+        i, lvl = cut[inner], taus[owner[inner]]
         ends[inner] = _roots(ratio, nodes[i], nodes[i + 1], vals[i] - lvl, vals[i + 1] - lvl, lvl)
         F = _measure_antiderivative(ends)
-        owner = np.repeat(np.arange(taus.size), [c.size // 2 for c in cuts])
-        measure = np.bincount(owner, weights=F[1::2] - F[0::2], minlength=taus.size)
+        measure = np.bincount(owner[0::2], weights=F[1::2] - F[0::2], minlength=taus.size)
         return ends, measure, vals[0] > taus
 
     return rmax, levels
@@ -445,6 +454,12 @@ class VNormResult:
 
 
 def _sup_over_thresholds(V: Potential, a: float, t_min_cap: float, tau_grid_n: int = 512):
+    """Largest tau^a * measure seen and its tau: a geometric grid, then a zoom.
+
+    Each zoom round evaluates _ZOOM_POINTS equally spaced interior points of
+    the log-tau bracket in one ``levels`` call and keeps the argmax's two
+    neighbours, until the bracket is narrower than 1e-10.
+    """
     rmax, levels = _scan_levels(V, t_min_cap)
     if rmax <= 0.0:
         return 0.0, 0.0
@@ -453,28 +468,21 @@ def _sup_over_thresholds(V: Potential, a: float, t_min_cap: float, tau_grid_n: i
         return taus**a * levels(taus)[1]
 
     taus = np.geomspace(rmax * 1e-8, rmax * 1e8, tau_grid_n)
-    grid_vals = g(taus)
-    k = int(np.argmax(grid_vals))
-
-    # golden-section on log tau around the grid argmax
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x_lo, x_hi = np.log(taus[max(k - 1, 0)]), np.log(taus[min(k + 1, len(taus) - 1)])
-    c, d = x_hi - invphi * (x_hi - x_lo), x_lo + invphi * (x_hi - x_lo)
-    gc, gd = g(np.exp([c, d]))
-    for _ in range(60):
-        if gc < gd:
-            x_lo, c, gc = c, d, gd
-            d = x_lo + invphi * (x_hi - x_lo)
-            gd = g(np.exp(d))[0]
-        else:
-            x_hi, d, gd = d, c, gc
-            c = x_hi - invphi * (x_hi - x_lo)
-            gc = g(np.exp(c))[0]
-        if x_hi - x_lo < 1e-10:
-            break
-    x_best = 0.5 * (x_lo + x_hi)
-    best = max(g(np.exp(x_best))[0], float(np.max(grid_vals)))
-    return best, float(np.exp(x_best))
+    vals = g(taus)
+    k = int(np.argmax(vals))
+    best, arg_t = float(vals[k]), float(taus[k])
+    lo, hi = max(k - 1, 0), min(k + 1, taus.size - 1)
+    x, v = np.log(taus[[lo, hi]]), vals[[lo, hi]]
+    while x[1] - x[0] >= 1e-10:
+        xs = np.linspace(x[0], x[1], _ZOOM_POINTS + 2)
+        ts = np.exp(xs[1:-1])
+        vs = np.concatenate([v[:1], g(ts), v[1:]])
+        j = int(np.argmax(vs))
+        if vs[j] > best:  # the ends are old values, so j is an interior point
+            best, arg_t = float(vs[j]), float(ts[j - 1])
+        lo, hi = max(j - 1, 0), min(j + 1, xs.size - 1)
+        x, v = xs[[lo, hi]], vs[[lo, hi]]
+    return best, arg_t
 
 
 def v_norm_a(
@@ -493,16 +501,20 @@ def v_norm_a(
     pairs of the sweep.  ``cap_schedule`` extends the cap by doubling t
     ("double") or by squaring |t| ("square"); the latter is the natural
     sweep for potentials whose level sets grow doubly exponentially in the
-    inverse threshold.  An UnboundedWarning is emitted when the value keeps
-    growing across every step of the sweep.
+    inverse threshold, and it needs t_min_cap < -1.  An UnboundedWarning is
+    emitted when the value keeps growing across every step of the sweep.
     """
     if a <= 1.0:
         raise ValueError("the functional needs a > 1")
     if t_min_cap >= 0:
         raise ValueError("t_min_cap must be negative")
+    if cap_doublings < 0:
+        raise ValueError("cap_doublings must be nonnegative")
     if cap_schedule == "double":
         caps = [t_min_cap * (2.0**k) for k in range(cap_doublings + 1)]
     elif cap_schedule == "square":
+        if t_min_cap >= -1.0:
+            raise ValueError("cap_schedule 'square' needs t_min_cap < -1")
         caps = [-((-t_min_cap) ** (2.0**k)) for k in range(cap_doublings + 1)]
     else:
         raise ValueError("cap_schedule must be 'double' or 'square'")

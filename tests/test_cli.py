@@ -307,6 +307,7 @@ _README_CONFIGS = {
     },
     "sweep": {"potential": {"kind": "vsigma", "sigma": 2.0}, "lambdas": {"min": 10.0, "max": 1e4}},
     "bound": {"potential": {"kind": "vsigma", "sigma": 2.0}, "a": 2.0},
+    "vnorm": {"potential": {"kind": "vsigma", "sigma": 2.0}, "a": 2.0},
 }
 
 
@@ -424,14 +425,27 @@ def test_malformed_config_file_is_a_config_error(tmp_path, capsys, content):
     assert not (tmp_path / "out").exists()
 
 
+_SQUARE_VNORM = ["vnorm", "--potential", "vsigma", "--sigma", "2", "--cap-schedule", "square"]
+
+
 @pytest.mark.parametrize(
     "config, argv",
     [
         (None, ["count", "--lambda", "-1"]),
         (None, ["sweep", "--lambda-n", "3"]),
         ({"potential": {"kind": "vsigma", "sigma": 2.0}, "a": "x"}, ["vnorm"]),
+        (None, ["vnorm", "--potential", "vsigma", "--sigma", "2", "--cap-doublings", "-1"]),
+        (None, [*_SQUARE_VNORM, "--t-min-cap", "-0.5", "--cap-doublings", "2"]),
+        (None, [*_SQUARE_VNORM, "--t-min-cap", "-1", "--cap-doublings", "2"]),
     ],
-    ids=["negative-coupling", "short-ladder", "non-numeric-value"],
+    ids=[
+        "negative-coupling",
+        "short-ladder",
+        "non-numeric-value",
+        "negative-cap-doublings",
+        "square-schedule-cap-above-minus-1",
+        "square-schedule-cap-minus-1",
+    ],
 )
 def test_library_value_errors_exit_1(tmp_path, capsys, config, argv):
     if config is not None:

@@ -10,7 +10,7 @@ from scipy import optimize
 
 import maghardy as mh
 from maghardy.errors import DomainError, ScanResolutionWarning, UnboundedWarning
-from maghardy.weights import level_measure
+from maghardy.weights import _measure_antiderivative, _roots, level_measure
 
 
 def test_baseline_weight_values():
@@ -354,3 +354,218 @@ def test_log_moment_alpha09_converges():
     v1 = mh.log_moment(w, 0.9, R)
     v2 = mh.log_moment(w, 0.9, 2.0 * R)
     assert abs(v2 - v1) / v1 < 0.01
+
+
+# ---------------------------------------------------------------------------
+# References for the batched threshold search: the level-set scan with one
+# greater/flatnonzero pass per threshold, and golden section on log tau.
+# ---------------------------------------------------------------------------
+
+
+def _levels_loop_reference(V, t_min_cap: float, t_max: float = 30.0, scan_n: int = 4000):
+    """Scan V/w0 = e^{2t} V (1 + t^2) once; return its maximum and ``levels``.
+
+    ``levels(taus)`` gives, for a threshold grid, the ends of all intervals of
+    {V/w0 > tau} as one flat array (start, end, start, ...), each threshold's
+    level-set measure and whether its set reaches the lower cap.  Crossings
+    are the scan's sign changes, refined by one bracketed solve for the grid.
+    A ScanResolutionWarning is emitted when, for a threshold below the scan
+    maximum, the midpoint-refined scan sees another crossing count.
+    """
+
+    def ratio(t):
+        vals = V.vplus_density(t) * (1.0 + t * t)
+        if not np.isfinite(vals).all():
+            raise DomainError(f"V/w0 is not finite at t = {float(t[~np.isfinite(vals)][0])!r}")
+        return vals
+
+    pieces = [np.linspace(max(t_min_cap, -2.0), t_max, max(scan_n // 4, 16))]
+    if t_min_cap < -2.0:
+        pieces.insert(0, -np.geomspace(2.0, -t_min_cap, scan_n)[::-1])
+    nodes = np.unique(np.concatenate(pieces))
+    fine_t = np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))  # interleaved
+    fine = ratio(fine_t)
+    vals = np.ascontiguousarray(fine[0::2])
+    rmax = float(np.max(vals))
+    # segment i is crossed by tau iff min(v_i, v_i+1) <= tau < max(v_i, v_i+1)
+    spans = [np.sort(f(v[:-1], v[1:])) for v in (vals, fine) for f in (np.minimum, np.maximum)]
+    above = np.zeros(nodes.size + 2, dtype=bool)  # padded, so open ends count as crossings
+
+    def crossings(lo, hi, taus):
+        return np.searchsorted(lo, taus, "right") - np.searchsorted(hi, taus, "right")
+
+    def levels(taus):
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        # at or above rmax the scan's level set is empty by construction
+        differ = crossings(*spans[:2], taus) != crossings(*spans[2:], taus)
+        if np.any(differ & (taus < rmax)):
+            msg = "ratio oscillates faster than the level-set scan grid"
+            warnings.warn(msg, ScanResolutionWarning)
+        cuts = []
+        for tau in taus:
+            np.greater(vals, tau, out=above[1:-1])
+            cuts.append(np.flatnonzero(above[1:] != above[:-1]) - 1)
+        cut = np.concatenate(cuts)
+        # cut -1 opens at the cap, cut n-1 closes at t_max, other ends lie in (cut, cut+1)
+        ends = np.where(cut < 0, nodes[0], nodes[-1])
+        inner = (cut >= 0) & (cut < nodes.size - 1)
+        i, lvl = cut[inner], np.repeat(taus, [c.size for c in cuts])[inner]
+        ends[inner] = _roots(ratio, nodes[i], nodes[i + 1], vals[i] - lvl, vals[i + 1] - lvl, lvl)
+        F = _measure_antiderivative(ends)
+        owner = np.repeat(np.arange(taus.size), [c.size // 2 for c in cuts])
+        measure = np.bincount(owner, weights=F[1::2] - F[0::2], minlength=taus.size)
+        return ends, measure, vals[0] > taus
+
+    return rmax, levels
+
+
+def _golden_sup_reference(V, a: float, t_min_cap: float, tau_grid_n: int = 512):
+    rmax, levels = mh.weights._scan_levels(V, t_min_cap)
+    if rmax <= 0.0:
+        return 0.0, 0.0
+
+    def g(taus):
+        return taus**a * levels(taus)[1]
+
+    taus = np.geomspace(rmax * 1e-8, rmax * 1e8, tau_grid_n)
+    grid_vals = g(taus)
+    k = int(np.argmax(grid_vals))
+
+    # golden-section on log tau around the grid argmax
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x_lo, x_hi = np.log(taus[max(k - 1, 0)]), np.log(taus[min(k + 1, len(taus) - 1)])
+    c, d = x_hi - invphi * (x_hi - x_lo), x_lo + invphi * (x_hi - x_lo)
+    gc, gd = g(np.exp([c, d]))
+    for _ in range(60):
+        if gc < gd:
+            x_lo, c, gc = c, d, gd
+            d = x_lo + invphi * (x_hi - x_lo)
+            gd = g(np.exp(d))[0]
+        else:
+            x_hi, d, gd = d, c, gc
+            c = x_hi - invphi * (x_hi - x_lo)
+            gc = g(np.exp(c))[0]
+        if x_hi - x_lo < 1e-10:
+            break
+    x_best = 0.5 * (x_lo + x_hi)
+    best = max(g(np.exp(x_best))[0], float(np.max(grid_vals)))
+    return best, float(np.exp(x_best))
+
+
+_oscillating = st.floats(1.0, 60.0).map(
+    lambda k: mh.profiles.CallablePotential(
+        density=lambda t: (1.1 + np.sin(k * t)) / (1.0 + t * t)
+    )
+)
+# a threshold relative to rmax (up to 10 rmax), rmax itself, or the ratio at a
+# scan node (its index as a fraction)
+_tau_draws = st.lists(
+    st.one_of(
+        st.tuples(st.just("rel"), st.floats(-8.0, 1.0)),
+        st.just(("rmax", 0.0)),
+        st.tuples(st.just("node"), st.floats(0.0, 1.0)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _outcome(call):
+    """The call's result or DomainError text, and its ScanResolutionWarnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = call()
+        except DomainError as exc:  # a subnormal threshold can fail the root solve
+            out = str(exc)
+    return out, sum(issubclass(w.category, ScanResolutionWarning) for w in caught)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(_potentials, _oscillating),
+    st.one_of(_caps, st.sampled_from([-1.0, -2.0, -30.0])),
+    _tau_draws,
+    st.randoms(use_true_random=False),
+)
+def test_levels_equals_loop_reference(V, cap, draws, rnd):
+    rmax, levels = mh.weights._scan_levels(V, cap)
+    ref_rmax, ref_levels = _levels_loop_reference(V, cap)
+    assert rmax == ref_rmax
+    scale = rmax or 1.0  # a cap above the support of VSigma scans V/w0 = 0
+    _, _, vals = _ref_scan(V, cap)
+    vals = vals[vals > 0] if rmax > 0 else np.array([scale])  # thresholds are positive
+    taus = []
+    for kind, u in draws:
+        if kind == "rel":
+            taus.append(scale * 10.0**u)
+        elif kind == "rmax":
+            taus.append(scale)
+        else:
+            taus.append(float(vals[int(u * (vals.size - 1))]))
+    taus = taus + rnd.sample(taus, min(3, len(taus)))  # repeated thresholds
+    rnd.shuffle(taus)
+    got, n_warn = _outcome(lambda: levels(taus))
+    want, ref_warn = _outcome(lambda: ref_levels(taus))
+    assert n_warn == ref_warn
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+# VSigma on the caps of the double and of the square schedule from -100
+_ZOOM_CASES = [
+    *[(mh.VSigma(s), s, cap) for s in (1.5, 2.0, 3.0) for cap in (-100.0, -200.0, -400.0)],
+    *[(mh.VSigma(s), 0.75 * s + 0.5, cap) for s in (1.5, 2.0, 3.0) for cap in (-1e4, -1e8)],
+    (mh.GaussianWell(1.3, 0.8), 2.0, -100.0),
+    (mh.GaussianWell(0.5, 1.2), 3.0, -1e4),
+    (mh.StepWell(2.0, 0.01), 2.0, -1e4),  # the maximum sits on the kink
+    (mh.ZeroPotential(), 2.0, -100.0),
+]
+
+
+@pytest.mark.parametrize("V, a, cap", _ZOOM_CASES)
+def test_zoom_matches_golden_section(V, a, cap, monkeypatch):
+    scan = mh.weights._scan_levels
+    calls = []
+
+    def counting_scan(*args, **kwargs):
+        rmax, levels = scan(*args, **kwargs)
+
+        def counted(taus):
+            calls.append(np.size(taus))
+            return levels(taus)
+
+        return rmax, counted
+
+    monkeypatch.setattr(mh.weights, "_scan_levels", counting_scan)
+    value, arg_t = mh.weights._sup_over_thresholds(V, a, cap)
+    assert len(calls) <= 10
+    monkeypatch.undo()
+    want, _ = _golden_sup_reference(V, a, cap)
+    rmax, levels = scan(V, cap)
+    if rmax <= 0.0:
+        assert (value, arg_t) == (0.0, 0.0) and want == 0.0
+        return
+    assert value == pytest.approx(want, rel=1e-9)
+    taus = np.geomspace(rmax * 1e-8, rmax * 1e8, 512)
+    assert value >= np.max(taus**a * levels(taus)[1])
+    assert value == np.array([arg_t]) ** a * levels([arg_t])[1][0]
+
+
+def test_square_schedule_and_cap_doublings_validation():
+    V = mh.VSigma(2.0)
+    with pytest.raises(ValueError, match="cap_doublings must be nonnegative"):
+        mh.v_norm_a(V, 2.0, cap_doublings=-1)
+    with pytest.raises(ValueError, match="cap_doublings must be nonnegative"):
+        mh.counting.bound_jst(V, cap_doublings=-1)
+    for cap in (-0.5, -1.0):
+        with pytest.raises(ValueError, match="square"):
+            mh.v_norm_a(V, 2.0, t_min_cap=cap, cap_doublings=2, cap_schedule="square")
+    # zero doublings is a one-cap sweep; just below -1 the square schedule grows the cap
+    assert mh.v_norm_a(V, 2.0, t_min_cap=-100.0, cap_doublings=0).saturated
+    caps = [c for c, _ in mh.v_norm_a(V, 2.0, -1.5, 2, cap_schedule="square").cap_sequence]
+    assert caps == [-1.5, -2.25, -(1.5**4)]

@@ -185,6 +185,8 @@ def bound_jst(
     still grows the value by more than ``growth_tol`` relative — the
     signature of the borderline potentials this bound cannot handle.
     """
+    if t_min_cap >= 0:
+        raise ValueError("t_min_cap must be negative")
     if cap_doublings < 0:
         raise ValueError("cap_doublings must be nonnegative")
     caps = [t_min_cap * 2.0**k for k in range(cap_doublings + 1)]

@@ -6,12 +6,16 @@ The mode-m quadratic form in t = log r,
 
 is discretized with cell-difference stiffness and trapezoid-lumped zero-order
 terms on a Dirichlet grid, giving a symmetric tridiagonal matrix whose
-inertia yields exact negative-eigenvalue counts.  The same matrices drive the
-Hardy-constant estimator: the lowest generalized eigenvalue against a lumped
-weight mass, by LAPACK's Sturm bisection (stebz).  Oscillation (Pruefer) and
-phase-integral counts provide independent cross-checks of the inertia route;
-the phase integral of every well, the borderline one in s = log|t|, runs on
-the sin^2-mapped Gauss panels of ``weights._sin2_gauss_panels``.
+inertia yields exact negative-eigenvalue counts.  Rows where (m - alpha)^2
+outweighs the potential are diagonally dominant; each count sweeps the
+matrix in the direction that leaves the longer such run last, and stops
+inside it once a pivot dominates its coupling (``_inertia_counter``).  The
+same matrices drive the Hardy-constant estimator: the lowest generalized
+eigenvalue against a lumped weight mass, by LAPACK's Sturm bisection
+(stebz).  Oscillation (Pruefer) and phase-integral counts provide
+independent cross-checks of the inertia route; the phase integral of every
+well, the borderline one in s = log|t|, runs on the sin^2-mapped Gauss
+panels of ``weights._sin2_gauss_panels``.
 """
 
 import warnings
@@ -102,20 +106,62 @@ def count_modes(field: RadialField, V: Potential, modes, grid: Grid, lam: float 
     return [count(stiff + ((m - alpha) ** 2 - lv) * lump) for m in modes]
 
 
+# a strong row's margin over the sum of its couplings
+_STRONG = 1.0 + 2.0**-40
+# couplings whose square is a normal double: b*b keeps its relative error
+_TAME = (2.0**-500, 2.0**500)
+
+
 def _inertia_counter(off):
     """The inertia count of the tridiagonal (diag, off) as a function of diag.
 
-    The off-diagonal's list and its largest square are made once, for every
-    diagonal counted against it.
+    The off-diagonal's lists, its largest square and the bound each row's
+    diagonal must exceed are made once, for every diagonal counted against
+    it.  Row k is *strong* when diag_k > (1 + 2^-40)(|off_{k-1}| + |off_k|)
+    and each of those couplings is 0 or within _TAME; a NaN row never is.
+    A matrix with no weak row counts 0 without a sweep.  Otherwise the sweep
+    runs forward, or over the reversed matrix when the leading strong run is
+    strictly longer than the trailing one, so the longer run comes last.
+    The kernel ends it at the first clamped pivot d >= |b| at or after the
+    last weak row, b the coupling to the next row.
+
+    Why that is exact: let the pivot satisfy d >= |b|, so d > 0 (a clamped
+    pivot is never 0), and let the next row be strong, a > (1 + 2^-40)(|b| +
+    |c|) with c its own coupling.  With b tame, fl(fl(b*b) / d) <= |b|(1 +
+    2^-53)^2, and rounding the strength bound costs at most a factor (1 -
+    2^-53)^2; the 2^-40 margin covers both, so a - fl(b*b / d) > |c| >= 0
+    exactly, and rounding keeps the next pivot >= |c| and nonzero, a clamp
+    to pivmin only raising it.  By induction every later pivot is positive:
+    the skipped rows add no negative and no zero pivot, whatever the grid
+    spacing.  Before the first row, d = 1 against a zero coupling, so a
+    wholly strong matrix counts 0.  pivmin stays that of the whole matrix.
     """
     off_list = off.tolist()
+    off_reversed = off_list[::-1]
     # the one entry whose square is _pivmin's off-diagonal term
     peak = off[[np.argmax(off * off)]] if off.size else off
+    n = off.size + 1
+    couplings = np.abs(off)
+    bound = _STRONG * (np.r_[couplings, 0.0] + np.r_[0.0, couplings])
+    # no row next to a coupling outside _TAME (or NaN) is strong
+    wild = ~((couplings == 0.0) | ((couplings >= _TAME[0]) & (couplings <= _TAME[1])))
+    bound[:-1][wild] = np.inf
+    bound[1:][wild] = np.inf
 
     def count(diag):
+        weak = np.flatnonzero(~(diag > bound))
+        if not weak.size:
+            return 0
+        first, last = int(weak[0]), int(weak[-1])
+        if first > n - 1 - last:
+            diag, off_sweep, stop = diag[::-1], off_reversed, n - 1 - first
+        else:
+            off_sweep, stop = off_list, last
         # the kernel reads Python floats (IEEE doubles), which a memoryview
         # hands out one at a time: the same count as on the array, faster
-        neg, zero_pivots = _kernels.tridiag_inertia(memoryview(diag), off_list, _pivmin(diag, peak))
+        neg, zero_pivots = _kernels.tridiag_inertia(
+            memoryview(diag), off_sweep, _pivmin(diag, peak), stop
+        )
         if zero_pivots:
             warnings.warn(
                 f"{zero_pivots} exact zero pivot(s) perturbed in inertia count",

@@ -247,6 +247,9 @@ class LevelSet:
         return len(self.intervals) == 0
 
 
+_SMALLEST_SUBNORMAL = 5e-324
+
+
 def _roots(ratio, a, b, fa, fb, tau):
     """Roots of ratio - tau in brackets [a, b] whose ends straddle tau, all at once.
 
@@ -254,7 +257,9 @@ def _roots(ratio, a, b, fa, fb, tau):
     tol/2 inside the bracket, so a step next to the root lands across it, and
     bisection where two steps did not halve the bracket.  Each bracket shrinks
     to brentq's tolerance 1e-9 + 8.9e-16 |t|; a last secant step through its
-    ends gives the root.
+    ends gives the root.  Every step is finite: the end values have opposite
+    signs, f1 > 0 is never halved, and the Illinois denominator is floored at
+    the smallest subnormal.
     """
     up = fa > 0
     x0, x1 = np.where(up, b, a), np.where(up, a, b)  # ratio <= tau at x0, > tau at x1
@@ -268,7 +273,10 @@ def _roots(ratio, a, b, fa, fb, tau):
         active = w > tol
         if not active.any():
             return x0 - f0 * (x1 - x0) / (f1 - f0)
-        x = np.where(w > 0.5 * w2, mid, x0 - g0 * (x1 - x0) / (g1 - g0))
+        # g1 >= 0 >= g0 keeps the quotient below w + 0.5; the floor turns the
+        # 0/0 of two values halved to 0 into a step to x0
+        step = x0 - g0 * (x1 - x0) / np.maximum(g1 - g0, _SMALLEST_SUBNORMAL)
+        x = np.where(w > 0.5 * w2, mid, step)
         x = np.clip(x, np.minimum(x0, x1) + 0.5 * tol, np.maximum(x0, x1) - 0.5 * tol)
         x = np.where(active, x, mid)  # converged brackets: evaluate inside, keep as is
         fx = ratio(x) - tau

@@ -1,13 +1,17 @@
 """The scalar kernels against LAPACK counts, closed forms and the
 recurrences they replaced."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
-from maghardy import _kernels
+import maghardy as mh
+from maghardy import _kernels, spectral
+from maghardy.errors import ZeroPivotWarning
 from maghardy.spectral import _pivmin
 
 
@@ -173,6 +177,175 @@ def test_zero_pivot_counted_nonnegative():
     assert neg == 0 and zero_pivots == 3
 
 
+def _strong_rows(diag, off):
+    """The strong-row rule written out row by row: diag_k exceeds
+    (1 + 2^-40)(|off_{k-1}| + |off_k|), and each of those couplings is 0 or
+    between 2^-500 and 2^500 in magnitude."""
+    n = len(diag)
+
+    def tame(b):
+        return b == 0.0 or 2.0**-500 <= abs(b) <= 2.0**500
+
+    out = []
+    for k in range(n):
+        left = float(off[k - 1]) if k > 0 else 0.0
+        right = float(off[k]) if k < n - 1 else 0.0
+        bound = (1.0 + 2.0**-40) * (abs(left) + abs(right))
+        out.append(tame(left) and tame(right) and float(diag[k]) > bound)
+    return out
+
+
+def _planned_sweep(diag, off):
+    """(diag, off, stop) of the sweep the orientation rule asks for, or None
+    for a matrix with no weak row."""
+    strong = _strong_rows(diag, off)
+    if all(strong):
+        return None
+    n = len(diag)
+    first, last = strong.index(False), n - 1 - strong[::-1].index(False)
+    if first > n - 1 - last:
+        return diag[::-1], off[::-1], n - 1 - first
+    return diag, off, last
+
+
+def _count_with_kernel_calls(diag, off):
+    """spectral's count of (diag, off) and each kernel call it made, as
+    (diag, off, pivmin, stop, result)."""
+    kernel, calls = _kernels.tridiag_inertia, []
+
+    def recording(d, e, pivmin, stop=None):
+        result = kernel(d, e, pivmin, stop)
+        calls.append((np.array(d), np.array(e), pivmin, stop, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroPivotWarning)
+        mp.setattr(_kernels, "tridiag_inertia", recording)
+        with np.errstate(over="ignore", invalid="ignore"):
+            neg = spectral._inertia_counter(off)(diag)
+    return neg, calls
+
+
+def _assert_exit_equals_full_sweep(diag, off):
+    diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+    neg, calls = _count_with_kernel_calls(diag, off)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pivmin = _pivmin(diag, off)
+    plan = _planned_sweep(diag, off)
+    if plan is None:
+        # no sweep at all, and the full forward sweep finds nothing either
+        assert calls == [] and neg == 0
+        assert _reference_inertia(diag.tolist(), off.tolist(), pivmin) == (0, 0)
+        return
+    want_diag, want_off, want_stop = plan
+    [(got_diag, got_off, got_pivmin, stop, result)] = calls
+    assert got_diag.tobytes() == want_diag.tobytes()
+    assert got_off.tobytes() == want_off.tobytes()
+    assert (got_pivmin, stop) == (pivmin, want_stop)
+    # the early exit counts what the full sweep of the same orientation counts
+    assert result == _reference_inertia(want_diag.tolist(), want_off.tolist(), pivmin)
+    assert neg == result[0]
+
+
+_FIELDS = st.one_of(
+    st.just(mh.ZeroField()),
+    st.floats(-3.0, 3.0).map(mh.BumpField),
+    st.floats(1.5, 3.0).map(lambda gamma: mh.LogPowerField(1.0, gamma)),
+)
+_POTENTIALS = st.one_of(
+    st.builds(mh.GaussianWell, st.floats(0.1, 3.0), st.floats(0.3, 2.0)),
+    st.builds(mh.StepWell, st.floats(0.1, 3.0), st.floats(0.3, 2.0)),
+    st.floats(1.5, 3.0).map(mh.VSigma),
+)
+
+
+@st.composite
+def _assembled_modes(draw, max_n=400):
+    """Mode matrices as count_modes assembles them, on uniform and auto grids."""
+    field, V = draw(_FIELDS), draw(_POTENTIALS)
+    n = draw(st.integers(3, max_n))
+    t_min = draw(st.floats(-14.0, -2.0))
+    if draw(st.booleans()):
+        grid = mh.Grid.uniform(t_min, 3.0, n)
+    else:
+        grid = mh.Grid.auto(-40.0, 0.5, max(n, 8))
+    lam = draw(st.floats(0.0, 2000.0))
+    m = draw(st.integers(-25, 25))
+    op = mh.assemble_mode(field, V, m, grid, lam=lam)
+    return op.diag, op.offdiag
+
+
+_SPECIAL_ROWS = [0.0, -0.0, np.inf, -np.inf, np.nan, -1.0, 1e-300, 5e-324]
+_SPECIAL_COUPLINGS = [0.0, -0.0, np.nan, np.inf, 2e-162, 1e-170, 1e200, 2.0**-500, 2.0**500]
+
+
+@st.composite
+def _dominant_runs(draw):
+    """Rows at, just above and just below the strong bound, with zero,
+    +-inf, NaN and negative rows, and couplings that are zero, non-finite,
+    or so small or large that their square leaves the normal range."""
+    n = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    off = scale * rng.normal(size=n - 1)
+    for k in draw(st.sets(st.integers(0, max(n - 2, 0)), max_size=4)) if n > 1 else ():
+        off[k] = draw(st.sampled_from(_SPECIAL_COUPLINGS)) * draw(st.sampled_from([1.0, -1.0]))
+    factors = st.sampled_from([0.5, 1.0, 1.0 + 2.0**-41, 2.0, 10.0])
+    factors = np.array(draw(st.lists(factors, min_size=n, max_size=n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        couplings = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
+        diag = (1.0 + 2.0**-40) * couplings * factors
+    nudge = draw(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=n, max_size=n))
+    diag = np.where(np.array(nudge) > 0, np.nextafter(diag, np.inf), diag)
+    diag = np.where(np.array(nudge) < 0, np.nextafter(diag, -np.inf), diag)
+    for k in draw(st.sets(st.integers(0, n - 1), max_size=4)):
+        diag[k] = draw(st.sampled_from(_SPECIAL_ROWS))
+    return diag, off
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_assembled_modes(), _dominant_runs(), _edge_tridiagonals().map(lambda m: m[:2])))
+def test_early_exit_equals_full_sweep_of_same_orientation(mat):
+    _assert_exit_equals_full_sweep(*mat)
+
+
+def _dense(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_assembled_modes(max_n=300))
+def test_mode_count_matches_dense_eigvalsh(mat):
+    diag, off = mat
+    w = np.linalg.eigvalsh(_dense(diag, off))
+    scale = max(1.0, float(np.max(np.abs(w))))
+    if np.min(np.abs(w)) >= 1e-8 * scale:
+        assert spectral._inertia_counter(off)(diag) == int(np.sum(w < 0.0))
+
+
+def test_negative_pivot_right_after_last_weak_row():
+    # row 0 is weak, rows 1 and 2 are strong, and row 1's pivot is
+    # 3 - 1 / 0.01 < 0: ending the sweep at the last weak row would miss it
+    diag, off = np.array([0.01, 3.0, 3.0]), np.array([1.0, 1.0])
+    assert _strong_rows(diag, off) == [False, True, True]
+    pivmin = _pivmin(diag, off)
+    assert _kernels.tridiag_inertia(diag[:1], off[:0], pivmin) == (0, 0)
+    assert _kernels.tridiag_inertia(diag, off.tolist(), pivmin, 0) == (1, 0)
+    assert spectral._inertia_counter(off)(diag) == 1
+    assert int(np.sum(np.linalg.eigvalsh(_dense(diag, off)) < 0.0)) == 1
+    _assert_exit_equals_full_sweep(diag, off)
+
+
+def test_coupling_with_subnormal_square_keeps_rows_weak():
+    # b * b = 4e-324 rounds up by 23%, so the next pivot 2.1e-162 - b * b / d
+    # is negative though the row exceeds the strong bound
+    b = 2e-162
+    diag, off = np.array([b, 2.1e-162]), np.array([b])
+    assert _strong_rows(diag, off) == [False, False]
+    assert _kernels.tridiag_inertia(diag, off.tolist(), _pivmin(diag, off)) == (1, 0)
+    _assert_exit_equals_full_sweep(diag, off)
+
+
 def test_prufer_harmonic_oscillator_node_count():
     # -u'' = k^2 u on (0, L): theta(L) = k L exactly for Q = -k^2
     k = 3.0
@@ -224,6 +397,93 @@ def test_prufer_rhs_equals_numpy_trig_reference():
     for t, theta in zip(rng.uniform(-13.0, 4.0, thetas.size).tolist(), thetas.tolist()):
         got = _kernels._theta_rhs(t_list, q_list, nodes.size, t, theta)
         assert got == _numpy_theta_rhs(t_list, q_list, nodes.size, t, theta)
+
+
+def _prufer_sweep_reference(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
+    """The step-doubling loop whose three RK4 steps each computed their own
+    first slope, kept as the reference for the shared one."""
+
+    def rk4_step(t_nodes, q_nodes, n, t, theta, h):
+        k1 = _kernels._theta_rhs(t_nodes, q_nodes, n, t, theta)
+        k2 = _kernels._theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k1)
+        k3 = _kernels._theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k2)
+        k4 = _kernels._theta_rhs(t_nodes, q_nodes, n, t + h, theta + h * k3)
+        return theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    theta = 0.0
+    t = t0
+    h = h_init
+    fail = 0
+    n = t_nodes.shape[0]
+    t_nodes, q_nodes = t_nodes.tolist(), q_nodes.tolist()
+    while t < t1:
+        if t + h > t1:
+            h = t1 - t
+        accepted = False
+        while not accepted:
+            big = rk4_step(t_nodes, q_nodes, n, t, theta, h)
+            half = rk4_step(t_nodes, q_nodes, n, t, theta, 0.5 * h)
+            two = rk4_step(t_nodes, q_nodes, n, t + 0.5 * h, half, 0.5 * h)
+            err = abs(big - two)
+            if err <= tol:
+                theta = two
+                t = t + h
+                accepted = True
+                if err < 0.03125 * tol and h < 0.25 * (t1 - t0):
+                    h = 2.0 * h
+            else:
+                h = 0.5 * h
+                if h < h_min:
+                    fail = 1
+                    return theta, fail
+    return theta, fail
+
+
+def _prufer_count_sweeps():
+    """The kernel arguments of every mode's sweep in a count_total Pruefer
+    count shaped like the count benchmark's: bump field, Gaussian well at
+    lam depth width^2 = 100, [-12, 3] at 3001 nodes."""
+    depth, width = 1.3, 0.8
+    kernel, sweeps = _kernels.prufer_sweep, []
+
+    def recording(*args):
+        sweeps.append(args)
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "prufer_sweep", recording)
+        mh.count_total(
+            mh.BumpField(0.5),
+            mh.GaussianWell(depth, width),
+            1e2 / (depth * width * width),
+            mh.Grid.uniform(-12.0, 3.0, 3001),
+            method="prufer",
+        )
+    return sweeps
+
+
+def _prufer_problem(q_of_t, span, tol):
+    tq = np.linspace(*span, 4096)
+    return [(tq, q_of_t(tq), span[0], span[1], tol, (span[1] - span[0]) / 1024.0, 1e-12)]
+
+
+@pytest.mark.parametrize(
+    "sweeps",
+    [
+        _prufer_count_sweeps,
+        lambda: _prufer_problem(
+            lambda t: 0.25 - 400.0 * np.exp(2.0 * t - t * t), (-12.0, 3.0), 1e-6
+        ),
+        lambda: _prufer_problem(lambda t: 1.0 - 2500.0 * (np.abs(t) < 1.0), (-8.0, 2.0), 1e-6),
+    ],
+    ids=["count-prufer", "gaussian-well", "step-well"],
+)
+def test_prufer_shared_slope_equals_reference_stepper(sweeps):
+    # reusing the first slope leaves theta the same to the bit
+    args = sweeps()
+    assert args
+    for a in args:
+        assert _kernels.prufer_sweep(*a) == _prufer_sweep_reference(*a)
 
 
 def test_interp_lookup_equals_searchsorted():

@@ -190,13 +190,13 @@ def test_count_modes_equals_count_negative_per_mode(
     # and pivmin is _pivmin's on the whole matrix
     kernel, inputs = _kernels.tridiag_inertia, []
 
-    def recording(diag, off, pivmin):
+    def recording(diag, off, pivmin, stop=None):
         diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
         assert pivmin == _pivmin(diag, off)
         digest = hashlib.sha256(diag.tobytes())
         digest.update(off.tobytes())
         inputs.append((digest.hexdigest(), pivmin))
-        return kernel(diag, off.tolist(), pivmin)
+        return kernel(diag, off.tolist(), pivmin, stop)
 
     monkeypatch.setattr(_kernels, "tridiag_inertia", recording)
     m_max = mh.mode_truncation(field, V, grid, lam)

@@ -562,6 +562,10 @@ def test_square_schedule_and_cap_doublings_validation():
         mh.v_norm_a(V, 2.0, cap_doublings=-1)
     with pytest.raises(ValueError, match="cap_doublings must be nonnegative"):
         mh.counting.bound_jst(V, cap_doublings=-1)
+    # a cap at or above 0 doubles to caps that never reach the origin
+    for cap in (0.0, 5.0):
+        with pytest.raises(ValueError, match="t_min_cap must be negative"):
+            mh.counting.bound_jst(mh.GaussianWell(1.0, 0.5), t_min_cap=cap)
     for cap in (-0.5, -1.0):
         with pytest.raises(ValueError, match="square"):
             mh.v_norm_a(V, 2.0, t_min_cap=cap, cap_doublings=2, cap_schedule="square")
@@ -569,3 +573,14 @@ def test_square_schedule_and_cap_doublings_validation():
     assert mh.v_norm_a(V, 2.0, t_min_cap=-100.0, cap_doublings=0).saturated
     caps = [c for c, _ in mh.v_norm_a(V, 2.0, -1.5, 2, cap_schedule="square").cap_sequence]
     assert caps == [-1.5, -2.25, -(1.5**4)]
+
+
+def test_subnormal_threshold_level_set_is_finite():
+    # the ratio at the last positive scan node: the Illinois halving takes
+    # the subnormal bracket values to 0, and the secant step through them
+    # must not be 0/0
+    tau = 1.6433e-320
+    ls = mh.level_set(mh.GaussianWell(1.0, 0.5), tau, t_min_cap=-100.0)
+    [(lo, hi)] = ls.intervals
+    assert np.isfinite(lo) and np.isfinite(hi)
+    assert lo == -100.0 and 2.0 < hi < 3.0

@@ -82,8 +82,8 @@ def count_total(
     accepts grid=None, in which case it integrates to the true turning
     points — the regime used for strong-coupling exponent fits.
     """
-    if lam < 0:
-        raise ValueError("coupling must be nonnegative")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("coupling must be finite and nonnegative")
     if method not in (METHOD_INERTIA, METHOD_PRUFER, METHOD_PHASE):
         raise ValueError(f"unknown method {method!r}")
     if grid is None and method != METHOD_PHASE:

@@ -9,13 +9,15 @@ terms on a Dirichlet grid, giving a symmetric tridiagonal matrix whose
 inertia yields exact negative-eigenvalue counts.  Rows where (m - alpha)^2
 outweighs the potential are diagonally dominant; each count sweeps the
 matrix in the direction that leaves the longer such run last, and stops
-inside it once a pivot dominates its coupling (``_inertia_counter``).  The
-same matrices drive the Hardy-constant estimator: the lowest generalized
-eigenvalue against a lumped weight mass, by LAPACK's Sturm bisection
-(stebz).  Oscillation (Pruefer) and phase-integral counts provide
-independent cross-checks of the inertia route; the phase integral of every
-well, the borderline one in s = log|t|, runs on the sin^2-mapped Gauss
-panels of ``weights._sin2_gauss_panels``.
+inside it once a pivot dominates its coupling (``_inertia_counter``, which
+squares the couplings once for every mode).  The same matrices drive the
+Hardy-constant estimator: the lowest generalized eigenvalue against a
+lumped weight mass, by LAPACK's Sturm bisection (stebz).  Oscillation
+(Pruefer) and phase-integral counts provide independent cross-checks of the
+inertia route; the phase integral of every well, the borderline one in
+s = log|t|, runs on the sin^2-mapped Gauss panels of
+``weights._sin2_gauss_panels``, between each mode's turning points and the
+fixed breaks, which one lexsort orders for all modes (``_mode_panels``).
 """
 
 import warnings
@@ -115,10 +117,11 @@ _TAME = (2.0**-500, 2.0**500)
 def _inertia_counter(off):
     """The inertia count of the tridiagonal (diag, off) as a function of diag.
 
-    The off-diagonal's lists, its largest square and the bound each row's
-    diagonal must exceed are made once, for every diagonal counted against
-    it.  Row k is *strong* when diag_k > (1 + 2^-40)(|off_{k-1}| + |off_k|)
-    and each of those couplings is 0 or within _TAME; a NaN row never is.
+    The lists of the off-diagonal and of its squares, forward and reversed,
+    its largest square and the bound each row's diagonal must exceed are
+    made once, for every diagonal counted against it.  Row k is *strong*
+    when diag_k > (1 + 2^-40)(|off_{k-1}| + |off_k|) and each of those
+    couplings is 0 or within _TAME; a NaN row never is.
     A matrix with no weak row counts 0 without a sweep.  Otherwise the sweep
     runs forward, or over the reversed matrix when the leading strong run is
     strictly longer than the trailing one, so the longer run comes last.
@@ -138,8 +141,12 @@ def _inertia_counter(off):
     """
     off_list = off.tolist()
     off_reversed = off_list[::-1]
+    # numpy's squares equal Python's b * b to the bit
+    squares = off * off
+    off2_list = squares.tolist()
+    off2_reversed = off2_list[::-1]
     # the one entry whose square is _pivmin's off-diagonal term
-    peak = off[[np.argmax(off * off)]] if off.size else off
+    peak = off[[np.argmax(squares)]] if off.size else off
     n = off.size + 1
     couplings = np.abs(off)
     bound = _STRONG * (np.r_[couplings, 0.0] + np.r_[0.0, couplings])
@@ -154,13 +161,14 @@ def _inertia_counter(off):
             return 0
         first, last = int(weak[0]), int(weak[-1])
         if first > n - 1 - last:
-            diag, off_sweep, stop = diag[::-1], off_reversed, n - 1 - first
+            diag, stop = diag[::-1], n - 1 - first
+            off_sweep, off2_sweep = off_reversed, off2_reversed
         else:
-            off_sweep, stop = off_list, last
+            off_sweep, off2_sweep, stop = off_list, off2_list, last
         # the kernel reads Python floats (IEEE doubles), which a memoryview
         # hands out one at a time: the same count as on the array, faster
         neg, zero_pivots = _kernels.tridiag_inertia(
-            memoryview(diag), off_sweep, _pivmin(diag, peak), stop
+            memoryview(diag), off_sweep, off2_sweep, _pivmin(diag, peak), stop
         )
         if zero_pivots:
             warnings.warn(
@@ -355,6 +363,15 @@ def prufer_count(
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not t1 > t0:
         raise ValueError("t_range must be increasing")
+    # an infinite span makes every step infinite and every error NaN
+    if not np.isfinite(t1 - t0):
+        raise ValueError("t_range must have finite ends and a finite span")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("coupling must be finite and nonnegative")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if not coeff_samples >= 1:
+        raise ValueError("coeff_samples must be at least 1")
     tq = np.linspace(t0, t1, coeff_samples)
     qq = (m - field.alpha(tq)) ** 2 - lam * V.e2t_v(tq)
     span = t1 - t0
@@ -406,8 +423,8 @@ def phase_integral_count(
     ``m`` is one mode or a sequence of modes; a sequence gives the list of
     per-mode counts, equal to the one-mode calls.
     """
-    if lambda_coupling < 0:
-        raise ValueError("coupling must be nonnegative")
+    if not 0.0 <= lambda_coupling < np.inf:
+        raise ValueError("coupling must be finite and nonnegative")
     modes = [m] if np.ndim(m) == 0 else list(m)
     base, lam = _unwrap_scaled(V, lambda_coupling)
     if isinstance(base, VSigma):
@@ -516,12 +533,8 @@ def _phase_panels(modes, probe, terms, fixed):
         lambda x: w_neg(x, m_of[bracket_mode]), probe[i_lo], probe[i_lo + 1], f_lo, f_hi, 0.0
     )
 
-    fixed = [float(x) for x in fixed if x is not None and x_lo <= x <= x_hi]
-    panels = []
-    for k in open_modes:
-        pts = np.unique(np.concatenate([edges[bracket_mode == k], fixed]))
-        panels.append((pts[:-1], pts[1:], np.full(pts.size - 1, k)))
-    a, b, panel_mode = (np.concatenate(c) for c in zip(*panels))
+    fixed = np.array([x for x in fixed if x is not None and x_lo <= x <= x_hi], dtype=float)
+    a, b, panel_mode = _mode_panels(edges, bracket_mode, open_modes, fixed)
     keep = w_neg(0.5 * (a + b), m_of[panel_mode]) > 0
     a, b, panel_mode = a[keep], b[keep], panel_mode[keep]
     vals = _sin2_gauss_panels(
@@ -530,3 +543,19 @@ def _phase_panels(modes, probe, terms, fixed):
     # each mode's panels are added in ascending order, as in a one-mode call
     counts = np.bincount(panel_mode, weights=vals, minlength=len(modes))
     return (counts / np.pi).tolist()
+
+
+def _mode_panels(edges, edge_mode, open_modes, fixed):
+    """Panels (a, b, mode) between each open mode's neighbouring distinct
+    points, its edges (``edges`` where ``edge_mode`` is the mode) and every
+    fixed point; mode by mode in ``open_modes``' ascending order, each mode's
+    panels ascending.  One lexsort by (mode, x) orders all points at once."""
+    x = np.concatenate([edges, np.tile(fixed, len(open_modes))])
+    mode = np.concatenate([edge_mode, np.repeat(open_modes, fixed.size)])
+    order = np.lexsort((x, mode))
+    x, mode = x[order], mode[order]
+    # a point equal to the one before it in the same mode adds no panel
+    new = np.r_[True, (x[1:] != x[:-1]) | (mode[1:] != mode[:-1])]
+    x, mode = x[new], mode[new]
+    pair = mode[1:] == mode[:-1]
+    return x[:-1][pair], x[1:][pair], mode[1:][pair]

@@ -426,6 +426,7 @@ def test_malformed_config_file_is_a_config_error(tmp_path, capsys, content):
 
 
 _SQUARE_VNORM = ["vnorm", "--potential", "vsigma", "--sigma", "2", "--cap-schedule", "square"]
+_VSIGMA_COUNT = ["count", "--potential", "vsigma", "--sigma", "2"]
 
 
 @pytest.mark.parametrize(
@@ -437,6 +438,10 @@ _SQUARE_VNORM = ["vnorm", "--potential", "vsigma", "--sigma", "2", "--cap-schedu
         (None, ["vnorm", "--potential", "vsigma", "--sigma", "2", "--cap-doublings", "-1"]),
         (None, [*_SQUARE_VNORM, "--t-min-cap", "-0.5", "--cap-doublings", "2"]),
         (None, [*_SQUARE_VNORM, "--t-min-cap", "-1", "--cap-doublings", "2"]),
+        (None, [*_VSIGMA_COUNT, "--lambda", "nan", "--method", "inertia"]),
+        (None, [*_VSIGMA_COUNT, "--lambda", "inf", "--method", "inertia"]),
+        (None, [*_VSIGMA_COUNT, "--lambda", "nan", "--method", "phase"]),
+        (None, [*_VSIGMA_COUNT, "--lambda", "nan", "--method", "prufer"]),
     ],
     ids=[
         "negative-coupling",
@@ -445,6 +450,10 @@ _SQUARE_VNORM = ["vnorm", "--potential", "vsigma", "--sigma", "2", "--cap-schedu
         "negative-cap-doublings",
         "square-schedule-cap-above-minus-1",
         "square-schedule-cap-minus-1",
+        "nan-coupling-inertia",
+        "inf-coupling-inertia",
+        "nan-coupling-phase",
+        "nan-coupling-prufer",
     ],
 )
 def test_library_value_errors_exit_1(tmp_path, capsys, config, argv):

@@ -10,6 +10,15 @@ from maghardy.errors import InsufficientGrowth, UnboundedWarning
 from maghardy.spectral import _lumps, assemble_mode
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("method", ["inertia", "prufer", "phase"])
+def test_count_total_rejects_non_finite_or_negative_coupling(method, lam):
+    # a NaN coupling once counted 0 by inertia, and inf failed deep inside
+    g = mh.Grid.auto(-400.0, 0.5, 600)
+    with pytest.raises(ValueError, match="coupling must be finite and nonnegative"):
+        mh.count_total(mh.BumpField(0.5), mh.VSigma(2.0), lam, g, method=method)
+
+
 def test_count_total_zero_coupling():
     g = mh.Grid.uniform(-10.0, 2.0, 501)
     rep = mh.count_total(mh.ZeroField(), mh.GaussianWell(), 0.0, g)

@@ -1,7 +1,10 @@
 """The scalar kernels against LAPACK counts, closed forms and the
 recurrences they replaced."""
 
+import sys
 import warnings
+from bisect import bisect_left
+from math import cos, sin
 
 import numpy as np
 import pytest
@@ -13,6 +16,13 @@ import maghardy as mh
 from maghardy import _kernels, spectral
 from maghardy.errors import ZeroPivotWarning
 from maghardy.spectral import _pivmin
+
+
+def _squares(off):
+    """The squared couplings spectral hands the kernel: numpy's off * off."""
+    off = np.asarray(off, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (off * off).tolist()
 
 
 def _lapack_negatives(d, e):
@@ -64,7 +74,7 @@ def test_inertia_matches_lapack(mat):
     d, e = mat
     want = _lapack_negatives(d, e)
     if want is not None:
-        assert _kernels.tridiag_inertia(d, e, _pivmin(d, e))[0] == want
+        assert _kernels.tridiag_inertia(d, e, _squares(e), _pivmin(d, e))[0] == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -73,7 +83,7 @@ def test_inertia_near_zero_pivots_matches_lapack(mat):
     d, e = mat
     want = _lapack_negatives(d, e)
     if want is not None:
-        assert _kernels.tridiag_inertia(d, e, _pivmin(d, e))[0] == want
+        assert _kernels.tridiag_inertia(d, e, _squares(e), _pivmin(d, e))[0] == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -95,7 +105,7 @@ def test_shifted_inertia_matches_lapack(mats, mu):
     shifted = kd - mu * md
     want = _lapack_negatives(shifted, e)
     if want is not None:
-        assert _kernels.tridiag_inertia(shifted, e, _pivmin(kd, e))[0] == want
+        assert _kernels.tridiag_inertia(shifted, e, _squares(e), _pivmin(kd, e))[0] == want
 
 
 def _reference_inertia(diag, off, pivmin):
@@ -158,22 +168,25 @@ def _edge_tridiagonals(draw):
 def test_inertia_equals_reference_recurrence(mat):
     d, e, pivmin = mat
     want = _reference_inertia(d, e, pivmin)
-    assert _kernels.tridiag_inertia(d, e, pivmin) == want
+    # the reference squares each coupling in Python, the kernel reads numpy's
+    # squares, which are the same to the bit
+    assert np.array(_squares(e)).tobytes() == np.array([b * b for b in e], dtype=float).tobytes()
+    assert _kernels.tridiag_inertia(d, e, _squares(e), pivmin) == want
     # the library hands the diagonal over as a memoryview of an array
-    assert _kernels.tridiag_inertia(memoryview(np.array(d)), e, pivmin) == want
+    assert _kernels.tridiag_inertia(memoryview(np.array(d)), e, _squares(e), pivmin) == want
 
 
 def test_inertia_empty_matrix():
     # a 0x0 matrix has no negative eigenvalue
-    assert _kernels.tridiag_inertia([], [], 1e-290) == (0, 0)
-    assert _kernels.tridiag_inertia(memoryview(np.zeros(0)), [], 1.0) == (0, 0)
+    assert _kernels.tridiag_inertia([], [], [], 1e-290) == (0, 0)
+    assert _kernels.tridiag_inertia(memoryview(np.zeros(0)), [], [], 1.0) == (0, 0)
 
 
 def test_zero_pivot_counted_nonnegative():
     # matrix diag(0): the zero pivot is perturbed positive and reported
     d = np.zeros(3)
     e = np.zeros(2)
-    neg, zero_pivots = _kernels.tridiag_inertia(d, e, 1e-290)
+    neg, zero_pivots = _kernels.tridiag_inertia(d, e, _squares(e), 1e-290)
     assert neg == 0 and zero_pivots == 3
 
 
@@ -210,12 +223,12 @@ def _planned_sweep(diag, off):
 
 def _count_with_kernel_calls(diag, off):
     """spectral's count of (diag, off) and each kernel call it made, as
-    (diag, off, pivmin, stop, result)."""
+    (diag, off, off2, pivmin, stop, result)."""
     kernel, calls = _kernels.tridiag_inertia, []
 
-    def recording(d, e, pivmin, stop=None):
-        result = kernel(d, e, pivmin, stop)
-        calls.append((np.array(d), np.array(e), pivmin, stop, result))
+    def recording(d, e, e2, pivmin, stop=None):
+        result = kernel(d, e, e2, pivmin, stop)
+        calls.append((np.array(d), np.array(e), np.array(e2), pivmin, stop, result))
         return result
 
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
@@ -238,9 +251,10 @@ def _assert_exit_equals_full_sweep(diag, off):
         assert _reference_inertia(diag.tolist(), off.tolist(), pivmin) == (0, 0)
         return
     want_diag, want_off, want_stop = plan
-    [(got_diag, got_off, got_pivmin, stop, result)] = calls
+    [(got_diag, got_off, got_off2, got_pivmin, stop, result)] = calls
     assert got_diag.tobytes() == want_diag.tobytes()
     assert got_off.tobytes() == want_off.tobytes()
+    assert got_off2.tobytes() == np.array(_squares(want_off)).tobytes()
     assert (got_pivmin, stop) == (pivmin, want_stop)
     # the early exit counts what the full sweep of the same orientation counts
     assert result == _reference_inertia(want_diag.tolist(), want_off.tolist(), pivmin)
@@ -329,8 +343,8 @@ def test_negative_pivot_right_after_last_weak_row():
     diag, off = np.array([0.01, 3.0, 3.0]), np.array([1.0, 1.0])
     assert _strong_rows(diag, off) == [False, True, True]
     pivmin = _pivmin(diag, off)
-    assert _kernels.tridiag_inertia(diag[:1], off[:0], pivmin) == (0, 0)
-    assert _kernels.tridiag_inertia(diag, off.tolist(), pivmin, 0) == (1, 0)
+    assert _kernels.tridiag_inertia(diag[:1], off[:0], [], pivmin) == (0, 0)
+    assert _kernels.tridiag_inertia(diag, off.tolist(), _squares(off), pivmin, 0) == (1, 0)
     assert spectral._inertia_counter(off)(diag) == 1
     assert int(np.sum(np.linalg.eigvalsh(_dense(diag, off)) < 0.0)) == 1
     _assert_exit_equals_full_sweep(diag, off)
@@ -342,7 +356,7 @@ def test_coupling_with_subnormal_square_keeps_rows_weak():
     b = 2e-162
     diag, off = np.array([b, 2.1e-162]), np.array([b])
     assert _strong_rows(diag, off) == [False, False]
-    assert _kernels.tridiag_inertia(diag, off.tolist(), _pivmin(diag, off)) == (1, 0)
+    assert _kernels.tridiag_inertia(diag, off.tolist(), _squares(off), _pivmin(diag, off)) == (1, 0)
     _assert_exit_equals_full_sweep(diag, off)
 
 
@@ -358,56 +372,151 @@ def test_prufer_harmonic_oscillator_node_count():
     assert int(np.floor(theta / np.pi)) == 2  # sin(3t) has nodes at pi/3, 2pi/3
 
 
+# The Pruefer kernel before its coefficient lookups were shared and its
+# slopes written inline, with its helpers, kept verbatim as the reference
+# the kernel must equal to the bit.
+
+
+def _reference_prufer_sweep(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
+    """Integrate the Pruefer angle for -u'' + Q(t) u = 0 from t0 to t1.
+
+    theta' = cos^2(theta) - Q(t) sin^2(theta), theta(t0) = 0 (u(t0) = 0).
+    Q is linearly interpolated from (t_nodes, q_nodes).  Steps are RK4 with
+    doubling-based error control at ``tol`` per step.  Returns the final
+    angle and a failure flag (1 if the step size underflowed h_min).
+    """
+    theta = 0.0
+    t = t0
+    h = h_init
+    fail = 0
+    n = t_nodes.shape[0]
+    # Python lists: a scalar bisect and list indexing beat numpy's per-call cost
+    t_nodes, q_nodes = t_nodes.tolist(), q_nodes.tolist()
+
+    while t < t1:
+        if t + h > t1:
+            h = t1 - t
+        # the slope at (t, theta) starts the full step and its first half
+        # step, and every retry with a halved h
+        k1 = _theta_rhs(t_nodes, q_nodes, n, t, theta)
+        accepted = False
+        while not accepted:
+            big = _rk4_step(t_nodes, q_nodes, n, t, theta, h, k1)
+            half = _rk4_step(t_nodes, q_nodes, n, t, theta, 0.5 * h, k1)
+            mid = t + 0.5 * h
+            k1_mid = _theta_rhs(t_nodes, q_nodes, n, mid, half)
+            two = _rk4_step(t_nodes, q_nodes, n, mid, half, 0.5 * h, k1_mid)
+            err = abs(big - two)
+            if err <= tol:
+                theta = two
+                t = t + h
+                accepted = True
+                if err < 0.03125 * tol and h < 0.25 * (t1 - t0):
+                    h = 2.0 * h
+            else:
+                h = 0.5 * h
+                if h < h_min:
+                    fail = 1
+                    return theta, fail
+    return theta, fail
+
+
+def _rk4_step(t_nodes, q_nodes, n, t, theta, h, k1):
+    """One RK4 step of size h from (t, theta), whose slope k1 is given."""
+    k2 = _theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k1)
+    k3 = _theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k2)
+    k4 = _theta_rhs(t_nodes, q_nodes, n, t + h, theta + h * k3)
+    return theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _theta_rhs(t_nodes, q_nodes, n, t, theta):
+    q = _interp(t_nodes, q_nodes, n, t)
+    s = sin(theta)
+    c = cos(theta)
+    return c * c - q * s * s
+
+
+def _interp(t_nodes, q_nodes, n, t):
+    """Linear interpolation of q at t, constant beyond the ends; the nodes
+    are sorted lists, and bisect_left finds np.searchsorted's index."""
+    if t <= t_nodes[0]:
+        return q_nodes[0]
+    if t >= t_nodes[n - 1]:
+        return q_nodes[n - 1]
+    i = bisect_left(t_nodes, t) - 1
+    if i < 0:
+        i = 0
+    if i > n - 2:
+        i = n - 2
+    w = (t - t_nodes[i]) / (t_nodes[i + 1] - t_nodes[i])
+    return q_nodes[i] * (1.0 - w) + q_nodes[i + 1] * w
+
+
 def _numpy_theta_rhs(t_nodes, q_nodes, n, t, theta):
     """The Pruefer right-hand side on np.sin/np.cos, kept as the reference
     for the math.sin/math.cos one."""
-    q = _kernels._interp(t_nodes, q_nodes, n, t)
+    q = _interp(t_nodes, q_nodes, n, t)
     s = np.sin(theta)
     c = np.cos(theta)
     return c * c - q * s * s
 
 
+_TRIG_PROBLEMS = [
+    (lambda t: np.full_like(t, -9.0), (0.0, np.pi), 1e-9),
+    (lambda t: 0.25 - 400.0 * np.exp(2.0 * t - t * t), (-12.0, 3.0), 1e-6),
+    (lambda t: 1.0 - 2500.0 * (np.abs(t) < 1.0), (-8.0, 2.0), 1e-6),
+]
+
+
+def _trig_problem_args(q_of_t, span, tol):
+    tq = np.linspace(*span, 4096)
+    return (tq, q_of_t(tq), span[0], span[1], tol, (span[1] - span[0]) / 1024.0, 1e-12)
+
+
 @pytest.mark.parametrize(
-    "q_of_t, span, tol",
-    [
-        (lambda t: np.full_like(t, -9.0), (0.0, np.pi), 1e-9),
-        (lambda t: 0.25 - 400.0 * np.exp(2.0 * t - t * t), (-12.0, 3.0), 1e-6),
-        (lambda t: 1.0 - 2500.0 * (np.abs(t) < 1.0), (-8.0, 2.0), 1e-6),
-    ],
-    ids=["harmonic", "gaussian-well", "step-well"],
+    "q_of_t, span, tol", _TRIG_PROBLEMS, ids=["harmonic", "gaussian-well", "step-well"]
 )
 def test_prufer_theta_equals_numpy_trig_reference(monkeypatch, q_of_t, span, tol):
-    tq = np.linspace(*span, 4096)
-    qq = q_of_t(tq)
-    args = (tq, qq, span[0], span[1], tol, (span[1] - span[0]) / 1024.0, 1e-12)
+    args = _trig_problem_args(q_of_t, span, tol)
     theta, fail = _kernels.prufer_sweep(*args)
-    monkeypatch.setattr(_kernels, "_theta_rhs", _numpy_theta_rhs)
-    want_theta, want_fail = _kernels.prufer_sweep(*args)
+    monkeypatch.setattr(sys.modules[__name__], "_theta_rhs", _numpy_theta_rhs)
+    want_theta, want_fail = _reference_prufer_sweep(*args)
     assert (theta, fail) == (want_theta, want_fail)
     assert theta > np.pi
 
 
-def test_prufer_rhs_equals_numpy_trig_reference():
-    # theta absorbs a one-ulp change in the right-hand side, so the sweep
-    # test alone would miss one; compare the right-hand side itself
+def test_prufer_rhs_equals_numpy_trig_reference(monkeypatch):
+    # the kernel's slope cos^2 - Q sin^2 takes math.sin and math.cos of each
+    # angle; theta absorbs a one-ulp change in a slope, so the sweep test
+    # alone would miss one: compare the trig values on the angles themselves,
+    # random ones and every angle the reference sweeps of the problems above
+    # take a slope at
+    rhs, angles = _theta_rhs, []
+
+    def recording(t_nodes, q_nodes, n, t, theta):
+        angles.append(theta)
+        return rhs(t_nodes, q_nodes, n, t, theta)
+
+    monkeypatch.setattr(sys.modules[__name__], "_theta_rhs", recording)
+    for problem in _TRIG_PROBLEMS:
+        _reference_prufer_sweep(*_trig_problem_args(*problem))
     rng = np.random.default_rng(5)
-    nodes = np.linspace(-12.0, 3.0, 257)
-    t_list, q_list = nodes.tolist(), (100.0 * rng.normal(size=nodes.size)).tolist()
-    thetas = np.concatenate([rng.uniform(-10.0, 200.0, 20000), rng.normal(size=2000) * 1e-8])
-    for t, theta in zip(rng.uniform(-13.0, 4.0, thetas.size).tolist(), thetas.tolist()):
-        got = _kernels._theta_rhs(t_list, q_list, nodes.size, t, theta)
-        assert got == _numpy_theta_rhs(t_list, q_list, nodes.size, t, theta)
+    random = np.concatenate([rng.uniform(-10.0, 200.0, 20000), rng.normal(size=2000) * 1e-8])
+    assert len(angles) > 1000
+    for theta in [*angles, *random.tolist()]:
+        assert sin(theta) == np.sin(theta)
+        assert cos(theta) == np.cos(theta)
 
 
-def _prufer_sweep_reference(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
+def _unshared_slope_sweep(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
     """The step-doubling loop whose three RK4 steps each computed their own
     first slope, kept as the reference for the shared one."""
 
     def rk4_step(t_nodes, q_nodes, n, t, theta, h):
-        k1 = _kernels._theta_rhs(t_nodes, q_nodes, n, t, theta)
-        k2 = _kernels._theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k1)
-        k3 = _kernels._theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k2)
-        k4 = _kernels._theta_rhs(t_nodes, q_nodes, n, t + h, theta + h * k3)
+        k1 = _theta_rhs(t_nodes, q_nodes, n, t, theta)
+        k2 = _theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k1)
+        k3 = _theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k2)
+        k4 = _theta_rhs(t_nodes, q_nodes, n, t + h, theta + h * k3)
         return theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     theta = 0.0
@@ -439,11 +548,8 @@ def _prufer_sweep_reference(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
     return theta, fail
 
 
-def _prufer_count_sweeps():
-    """The kernel arguments of every mode's sweep in a count_total Pruefer
-    count shaped like the count benchmark's: bump field, Gaussian well at
-    lam depth width^2 = 100, [-12, 3] at 3001 nodes."""
-    depth, width = 1.3, 0.8
+def _count_sweeps(field, V, lam, grid):
+    """The kernel arguments of every mode's sweep in a count_total Pruefer count."""
     kernel, sweeps = _kernels.prufer_sweep, []
 
     def recording(*args):
@@ -452,38 +558,43 @@ def _prufer_count_sweeps():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "prufer_sweep", recording)
-        mh.count_total(
-            mh.BumpField(0.5),
-            mh.GaussianWell(depth, width),
-            1e2 / (depth * width * width),
-            mh.Grid.uniform(-12.0, 3.0, 3001),
-            method="prufer",
-        )
+        mh.count_total(field, V, lam, grid, method="prufer")
     return sweeps
 
 
-def _prufer_problem(q_of_t, span, tol):
-    tq = np.linspace(*span, 4096)
-    return [(tq, q_of_t(tq), span[0], span[1], tol, (span[1] - span[0]) / 1024.0, 1e-12)]
+def _prufer_count_sweeps():
+    """A count shaped like the count benchmark's: bump field, Gaussian well
+    at lam depth width^2 = 100, [-12, 3] at 3001 nodes."""
+    depth, width = 1.3, 0.8
+    well = mh.GaussianWell(depth, width)
+    grid = mh.Grid.uniform(-12.0, 3.0, 3001)
+    return _count_sweeps(mh.BumpField(0.5), well, 1e2 / (depth * width * width), grid)
+
+
+def _vsigma_count_sweeps():
+    """The borderline potential on the README count's auto grid."""
+    return _count_sweeps(mh.BumpField(0.5), mh.VSigma(2.0), 50.0, mh.Grid.auto(-400.0, 0.5, 6000))
 
 
 @pytest.mark.parametrize(
     "sweeps",
     [
         _prufer_count_sweeps,
-        lambda: _prufer_problem(
-            lambda t: 0.25 - 400.0 * np.exp(2.0 * t - t * t), (-12.0, 3.0), 1e-6
-        ),
-        lambda: _prufer_problem(lambda t: 1.0 - 2500.0 * (np.abs(t) < 1.0), (-8.0, 2.0), 1e-6),
+        lambda: [_trig_problem_args(*_TRIG_PROBLEMS[1])],
+        lambda: [_trig_problem_args(*_TRIG_PROBLEMS[2])],
+        _vsigma_count_sweeps,
     ],
-    ids=["count-prufer", "gaussian-well", "step-well"],
+    ids=["count-prufer", "gaussian-well", "step-well", "vsigma-auto"],
 )
 def test_prufer_shared_slope_equals_reference_stepper(sweeps):
-    # reusing the first slope leaves theta the same to the bit
+    # sharing the first slope and the coefficient lookups, and writing the
+    # slopes inline, leave theta and the failure flag the same to the bit
     args = sweeps()
     assert args
     for a in args:
-        assert _kernels.prufer_sweep(*a) == _prufer_sweep_reference(*a)
+        got = _kernels.prufer_sweep(*a)
+        assert got == _reference_prufer_sweep(*a)
+        assert got == _unshared_slope_sweep(*a)
 
 
 def test_interp_lookup_equals_searchsorted():
@@ -506,4 +617,4 @@ def test_interp_lookup_equals_searchsorted():
     points = np.concatenate([rng.uniform(-8.0, 2.0, 2000), nodes, [-9.0, -8.0, 2.0, 3.0, 1e300]])
     t_list, q_list = nodes.tolist(), vals.tolist()
     for t in points.tolist():
-        assert _kernels._interp(t_list, q_list, n, t) == searchsorted_interp(t)
+        assert _interp(t_list, q_list, n, t) == searchsorted_interp(t)

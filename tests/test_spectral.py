@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import maghardy as mh
@@ -13,6 +15,7 @@ from maghardy.errors import DomainError, NoTruncation, QuadratureFailure, ZeroPi
 from maghardy.profiles import ZeroPotential
 from maghardy.spectral import (
     _lumps,
+    _mode_panels,
     _pivmin,
     assemble_mode,
     count_modes,
@@ -190,13 +193,14 @@ def test_count_modes_equals_count_negative_per_mode(
     # and pivmin is _pivmin's on the whole matrix
     kernel, inputs = _kernels.tridiag_inertia, []
 
-    def recording(diag, off, pivmin, stop=None):
+    def recording(diag, off, off2, pivmin, stop=None):
         diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
         assert pivmin == _pivmin(diag, off)
         digest = hashlib.sha256(diag.tobytes())
         digest.update(off.tobytes())
+        digest.update(np.asarray(off2, dtype=float).tobytes())
         inputs.append((digest.hexdigest(), pivmin))
-        return kernel(diag, off.tolist(), pivmin, stop)
+        return kernel(diag, off.tolist(), off2, pivmin, stop)
 
     monkeypatch.setattr(_kernels, "tridiag_inertia", recording)
     m_max = mh.mode_truncation(field, V, grid, lam)
@@ -367,6 +371,47 @@ def test_prufer_zero_potential_no_nodes():
     assert mh.prufer_count(mh.BumpField(flux=0.5), ZeroPotential(), 1, (-6.0, 2.0)) == 0
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"lam": np.nan}, "coupling must be finite and nonnegative"),
+        ({"lam": np.inf}, "coupling must be finite and nonnegative"),
+        ({"lam": -1.0}, "coupling must be finite and nonnegative"),
+        ({"t_range": (-np.inf, 2.0)}, "t_range must have finite ends"),
+        ({"t_range": (-8.0, np.inf)}, "t_range must have finite ends"),
+        ({"t_range": (-1e308, 1e308)}, "t_range must have finite ends"),
+        ({"t_range": (2.0, -8.0)}, "t_range must be increasing"),
+        ({"t_range": (np.nan, 2.0)}, "t_range must be increasing"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"tol": -1e-6}, "tol must be positive"),
+        ({"tol": np.nan}, "tol must be positive"),
+        ({"coeff_samples": 0}, "coeff_samples must be at least 1"),
+        ({"coeff_samples": -3}, "coeff_samples must be at least 1"),
+    ],
+    ids=[
+        "lam-nan", "lam-inf", "lam-negative", "t-min-inf", "t-max-inf", "span-overflows",
+        "t-decreasing", "t-nan", "tol-zero", "tol-negative", "tol-nan", "samples-zero",
+        "samples-negative",
+    ],
+)
+def test_prufer_count_rejects_bad_input_before_sweeping(monkeypatch, kwargs, message):
+    # an infinite span once hung the sweep, a bad tol ended in StiffnessFailure
+    # and no samples in IndexError
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(_kernels, "prufer_sweep", no_sweep)
+    args = {"t_range": (-8.0, 2.0), **kwargs}
+    with pytest.raises(ValueError, match=message):
+        mh.prufer_count(mh.ZeroField(), mh.GaussianWell(), 0, **args)
+
+
+def test_prufer_count_single_coefficient_sample():
+    # one sample makes Q constant at its value at t_min, where the well has
+    # decayed: no node
+    assert mh.prufer_count(mh.ZeroField(), mh.GaussianWell(), 0, (-8.0, 2.0), 50.0, 1e-6, 1) == 0
+
+
 def test_prufer_matches_inertia_step_well():
     # depth tuned for ~5 bound states in the m=0 channel
     V = mh.StepWell(depth=260.0, radius=1.0)
@@ -526,6 +571,60 @@ def test_phase_integral_non_finite_potential_raises():
     )
     with pytest.raises(DomainError, match="not finite"):
         mh.phase_integral_count(mh.ZeroField(), band, 0, 50.0)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("V", [mh.GaussianWell(), mh.VSigma(2.0)], ids=["gauss", "vsigma"])
+def test_phase_integral_rejects_non_finite_or_negative_coupling(V, lam):
+    # a NaN coupling once blamed a missing critical shift
+    with pytest.raises(ValueError, match="coupling must be finite and nonnegative"):
+        mh.phase_integral_count(mh.BumpField(0.5), V, [0, 1], lam)
+
+
+def _per_mode_panels(edges, edge_mode, open_modes, fixed):
+    """The per-mode loop the one-lexsort panels replaced, kept as their reference."""
+    panels = []
+    for k in open_modes:
+        pts = np.unique(np.concatenate([edges[edge_mode == k], fixed]))
+        panels.append((pts[:-1], pts[1:], np.full(pts.size - 1, k)))
+    return tuple(np.concatenate(c) for c in zip(*panels))
+
+
+# a few shared values make repeated edges and fixed points equal to edges common
+_PANEL_POINTS = st.one_of(st.sampled_from([-3.0, -1.5, 0.0, 0.25, 2.0]), st.floats(-5.0, 5.0))
+
+
+@st.composite
+def _panel_inputs(draw):
+    """Edges of open modes, some of them with no bracket, in any order, and
+    at least one fixed point, repeats included."""
+    n_modes = draw(st.integers(1, 6))
+    open_modes = sorted(draw(st.sets(st.integers(0, n_modes - 1), min_size=1)))
+    edges, edge_mode = [], []
+    for k in open_modes:
+        xs = draw(st.lists(_PANEL_POINTS, max_size=6))
+        edges += xs
+        edge_mode += [k] * len(xs)
+    order = draw(st.permutations(range(len(edges))))
+    # the span's two ends are always among the fixed points; one is enough here
+    fixed = draw(st.lists(_PANEL_POINTS, min_size=1, max_size=4))
+    return (
+        np.array(edges, dtype=float)[order],
+        np.array(edge_mode, dtype=np.int64)[order],
+        open_modes,
+        np.array(fixed, dtype=float),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_panel_inputs())
+def test_mode_panels_equal_per_mode_unique(inputs):
+    got, want = _mode_panels(*inputs), _per_mode_panels(*inputs)
+    # equal as numbers: of a -0.0 and a 0.0 either may be kept, by either
+    # method, and the panel sums are the same with both
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize(

@@ -69,6 +69,7 @@ from .spectral import (
     hardy_constant,
     mode_truncation,
     phase_integral_count,
+    phase_integral_counts,
     prufer_count,
 )
 from .counting import (
@@ -76,6 +77,7 @@ from .counting import (
     CountReport,
     SweepResult,
     bound_jst,
+    count_ladder,
     count_total,
     sweep_exponent,
     verify_counting_bound,

@@ -1,8 +1,11 @@
 """End-to-end negative-eigenvalue counting for (i grad + A)^2 - lam V.
 
 Per-mode counts (inertia, oscillation, or phase-integral) are truncated at
-the mode bound and summed; coupling sweeps fit the growth exponent of N(lam)
-on the largest decade with at least 10 eigenvalues.  The integral bound
+the mode bound and summed.  A coupling ladder is counted by ``count_ladder``
+in one batched phase-integral call (inertia and oscillation counts go
+coupling by coupling); ``count_total`` is its one-coupling case.  Coupling
+sweeps fit the growth exponent of N(lam) on the largest decade with at least
+10 eigenvalues.  The integral bound
 int V_+ (1 + |log r|) r dr (on the sin^2-mapped Gauss panels, its deep tail
 in s = log|t|) and the sup-functional route are provided for bound
 verification, including divergence detection for borderline potentials.
@@ -17,13 +20,14 @@ from .errors import InsufficientGrowth, UnboundedWarning
 from .grids import Grid
 from .profiles import Potential, RadialField
 from .spectral import (
+    _check_coupling,
     count_modes,
     forbidden_margin,
     mode_truncation,
-    phase_integral_count,
+    phase_integral_counts,
     prufer_count,
 )
-from .weights import _sin2_gauss_panels, v_norm_a
+from .weights import _check_cap, _sin2_gauss_panels, v_norm_a
 
 METHOD_INERTIA = "inertia"
 METHOD_PRUFER = "prufer"
@@ -80,54 +84,72 @@ def count_total(
     Inertia and oscillation counts require a grid (Dirichlet-truncated
     domain; omitted regions only ever under-count).  The phase method also
     accepts grid=None, in which case it integrates to the true turning
-    points — the regime used for strong-coupling exponent fits.
+    points — the regime used for strong-coupling exponent fits.  This is the
+    one-coupling case of ``count_ladder``.
     """
-    if not 0.0 <= lam < np.inf:
-        raise ValueError("coupling must be finite and nonnegative")
+    return count_ladder(field, V, [lam], grid, method)[0]
+
+
+def count_ladder(
+    field: RadialField,
+    V: Potential,
+    lams,
+    grid: Grid | None,
+    method: str = METHOD_INERTIA,
+) -> list[CountReport]:
+    """``count_total`` for every coupling of a ladder, in order.
+
+    Every coupling is checked before any count runs.  The phase method makes
+    one ``phase_integral_counts`` call for the whole ladder; inertia and
+    oscillation counts run coupling by coupling.  With grid=None the mode
+    truncation of every coupling reads one probe grid.
+    """
+    lams = list(lams)
+    _check_coupling(*lams)
     if method not in (METHOD_INERTIA, METHOD_PRUFER, METHOD_PHASE):
         raise ValueError(f"unknown method {method!r}")
     if grid is None and method != METHOD_PHASE:
         raise ValueError("inertia and oscillation methods require a grid")
-    if lam == 0.0:
-        return CountReport(
-            lam=0.0,
-            per_mode={},
-            m_max=0,
-            total=0,
-            method=method,
-            grid_meta=grid.meta() if grid else None,
-            forbidden_margin=None,
-        )
-
-    if grid is not None:
-        m_max = mode_truncation(field, V, grid, lam)
-    else:
-        probe = Grid.auto(-1e7, 1.0, 2000)
-        m_max = mode_truncation(field, V, probe, lam)
-    modes = list(range(-m_max, m_max + 1))
+    grid_meta = grid.meta() if grid else None
+    live = [lam for lam in lams if lam != 0.0]
+    truncation_grid = grid
+    if grid is None and live:
+        truncation_grid = Grid.auto(-1e7, 1.0, 2000)
+    m_max = [mode_truncation(field, V, truncation_grid, lam) for lam in live]
+    modes = [list(range(-m, m + 1)) for m in m_max]
 
     if method == METHOD_INERTIA:
-        counts = count_modes(field, V, modes, grid, lam)
+        counts = [count_modes(field, V, ms, grid, lam) for lam, ms in zip(live, modes)]
     elif method == METHOD_PRUFER:
         span = (grid.t_min, grid.t_max)
-        counts = [prufer_count(field, V, m, span, lam=lam) for m in modes]
+        counts = [
+            [prufer_count(field, V, m, span, lam=lam) for m in ms] for lam, ms in zip(live, modes)
+        ]
     else:
         dom = (grid.t_min, grid.t_max) if grid is not None else None
-        counts = phase_integral_count(field, V, modes, lam, t_domain=dom)
-    per_mode = dict(zip(modes, counts))
-    total = sum(per_mode.values())
-    margin = None
-    if grid is not None and modes:
-        margin = forbidden_margin(field, V, grid, lam, modes)
-    return CountReport(
-        lam=float(lam),
-        per_mode=per_mode,
-        m_max=m_max,
-        total=total if method == METHOD_PHASE else int(total),
-        method=method,
-        grid_meta=grid.meta() if grid else None,
-        forbidden_margin=margin,
-    )
+        counts = phase_integral_counts(field, V, list(zip(live, modes)), t_domain=dom)
+
+    def report(lam, m, ms, per_lam):
+        per_mode = dict(zip(ms, per_lam))
+        total = sum(per_mode.values())
+        margin = None
+        if grid is not None and ms:
+            margin = forbidden_margin(field, V, grid, lam, ms)
+        return CountReport(
+            lam=float(lam),
+            per_mode=per_mode,
+            m_max=m,
+            total=total if method == METHOD_PHASE else int(total),
+            method=method,
+            grid_meta=grid_meta,
+            forbidden_margin=margin,
+        )
+
+    reports = map(report, live, m_max, modes, counts)
+    return [
+        CountReport(0.0, {}, 0, 0, method, grid_meta, None) if lam == 0.0 else next(reports)
+        for lam in lams
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +207,7 @@ def bound_jst(
     still grows the value by more than ``growth_tol`` relative — the
     signature of the borderline potentials this bound cannot handle.
     """
-    if t_min_cap >= 0:
-        raise ValueError("t_min_cap must be negative")
+    _check_cap(t_min_cap)
     if cap_doublings < 0:
         raise ValueError("cap_doublings must be nonnegative")
     caps = [t_min_cap * 2.0**k for k in range(cap_doublings + 1)]
@@ -223,9 +244,10 @@ def verify_counting_bound(
     constant from below and must stay bounded along the ladder.
     """
     base = v_norm_a(V, a, t_min_cap=t_min_cap)
+    lams = list(lambda_list)
+    reports = count_ladder(field, V, [float(lam) for lam in lams], grid, method=method)
     rows = []
-    for lam in lambda_list:
-        rep = count_total(field, V, float(lam), grid, method=method)
+    for lam, rep in zip(lams, reports):
         denom = (lam * base.value) ** a
         ratio = rep.total / denom if denom > 0 else 0.0
         rows.append(
@@ -258,7 +280,7 @@ def sweep_exponent(
     if np.max(ratios) / np.min(ratios) > 1.2:
         raise ValueError("ladder must be geometric")
 
-    reports = [count_total(field, V, l, grid, method=method) for l in lams]
+    reports = count_ladder(field, V, lams, grid, method=method)
     totals = np.array([r.total for r in reports], dtype=float)
 
     eligible = totals >= 10.0

@@ -18,6 +18,9 @@ inertia route; the phase integral of every well, the borderline one in
 s = log|t|, runs on the sin^2-mapped Gauss panels of
 ``weights._sin2_gauss_panels``, between each mode's turning points and the
 fixed breaks, which one lexsort orders for all modes (``_mode_panels``).
+Couplings are a batch axis as well: for a ladder of (coupling, modes) jobs,
+one root solve refines every turning point and one panel call integrates
+every panel (``phase_integral_counts``).
 """
 
 import warnings
@@ -52,6 +55,11 @@ class ModeOperator:
         return self.diag.size
 
 
+def _check_coupling(*lams):
+    if not all(0.0 <= lam < np.inf for lam in lams):
+        raise ValueError("coupling must be finite and nonnegative")
+
+
 def _lumps(grid: Grid) -> np.ndarray:
     h = grid.steps
     return 0.5 * (h[:-1] + h[1:])
@@ -71,6 +79,7 @@ def assemble_mode(
     values at interior nodes (scalar or array); used for the discrete-angular
     cross-check against the full two-dimensional operator.
     """
+    _check_coupling(lam)
     t = grid.t
     h = grid.steps
     ti = t[1:-1]
@@ -97,6 +106,7 @@ def count_modes(field: RadialField, V: Potential, modes, grid: Grid, lam: float 
     Everything that does not depend on the mode (alpha, the potential, the
     lumps, the stiffness and the off-diagonal) is evaluated once.
     """
+    _check_coupling(lam)
     h = grid.steps
     ti = grid.t[1:-1]
     alpha = field.alpha(ti)
@@ -199,6 +209,7 @@ def mode_truncation(field: RadialField, V: Potential, grid: Grid, lam: float = 1
     modes are not actually forbidden at the grid edges (potential decaying
     too slowly for this domain).
     """
+    _check_coupling(lam)
     t = grid.t
     vt = lam * V.vplus_density(t)
     if not np.any(vt > 0):
@@ -316,6 +327,11 @@ def hardy_constant(
     ``|t_min|^{-2 sqrt(1/4 - mu*)}`` with mu* the whole-line constant
     (about |t_min|^{-0.38} for ``BumpField(flux=0.5)``).
     """
+    if refine_levels < 0:
+        raise ValueError("refine_levels must be nonnegative")
+    m_range = list(m_range)
+    if not m_range:
+        raise ValueError("m_range must hold at least one mode")
     zero_v = ZeroPotential()
     history = []
     per_mode = {}
@@ -366,8 +382,7 @@ def prufer_count(
     # an infinite span makes every step infinite and every error NaN
     if not np.isfinite(t1 - t0):
         raise ValueError("t_range must have finite ends and a finite span")
-    if not 0.0 <= lam < np.inf:
-        raise ValueError("coupling must be finite and nonnegative")
+    _check_coupling(lam)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if not coeff_samples >= 1:
@@ -421,82 +436,113 @@ def phase_integral_count(
     probe, so turning points at astronomically large |t| cost O(1) nodes.
 
     ``m`` is one mode or a sequence of modes; a sequence gives the list of
-    per-mode counts, equal to the one-mode calls.
+    per-mode counts, equal to the one-mode calls.  This is the one-job case
+    of ``phase_integral_counts``.
     """
-    if not 0.0 <= lambda_coupling < np.inf:
-        raise ValueError("coupling must be finite and nonnegative")
     modes = [m] if np.ndim(m) == 0 else list(m)
-    base, lam = _unwrap_scaled(V, lambda_coupling)
-    if isinstance(base, VSigma):
-        coordinate = _loglog_coordinate(field, base, lam, critical_shift, t_domain)
-    else:
-        coordinate = _direct_coordinate(field, V, lambda_coupling, critical_shift, t_domain)
-    counts = [0.0] * len(modes) if coordinate is None else _phase_panels(modes, *coordinate)
+    [counts] = phase_integral_counts(
+        field, V, [(lambda_coupling, modes)], critical_shift, t_domain
+    )
     return counts[0] if np.ndim(m) == 0 else counts
 
 
-def _direct_coordinate(field, V, lam, critical_shift, t_domain):
-    """The phase integrand in t: probe, breaks and mode-independent terms."""
+def phase_integral_counts(
+    field: RadialField,
+    V: Potential,
+    jobs,
+    critical_shift: bool = True,
+    t_domain: tuple | None = None,
+) -> list[list[float]]:
+    """Per-mode phase-integral counts for each (coupling, modes) job.
+
+    Each job's list equals ``phase_integral_count(field, V, modes, coupling,
+    critical_shift, t_domain)``.  Each job has its own probe, but one root
+    solve refines the turning points of every job and one Gauss panel call
+    integrates the panels of every job.  Both work bracket by bracket and
+    panel by panel, so a job's counts do not depend on the other jobs.
+    """
+    jobs = [(lam, list(modes)) for lam, modes in jobs]
+    _check_coupling(*(lam for lam, _ in jobs))
+    base, _ = _unwrap_scaled(V, 1.0)
+    if isinstance(base, VSigma):
+        # the borderline well runs on the unwrapped potential and coupling
+        terms, span = _loglog_coordinate(field, base, critical_shift, t_domain)
+        jobs = [(_unwrap_scaled(V, lam)[1], modes) for lam, modes in jobs]
+    else:
+        terms, span = _direct_coordinate(field, V, critical_shift, t_domain)
+    return _phase_panels(terms, [(lam, modes, span(lam)) for lam, modes in jobs])
+
+
+def _direct_coordinate(field, V, critical_shift, t_domain):
+    """The phase integrand in t: ``terms(t, lam)``, and ``span(lam)``, the
+    probe and breaks, which do not depend on the coupling."""
     if t_domain is None:
         sup = V.support_t_max
         t_lo, t_hi = -60.0, (2.0 if sup is None else max(sup + 1.0, 1.0))
     else:
         t_lo, t_hi = float(min(t_domain)), float(max(t_domain))
 
-    def terms(t):
+    def terms(t, lam):
         barrier = 1.0 / (4.0 * (1.0 + t * t)) if critical_shift else 0.0
         return lam * V.e2t_v(t), field.alpha(t), 1.0, barrier
 
     # split at known jumps so no quadrature panel straddles a discontinuity
     fixed = [t_lo, t_hi, V.support_t_max, *field.kinks]
-    return np.linspace(t_lo, t_hi, 4001), terms, fixed
+    probe = np.linspace(t_lo, t_hi, 4001)
+    return terms, lambda lam: (probe, fixed)
 
 
-def _loglog_coordinate(field, V: VSigma, lam, critical_shift, t_domain):
+def _loglog_coordinate(field, V: VSigma, critical_shift, t_domain):
     """The borderline well's phase integrand in s = log|t|, t = -e^s <= -2.
 
     dt = -e^s ds turns the radicand into lam s^{-1/sigma} - (e^s |m - alpha|)^2
-    - 1/(4(1 + e^{-2s})); None when the s-range is empty.
+    - 1/(4(1 + e^{-2s})).  Returns ``terms(s, lam)``, and ``span(lam)``, the
+    probe and breaks of a coupling, None when its s-range is empty.
     """
-    s_lo, s_hi = np.log(2.0), np.inf
-    if critical_shift:
-        # turning point of lam s^{-1/sigma} = 1/4 caps the s-range
-        s_hi = (4.0 * lam) ** V.sigma
-    if t_domain is not None:
-        t_lo, t_hi = float(min(t_domain)), float(max(t_domain))
-        if t_lo >= -2.0:
-            return None
-        s_hi = min(s_hi, np.log(-t_lo))
-        if t_hi < -2.0:
-            s_lo = np.log(-t_hi)
-    if not np.isfinite(s_hi):
-        raise ValueError(
-            "phase integral without the critical shift needs a finite t-domain "
-            "for the borderline potential"
-        )
-    if s_hi <= s_lo:
-        return None
 
-    def terms(s):
+    def span(lam):
+        s_lo, s_hi = np.log(2.0), np.inf
+        if critical_shift:
+            # turning point of lam s^{-1/sigma} = 1/4 caps the s-range
+            s_hi = (4.0 * lam) ** V.sigma
+        if t_domain is not None:
+            t_lo, t_hi = float(min(t_domain)), float(max(t_domain))
+            if t_lo >= -2.0:
+                return None
+            s_hi = min(s_hi, np.log(-t_lo))
+            if t_hi < -2.0:
+                s_lo = np.log(-t_hi)
+        if not np.isfinite(s_hi):
+            raise ValueError(
+                "phase integral without the critical shift needs a finite t-domain "
+                "for the borderline potential"
+            )
+        if s_hi <= s_lo:
+            return None
+        # the support edge t = -2 is s = log 2, at or below s_lo
+        fixed = [s_lo, s_hi, *(np.log(-k) for k in field.kinks if k < 0.0)]
+        return np.geomspace(s_lo, s_hi, 4001), fixed
+
+    def terms(s, lam):
         with np.errstate(over="ignore", invalid="ignore"):
             es = np.exp(s)  # inf beyond s = 709: the forbidden limit wherever m != alpha
             alpha = field.alpha(-es)
         barrier = 1.0 / (4.0 * (1.0 + np.exp(-2.0 * s))) if critical_shift else 0.0
         return lam * s ** (-1.0 / V.sigma), alpha, es, barrier
 
-    # the support edge t = -2 is s = log 2, at or below s_lo
-    fixed = [s_lo, s_hi, *(np.log(-k) for k in field.kinks if k < 0.0)]
-    return np.geomspace(s_lo, s_hi, 4001), terms, fixed
+    return terms, span
 
 
-def _phase_panels(modes, probe, terms, fixed):
+def _phase_panels(terms, jobs):
     """Per-mode (1/pi) int sqrt(max(well - (g |m - alpha|)^2 - barrier, 0)) dx
-    over the probe's span, from ``terms(x) = (well, alpha, g, barrier)``.
-    ``fixed`` lists known jumps and kinks; those outside the span are ignored."""
-    x_lo, x_hi = probe[0], probe[-1]
+    for each job (lam, modes, span), from ``terms(x, lam) = (well, alpha, g,
+    barrier)``, lam a scalar or one value per point.  ``span`` is (probe,
+    fixed), None for an empty range, and the integral runs over the probe's
+    extent.  ``fixed`` lists known jumps and kinks; those outside the extent
+    are ignored."""
 
-    def finite_terms(x):
-        well, alpha, g, barrier = terms(x)
+    def finite_terms(x, lam):
+        well, alpha, g, barrier = terms(x, lam)
         bad = ~(np.isfinite(well) & np.isfinite(alpha))
         if bad.any():
             raise DomainError(f"phase integrand is not finite at {float(x[bad][0])!r}")
@@ -509,40 +555,57 @@ def _phase_panels(modes, probe, terms, fixed):
         with np.errstate(over="ignore", invalid="ignore"):
             return well - np.where(am > 0.0, (g * am) ** 2, 0.0) - barrier
 
-    def w_neg(x, m):
-        """The radicand at points x of modes m (x and m of one shape)."""
-        return radicand(m, *finite_terms(x))
+    def w_neg(x, m, lam):
+        """The radicand at points x of modes m and couplings lam (one shape)."""
+        return radicand(m, *finite_terms(x, lam))
 
-    # sign changes on the probe bracket the turning points; a mode's row is
-    # built from the shared terms by w_neg's own formula, so signs agree with it
-    shared = finite_terms(probe)
-    brackets, open_modes = [], []
-    for k, m in enumerate(modes):
-        vals = radicand(m, *shared)
-        sign = vals > 0
-        if not sign.any():
+    # sign changes on each job's probe bracket its turning points; a mode's
+    # row is built from the shared terms by w_neg's own formula, so signs
+    # agree with it.  Job j's mode k is row offsets[j] + k of the results.
+    offsets = np.cumsum([0] + [len(modes) for _, modes, _ in jobs])
+    brackets, open_jobs = [], []
+    for j, (lam, modes, span) in enumerate(jobs):
+        if span is None:
             continue
-        i = np.flatnonzero(sign[:-1] != sign[1:])
-        brackets.append((i, vals[i], vals[i + 1], np.full(i.size, k)))
-        open_modes.append(k)
-    if not open_modes:
-        return [0.0] * len(modes)
-    i_lo, f_lo, f_hi, bracket_mode = (np.concatenate(c) for c in zip(*brackets))
-    m_of = np.asarray(modes, dtype=float)
-    edges = _roots(
-        lambda x: w_neg(x, m_of[bracket_mode]), probe[i_lo], probe[i_lo + 1], f_lo, f_hi, 0.0
-    )
+        probe, fixed = span
+        shared = finite_terms(probe, lam)
+        open_rows = []
+        for k, m in enumerate(modes):
+            vals = radicand(m, *shared)
+            sign = vals > 0
+            if not sign.any():
+                continue
+            i = np.flatnonzero(sign[:-1] != sign[1:])
+            row = offsets[j] + k
+            brackets.append((probe[i], probe[i + 1], vals[i], vals[i + 1], np.full(i.size, row)))
+            open_rows.append(row)
+        if open_rows:
+            x_lo, x_hi = probe[0], probe[-1]
+            fixed = np.array([x for x in fixed if x is not None and x_lo <= x <= x_hi], dtype=float)
+            open_jobs.append((j, open_rows, fixed))
+    if not open_jobs:
+        return [[0.0] * len(modes) for _, modes, _ in jobs]
+    m_of = np.concatenate([np.asarray(modes, dtype=float) for _, modes, _ in jobs])
+    lam_of = np.repeat([float(lam) for lam, _, _ in jobs], np.diff(offsets))
+    lo, hi, f_lo, f_hi, bracket_row = (np.concatenate(c) for c in zip(*brackets))
+    m_bracket, lam_bracket = m_of[bracket_row], lam_of[bracket_row]
+    edges = _roots(lambda x: w_neg(x, m_bracket, lam_bracket), lo, hi, f_lo, f_hi, 0.0)
 
-    fixed = np.array([x for x in fixed if x is not None and x_lo <= x <= x_hi], dtype=float)
-    a, b, panel_mode = _mode_panels(edges, bracket_mode, open_modes, fixed)
-    keep = w_neg(0.5 * (a + b), m_of[panel_mode]) > 0
-    a, b, panel_mode = a[keep], b[keep], panel_mode[keep]
+    # each job's panels, row by row, each row's panels ascending
+    panels = []
+    for j, open_rows, fixed in open_jobs:
+        mine = (offsets[j] <= bracket_row) & (bracket_row < offsets[j + 1])
+        panels.append(_mode_panels(edges[mine], bracket_row[mine], open_rows, fixed))
+    a, b, row = (np.concatenate(c) for c in zip(*panels))
+    keep = w_neg(0.5 * (a + b), m_of[row], lam_of[row]) > 0
+    a, b, row = a[keep], b[keep], row[keep]
+    m_panel, lam_panel = m_of[row], lam_of[row]
     vals = _sin2_gauss_panels(
-        lambda x, rows: np.sqrt(np.maximum(w_neg(x, m_of[panel_mode[rows]]), 0.0)), a, b
+        lambda x, rows: np.sqrt(np.maximum(w_neg(x, m_panel[rows], lam_panel[rows]), 0.0)), a, b
     )
-    # each mode's panels are added in ascending order, as in a one-mode call
-    counts = np.bincount(panel_mode, weights=vals, minlength=len(modes))
-    return (counts / np.pi).tolist()
+    # each row's panels are added in ascending order, as in a one-mode call
+    counts = (np.bincount(row, weights=vals, minlength=offsets[-1]) / np.pi).tolist()
+    return [counts[offsets[j] : offsets[j + 1]] for j in range(len(jobs))]
 
 
 def _mode_panels(edges, edge_mode, open_modes, fixed):

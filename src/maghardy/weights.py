@@ -12,11 +12,12 @@ The sup-functional over thresholds tau,
 
 with w0 the baseline weight, is evaluated from one scan of V/w0 per cap.  The
 scan segments crossed by every threshold of a batch are found in one pass
-(sorted thresholds against each segment's value range), one bracketed root
+(sorted thresholds against each segment's value range), a bracketed root
 solve refines all those crossings, and the measures are closed form.  A
 geometric tau grid brackets the best tau, a zoom of 32 log-spaced thresholds
 per round narrows the bracket, and sweeping the lower domain cap detects
-divergence.
+divergence.  The caps of a sweep search in lockstep, so one root solve per
+round refines the crossings of every cap still searching.
 
 The sin^2-mapped Gauss panels (``_sin2_gauss_panels``) integrate every
 closed-form density of the library: the log moments here, the phase
@@ -351,16 +352,9 @@ def _sin2_gauss_panels(integrand, a, b):
     return np.bincount(np.concatenate(done_rows), np.concatenate(done_vals), minlength=a.size)
 
 
-def _scan_levels(V: Potential, t_min_cap: float, t_max: float = 30.0, scan_n: int = 4000):
-    """Scan V/w0 = e^{2t} V (1 + t^2) once; return its maximum and ``levels``.
-
-    ``levels(taus)`` gives, for a threshold grid, the ends of all intervals of
-    {V/w0 > tau} as one flat array (start, end, start, ...), each threshold's
-    level-set measure and whether its set reaches the lower cap.  Crossings
-    are the scan's sign changes, refined by one bracketed solve for the grid.
-    A ScanResolutionWarning is emitted when, for a threshold below the scan
-    maximum, the midpoint-refined scan sees another crossing count.
-    """
+def _ratio(V: Potential):
+    """V/w0 = e^{2t} V (1 + t^2) as a function of t; DomainError where it is
+    not finite."""
 
     def ratio(t):
         vals = V.vplus_density(t) * (1.0 + t * t)
@@ -368,48 +362,89 @@ def _scan_levels(V: Potential, t_min_cap: float, t_max: float = 30.0, scan_n: in
             raise DomainError(f"V/w0 is not finite at t = {float(t[~np.isfinite(vals)][0])!r}")
         return vals
 
-    pieces = [np.linspace(max(t_min_cap, -2.0), t_max, max(scan_n // 4, 16))]
-    if t_min_cap < -2.0:
-        pieces.insert(0, -np.geomspace(2.0, -t_min_cap, scan_n)[::-1])
-    nodes = np.unique(np.concatenate(pieces))
-    fine_t = np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))  # interleaved
-    fine = ratio(fine_t)
-    vals = np.ascontiguousarray(fine[0::2])
-    rmax = float(np.max(vals))
-    # segment i is crossed by tau iff min(v_i, v_i+1) <= tau < max(v_i, v_i+1)
-    spans = [np.sort(f(v[:-1], v[1:])) for v in (vals, fine) for f in (np.minimum, np.maximum)]
-    padded = np.concatenate([[-np.inf], vals, [-np.inf]])  # so open ends count as crossings
-    seg_lo, seg_hi = np.minimum(padded[:-1], padded[1:]), np.maximum(padded[:-1], padded[1:])
+    return ratio
 
-    def crossings(lo, hi, taus):
-        return np.searchsorted(lo, taus, "right") - np.searchsorted(hi, taus, "right")
 
-    def levels(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+class _LevelScan:
+    """One scan of V/w0 from the lower cap to t_max, and its level sets.
+
+    ``levels(taus)`` gives, for a threshold grid, the ends of all intervals of
+    {V/w0 > tau} as one flat array (start, end, start, ...), each threshold's
+    level-set measure and whether its set reaches the lower cap.  It runs in
+    two steps around one bracketed root solve: ``brackets`` finds the
+    crossings (the scan's sign changes) and the solve's brackets, and
+    ``finish`` turns the roots into ends and measures.  A caller may solve
+    the brackets of several scans of one V in one ``_roots`` call: the solve
+    works bracket by bracket, so each root is that of a solve of its own.
+    A ScanResolutionWarning is emitted when, for a threshold below the scan
+    maximum, the midpoint-refined scan sees another crossing count.
+    """
+
+    def __init__(self, V: Potential, t_min_cap: float, t_max: float = 30.0, scan_n: int = 4000):
+        self.ratio = _ratio(V)
+        pieces = [np.linspace(max(t_min_cap, -2.0), t_max, max(scan_n // 4, 16))]
+        if t_min_cap < -2.0:
+            pieces.insert(0, -np.geomspace(2.0, -t_min_cap, scan_n)[::-1])
+        self.nodes = nodes = np.unique(np.concatenate(pieces))
+        fine_t = np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))  # interleaved
+        fine = self.ratio(fine_t)
+        self.vals = vals = np.ascontiguousarray(fine[0::2])
+        self.rmax = float(np.max(vals))
+        # segment i is crossed by tau iff min(v_i, v_i+1) <= tau < max(v_i, v_i+1)
+        self.spans = [
+            np.sort(f(v[:-1], v[1:])) for v in (vals, fine) for f in (np.minimum, np.maximum)
+        ]
+        padded = np.concatenate([[-np.inf], vals, [-np.inf]])  # so open ends count as crossings
+        self.seg_lo = np.minimum(padded[:-1], padded[1:])
+        self.seg_hi = np.maximum(padded[:-1], padded[1:])
+
+    def brackets(self, taus):
+        """Each threshold's cuts in increasing order, their owners (indices
+        into ``taus``) and the root solve's (a, b, fa, fb, tau) of the cuts
+        that lie between two nodes."""
+
+        def crossings(lo, hi):
+            return np.searchsorted(lo, taus, "right") - np.searchsorted(hi, taus, "right")
+
         # at or above rmax the scan's level set is empty by construction
-        differ = crossings(*spans[:2], taus) != crossings(*spans[2:], taus)
-        if np.any(differ & (taus < rmax)):
+        differ = crossings(*self.spans[:2]) != crossings(*self.spans[2:])
+        if np.any(differ & (taus < self.rmax)):
             msg = "ratio oscillates faster than the level-set scan grid"
             warnings.warn(msg, ScanResolutionWarning)
         # padded segment j (cut j-1) is crossed by the taus of sorted rank
         # first_j .. first_j + hits_j - 1; owner is each crossing's tau index
         order = np.argsort(taus)
-        first = np.searchsorted(taus[order], seg_lo)
-        hits = np.searchsorted(taus[order], seg_hi) - first
+        first = np.searchsorted(taus[order], self.seg_lo)
+        hits = np.searchsorted(taus[order], self.seg_hi) - first
         seg = np.repeat(np.arange(hits.size), hits)
         owner = order[np.arange(seg.size) - np.repeat(np.cumsum(hits) - hits - first, hits)]
         by_tau = np.lexsort((seg, owner))  # each threshold's cuts in increasing order
         cut, owner = seg[by_tau] - 1, owner[by_tau]
         # cut -1 opens at the cap, cut n-1 closes at t_max, other ends lie in (cut, cut+1)
-        ends = np.where(cut < 0, nodes[0], nodes[-1])
-        inner = (cut >= 0) & (cut < nodes.size - 1)
+        inner = (cut >= 0) & (cut < self.nodes.size - 1)
         i, lvl = cut[inner], taus[owner[inner]]
-        ends[inner] = _roots(ratio, nodes[i], nodes[i + 1], vals[i] - lvl, vals[i + 1] - lvl, lvl)
+        nodes, vals = self.nodes, self.vals
+        return cut, owner, (nodes[i], nodes[i + 1], vals[i] - lvl, vals[i + 1] - lvl, lvl)
+
+    def finish(self, taus, cut, owner, roots):
+        """Ends, measures and truncation flags from ``brackets``' cuts and owners
+        and the roots of its solve."""
+        ends = np.where(cut < 0, self.nodes[0], self.nodes[-1])
+        ends[(cut >= 0) & (cut < self.nodes.size - 1)] = roots
         F = _measure_antiderivative(ends)
         measure = np.bincount(owner[0::2], weights=F[1::2] - F[0::2], minlength=taus.size)
-        return ends, measure, vals[0] > taus
+        return ends, measure, self.vals[0] > taus
 
-    return rmax, levels
+    def levels(self, taus):
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        cut, owner, solve = self.brackets(taus)
+        return self.finish(taus, cut, owner, _roots(self.ratio, *solve))
+
+
+def _scan_levels(V: Potential, t_min_cap: float, t_max: float = 30.0, scan_n: int = 4000):
+    """Scan V/w0 once (``_LevelScan``); return its maximum and ``levels``."""
+    scan = _LevelScan(V, t_min_cap, t_max, scan_n)
+    return scan.rmax, scan.levels
 
 
 def level_set(
@@ -426,8 +461,10 @@ def level_set(
     that sees a different crossing count emits a ScanResolutionWarning (never
     silently dropped); a non-finite V/w0 on the scan raises DomainError.
     """
-    if t_val <= 0:
+    if not t_val > 0:
         raise ValueError("threshold must be positive")
+    if not -np.inf < t_min_cap < t_max < np.inf:
+        raise ValueError("the scan needs finite t_min_cap < t_max")
     _, levels = _scan_levels(V, t_min_cap, t_max, scan_n)
     ends, _, truncated = levels(t_val)
     intervals = tuple(zip(ends[0::2].tolist(), ends[1::2].tolist()))
@@ -461,22 +498,15 @@ class VNormResult:
         }
 
 
-def _sup_over_thresholds(V: Potential, a: float, t_min_cap: float, tau_grid_n: int = 512):
-    """Largest tau^a * measure seen and its tau: a geometric grid, then a zoom.
-
-    Each zoom round evaluates _ZOOM_POINTS equally spaced interior points of
-    the log-tau bracket in one ``levels`` call and keeps the argmax's two
-    neighbours, until the bracket is narrower than 1e-10.
-    """
-    rmax, levels = _scan_levels(V, t_min_cap)
-    if rmax <= 0.0:
-        return 0.0, 0.0
-
-    def g(taus):
-        return taus**a * levels(taus)[1]
-
+def _sup_search(rmax: float, tau_grid_n: int):
+    """One cap's search for the largest tau^a * measure, as a generator: it
+    yields threshold arrays, is sent their tau^a * measure, and returns the
+    largest value seen and its tau.  A geometric grid brackets the best tau;
+    each zoom round then asks for _ZOOM_POINTS equally spaced interior points
+    of the log-tau bracket and keeps the argmax's two neighbours, until the
+    bracket is narrower than 1e-10."""
     taus = np.geomspace(rmax * 1e-8, rmax * 1e8, tau_grid_n)
-    vals = g(taus)
+    vals = yield taus
     k = int(np.argmax(vals))
     best, arg_t = float(vals[k]), float(taus[k])
     lo, hi = max(k - 1, 0), min(k + 1, taus.size - 1)
@@ -484,13 +514,53 @@ def _sup_over_thresholds(V: Potential, a: float, t_min_cap: float, tau_grid_n: i
     while x[1] - x[0] >= 1e-10:
         xs = np.linspace(x[0], x[1], _ZOOM_POINTS + 2)
         ts = np.exp(xs[1:-1])
-        vs = np.concatenate([v[:1], g(ts), v[1:]])
+        vs = np.concatenate([v[:1], (yield ts), v[1:]])
         j = int(np.argmax(vs))
         if vs[j] > best:  # the ends are old values, so j is an interior point
             best, arg_t = float(vs[j]), float(ts[j - 1])
         lo, hi = max(j - 1, 0), min(j + 1, xs.size - 1)
         x, v = xs[[lo, hi]], vs[[lo, hi]]
     return best, arg_t
+
+
+def _sup_over_thresholds(V: Potential, a: float, caps, tau_grid_n: int = 512):
+    """(largest tau^a * measure seen, its tau) for each lower cap; (0, 0)
+    where V/w0 vanishes on the scan.
+
+    Every cap runs ``_sup_search``, all in lockstep: a round's level sets of
+    every cap still searching share one ``_roots`` call, since every scan is
+    of the same V/w0.  The scans are built in cap order, so the first cap
+    whose scan fails raises.
+    """
+    scans = [_LevelScan(V, cap) for cap in caps]
+    ratio = _ratio(V)
+    sups = [(0.0, 0.0)] * len(scans)
+    searches = {
+        k: _sup_search(scan.rmax, tau_grid_n) for k, scan in enumerate(scans) if scan.rmax > 0.0
+    }
+    asked = {k: next(search) for k, search in searches.items()}
+    while asked:
+        parts = [scans[k].brackets(taus) for k, taus in asked.items()]
+        solve = [np.concatenate(args) for args in zip(*(solve for _, _, solve in parts))]
+        sizes = np.cumsum([solve[0].size for _, _, solve in parts])
+        roots = np.split(_roots(ratio, *solve), sizes[:-1])
+        for (k, taus), (cut, owner, _), r in zip(list(asked.items()), parts, roots):
+            try:
+                asked[k] = searches[k].send(taus**a * scans[k].finish(taus, cut, owner, r)[1])
+            except StopIteration as done:
+                sups[k] = done.value
+                del asked[k]
+    return sups
+
+
+def _check_exponent(a: float):
+    if not 1.0 < a < np.inf:
+        raise ValueError("the functional needs a finite a > 1")
+
+
+def _check_cap(t_min_cap: float):
+    if not -np.inf < t_min_cap < 0.0:
+        raise ValueError("t_min_cap must be negative and finite")
 
 
 def v_norm_a(
@@ -512,10 +582,8 @@ def v_norm_a(
     inverse threshold, and it needs t_min_cap < -1.  An UnboundedWarning is
     emitted when the value keeps growing across every step of the sweep.
     """
-    if a <= 1.0:
-        raise ValueError("the functional needs a > 1")
-    if t_min_cap >= 0:
-        raise ValueError("t_min_cap must be negative")
+    _check_exponent(a)
+    _check_cap(t_min_cap)
     if cap_doublings < 0:
         raise ValueError("cap_doublings must be nonnegative")
     if cap_schedule == "double":
@@ -526,7 +594,7 @@ def v_norm_a(
         caps = [-((-t_min_cap) ** (2.0**k)) for k in range(cap_doublings + 1)]
     else:
         raise ValueError("cap_schedule must be 'double' or 'square'")
-    sups = [_sup_over_thresholds(V, a, cap) for cap in caps]
+    sups = _sup_over_thresholds(V, a, caps)
     values = [raw ** (1.0 / a) if raw > 0 else 0.0 for raw, _ in sups]
     rel_steps = [abs(v2 - v1) / v2 if v2 > 0 else 0.0 for v1, v2 in zip(values[:-1], values[1:])]
     saturated = bool(rel_steps[-1] < saturation_tol) if rel_steps else True
@@ -542,6 +610,8 @@ def v_norm_a(
 
 def threshold_curve(V: Potential, a: float, t_min_cap: float = -1e4, n: int = 200):
     """(tau, tau^a * measure(level set)) samples for plotting the sup search."""
+    _check_exponent(a)
+    _check_cap(t_min_cap)
     rmax, levels = _scan_levels(V, t_min_cap)
     if rmax <= 0:
         return np.zeros(0), np.zeros(0)

@@ -442,6 +442,13 @@ _VSIGMA_COUNT = ["count", "--potential", "vsigma", "--sigma", "2"]
         (None, [*_VSIGMA_COUNT, "--lambda", "inf", "--method", "inertia"]),
         (None, [*_VSIGMA_COUNT, "--lambda", "nan", "--method", "phase"]),
         (None, [*_VSIGMA_COUNT, "--lambda", "nan", "--method", "prufer"]),
+        (None, ["vnorm", "--potential", "vsigma", "--sigma", "2", "--a", "nan"]),
+        (None, ["vnorm", "--potential", "vsigma", "--sigma", "2", "--t-min-cap", "nan"]),
+        (None, ["vnorm", "--potential", "vsigma", "--sigma", "2", "--t-min-cap=-inf"]),
+        (None, ["bound", "--potential", "vsigma", "--sigma", "2", "--a", "nan"]),
+        (None, ["bound", "--potential", "vsigma", "--sigma", "2", "--t-min-cap", "nan"]),
+        (None, ["hardy", "--grid", "101", "--refine", "-1"]),
+        (None, ["hardy", "--grid", "101", "--m-range", "3:-3"]),
     ],
     ids=[
         "negative-coupling",
@@ -454,6 +461,13 @@ _VSIGMA_COUNT = ["count", "--potential", "vsigma", "--sigma", "2"]
         "inf-coupling-inertia",
         "nan-coupling-phase",
         "nan-coupling-prufer",
+        "vnorm-nan-exponent",
+        "vnorm-nan-cap",
+        "vnorm-infinite-cap",
+        "bound-nan-exponent",
+        "bound-nan-cap",
+        "hardy-negative-refine",
+        "hardy-empty-m-range",
     ],
 )
 def test_library_value_errors_exit_1(tmp_path, capsys, config, argv):

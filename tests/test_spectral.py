@@ -322,6 +322,32 @@ def test_smallest_generalized_mu_massless_nodes_vs_dense_schur(massless):
     assert smallest_generalized_mu(op.diag, op.offdiag, np.zeros_like(mass)) == np.inf
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -1.0])
+def test_per_mode_functions_reject_non_finite_or_negative_coupling(lam):
+    # a NaN coupling once counted [0, 0, 0] and truncated at M = 0
+    bump, well, g = mh.BumpField(0.5), mh.GaussianWell(), mh.Grid.uniform(-12.0, 3.0, 601)
+    for call in (
+        lambda: mh.assemble_mode(bump, well, 0, g, lam=lam),
+        lambda: mh.count_modes(bump, well, [-1, 0, 1], g, lam=lam),
+        lambda: mh.mode_truncation(bump, well, g, lam=lam),
+        lambda: mh.phase_integral_counts(bump, well, [(10.0, [0]), (lam, [0])]),
+    ):
+        with pytest.raises(ValueError, match="coupling must be finite and nonnegative"):
+            call()
+
+
+def test_hardy_constant_rejects_negative_refinement_and_empty_modes():
+    args = (mh.BumpField(0.5), mh.LogSquaredWeight(), mh.Grid.uniform(-8.0, 8.0, 101))
+    # refine_levels=-1 once gave mu_star = inf and an empty history
+    with pytest.raises(ValueError, match="refine_levels must be nonnegative"):
+        mh.hardy_constant(*args, refine_levels=-1)
+    with pytest.raises(ValueError, match="m_range must hold at least one mode"):
+        mh.hardy_constant(*args, m_range=range(3, -2))
+    # a generator of modes is read once
+    est = mh.hardy_constant(*args, m_range=(m for m in (0, 1)), refine_levels=0)
+    assert sorted(est.per_mode_minima) == [0, 1]
+
+
 def test_hardy_zero_field_minimum_decays_with_domain():
     w = mh.LogSquaredWeight()
     mus = []

@@ -530,19 +530,15 @@ _ZOOM_CASES = [
 @pytest.mark.parametrize("V, a, cap", _ZOOM_CASES)
 def test_zoom_matches_golden_section(V, a, cap, monkeypatch):
     scan = mh.weights._scan_levels
+    brackets = mh.weights._LevelScan.brackets
     calls = []
 
-    def counting_scan(*args, **kwargs):
-        rmax, levels = scan(*args, **kwargs)
+    def counted(self, taus):  # one call per round: the grid or a zoom
+        calls.append(np.size(taus))
+        return brackets(self, taus)
 
-        def counted(taus):
-            calls.append(np.size(taus))
-            return levels(taus)
-
-        return rmax, counted
-
-    monkeypatch.setattr(mh.weights, "_scan_levels", counting_scan)
-    value, arg_t = mh.weights._sup_over_thresholds(V, a, cap)
+    monkeypatch.setattr(mh.weights._LevelScan, "brackets", counted)
+    [(value, arg_t)] = mh.weights._sup_over_thresholds(V, a, [cap])
     assert len(calls) <= 10
     monkeypatch.undo()
     want, _ = _golden_sup_reference(V, a, cap)
@@ -584,3 +580,158 @@ def test_subnormal_threshold_level_set_is_finite():
     [(lo, hi)] = ls.intervals
     assert np.isfinite(lo) and np.isfinite(hi)
     assert lo == -100.0 and 2.0 < hi < 3.0
+
+
+# ---------------------------------------------------------------------------
+# Reference for the caps batched into one root solve per round: the search of
+# one cap at a time, each round with a root solve of its own.
+# ---------------------------------------------------------------------------
+
+
+def _per_cap_sup_reference(V, a: float, t_min_cap: float, tau_grid_n: int = 512):
+    """Largest tau^a * measure seen and its tau: a geometric grid, then a zoom.
+
+    Each zoom round evaluates _ZOOM_POINTS equally spaced interior points of
+    the log-tau bracket in one ``levels`` call and keeps the argmax's two
+    neighbours, until the bracket is narrower than 1e-10.
+    """
+    rmax, levels = mh.weights._scan_levels(V, t_min_cap)
+    if rmax <= 0.0:
+        return 0.0, 0.0
+
+    def g(taus):
+        return taus**a * levels(taus)[1]
+
+    taus = np.geomspace(rmax * 1e-8, rmax * 1e8, tau_grid_n)
+    vals = g(taus)
+    k = int(np.argmax(vals))
+    best, arg_t = float(vals[k]), float(taus[k])
+    lo, hi = max(k - 1, 0), min(k + 1, taus.size - 1)
+    x, v = np.log(taus[[lo, hi]]), vals[[lo, hi]]
+    while x[1] - x[0] >= 1e-10:
+        xs = np.linspace(x[0], x[1], mh.weights._ZOOM_POINTS + 2)
+        ts = np.exp(xs[1:-1])
+        vs = np.concatenate([v[:1], g(ts), v[1:]])
+        j = int(np.argmax(vs))
+        if vs[j] > best:  # the ends are old values, so j is an interior point
+            best, arg_t = float(vs[j]), float(ts[j - 1])
+        lo, hi = max(j - 1, 0), min(j + 1, xs.size - 1)
+        x, v = xs[[lo, hi]], vs[[lo, hi]]
+    return best, arg_t
+
+
+def _counted_roots(monkeypatch):
+    """Patch weights._roots to record the number of brackets of each call."""
+    roots = mh.weights._roots
+    sizes = []
+
+    def counted(ratio, a, b, fa, fb, tau):
+        sizes.append(a.size)
+        return roots(ratio, a, b, fa, fb, tau)
+
+    monkeypatch.setattr(mh.weights, "_roots", counted)
+    return sizes
+
+
+def _v_norm_outcome(call, monkeypatch, per_cap):
+    """repr of the call's result (or exception) and the categories of its
+    warnings, with the batched or the per-cap search."""
+    if per_cap:
+        monkeypatch.setattr(
+            mh.weights,
+            "_sup_over_thresholds",
+            lambda V, a, caps: [_per_cap_sup_reference(V, a, cap) for cap in caps],
+        )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = repr(call())
+        except DomainError as exc:
+            out = f"DomainError: {exc}"
+    monkeypatch.undo()
+    return out, [w.category.__name__ for w in caught]
+
+
+_oscillating_15 = mh.profiles.CallablePotential(
+    density=lambda t: (1.1 + np.sin(15.0 * t)) / (1.0 + t * t)
+)
+# finite above t = -150 only: the caps' scans fail from the second on
+_nan_below_150 = mh.profiles.CallablePotential(
+    density=lambda t: np.where(t < -150.0, np.nan, 2.0 / (1.0 + t * t))
+)
+_SWEEP_CASES = [
+    *[(*case, "double", 3) for case in _ZOOM_CASES],
+    *[(*case, "square", 2) for case in _ZOOM_CASES],
+    (mh.ScaledPotential(mh.VSigma(2.0), 7.5), 2.0, -100.0, "double", 3),
+    (mh.ScaledPotential(mh.GaussianWell(1.3, 0.8), 0.2), 3.0, -100.0, "square", 2),
+    # a ScanResolutionWarning in every round, and an UnboundedWarning
+    (_oscillating_15, 2.0, -30.0, "double", 2),
+    (_oscillating_15, 2.0, -10.0, "square", 1),
+    (_nan_below_150, 2.0, -100.0, "double", 3),
+    (_nan_below_150, 2.0, -100.0, "square", 1),
+]
+
+
+@pytest.mark.parametrize("V, a, cap, schedule, doublings", _SWEEP_CASES)
+def test_batched_caps_equal_per_cap_search(V, a, cap, schedule, doublings, monkeypatch):
+    def call():
+        return mh.v_norm_a(V, a, cap, doublings, cap_schedule=schedule)
+
+    got, got_warnings = _v_norm_outcome(call, monkeypatch, per_cap=False)
+    want, want_warnings = _v_norm_outcome(call, monkeypatch, per_cap=True)
+    assert got == want  # value, arg_t and cap_sequence to the bit, or the same error
+    assert sorted(got_warnings) == sorted(want_warnings)
+    if got.startswith("DomainError"):
+        return
+    # one root solve per round, as many rounds as the longest search of one cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = mh.v_norm_a(V, a, cap, doublings, cap_schedule=schedule)
+        caps = [c for c, _ in result.cap_sequence]
+        rounds = []
+        for c in caps:
+            sizes = _counted_roots(monkeypatch)
+            mh.weights._sup_over_thresholds(V, a, [c])
+            monkeypatch.undo()
+            rounds.append(len(sizes))
+        sizes = _counted_roots(monkeypatch)
+        mh.weights._sup_over_thresholds(V, a, caps)
+    assert len(sizes) == max(rounds)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0, 0.5, -np.inf])
+def test_exponent_must_be_finite_and_above_1(bad):
+    V = mh.VSigma(2.0)
+    for call in (
+        lambda: mh.v_norm_a(V, bad),
+        lambda: mh.weights.threshold_curve(V, bad),
+        lambda: mh.verify_counting_bound(mh.BumpField(0.5), V, bad, [10.0]),
+    ):
+        with pytest.raises(ValueError, match="the functional needs a finite a > 1"):
+            call()
+
+
+@pytest.mark.parametrize("cap", [np.nan, -np.inf, 0.0, 3.0])
+def test_cap_must_be_negative_and_finite(cap):
+    V = mh.VSigma(2.0)
+    for call in (
+        lambda: mh.v_norm_a(V, 2.0, t_min_cap=cap),
+        lambda: mh.weights.threshold_curve(V, 2.0, t_min_cap=cap),
+        lambda: mh.counting.bound_jst(V, t_min_cap=cap),
+        lambda: mh.verify_counting_bound(mh.BumpField(0.5), V, 2.0, [10.0], t_min_cap=cap),
+    ):
+        with pytest.raises(ValueError, match="t_min_cap must be negative and finite"):
+            call()
+
+
+def test_level_set_rejects_nan_threshold_and_bad_scan_range():
+    V = mh.VSigma(2.0)
+    for tau in (np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            mh.level_set(V, tau)
+    for kw in ({"t_min_cap": np.nan}, {"t_min_cap": -np.inf}, {"t_max": np.nan},
+               {"t_min_cap": 40.0}, {"t_max": np.inf}):
+        with pytest.raises(ValueError, match="finite t_min_cap < t_max"):
+            mh.level_set(V, 0.1, **kw)
+    # an infinite threshold is above every ratio: the empty set
+    assert mh.level_set(V, np.inf).is_empty

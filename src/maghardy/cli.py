@@ -66,80 +66,70 @@ _REPORT_WARNINGS = (
 # ---------------------------------------------------------------------------
 
 
-def build_field(spec: dict | None) -> profiles.RadialField:
-    spec = dict(spec or {"kind": "zero"})
-    kind = spec.get("kind", "zero")
+def _build(section: str, spec: dict | None, default_kind: str, makers: dict):
+    """``makers[kind](spec)`` for a config section, ``default_kind`` where it
+    names none; an unknown kind or a key the maker misses is a ConfigError."""
+    spec = dict(spec or {"kind": default_kind})
+    kind = spec.get("kind", default_kind)
+    maker = makers.get(kind) if isinstance(kind, str) else None
+    if maker is None:
+        raise ConfigError(f"{section}.kind: unknown kind {kind!r}")
     try:
-        if kind == "zero":
-            return profiles.ZeroField()
-        if kind == "example1":
-            return profiles.LogPowerField(b0=float(spec["b0"]), gamma=float(spec["gamma"]))
-        if kind == "example2":
-            return profiles.LogLogPowerField(
-                b0=float(spec["b0"]), gamma=float(spec["gamma"])
-            )
-        if kind == "bump":
-            return profiles.BumpField(
-                flux=float(spec["total_flux"]), r1=float(spec.get("r1", 1.0))
-            )
-        if kind == "sum":
-            return profiles.SumField(tuple(build_field(p) for p in spec["parts"]))
-        if kind == "custom":
-            t, b = profiles.load_custom_columns(spec["path"])
-            return profiles.CustomField(t, b, integrability=spec.get("integrability"))
+        return maker(spec)
     except KeyError as exc:
-        raise ConfigError(f"field.{exc.args[0]}: required for kind {kind!r}") from exc
-    raise ConfigError(f"field.kind: unknown kind {kind!r}")
+        raise ConfigError(f"{section}.{exc.args[0]}: required for kind {kind!r}") from exc
+
+
+_FIELD_KINDS = {
+    "zero": lambda s: profiles.ZeroField(),
+    "example1": lambda s: profiles.LogPowerField(b0=float(s["b0"]), gamma=float(s["gamma"])),
+    "example2": lambda s: profiles.LogLogPowerField(b0=float(s["b0"]), gamma=float(s["gamma"])),
+    "bump": lambda s: profiles.BumpField(flux=float(s["total_flux"]), r1=float(s.get("r1", 1.0))),
+    "sum": lambda s: profiles.SumField(tuple(build_field(p) for p in s["parts"])),
+    "custom": lambda s: profiles.CustomField(
+        *profiles.load_custom_columns(s["path"]), integrability=s.get("integrability")
+    ),
+}
+
+_POTENTIAL_KINDS = {
+    "zero": lambda s: profiles.ZeroPotential(),
+    "vsigma": lambda s: profiles.VSigma(sigma=float(s["sigma"])),
+    "gaussian": lambda s: profiles.GaussianWell(
+        depth=float(s.get("depth", 1.0)), width=float(s.get("width", 1.0))
+    ),
+    "step": lambda s: profiles.StepWell(
+        depth=float(s.get("depth", 1.0)), radius=float(s.get("radius", 1.0))
+    ),
+    "custom": lambda s: profiles.CustomPotential(*profiles.load_custom_columns(s["path"])),
+}
+
+
+def build_field(spec: dict | None) -> profiles.RadialField:
+    return _build("field", spec, "zero", _FIELD_KINDS)
 
 
 def build_potential(spec: dict | None) -> profiles.Potential:
-    spec = dict(spec or {"kind": "zero"})
-    kind = spec.get("kind", "zero")
-    try:
-        if kind == "zero":
-            return profiles.ZeroPotential()
-        if kind == "vsigma":
-            return profiles.VSigma(sigma=float(spec["sigma"]))
-        if kind == "gaussian":
-            return profiles.GaussianWell(
-                depth=float(spec.get("depth", 1.0)), width=float(spec.get("width", 1.0))
-            )
-        if kind == "step":
-            return profiles.StepWell(
-                depth=float(spec.get("depth", 1.0)), radius=float(spec.get("radius", 1.0))
-            )
-        if kind == "custom":
-            t, v = profiles.load_custom_columns(spec["path"])
-            return profiles.CustomPotential(t, v)
-    except KeyError as exc:
-        raise ConfigError(f"potential.{exc.args[0]}: required for kind {kind!r}") from exc
-    raise ConfigError(f"potential.kind: unknown kind {kind!r}")
+    return _build("potential", spec, "zero", _POTENTIAL_KINDS)
 
 
 def build_weight(spec: dict | None, field=None) -> weights.Weight:
-    spec = dict(spec or {"kind": "log_squared"})
-    kind = spec.get("kind", "log_squared")
-    try:
-        if kind == "log_squared":
-            return weights.LogSquaredWeight()
-        if kind == "log_power":
-            return weights.LogPowerWeight(b=float(spec["b"]))
-        if kind == "flux_augmented":
-            if field is None:
-                raise ConfigError("flux_augmented weight needs a field section")
-            t_eta = spec.get("t_eta")
-            if t_eta is None:
-                t_eta = weights.select_eta_log(field)
-            return weights.FluxAugmentedWeight(field=field, t_eta=float(t_eta))
-        if kind == "shifted_log":
-            return weights.ShiftedLogWeight(r0=_parse_float(spec["r0"], "weight.r0"))
-        if kind == "aharonov_bohm":
-            return weights.AharonovBohmWeight(mu=float(spec["mu"]))
-        if kind == "slow_log":
-            return quadform.slow_log_weight()
-    except KeyError as exc:
-        raise ConfigError(f"weight.{exc.args[0]}: required for kind {kind!r}") from exc
-    raise ConfigError(f"weight.kind: unknown kind {kind!r}")
+    def flux_augmented(s):
+        if field is None:
+            raise ConfigError("flux_augmented weight needs a field section")
+        t_eta = s.get("t_eta")
+        if t_eta is None:
+            t_eta = weights.select_eta_log(field)
+        return weights.FluxAugmentedWeight(field=field, t_eta=float(t_eta))
+
+    kinds = {
+        "log_squared": lambda s: weights.LogSquaredWeight(),
+        "log_power": lambda s: weights.LogPowerWeight(b=float(s["b"])),
+        "flux_augmented": flux_augmented,
+        "shifted_log": lambda s: weights.ShiftedLogWeight(r0=_parse_float(s["r0"], "weight.r0")),
+        "aharonov_bohm": lambda s: weights.AharonovBohmWeight(mu=float(s["mu"])),
+        "slow_log": lambda s: quadform.slow_log_weight(),
+    }
+    return _build("weight", spec, "log_squared", kinds)
 
 
 def build_grid(spec: dict | None, default=(-8.0, 8.0, 801)) -> Grid:
@@ -170,10 +160,13 @@ def _parse_float(value, key):
 
 def _resolve_t(config):
     if config.get("t") is not None:
-        return float(config["t"])
+        t = float(config["t"])
+        if math.isnan(t):
+            raise ConfigError("t: must be a number, not NaN")
+        return t
     if config.get("r") is not None:
         r = _parse_float(config["r"], "r")
-        if r <= 0:
+        if not r > 0:  # NaN as well
             raise ConfigError("r: must be positive")
         return math.log(r)
     raise ConfigError("r or t: one radius is required")

@@ -6,17 +6,17 @@ in one batched phase-integral call (inertia and oscillation counts go
 coupling by coupling); ``count_total`` is its one-coupling case.  Coupling
 sweeps fit the growth exponent of N(lam) on the largest decade with at least
 10 eigenvalues.  The integral bound
-int V_+ (1 + |log r|) r dr (on the sin^2-mapped Gauss panels, its deep tail
-in s = log|t|) and the sup-functional route are provided for bound
-verification, including divergence detection for borderline potentials.
+int V_+ (1 + |log r|) r dr up to r = e^30 (on the sin^2-mapped Gauss panels,
+its deep tail in s = log|t|) and the sup-functional route are provided for
+bound verification.  Both detect divergence for borderline potentials by
+the one cap sweep of ``weights``: the caps and the 1% saturation rule.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientGrowth, UnboundedWarning
+from .errors import InsufficientGrowth
 from .grids import Grid
 from .profiles import Potential, RadialField
 from .spectral import (
@@ -27,7 +27,7 @@ from .spectral import (
     phase_integral_counts,
     prufer_count,
 )
-from .weights import _check_cap, _sin2_gauss_panels, v_norm_a
+from .weights import _T_MAX, _caps, _saturation, _sin2_gauss_panels, v_norm_a
 
 METHOD_INERTIA = "inertia"
 METHOD_PRUFER = "prufer"
@@ -194,33 +194,17 @@ def _log_weight_integral(V: Potential, t_min: float, t_max: float) -> float:
     return total + integral(t_inner, t_max, edge, lambda t: V.vplus_density(t) * (1.0 + np.abs(t)))
 
 
-def bound_jst(
-    V: Potential,
-    t_min_cap: float = -1e4,
-    t_max: float = 30.0,
-    cap_doublings: int = 3,
-    growth_tol: float = 0.01,
-) -> BoundValue:
+def bound_jst(V: Potential, t_min_cap: float = -1e4, cap_doublings: int = 3) -> BoundValue:
     """Constant-free value of int V_+ (1 + |log r|) r dr with cap sweep.
 
-    The ``unbounded`` flag is raised when every doubling of the lower cap
-    still grows the value by more than ``growth_tol`` relative — the
-    signature of the borderline potentials this bound cannot handle.
+    The integral runs from each lower cap of ``v_norm_a``'s doubling sweep up
+    to r = e^30.  The ``unbounded`` flag is raised when every doubling still
+    grows the value by 1% or more — the signature of the borderline
+    potentials this bound cannot handle.
     """
-    _check_cap(t_min_cap)
-    if cap_doublings < 0:
-        raise ValueError("cap_doublings must be nonnegative")
-    caps = [t_min_cap * 2.0**k for k in range(cap_doublings + 1)]
-    values = [_log_weight_integral(V, cap, t_max) for cap in caps]
-    steps = [
-        abs(v2 - v1) / v2 if v2 > 0 else 0.0 for v1, v2 in zip(values[:-1], values[1:])
-    ]
-    unbounded = bool(steps and all(s >= growth_tol for s in steps))
-    if unbounded:
-        warnings.warn(
-            "log-weighted potential integral grows without saturating",
-            UnboundedWarning,
-        )
+    caps = _caps(t_min_cap, cap_doublings)
+    values = [_log_weight_integral(V, cap, _T_MAX) for cap in caps]
+    _, unbounded = _saturation(values, "log-weighted potential integral grows without saturating")
     return BoundValue(
         value=float(values[-1]),
         unbounded=unbounded,

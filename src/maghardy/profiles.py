@@ -34,7 +34,6 @@ class RadialField:
     """Base class: a radial magnetic field B(r), accessed via t = log r."""
 
     kind = "abstract"
-    has_closed_form = False
     #: t-values where the profile is only piecewise smooth
     kinks: tuple = ()
 
@@ -58,9 +57,7 @@ class RadialField:
         return np.where(np.isfinite(val), val, 0.0)
 
     def alpha(self, t):
-        """Normalized flux alpha(e^t), closed form if available."""
-        if self.has_closed_form:
-            raise NotImplementedError
+        """Normalized flux alpha(e^t); kinds with a closed form override it."""
         return self.alpha_quadrature(t)
 
     def alpha_quadrature(self, t):
@@ -139,7 +136,6 @@ class RadialField:
 @dataclass(frozen=True)
 class ZeroField(RadialField):
     kind: str = "zero"
-    has_closed_form = True
 
     def b(self, t):
         return np.zeros_like(_as_array(t))
@@ -169,10 +165,6 @@ class LogPowerField(RadialField):
     b0: float
     gamma: float
     kind: str = "example1"
-
-    @property
-    def has_closed_form(self):
-        return self.gamma > 1.0
 
     @property
     def kinks(self):
@@ -232,10 +224,6 @@ class LogLogPowerField(RadialField):
     b0: float
     gamma: float
     kind: str = "example2"
-
-    @property
-    def has_closed_form(self):
-        return self.gamma > 1.0
 
     @property
     def kinks(self):
@@ -307,7 +295,6 @@ class BumpField(RadialField):
     flux: float
     r1: float = 1.0
     kind: str = "bump"
-    has_closed_form = True
 
     def __post_init__(self):
         if self.r1 <= 0:
@@ -356,10 +343,6 @@ class SumField(RadialField):
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
-
-    @property
-    def has_closed_form(self):
-        return all(p.has_closed_form for p in self.parts)
 
     @property
     def kinks(self):
@@ -487,7 +470,7 @@ def _resolve_t(t, r):
     if t is not None:
         return _as_array(t)
     r = _as_array(r)
-    if np.any(r <= 0):
+    if not np.all(r > 0):  # NaN as well
         raise ValueError("r must be positive")
     return np.log(r)
 

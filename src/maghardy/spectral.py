@@ -37,7 +37,7 @@ from .errors import (
     ZeroPivotWarning,
 )
 from .grids import Grid
-from .profiles import Potential, RadialField, ScaledPotential, VSigma, ZeroPotential
+from .profiles import Potential, RadialField, ScaledPotential, VSigma
 from .weights import Weight, _roots, _sin2_gauss_panels
 
 
@@ -65,6 +65,16 @@ def _lumps(grid: Grid) -> np.ndarray:
     return 0.5 * (h[:-1] + h[1:])
 
 
+def _mode_terms(grid: Grid):
+    """The interior nodes, the off-diagonal and the diagonal stiff + q * lump
+    as a function of q = (m - alpha)^2 - lam e^{2t} V: every mode's matrix of
+    the grid, bit for bit, whichever function assembles it."""
+    h = grid.steps
+    stiff = 1.0 / h[:-1] + 1.0 / h[1:]
+    lump = _lumps(grid)
+    return grid.t[1:-1], -1.0 / h[1:-1], lambda q: stiff + q * lump
+
+
 def assemble_mode(
     field: RadialField,
     V: Potential,
@@ -80,18 +90,12 @@ def assemble_mode(
     cross-check against the full two-dimensional operator.
     """
     _check_coupling(lam)
-    t = grid.t
-    h = grid.steps
-    ti = t[1:-1]
+    ti, off, diag = _mode_terms(grid)
     if angular_override is None:
         ang = (m - field.alpha(ti)) ** 2
     else:
         ang = np.broadcast_to(np.asarray(angular_override, dtype=float), ti.shape)
-    q = ang - lam * V.e2t_v(ti)
-    lump = _lumps(grid)
-    diag = 1.0 / h[:-1] + 1.0 / h[1:] + q * lump
-    off = -1.0 / h[1:-1]
-    return ModeOperator(m=int(m), diag=diag, offdiag=off, grid=grid)
+    return ModeOperator(m=int(m), diag=diag(ang - lam * V.e2t_v(ti)), offdiag=off, grid=grid)
 
 
 def count_negative(op: ModeOperator) -> int:
@@ -103,19 +107,15 @@ def count_modes(field: RadialField, V: Potential, modes, grid: Grid, lam: float 
     """Per-mode inertia counts, equal to ``count_negative(assemble_mode(field,
     V, m, grid, lam))`` for each m in ``modes``.
 
-    Everything that does not depend on the mode (alpha, the potential, the
-    lumps, the stiffness and the off-diagonal) is evaluated once.
+    Everything that does not depend on the mode (alpha, the potential and
+    ``_mode_terms``) is evaluated once.
     """
     _check_coupling(lam)
-    h = grid.steps
-    ti = grid.t[1:-1]
+    ti, off, diag = _mode_terms(grid)
     alpha = field.alpha(ti)
     lv = lam * V.e2t_v(ti)
-    lump = _lumps(grid)
-    stiff = 1.0 / h[:-1] + 1.0 / h[1:]
-    count = _inertia_counter(-1.0 / h[1:-1])
-    # assemble_mode's own operation order: each diagonal is the same to the bit
-    return [count(stiff + ((m - alpha) ** 2 - lv) * lump) for m in modes]
+    count = _inertia_counter(off)
+    return [count(diag((m - alpha) ** 2 - lv)) for m in modes]
 
 
 # a strong row's margin over the sum of its couplings
@@ -326,24 +326,29 @@ def hardy_constant(
     weight is Hardy-critical there, and the error decays only like
     ``|t_min|^{-2 sqrt(1/4 - mu*)}`` with mu* the whole-line constant
     (about |t_min|^{-0.38} for ``BumpField(flux=0.5)``).
+
+    A node of zero weight mass is eliminated (``smallest_generalized_mu``);
+    a negative or NaN mass raises DomainError.
     """
     if refine_levels < 0:
         raise ValueError("refine_levels must be nonnegative")
     m_range = list(m_range)
     if not m_range:
         raise ValueError("m_range must hold at least one mode")
-    zero_v = ZeroPotential()
     history = []
     per_mode = {}
     g = grid
     mu_star = np.inf
     for level in range(refine_levels + 1):
-        ti = g.t[1:-1]
+        ti, off, diag = _mode_terms(g)
         mass = w.mass_density(ti) * _lumps(g)
-        per_mode = {}
-        for m in m_range:
-            op = assemble_mode(field, zero_v, m, g)
-            per_mode[int(m)] = smallest_generalized_mu(op.diag, op.offdiag, mass)
+        bad = ~(mass >= 0.0)
+        if bad.any():
+            raise DomainError(f"weight mass is negative or NaN at t = {float(ti[bad][0])!r}")
+        alpha = field.alpha(ti)
+        per_mode = {
+            int(m): smallest_generalized_mu(diag((m - alpha) ** 2), off, mass) for m in m_range
+        }
         mu_star = float(min(per_mode.values()))
         history.append((g.n, mu_star))
         if level < refine_levels:

@@ -19,6 +19,10 @@ per round narrows the bracket, and sweeping the lower domain cap detects
 divergence.  The caps of a sweep search in lockstep, so one root solve per
 round refines the crossings of every cap still searching.
 
+One cap sweep serves this functional and ``counting.bound_jst``: the caps
+(``_caps``), the 1% saturation rule (``_saturation``) and the upper end
+t = 30 (r = e^30) of every scan and bound integral.
+
 The sin^2-mapped Gauss panels (``_sin2_gauss_panels``) integrate every
 closed-form density of the library: the log moments here, the phase
 integral and the log-weighted potential bound.
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureFailure, ScanResolutionWarning, UnboundedWarning
-from .profiles import Potential, RadialField, _as_array
+from .profiles import Potential, RadialField, _as_array, _resolve_t
 
 # refinement limits per Gauss panel: halvings of one theta-interval, and
 # intervals open at once (the old adaptive limit of 300 subintervals), which
@@ -40,6 +44,10 @@ _MAX_HALVINGS = 50
 _MAX_OPEN = 300
 # interior thresholds per zoom round of the [V]_a search
 _ZOOM_POINTS = 32
+# upper end t = log r of every scan and bound integral: r = e^30
+_T_MAX = 30.0
+# a cap sweep saturates when its last step changes the value by less than 1%
+_SATURATION_TOL = 0.01
 
 
 class Weight:
@@ -188,14 +196,7 @@ class CustomWeight(Weight):
 
 def eval_weight(w: Weight, t=None, r=None):
     """Raw weight value at t = log r (pass exactly one of t, r)."""
-    if (t is None) == (r is None):
-        raise ValueError("pass exactly one of t or r")
-    if t is None:
-        r = _as_array(r)
-        if np.any(r <= 0):
-            raise ValueError("r must be positive")
-        t = np.log(r)
-    return w.value(t)
+    return w.value(_resolve_t(t, r))
 
 
 def select_eta_log(field: RadialField, t_lo: float = -1e9, t_hi: float = 0.0) -> float:
@@ -380,7 +381,7 @@ class _LevelScan:
     maximum, the midpoint-refined scan sees another crossing count.
     """
 
-    def __init__(self, V: Potential, t_min_cap: float, t_max: float = 30.0, scan_n: int = 4000):
+    def __init__(self, V: Potential, t_min_cap: float, t_max: float = _T_MAX, scan_n: int = 4000):
         self.ratio = _ratio(V)
         pieces = [np.linspace(max(t_min_cap, -2.0), t_max, max(scan_n // 4, 16))]
         if t_min_cap < -2.0:
@@ -441,7 +442,7 @@ class _LevelScan:
         return self.finish(taus, cut, owner, _roots(self.ratio, *solve))
 
 
-def _scan_levels(V: Potential, t_min_cap: float, t_max: float = 30.0, scan_n: int = 4000):
+def _scan_levels(V: Potential, t_min_cap: float, t_max: float = _T_MAX, scan_n: int = 4000):
     """Scan V/w0 once (``_LevelScan``); return its maximum and ``levels``."""
     scan = _LevelScan(V, t_min_cap, t_max, scan_n)
     return scan.rmax, scan.levels
@@ -451,7 +452,7 @@ def level_set(
     V: Potential,
     t_val: float,
     t_min_cap: float = -1e6,
-    t_max: float = 30.0,
+    t_max: float = _T_MAX,
     scan_n: int = 4000,
 ) -> LevelSet:
     """Level set {V > t_val * w0} from a cached scan and a bracketed root solve.
@@ -460,11 +461,14 @@ def level_set(
     (brentq's tolerance, attainable at any float magnitude).  A 2x finer scan
     that sees a different crossing count emits a ScanResolutionWarning (never
     silently dropped); a non-finite V/w0 on the scan raises DomainError.
+    The scan needs ``scan_n`` >= 16, the node floor of its t-side piece.
     """
     if not t_val > 0:
         raise ValueError("threshold must be positive")
     if not -np.inf < t_min_cap < t_max < np.inf:
         raise ValueError("the scan needs finite t_min_cap < t_max")
+    if not scan_n >= 16:
+        raise ValueError("scan_n must be at least 16")
     _, levels = _scan_levels(V, t_min_cap, t_max, scan_n)
     ends, _, truncated = levels(t_val)
     intervals = tuple(zip(ends[0::2].tolist(), ends[1::2].tolist()))
@@ -563,43 +567,57 @@ def _check_cap(t_min_cap: float):
         raise ValueError("t_min_cap must be negative and finite")
 
 
+def _caps(t_min_cap: float, cap_doublings: int, cap_schedule: str = "double") -> list:
+    """The lower caps of a sweep: t_min_cap and ``cap_doublings`` extensions
+    of it, each doubling t ("double") or squaring |t| ("square", which needs
+    t_min_cap < -1)."""
+    _check_cap(t_min_cap)
+    if cap_doublings < 0:
+        raise ValueError("cap_doublings must be nonnegative")
+    if cap_schedule == "double":
+        return [t_min_cap * (2.0**k) for k in range(cap_doublings + 1)]
+    if cap_schedule == "square":
+        if t_min_cap >= -1.0:
+            raise ValueError("cap_schedule 'square' needs t_min_cap < -1")
+        return [-((-t_min_cap) ** (2.0**k)) for k in range(cap_doublings + 1)]
+    raise ValueError("cap_schedule must be 'double' or 'square'")
+
+
+def _saturation(values, message: str):
+    """(saturated, kept growing) of a cap sweep's values, from each step's
+    change relative to its newer value: saturated when the last step (if
+    any) is below _SATURATION_TOL, kept growing, with an UnboundedWarning
+    carrying ``message``, when every step is at or above it."""
+    steps = [abs(v2 - v1) / v2 if v2 > 0 else 0.0 for v1, v2 in zip(values[:-1], values[1:])]
+    growing = bool(steps) and all(s >= _SATURATION_TOL for s in steps)
+    if growing:
+        warnings.warn(message, UnboundedWarning)
+    return bool(not steps or steps[-1] < _SATURATION_TOL), growing
+
+
 def v_norm_a(
     V: Potential,
     a: float,
     t_min_cap: float = -1e4,
     cap_doublings: int = 1,
-    saturation_tol: float = 0.01,
     cap_schedule: str = "double",
 ) -> VNormResult:
     """Capped sup-functional [V]_a with divergence detection.
 
     The value carries the 1/a-th root, so [lam*V]_a = lam*[V]_a exactly.
     ``saturated`` is True when the last cap extension changes the value by
-    less than ``saturation_tol``; ``cap_sequence`` records the (cap, value)
-    pairs of the sweep.  ``cap_schedule`` extends the cap by doubling t
-    ("double") or by squaring |t| ("square"); the latter is the natural
-    sweep for potentials whose level sets grow doubly exponentially in the
-    inverse threshold, and it needs t_min_cap < -1.  An UnboundedWarning is
-    emitted when the value keeps growing across every step of the sweep.
+    less than 1%; ``cap_sequence`` records the (cap, value) pairs of the
+    sweep.  ``cap_schedule`` extends the cap by doubling t ("double") or by
+    squaring |t| ("square"); the latter is the natural sweep for potentials
+    whose level sets grow doubly exponentially in the inverse threshold, and
+    it needs t_min_cap < -1.  An UnboundedWarning is emitted when the value
+    grows by 1% or more at every step of the sweep.
     """
     _check_exponent(a)
-    _check_cap(t_min_cap)
-    if cap_doublings < 0:
-        raise ValueError("cap_doublings must be nonnegative")
-    if cap_schedule == "double":
-        caps = [t_min_cap * (2.0**k) for k in range(cap_doublings + 1)]
-    elif cap_schedule == "square":
-        if t_min_cap >= -1.0:
-            raise ValueError("cap_schedule 'square' needs t_min_cap < -1")
-        caps = [-((-t_min_cap) ** (2.0**k)) for k in range(cap_doublings + 1)]
-    else:
-        raise ValueError("cap_schedule must be 'double' or 'square'")
+    caps = _caps(t_min_cap, cap_doublings, cap_schedule)
     sups = _sup_over_thresholds(V, a, caps)
     values = [raw ** (1.0 / a) if raw > 0 else 0.0 for raw, _ in sups]
-    rel_steps = [abs(v2 - v1) / v2 if v2 > 0 else 0.0 for v1, v2 in zip(values[:-1], values[1:])]
-    saturated = bool(rel_steps[-1] < saturation_tol) if rel_steps else True
-    if rel_steps and all(s >= saturation_tol for s in rel_steps):
-        warnings.warn("sup-functional kept growing across every cap doubling", UnboundedWarning)
+    saturated, _ = _saturation(values, "sup-functional kept growing across every cap doubling")
     return VNormResult(
         value=float(values[-1]),
         arg_t=float(sups[-1][1]),

@@ -481,6 +481,47 @@ def test_library_value_errors_exit_1(tmp_path, capsys, config, argv):
 
 
 @pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        (None, ["flux", "--field", "bump", "--total-flux", "0.5", "--r", "nan"], "r: must be positive"),
+        (None, ["weight", "--r", "nan"], "r: must be positive"),
+        (None, ["weight", "--t", "nan"], "t: must be a number, not NaN"),
+        (None, ["flux", "--field", "nope", "--r", "1"], "field.kind: unknown kind 'nope'"),
+        ({"field": {"kind": ["bump"]}, "r": 1}, ["flux"], "field.kind: unknown kind ['bump']"),
+        (None, ["flux", "--field", "example1", "--gamma", "2", "--r", "1"],
+         "field.b0: required for kind 'example1'"),
+        (None, ["count", "--potential", "nope"], "potential.kind: unknown kind 'nope'"),
+        (None, ["count", "--potential", "vsigma"], "potential.sigma: required for kind 'vsigma'"),
+        (None, ["weight", "--weight", "nope", "--r", "1"], "weight.kind: unknown kind 'nope'"),
+        (None, ["weight", "--weight", "log_power", "--r", "1"], "weight.b: required for kind 'log_power'"),
+        (None, ["weight", "--weight", "flux_augmented", "--r", "1"],
+         "flux_augmented weight needs a field section"),
+    ],
+    ids=[
+        "flux-nan-radius",
+        "weight-nan-radius",
+        "weight-nan-t",
+        "field-unknown-kind",
+        "field-kind-not-a-string",
+        "field-missing-key",
+        "potential-unknown-kind",
+        "potential-missing-key",
+        "weight-unknown-kind",
+        "weight-missing-key",
+        "flux-augmented-without-field",
+    ],
+)
+def test_config_errors_exit_1(tmp_path, capsys, config, argv, message):
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), *argv]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "config, argv",
     [
         ({"m_range": 5}, ["hardy"]),

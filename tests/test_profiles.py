@@ -15,6 +15,14 @@ def test_example1_closed_form_flux_value():
     assert mh.flux(f, t=-2.0) == pytest.approx(0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("r", [np.nan, 0.0, -1.0, [0.5, np.nan]])
+def test_radius_functions_reject_radius_not_positive(r):
+    f = mh.BumpField(flux=0.5)
+    for fn in (mh.flux, mh.phi, mh.flux_quadrature):
+        with pytest.raises(ValueError, match="r must be positive"):
+            fn(f, r=r)
+
+
 def test_zero_field_flux_trivial():
     z = mh.ZeroField()
     for t in (-5.0, 0.0, 3.0):

@@ -14,6 +14,7 @@ from maghardy import _kernels
 from maghardy.errors import DomainError, NoTruncation, QuadratureFailure, ZeroPivotWarning
 from maghardy.profiles import ZeroPotential
 from maghardy.spectral import (
+    HardyEstimate,
     _lumps,
     _mode_panels,
     _pivmin,
@@ -385,6 +386,62 @@ def test_hardy_singular_field_witness():
     assert est.mu_star > 0
     (n1, mu1), (n2, mu2) = est.refinement_history
     assert abs(mu2 - mu1) / mu1 < 0.05
+
+
+def _hardy_constant_per_mode_loop(field, w, grid, m_range, refine_levels):
+    """Reference: the per-mode Hardy loop, one ``assemble_mode`` call (zero
+    potential) per mode and refinement level."""
+    history, g = [], grid
+    for level in range(refine_levels + 1):
+        mass = w.mass_density(g.t[1:-1]) * _lumps(g)
+        per_mode = {}
+        for m in m_range:
+            op = assemble_mode(field, ZeroPotential(), m, g)
+            per_mode[int(m)] = smallest_generalized_mu(op.diag, op.offdiag, mass)
+        mu_star = float(min(per_mode.values()))
+        history.append((g.n, mu_star))
+        if level < refine_levels:
+            g = g.refine()
+    return HardyEstimate(per_mode, mu_star, grid.meta(), tuple(history))
+
+
+def _singular_hardy_case():
+    f = mh.LogPowerField(b0=1.0, gamma=1.3)
+    w = mh.FluxAugmentedWeight(field=f, t_eta=mh.select_eta_log(f))
+    return f, w, mh.Grid.geometric(-1e8, -1e-2, 800)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (mh.BumpField(0.5), mh.LogSquaredWeight(), mh.Grid.uniform(-8.0, 8.0, 401)),
+        _singular_hardy_case,
+        lambda: (mh.BumpField(0.5), mh.slow_log_weight(), mh.Grid.uniform(-8.0, 8.0, 401)),
+    ],
+    ids=["bump", "singular-flux-augmented", "slow-log"],
+)
+def test_hardy_constant_equals_per_mode_loop(case):
+    # slow_log has zero weight mass for t < 2: such nodes stay allowed
+    field, w, grid = case()
+    est = mh.hardy_constant(field, w, grid, m_range=range(-3, 4), refine_levels=1)
+    ref = _hardy_constant_per_mode_loop(field, w, grid, range(-3, 4), 1)
+    assert est.as_dict() == ref.as_dict()
+
+
+@pytest.mark.parametrize(
+    "density, t_bad",
+    [
+        (lambda t: -np.ones_like(t), -8.0 + 16.0 / 200),
+        (lambda t: np.where(t > 0.0, np.nan, 1.0 / (1.0 + t * t)), 16.0 / 200),
+    ],
+    ids=["negative", "nan-half"],
+)
+def test_hardy_constant_rejects_negative_or_nan_weight_mass(density, t_bad):
+    # once read as massless and eliminated: mu_star = inf for the negative
+    # weight, and 0.5407 from the t < 0 half alone for the NaN one
+    grid = mh.Grid.uniform(-8.0, 8.0, 201)
+    with pytest.raises(DomainError, match=f"negative or NaN at t = {t_bad!r}"):
+        mh.hardy_constant(mh.BumpField(0.5), mh.CustomWeight(density), grid, range(-1, 2))
 
 
 # ---------------------------------------------------------------------------

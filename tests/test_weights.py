@@ -567,8 +567,9 @@ def test_square_schedule_and_cap_doublings_validation():
             mh.v_norm_a(V, 2.0, t_min_cap=cap, cap_doublings=2, cap_schedule="square")
     # zero doublings is a one-cap sweep; just below -1 the square schedule grows the cap
     assert mh.v_norm_a(V, 2.0, t_min_cap=-100.0, cap_doublings=0).saturated
-    caps = [c for c, _ in mh.v_norm_a(V, 2.0, -1.5, 2, cap_schedule="square").cap_sequence]
-    assert caps == [-1.5, -2.25, -(1.5**4)]
+    with pytest.warns(UnboundedWarning, match="kept growing"):
+        res = mh.v_norm_a(V, 2.0, -1.5, 2, cap_schedule="square")
+    assert [c for c, _ in res.cap_sequence] == [-1.5, -2.25, -(1.5**4)]
 
 
 def test_subnormal_threshold_level_set_is_finite():
@@ -735,3 +736,17 @@ def test_level_set_rejects_nan_threshold_and_bad_scan_range():
             mh.level_set(V, 0.1, **kw)
     # an infinite threshold is above every ratio: the empty set
     assert mh.level_set(V, np.inf).is_empty
+
+
+@pytest.mark.parametrize("scan_n", [0, 1, 15])
+def test_level_set_rejects_scan_n_below_16(scan_n):
+    # scan_n=0 once dropped the whole log-side piece: ((-2.0, -1.9999999995),)
+    with pytest.raises(ValueError, match="scan_n must be at least 16"):
+        mh.level_set(mh.VSigma(2.0), 0.1, scan_n=scan_n)
+    assert mh.level_set(mh.VSigma(2.0), 0.1, scan_n=16).intervals[0][0] < -2.0
+
+
+@pytest.mark.parametrize("r", [np.nan, 0.0, -1.0, [1.0, np.nan]])
+def test_eval_weight_rejects_radius_not_positive(r):
+    with pytest.raises(ValueError, match="r must be positive"):
+        mh.eval_weight(mh.LogSquaredWeight(), r=r)

@@ -163,11 +163,16 @@ def _resolve_t(config):
         t = float(config["t"])
         if math.isnan(t):
             raise ConfigError("t: must be a number, not NaN")
+        # strict JSON has no token for an infinite t
+        if math.isinf(t):
+            raise ConfigError("t: must be finite")
         return t
     if config.get("r") is not None:
         r = _parse_float(config["r"], "r")
         if not r > 0:  # NaN as well
             raise ConfigError("r: must be positive")
+        if math.isinf(r):
+            raise ConfigError("r: must be finite")
         return math.log(r)
     raise ConfigError("r or t: one radius is required")
 

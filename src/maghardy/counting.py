@@ -122,9 +122,7 @@ def count_ladder(
         counts = [count_modes(field, V, ms, grid, lam) for lam, ms in zip(live, modes)]
     elif method == METHOD_PRUFER:
         span = (grid.t_min, grid.t_max)
-        counts = [
-            [prufer_count(field, V, m, span, lam=lam) for m in ms] for lam, ms in zip(live, modes)
-        ]
+        counts = [prufer_count(field, V, ms, span, lam=lam) for lam, ms in zip(live, modes)]
     else:
         dom = (grid.t_min, grid.t_max) if grid is not None else None
         counts = phase_integral_counts(field, V, list(zip(live, modes)), t_domain=dom)

@@ -14,13 +14,17 @@ squares the couplings once for every mode).  The same matrices drive the
 Hardy-constant estimator: the lowest generalized eigenvalue against a
 lumped weight mass, by LAPACK's Sturm bisection (stebz).  Oscillation
 (Pruefer) and phase-integral counts provide independent cross-checks of the
-inertia route; the phase integral of every well, the borderline one in
+inertia route.  The Pruefer count samples its coefficient table once for
+any number of modes.  The phase integral of every well, the borderline one in
 s = log|t|, runs on the sin^2-mapped Gauss panels of
 ``weights._sin2_gauss_panels``, between each mode's turning points and the
 fixed breaks, which one lexsort orders for all modes (``_mode_panels``).
-Couplings are a batch axis as well: for a ladder of (coupling, modes) jobs,
-one root solve refines every turning point and one panel call integrates
-every panel (``phase_integral_counts``).
+The turning points are bracketed on a probe without a pass per mode: at one
+node the modes with a positive radicand are one run of the sorted modes, so
+each node's run ends, settled by the exact radicand, give every sign change
+(``_mode_brackets``).  Couplings are a batch axis as well: for a ladder of
+(coupling, modes) jobs, one root solve refines every turning point and one
+panel call integrates every panel (``phase_integral_counts``).
 """
 
 import warnings
@@ -60,6 +64,11 @@ def _check_coupling(*lams):
         raise ValueError("coupling must be finite and nonnegative")
 
 
+def _check_modes(modes):
+    if not np.isfinite(np.asarray(modes, dtype=float)).all():
+        raise ValueError("modes must be finite")
+
+
 def _lumps(grid: Grid) -> np.ndarray:
     h = grid.steps
     return 0.5 * (h[:-1] + h[1:])
@@ -90,6 +99,7 @@ def assemble_mode(
     cross-check against the full two-dimensional operator.
     """
     _check_coupling(lam)
+    _check_modes(m)
     ti, off, diag = _mode_terms(grid)
     if angular_override is None:
         ang = (m - field.alpha(ti)) ** 2
@@ -99,7 +109,12 @@ def assemble_mode(
 
 
 def count_negative(op: ModeOperator) -> int:
-    """Exact negative-eigenvalue count by LDL^T inertia (Sturm sequence)."""
+    """Exact negative-eigenvalue count by LDL^T inertia (Sturm sequence).
+
+    A NaN or infinite entry raises ValueError: the count would be meaningless.
+    """
+    if not (np.isfinite(op.diag).all() and np.isfinite(op.offdiag).all()):
+        raise ValueError("mode operator entries must be finite")
     return _inertia_counter(op.offdiag)(op.diag)
 
 
@@ -111,6 +126,8 @@ def count_modes(field: RadialField, V: Potential, modes, grid: Grid, lam: float 
     ``_mode_terms``) is evaluated once.
     """
     _check_coupling(lam)
+    modes = list(modes)
+    _check_modes(modes)
     ti, off, diag = _mode_terms(grid)
     alpha = field.alpha(ti)
     lv = lam * V.e2t_v(ti)
@@ -335,6 +352,7 @@ def hardy_constant(
     m_range = list(m_range)
     if not m_range:
         raise ValueError("m_range must hold at least one mode")
+    _check_modes(m_range)
     history = []
     per_mode = {}
     g = grid
@@ -369,17 +387,21 @@ def hardy_constant(
 def prufer_count(
     field: RadialField,
     V: Potential,
-    m: int,
+    m: int | Sequence[int],
     t_range: tuple,
     lam: float = 1.0,
     tol: float = 1e-6,
     coeff_samples: int = 8192,
-) -> int:
+) -> int | list[int]:
     """Node count of the zero-energy solution across t_range.
 
     Integrates the phase of -u'' + ((m-alpha)^2 - lam e^{2t} V) u = 0 with
     u(t0) = 0; the number of pi-crossings equals the Dirichlet negative-
     eigenvalue count on the interval up to boundary effects of +-1.
+
+    ``m`` is one mode or a sequence of modes; a sequence gives the list of
+    per-mode counts, equal to the one-mode calls.  alpha and lam e^{2t} V are
+    sampled on the coefficient table once for all of them.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not t1 > t0:
@@ -392,15 +414,21 @@ def prufer_count(
         raise ValueError("tol must be positive")
     if not coeff_samples >= 1:
         raise ValueError("coeff_samples must be at least 1")
+    modes = [m] if np.ndim(m) == 0 else list(m)
+    _check_modes(modes)
     tq = np.linspace(t0, t1, coeff_samples)
-    qq = (m - field.alpha(tq)) ** 2 - lam * V.e2t_v(tq)
+    alpha = field.alpha(tq)
+    lv = lam * V.e2t_v(tq)
     span = t1 - t0
-    theta, fail = _kernels.prufer_sweep(
-        tq, qq, t0, t1, tol, span / 1024.0, span * 1e-12
-    )
-    if fail:
-        raise StiffnessFailure("adaptive phase integration underflowed its step size")
-    return int(np.floor(theta / np.pi))
+    counts = []
+    for mode in modes:
+        theta, fail = _kernels.prufer_sweep(
+            tq, (mode - alpha) ** 2 - lv, t0, t1, tol, span / 1024.0, span * 1e-12
+        )
+        if fail:
+            raise StiffnessFailure("adaptive phase integration underflowed its step size")
+        counts.append(int(np.floor(theta / np.pi)))
+    return counts[0] if np.ndim(m) == 0 else counts
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +459,15 @@ def phase_integral_count(
     counting law with a finite turning point.  Set critical_shift=False for
     closed-form cross-checks on compact wells.
 
-    All modes are integrated at once: one shared 4001-node probe brackets
-    the turning points, one batched root solve refines them, and the panels
-    between turning points, domain ends, support edge and field kinks are
-    mapped by x = a + (b - a) sin^2(theta) and summed by a 24-point Gauss
-    rule with adaptive halving (QuadratureFailure if that does not converge;
-    DomainError if the integrand is not finite).  Wells are integrated in t,
-    except the borderline well, which runs in s = log|t| on a geometric
-    probe, so turning points at astronomically large |t| cost O(1) nodes.
+    All modes are integrated at once: the per-node mode runs of one shared
+    4001-node probe bracket the turning points, one batched root solve
+    refines them, and the panels between turning points, domain ends,
+    support edge and field kinks are mapped by x = a + (b - a) sin^2(theta)
+    and summed by a 24-point Gauss rule with adaptive halving
+    (QuadratureFailure if that does not converge; DomainError if the
+    integrand is not finite).  Wells are integrated in t, except the
+    borderline well, which runs in s = log|t| on a geometric probe, so
+    turning points at astronomically large |t| cost O(1) nodes.
 
     ``m`` is one mode or a sequence of modes; a sequence gives the list of
     per-mode counts, equal to the one-mode calls.  This is the one-job case
@@ -468,6 +497,7 @@ def phase_integral_counts(
     """
     jobs = [(lam, list(modes)) for lam, modes in jobs]
     _check_coupling(*(lam for lam, _ in jobs))
+    _check_modes([m for _, modes in jobs for m in modes])
     base, _ = _unwrap_scaled(V, 1.0)
     if isinstance(base, VSigma):
         # the borderline well runs on the unwrapped potential and coupling
@@ -553,41 +583,24 @@ def _phase_panels(terms, jobs):
             raise DomainError(f"phase integrand is not finite at {float(x[bad][0])!r}")
         return well, alpha, g, barrier
 
-    def radicand(m, well, alpha, g, barrier):
-        am = np.abs(m - alpha)
-        # g = e^s may be inf: (g am)^2 overflows to the forbidden limit, and
-        # am == 0 is short-circuited
-        with np.errstate(over="ignore", invalid="ignore"):
-            return well - np.where(am > 0.0, (g * am) ** 2, 0.0) - barrier
-
     def w_neg(x, m, lam):
         """The radicand at points x of modes m and couplings lam (one shape)."""
-        return radicand(m, *finite_terms(x, lam))
+        return _radicand(m, *finite_terms(x, lam))
 
-    # sign changes on each job's probe bracket its turning points; a mode's
-    # row is built from the shared terms by w_neg's own formula, so signs
-    # agree with it.  Job j's mode k is row offsets[j] + k of the results.
+    # sign changes on each job's probe bracket its turning points.  Job j's
+    # mode k is row offsets[j] + k of the results.
     offsets = np.cumsum([0] + [len(modes) for _, modes, _ in jobs])
     brackets, open_jobs = [], []
     for j, (lam, modes, span) in enumerate(jobs):
         if span is None:
             continue
         probe, fixed = span
-        shared = finite_terms(probe, lam)
-        open_rows = []
-        for k, m in enumerate(modes):
-            vals = radicand(m, *shared)
-            sign = vals > 0
-            if not sign.any():
-                continue
-            i = np.flatnonzero(sign[:-1] != sign[1:])
-            row = offsets[j] + k
-            brackets.append((probe[i], probe[i + 1], vals[i], vals[i + 1], np.full(i.size, row)))
-            open_rows.append(row)
-        if open_rows:
+        (lo, hi, f_lo, f_hi, k), open_k = _mode_brackets(probe, finite_terms(probe, lam), modes)
+        if open_k.size:
+            brackets.append((lo, hi, f_lo, f_hi, offsets[j] + k))
             x_lo, x_hi = probe[0], probe[-1]
             fixed = np.array([x for x in fixed if x is not None and x_lo <= x <= x_hi], dtype=float)
-            open_jobs.append((j, open_rows, fixed))
+            open_jobs.append((j, offsets[j] + open_k, fixed))
     if not open_jobs:
         return [[0.0] * len(modes) for _, modes, _ in jobs]
     m_of = np.concatenate([np.asarray(modes, dtype=float) for _, modes, _ in jobs])
@@ -611,6 +624,114 @@ def _phase_panels(terms, jobs):
     # each row's panels are added in ascending order, as in a one-mode call
     counts = (np.bincount(row, weights=vals, minlength=offsets[-1]) / np.pi).tolist()
     return [counts[offsets[j] : offsets[j + 1]] for j in range(len(jobs))]
+
+
+def _radicand(m, well, alpha, g, barrier):
+    """The phase radicand well - (g |m - alpha|)^2 - barrier, elementwise."""
+    am = np.abs(m - alpha)
+    # g = e^s may be inf: (g am)^2 overflows to the forbidden limit, and
+    # am == 0 is short-circuited
+    with np.errstate(over="ignore", invalid="ignore"):
+        return well - np.where(am > 0.0, (g * am) ** 2, 0.0) - barrier
+
+
+def _mode_brackets(probe, terms, modes):
+    """Every sign change of every mode's radicand on the probe.
+
+    Returns the brackets (lo, hi, f_lo, f_hi, k), k the mode's index in
+    ``modes``, ordered by k and then by node, with f the radicand at lo and
+    hi; and the ascending indices of the modes positive at some node.  They
+    equal those of a scan that builds each mode's radicand on the whole
+    probe, but no such row is built.
+
+    At one node the computed radicand is non-increasing in |m - alpha|:
+    every IEEE operation in it is monotone under rounding, and so is |m -
+    alpha| on either side of alpha.  So the modes positive at a node are one
+    run [start, stop) of the sorted unique modes u, around c, the first
+    position with u >= alpha.  A float guess of each run's ends,
+    alpha -+ sqrt(well - barrier) / g, is settled with the exact radicand at
+    its neighbours (``_settle``): four probe-length passes, however many
+    modes there are.  A mode changes sign between nodes i and i + 1 exactly
+    when its position lies in one of their runs and not in the other.
+    """
+    well, alpha, g, barrier = np.broadcast_arrays(*terms)
+    u, inverse = np.unique(np.asarray(modes, dtype=float), return_inverse=True)
+    if not u.size:
+        none = probe[:0]
+        return (none, none, none, none, inverse), inverse
+
+    def positive(k, node):
+        return _radicand(u[k], well[node], alpha[node], g[node], barrier[node]) > 0.0
+
+    c = np.searchsorted(u, alpha)  # u[:c] < alpha <= u[c:]
+    # no mode is positive where m = alpha is not: there the run is [c, c)
+    top = well - barrier
+    reach = np.sqrt(np.maximum(top, 0.0)) / g  # 0 where g = inf: only m = alpha
+    guess_stop = np.maximum(np.searchsorted(u, alpha + reach, side="right"), c)
+    guess_start = np.minimum(np.searchsorted(u, alpha - reach), c)
+    # stop: the first position from c on that is not positive; start: the
+    # first position before c that is
+    stop = _settle(
+        np.where(top > 0.0, guess_stop, c), c, np.full_like(c, u.size),
+        lambda k, node: ~positive(k, node),
+    )
+    start = _settle(np.where(top > 0.0, guess_start, c), np.zeros_like(c), c, positive)
+
+    # the positions in exactly one of the runs of nodes i and i + 1: where the
+    # runs overlap, those between their starts and between their stops;
+    # otherwise each run whole (an empty run adds nothing)
+    i = np.flatnonzero((start[:-1] != start[1:]) | (stop[:-1] != stop[1:]))
+    s0, s1, e0, e1 = start[i], start[i + 1], stop[i], stop[i + 1]
+    overlap = np.maximum(s0, s1) < np.minimum(e0, e1)
+    lo = np.concatenate([np.where(overlap, np.minimum(s0, s1), s0),
+                         np.where(overlap, np.minimum(e0, e1), s1)])
+    hi = np.concatenate([np.where(overlap, np.maximum(s0, s1), e0),
+                         np.where(overlap, np.maximum(e0, e1), e1)])
+    pos, node = _expand(lo, hi - lo, np.concatenate([i, i]))
+    order = np.lexsort((node, pos))
+    pos, node = pos[order], node[order]
+    both = np.concatenate([node, node + 1])
+    f = _radicand(u[np.concatenate([pos, pos])], well[both], alpha[both], g[both], barrier[both])
+
+    # each index of modes takes its position's brackets, a repeated mode once
+    # per index
+    per_position = np.bincount(pos, minlength=u.size)
+    first = np.cumsum(per_position) - per_position
+    b, k = _expand(first[inverse], per_position[inverse], np.arange(inverse.size))
+    i = node[b]
+    brackets = (probe[i], probe[i + 1], f[: pos.size][b], f[pos.size :][b], k)
+
+    # a position is open when some run covers it
+    runs = np.bincount(start, minlength=u.size + 1) - np.bincount(stop, minlength=u.size + 1)
+    return brackets, np.flatnonzero(np.cumsum(runs)[inverse] > 0)
+
+
+def _expand(first, count, owner):
+    """first[j], first[j] + 1, ... (count[j] values) for each j in turn, and
+    owner[j] repeated alongside."""
+    start = np.cumsum(count) - count
+    return np.repeat(first - start, count) + np.arange(count.sum()), np.repeat(owner, count)
+
+
+def _settle(pos, lo, hi, pred):
+    """Each guess pos in [lo, hi] moved to the first k in [lo, hi) with
+    pred(k, i), hi when there is none, where pred(., i) is false and then
+    true on [lo, hi) and i is the guess's index.  Each pass evaluates pred at
+    pos and pos - 1 of every guess still moving; the first pass takes the
+    guesses whole (i a full slice), and any later pass only those it moved."""
+    pos = pos.copy()
+    index = np.arange(pos.size)
+    moving = slice(None)
+    while True:
+        at, lo_at, hi_at = pos[moving], lo[moving], hi[moving]
+        # a neighbour outside [lo, hi) is evaluated at hi - 1 or pos - 1, in
+        # [-1, hi - 1], and ignored
+        up = (at < hi_at) & ~pred(np.minimum(at, hi_at - 1), moving)
+        down = (at > lo_at) & pred(at - 1, moving)
+        if not (up.any() or down.any()):
+            return pos
+        pos[moving] = at + up - down
+        moving = index[moving][up | down]
 
 
 def _mode_panels(edges, edge_mode, open_modes, fixed):

@@ -1,6 +1,7 @@
 """CLI dispatch, report determinism, CSV emission, exit codes."""
 
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -12,6 +13,15 @@ import pytest
 
 from maghardy import cli
 from maghardy.errors import ConfigError
+
+
+def _child_env():
+    """The environment of a child interpreter, importing maghardy from this
+    checkout's src first."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def _strip_clock(report):
@@ -205,6 +215,7 @@ def test_console_entrypoint_smoke(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert out.returncode == 0
     assert "max_residual" in out.stdout
@@ -486,6 +497,11 @@ def test_library_value_errors_exit_1(tmp_path, capsys, config, argv):
         (None, ["flux", "--field", "bump", "--total-flux", "0.5", "--r", "nan"], "r: must be positive"),
         (None, ["weight", "--r", "nan"], "r: must be positive"),
         (None, ["weight", "--t", "nan"], "t: must be a number, not NaN"),
+        (None, ["flux", "--field", "bump", "--total-flux", "0.5", "--r", "inf"],
+         "r: must be finite"),
+        (None, ["weight", "--r", "inf"], "r: must be finite"),
+        (None, ["weight", "--t", "inf"], "t: must be finite"),
+        ({"t": "-inf"}, ["weight"], "t: must be finite"),
         (None, ["flux", "--field", "nope", "--r", "1"], "field.kind: unknown kind 'nope'"),
         ({"field": {"kind": ["bump"]}, "r": 1}, ["flux"], "field.kind: unknown kind ['bump']"),
         (None, ["flux", "--field", "example1", "--gamma", "2", "--r", "1"],
@@ -501,6 +517,10 @@ def test_library_value_errors_exit_1(tmp_path, capsys, config, argv):
         "flux-nan-radius",
         "weight-nan-radius",
         "weight-nan-t",
+        "flux-infinite-radius",
+        "weight-infinite-radius",
+        "weight-infinite-t",
+        "weight-negative-infinite-t",
         "field-unknown-kind",
         "field-kind-not-a-string",
         "field-missing-key",
@@ -544,6 +564,8 @@ def test_import_loads_no_scipy_submodule():
     # a fresh interpreter: scipy is imported only inside the functions that use it
     heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg")
     code = f"import sys, maghardy, maghardy.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

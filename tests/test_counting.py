@@ -486,6 +486,17 @@ def test_phase_ladder_makes_one_root_solve_and_one_panel_call(monkeypatch):
     assert [r.lam for r in reports] == np.geomspace(10.0, 1e4, 7).tolist()
 
 
+def test_prufer_ladder_samples_the_coefficient_table_once_per_coupling(monkeypatch):
+    samples = []
+    e2t_v = type(_WELL).e2t_v
+    monkeypatch.setattr(
+        type(_WELL), "e2t_v", lambda self, t: samples.append(np.size(t)) or e2t_v(self, t)
+    )
+    reports = mh.count_ladder(_BUMP, _WELL, [5.0, 30.0], mh.Grid.uniform(-12.0, 3.0, 601), "prufer")
+    assert samples.count(8192) == 2
+    assert all(len(r.per_mode) > 1 for r in reports)
+
+
 def test_count_ladder_checks_every_coupling_first(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a count ran before the couplings were checked")

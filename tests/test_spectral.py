@@ -15,7 +15,9 @@ from maghardy.errors import DomainError, NoTruncation, QuadratureFailure, ZeroPi
 from maghardy.profiles import ZeroPotential
 from maghardy.spectral import (
     HardyEstimate,
+    ModeOperator,
     _lumps,
+    _mode_brackets,
     _mode_panels,
     _pivmin,
     assemble_mode,
@@ -337,6 +339,67 @@ def test_per_mode_functions_reject_non_finite_or_negative_coupling(lam):
             call()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("V", [mh.GaussianWell(1.0, 1.0), mh.VSigma(2.0)], ids=["gauss", "vsigma"])
+def test_mode_functions_reject_non_finite_modes_before_any_work(monkeypatch, V, bad):
+    # a NaN mode once gave a phase count of 3.889, NaN and infinite modes an
+    # inertia count of 0 and a Pruefer StiffnessFailure
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the modes were checked")
+
+    field, grid = mh.BumpField(0.5), mh.Grid.uniform(-8.0, 2.0, 101)
+    for module, name in [
+        (mh.spectral, "_mode_terms"),
+        (mh.spectral, "_phase_panels"),
+        (mh.spectral, "_direct_coordinate"),
+        (mh.spectral, "_loglog_coordinate"),
+        (_kernels, "prufer_sweep"),
+        (type(field), "alpha"),
+    ]:
+        monkeypatch.setattr(module, name, no_work)
+    for call in (
+        lambda: mh.phase_integral_count(field, V, bad, 100.0),
+        lambda: mh.phase_integral_count(field, V, [0, 1, bad], 100.0),
+        lambda: mh.phase_integral_counts(field, V, [(10.0, [0]), (100.0, [1, bad])]),
+        lambda: mh.count_modes(field, V, [bad], grid, 10.0),
+        lambda: mh.count_modes(field, V, [0, 1, bad], grid, 10.0),
+        lambda: mh.prufer_count(field, V, bad, (-8.0, 2.0), 10.0),
+        lambda: mh.prufer_count(field, V, [0, bad], (-8.0, 2.0), 10.0),
+        lambda: mh.assemble_mode(field, V, bad, grid, 10.0),
+        lambda: mh.hardy_constant(field, mh.LogSquaredWeight(), grid, [0, bad]),
+    ):
+        with pytest.raises(ValueError, match="modes must be finite"):
+            call()
+
+
+def test_mode_functions_keep_non_integer_modes():
+    field, V, grid = mh.BumpField(0.5), mh.GaussianWell(1.0, 1.0), mh.Grid.uniform(-8.0, 2.0, 401)
+    half = mh.phase_integral_count(field, V, 0.5, 100.0)
+    assert half > 0.0 and half == mh.phase_integral_count(field, V, [0.25, 0.5], 100.0)[1]
+    assert mh.count_modes(field, V, [0.5], grid, 100.0) == [
+        mh.count_negative(assemble_mode(field, V, 0.5, grid, 100.0))
+    ]
+    assert mh.prufer_count(field, V, 0.5, (-8.0, 2.0), 100.0) >= 1
+    assert mh.hardy_constant(field, mh.LogSquaredWeight(), grid, [0.5], 0).mu_star > 0.0
+
+
+@pytest.mark.parametrize(
+    "diag, off",
+    [
+        ([np.nan] * 5, [-1.0] * 4),
+        ([2.0, np.inf, 2.0, 2.0, 2.0], [-1.0] * 4),
+        ([2.0] * 5, [-1.0, np.nan, -1.0, -1.0]),
+        ([2.0] * 5, [-1.0, -1.0, -np.inf, -1.0]),
+    ],
+    ids=["diag-nan", "diag-inf", "off-nan", "off-inf"],
+)
+def test_count_negative_rejects_non_finite_operator(diag, off):
+    # an all-NaN diagonal once counted 0
+    op = ModeOperator(0, np.array(diag), np.array(off), None)
+    with pytest.raises(ValueError, match="mode operator entries must be finite"):
+        mh.count_negative(op)
+
+
 def test_hardy_constant_rejects_negative_refinement_and_empty_modes():
     args = (mh.BumpField(0.5), mh.LogSquaredWeight(), mh.Grid.uniform(-8.0, 8.0, 101))
     # refine_levels=-1 once gave mu_star = inf and an empty history
@@ -487,6 +550,29 @@ def test_prufer_count_rejects_bad_input_before_sweeping(monkeypatch, kwargs, mes
     args = {"t_range": (-8.0, 2.0), **kwargs}
     with pytest.raises(ValueError, match=message):
         mh.prufer_count(mh.ZeroField(), mh.GaussianWell(), 0, **args)
+
+
+def test_prufer_count_of_modes_equals_one_mode_sweeps(monkeypatch):
+    # the coefficient table is sampled once for every mode, and each mode's
+    # theta is the sweep of its own (m - alpha)^2 - lam e^{2t} V, to the bit
+    field, V, lam, span = mh.BumpField(0.5), mh.GaussianWell(1.3, 0.8), 150.0, (-12.0, 3.0)
+    modes = [-4, 0, 2, 2, 7]
+    tq = np.linspace(*span, 8192)
+    want = []
+    for m in modes:
+        theta, fail = _kernels.prufer_sweep(
+            tq, (m - field.alpha(tq)) ** 2 - lam * V.e2t_v(tq), *span, 1e-6, 15.0 / 1024.0, 15.0e-12
+        )
+        assert not fail
+        want.append(int(np.floor(theta / np.pi)))
+    samples = []
+    e2t_v = type(V).e2t_v
+    monkeypatch.setattr(
+        type(V), "e2t_v", lambda self, t: samples.append(np.size(t)) or e2t_v(self, t)
+    )
+    got = mh.prufer_count(field, V, modes, span, lam)
+    assert got == want and samples == [8192]
+    assert [mh.prufer_count(field, V, m, span, lam) for m in modes] == want
 
 
 def test_prufer_count_single_coefficient_sample():
@@ -708,6 +794,116 @@ def test_mode_panels_equal_per_mode_unique(inputs):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+
+
+def _per_mode_brackets(probe, terms, modes):
+    """The per-mode scan the mode runs replaced, kept as their reference: each
+    mode's radicand on the whole probe, and the nodes where its sign changes."""
+    well, alpha, g, barrier = terms
+    brackets, open_k = [(probe[:0], probe[:0], probe[:0], probe[:0], np.zeros(0, np.int64))], []
+    for k, m in enumerate(modes):
+        am = np.abs(m - alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = well - np.where(am > 0.0, (g * am) ** 2, 0.0) - barrier
+        sign = vals > 0
+        if not sign.any():
+            continue
+        i = np.flatnonzero(sign[:-1] != sign[1:])
+        brackets.append((probe[i], probe[i + 1], vals[i], vals[i + 1], np.full(i.size, k)))
+        open_k.append(k)
+    return tuple(np.concatenate(c) for c in zip(*brackets)), np.array(open_k, dtype=np.int64)
+
+
+def _assert_brackets_equal(probe, terms, modes):
+    (got, got_open), (want, want_open) = (
+        _mode_brackets(probe, terms, modes),
+        _per_mode_brackets(probe, terms, modes),
+    )
+    for g, w in zip((*got, got_open), (*want, want_open)):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+# integral and half-integral values make am == 0 and exact zeros common
+_QUARTERS = st.integers(-24, 24).map(lambda k: k / 4.0)
+_MODE_VALUES = st.one_of(st.integers(-8, 8), _QUARTERS, st.floats(-8.0, 8.0))
+
+
+@st.composite
+def _scan_inputs(draw):
+    """A probe's terms (well, alpha, g, barrier) and a mode list: unsorted,
+    sparse, repeated and non-integer modes; nodes with well <= barrier, with
+    g = inf (s beyond 709 in s = log|t|), with alpha on a mode, and with a
+    radicand exactly 0 for one of the modes."""
+    modes = draw(st.lists(_MODE_VALUES, max_size=12))
+    n = draw(st.integers(2, 16))
+    well, alpha, g, barrier = [], [], [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["free", "free", "closed", "g-inf", "zero"]))
+        a = draw(st.one_of(_QUARTERS, st.floats(-9.0, 9.0)))
+        b = draw(st.sampled_from([0.0, 0.25, 0.125]))
+        gi = draw(st.sampled_from([1.0, 1.0, 0.5, 3.0, 1e200]))
+        w = draw(st.one_of(st.floats(-5.0, 80.0), st.sampled_from([1e300, b])))
+        if kind == "closed":
+            w = b - draw(st.floats(0.0, 5.0))
+        elif kind == "g-inf":
+            gi = np.inf
+        elif kind == "zero" and modes:
+            # dyadic values: (m - alpha)^2 + barrier and the radicand are exact
+            a, gi = draw(_QUARTERS), 1.0
+            w = (float(draw(st.sampled_from(modes))) - a) ** 2 + b
+        well.append(w)
+        alpha.append(a)
+        g.append(gi)
+        barrier.append(b)
+    terms = [np.array(x) for x in (well, alpha, g, barrier)]
+    # the direct coordinate passes g = 1 and a zero barrier as scalars
+    if draw(st.booleans()):
+        terms[2] = 1.0
+    if draw(st.booleans()):
+        terms[3] = 0.0
+    probe = np.linspace(-3.0, 5.0, n)
+    return probe, tuple(terms), modes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_inputs())
+def test_mode_runs_equal_per_mode_scan(inputs):
+    _assert_brackets_equal(*inputs)
+
+
+def test_mode_runs_settle_guesses_many_positions_off():
+    # modes an ulp apart: the float guess of a run's end lands several
+    # positions off and is walked to the exact end
+    modes = [1.0 + k * 2.0**-52 for k in range(40)][::-1]
+    probe = np.linspace(0.0, 1.0, 7)
+    alpha = np.zeros(7)
+    well = 1.0 + np.array([-4, -1, 0, 1, 5, 17, 39]) * 2.0**-51
+    _assert_brackets_equal(probe, (well, alpha, 1.0, 0.0), modes)
+
+
+def test_mode_runs_evaluate_a_fixed_number_of_probe_rows(monkeypatch):
+    # the count workload's Gaussian well at lam depth width^2 = 1e4: 200 modes
+    # cost the scan no more probe-length radicand passes than 5 modes
+    field, V, lam = mh.BumpField(flux=0.5), mh.GaussianWell(1.0, 0.8), 1e4 / 0.64
+    terms, span = mh.spectral._direct_coordinate(field, V, True, None)
+    probe, _ = span(lam)
+    shared = terms(probe, lam)
+    radicand = mh.spectral._radicand
+    for modes in (range(-2, 3), range(-100, 100)):
+        sizes = []
+
+        def counted(m, *args):
+            sizes.append(np.size(m))
+            return radicand(m, *args)
+
+        monkeypatch.setattr(mh.spectral, "_radicand", counted)
+        (*_, k), open_k = _mode_brackets(probe, shared, list(modes))
+        monkeypatch.undo()
+        assert open_k.size >= 5 and k.size >= open_k.size
+        assert sum(size >= probe.size for size in sizes) <= 4
+        assert sum(sizes) <= 5 * probe.size
+        _assert_brackets_equal(probe, shared, list(modes))
 
 
 @pytest.mark.parametrize(

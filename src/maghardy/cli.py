@@ -603,7 +603,16 @@ _FLAGS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1: exit status 2 means "ok with warnings"."""
+    """Usage errors exit 1: exit status 2 means "ok with warnings".  Any
+    token that float() reads is a value, not a flag: argparse by itself
+    reads only -5 and -.5 as negative numbers, not -1e3 or -inf."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -9,12 +9,15 @@ terms on a Dirichlet grid, giving a symmetric tridiagonal matrix whose
 inertia yields exact negative-eigenvalue counts.  Rows where (m - alpha)^2
 outweighs the potential are diagonally dominant; each count sweeps the
 matrix in the direction that leaves the longer such run last, and stops
-inside it once a pivot dominates its coupling (``_inertia_counter``, which
+inside it once a pivot dominates its coupling (``_inertia``, which
 squares the couplings once for every mode).  The same matrices drive the
 Hardy-constant estimator: the lowest generalized eigenvalue against a
-lumped weight mass, by LAPACK's Sturm bisection (stebz).  Oscillation
-(Pruefer) and phase-integral counts provide independent cross-checks of the
-inertia route.  The Pruefer count samples its coefficient table once for
+lumped weight mass, by LAPACK's Sturm bisection (stebz), for every mode on
+the last refinement level.  A coarser level needs only the minimum over
+modes, so it solves the modes in a cheap proxy's order and skips each one
+whose inertia count at the best value so far proves it no lower
+(``_least_mode_mu``).  Oscillation (Pruefer) and phase-integral counts
+provide independent cross-checks of the inertia route.  The Pruefer count samples its coefficient table once for
 any number of modes.  The phase integral of every well, the borderline one in
 s = log|t|, runs on the sin^2-mapped Gauss panels of
 ``weights._sin2_gauss_panels``, between each mode's turning points and the
@@ -142,7 +145,25 @@ _TAME = (2.0**-500, 2.0**500)
 
 
 def _inertia_counter(off):
-    """The inertia count of the tridiagonal (diag, off) as a function of diag.
+    """The negative-pivot count of the tridiagonal (diag, off) as a function of
+    diag, warning (ZeroPivotWarning) when an exact zero pivot was perturbed."""
+    inertia = _inertia(off)
+
+    def count(diag):
+        neg, zero_pivots = inertia(diag)
+        if zero_pivots:
+            warnings.warn(
+                f"{zero_pivots} exact zero pivot(s) perturbed in inertia count",
+                ZeroPivotWarning,
+            )
+        return neg
+
+    return count
+
+
+def _inertia(off):
+    """The counts (negative pivots, exact zero pivots) of the tridiagonal
+    (diag, off) as a function of diag.
 
     The lists of the off-diagonal and of its squares, forward and reversed,
     its largest square and the bound each row's diagonal must exceed are
@@ -182,10 +203,10 @@ def _inertia_counter(off):
     bound[:-1][wild] = np.inf
     bound[1:][wild] = np.inf
 
-    def count(diag):
+    def inertia(diag):
         weak = np.flatnonzero(~(diag > bound))
         if not weak.size:
-            return 0
+            return 0, 0
         first, last = int(weak[0]), int(weak[-1])
         if first > n - 1 - last:
             diag, stop = diag[::-1], n - 1 - first
@@ -197,14 +218,9 @@ def _inertia_counter(off):
         neg, zero_pivots = _kernels.tridiag_inertia(
             memoryview(diag), off_sweep, off2_sweep, _pivmin(diag, peak), stop
         )
-        if zero_pivots:
-            warnings.warn(
-                f"{zero_pivots} exact zero pivot(s) perturbed in inertia count",
-                ZeroPivotWarning,
-            )
-        return int(neg)
+        return int(neg), zero_pivots
 
-    return count
+    return inertia
 
 
 def _pivmin(diag, off):
@@ -331,12 +347,18 @@ def hardy_constant(
 
     on the Dirichlet grid, with the stiffness by cell differences and the
     weight mass lumped to the nodes (trapezoid).  ``mu_star`` is the minimum
-    over modes, each solved to full precision.  It approximates the
-    Dirichlet constant on ``[t_min, t_max]``, which is an upper bound on the
-    whole-line constant.  The lumped mass makes it no Rayleigh-Ritz bound:
-    the values rise under refinement (midpoint-nested grids), from below the
-    continuum value and like O(h^2) for a smooth weight, e.g. 0.39915180,
-    0.39915527, 0.39915613 for the bump on [-8, 8].
+    over modes.  It approximates the Dirichlet constant on ``[t_min,
+    t_max]``, which is an upper bound on the whole-line constant.  The lumped
+    mass makes it no Rayleigh-Ritz bound: the values rise under refinement
+    (midpoint-nested grids), from below the continuum value and like O(h^2)
+    for a smooth weight, e.g. 0.39915180, 0.39915527, 0.39915613 for the
+    bump on [-8, 8].
+
+    The last level solves every mode to full precision, giving
+    ``per_mode_minima``.  A coarser level enters only ``refinement_history``,
+    so it solves just the modes that an inertia count cannot prove to lie
+    above its minimum (``_least_mode_mu``).  Its value is the same unless two
+    modes tie within stebz's own tolerance.
 
     The domain error need not decay like 1/|t_min|.  For fields with
     alpha -> 0 at the origin (t -> -inf) under ``LogSquaredWeight`` the
@@ -354,20 +376,23 @@ def hardy_constant(
         raise ValueError("m_range must hold at least one mode")
     _check_modes(m_range)
     history = []
-    per_mode = {}
     g = grid
-    mu_star = np.inf
     for level in range(refine_levels + 1):
         ti, off, diag = _mode_terms(g)
-        mass = w.mass_density(ti) * _lumps(g)
+        density = w.mass_density(ti)
+        mass = density * _lumps(g)
         bad = ~(mass >= 0.0)
         if bad.any():
             raise DomainError(f"weight mass is negative or NaN at t = {float(ti[bad][0])!r}")
         alpha = field.alpha(ti)
-        per_mode = {
-            int(m): smallest_generalized_mu(diag((m - alpha) ** 2), off, mass) for m in m_range
-        }
-        mu_star = float(min(per_mode.values()))
+        if level < refine_levels:
+            mu_star = _least_mode_mu(m_range, alpha, density, off, diag, mass)
+        else:
+            per_mode = {
+                int(m): smallest_generalized_mu(diag((m - alpha) ** 2), off, mass)
+                for m in m_range
+            }
+            mu_star = float(min(per_mode.values()))
         history.append((g.n, mu_star))
         if level < refine_levels:
             g = g.refine()
@@ -377,6 +402,35 @@ def hardy_constant(
         grid_meta=grid.meta(),
         refinement_history=tuple(history),
     )
+
+
+def _least_mode_mu(modes, alpha, density, off, diag, mass) -> float:
+    """min over modes of ``smallest_generalized_mu``, solving only the modes
+    that a Sturm count cannot rule out.
+
+    The modes go in order of the mean of (m - alpha)^2 / w, w the weight's
+    mass density, over the nodes of positive mass.  That puts the minimizing
+    mode first in most problems; the value does not depend on the order.
+    Once a mode gave mu_best, a later mode is skipped when K - mu_best M has
+    no negative and no exact zero pivot: its lowest eigenvalue then lies
+    above mu_best.  The massless nodes need no elimination for that count:
+    they form a positive definite block of K - mu M, so by Haynsworth's
+    inertia additivity K - mu M has as many negative eigenvalues as the
+    reduced pencil has eigenvalues below mu.  An infinite mu_best (no mass)
+    or a NaN one is never used as a shift.
+    """
+    positive = mass > 0.0
+    with np.errstate(over="ignore"):
+        # sums, not means: the same order, and no warning with no mass
+        proxy = [float(np.sum((m - alpha[positive]) ** 2 / density[positive])) for m in modes]
+    inertia = _inertia(off)
+    best = np.inf
+    for i in np.argsort(proxy, kind="stable"):
+        kdiag = diag((modes[i] - alpha) ** 2)
+        if best < np.inf and inertia(kdiag - best * mass) == (0, 0):
+            continue
+        best = min(best, smallest_generalized_mu(kdiag, off, mass))
+    return best
 
 
 # ---------------------------------------------------------------------------

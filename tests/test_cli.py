@@ -409,6 +409,33 @@ def test_usage_errors_exit_1(argv, capsys):
     assert "error: " in capsys.readouterr().err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("token", ["-1e3", "-1E+3", "-.5e-1", "-2.", "-inf", "-Infinity", "-nan"])
+def test_negative_number_tokens_are_flag_values(token):
+    # argparse alone reads only -5 and -.5 as numbers: -1e3 once ended with
+    # "expected one argument"
+    args = cli.build_parser().parse_args(["vnorm", "--t-min-cap", token])
+    assert repr(vars(args)["t_min_cap"]) == repr(float(token))
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, read",
+    [
+        (["vnorm", "--potential", "vsigma", "--sigma", "2"], "--t-min-cap", "-1e3",
+         lambda res: res["cap_sequence"][0][0]),
+        (["hardy", "--grid", "101", "--refine", "0"], "--t-min", "-6e0",
+         lambda res: res["grid"]["t_min"]),
+    ],
+    ids=["vnorm-cap", "hardy-t-min"],
+)
+def test_negative_exponent_flag_value_equals_the_equals_form(tmp_path, capsys, argv, flag, value, read):
+    outs = []
+    for i, form in enumerate(([flag, value], [f"{flag}={value}"])):
+        assert cli.main([*argv, *form, "--out", str(tmp_path / str(i))]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert read(json.loads(outs[0])) == float(value)
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["vnorm", "--help"])
@@ -456,6 +483,8 @@ _VSIGMA_COUNT = ["count", "--potential", "vsigma", "--sigma", "2"]
         (None, ["vnorm", "--potential", "vsigma", "--sigma", "2", "--a", "nan"]),
         (None, ["vnorm", "--potential", "vsigma", "--sigma", "2", "--t-min-cap", "nan"]),
         (None, ["vnorm", "--potential", "vsigma", "--sigma", "2", "--t-min-cap=-inf"]),
+        (None, ["vnorm", "--potential", "vsigma", "--sigma", "2", "--t-min-cap", "-inf"]),
+        (None, ["count", "--lambda", "-1e0"]),
         (None, ["bound", "--potential", "vsigma", "--sigma", "2", "--a", "nan"]),
         (None, ["bound", "--potential", "vsigma", "--sigma", "2", "--t-min-cap", "nan"]),
         (None, ["hardy", "--grid", "101", "--refine", "-1"]),
@@ -475,6 +504,8 @@ _VSIGMA_COUNT = ["count", "--potential", "vsigma", "--sigma", "2"]
         "vnorm-nan-exponent",
         "vnorm-nan-cap",
         "vnorm-infinite-cap",
+        "vnorm-infinite-cap-spaced",
+        "negative-exponent-coupling",
         "bound-nan-exponent",
         "bound-nan-cap",
         "hardy-negative-refine",
@@ -502,6 +533,7 @@ def test_library_value_errors_exit_1(tmp_path, capsys, config, argv):
         (None, ["weight", "--r", "inf"], "r: must be finite"),
         (None, ["weight", "--t", "inf"], "t: must be finite"),
         ({"t": "-inf"}, ["weight"], "t: must be finite"),
+        (None, ["weight", "--t", "-inf"], "t: must be finite"),
         (None, ["flux", "--field", "nope", "--r", "1"], "field.kind: unknown kind 'nope'"),
         ({"field": {"kind": ["bump"]}, "r": 1}, ["flux"], "field.kind: unknown kind ['bump']"),
         (None, ["flux", "--field", "example1", "--gamma", "2", "--r", "1"],
@@ -521,6 +553,7 @@ def test_library_value_errors_exit_1(tmp_path, capsys, config, argv):
         "weight-infinite-radius",
         "weight-infinite-t",
         "weight-negative-infinite-t",
+        "weight-negative-infinite-t-flag",
         "field-unknown-kind",
         "field-kind-not-a-string",
         "field-missing-key",

@@ -491,6 +491,78 @@ def test_hardy_constant_equals_per_mode_loop(case):
     assert est.as_dict() == ref.as_dict()
 
 
+def _record_solves(monkeypatch):
+    """The matrix size of every ``smallest_generalized_mu`` call, in order."""
+    sizes = []
+    solve = smallest_generalized_mu
+
+    def spy(kdiag, off, mdiag):
+        sizes.append(kdiag.size)
+        return solve(kdiag, off, mdiag)
+
+    monkeypatch.setattr(mh.spectral, "smallest_generalized_mu", spy)
+    return sizes
+
+
+# alpha = 1/2 exactly for t >= 1: flux 1 * (1 + 0) / 2 from the one cell [0, 1]
+_HALF_FLUX = mh.CustomField(np.array([0.0, 1.0]), np.array([1.0, 0.0]), "regular")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # modes -1 and 1 assemble equal matrices: a check at the other's minimum
+        lambda: (mh.ZeroField(), mh.LogSquaredWeight(), mh.Grid.uniform(-8.0, 8.0, 201), (-1, 1), 1),
+        lambda: (_HALF_FLUX, mh.LogSquaredWeight(), mh.Grid.uniform(1.0, 9.0, 201), (0, 1), 1),
+        lambda: (mh.BumpField(0.5), mh.LogSquaredWeight(), mh.Grid.uniform(-8.0, 8.0, 201),
+                 range(-3, 4), 2),
+        # mu_best = inf: no check may form inf * 0
+        lambda: (mh.BumpField(0.5), mh.CustomWeight(np.zeros_like), mh.Grid.uniform(-8.0, 8.0, 201),
+                 range(-1, 2), 1),
+        # one interior node: K - 3 M = 3 - 3 * 1 is an exact zero pivot
+        lambda: (mh.ZeroField(), mh.CustomWeight(np.ones_like), mh.Grid.uniform(0.0, 2.0, 3),
+                 (-1, 1), 1),
+    ],
+    ids=["mirror-modes", "half-flux-modes-0-1", "refine-2", "zero-mass", "one-node-zero-pivot"],
+)
+def test_hardy_coarse_levels_equal_per_mode_loop_on_edge_cases(case, monkeypatch):
+    field, w, grid, modes, levels = case()
+    ref = _hardy_constant_per_mode_loop(field, w, grid, modes, levels)
+    sizes = _record_solves(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = mh.hardy_constant(field, w, grid, m_range=modes, refine_levels=levels)
+    assert [str(c.message) for c in caught] == []
+    assert est.as_dict() == ref.as_dict()
+    # the last level solves every mode
+    assert sizes[-len(modes):] == [grid.n * 2**levels - 2**levels - 1] * len(modes)
+    if grid.n == 3:
+        # the zero pivot makes the check solve the second mode
+        assert sizes == [1, 1, 3, 3]
+
+
+def test_hardy_coarse_level_solves_a_mode_the_proxy_ranks_second(monkeypatch):
+    # the proxy ranks mode 0 first (0.58099 on the 201-node level), but mode 1
+    # is lower (0.56951): its check must find a negative pivot and solve it
+    field, w, grid = mh.BumpField(0.7), mh.LogSquaredWeight(), mh.Grid.uniform(-8.0, 8.0, 201)
+    ref = _hardy_constant_per_mode_loop(field, w, grid, range(-3, 4), 1)
+    sizes = _record_solves(monkeypatch)
+    assert mh.hardy_constant(field, w, grid, refine_levels=1).as_dict() == ref.as_dict()
+    assert 2 <= sizes.count(199) < 7
+
+
+def test_hardy_coarse_level_solves_only_modes_a_count_cannot_rule_out(monkeypatch):
+    sizes = _record_solves(monkeypatch)
+    args = (mh.BumpField(0.5), mh.LogSquaredWeight(), mh.Grid.uniform(-8.0, 8.0, 401), range(-3, 4))
+    mh.hardy_constant(*args, refine_levels=1)
+    # the last, 799-node level solves all 7 modes; without the inertia checks
+    # the 399-node level would solve 7 too
+    assert sizes.count(799) == 7 and 1 <= sizes.count(399) <= 2
+    sizes.clear()
+    mh.hardy_constant(*args, refine_levels=0)
+    assert sizes == [399] * 7
+
+
 @pytest.mark.parametrize(
     "density, t_bad",
     [

@@ -604,15 +604,18 @@ _FLAGS = {
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1: exit status 2 means "ok with warnings".  Any
-    token that float() reads is a value, not a flag: argparse by itself
-    reads only -5 and -.5 as negative numbers, not -1e3 or -inf."""
+    token that float() or ``_int_range`` reads is a value, not a flag:
+    argparse by itself reads only -5 and -.5 as negative numbers, not -1e3,
+    -inf or the mode range -1:1."""
 
     def _parse_optional(self, arg_string):
-        try:
-            float(arg_string)
-        except ValueError:
-            return super()._parse_optional(arg_string)
-        return None
+        for read in (float, _int_range):
+            try:
+                read(arg_string)
+            except (ValueError, argparse.ArgumentTypeError):
+                continue
+            return None
+        return super()._parse_optional(arg_string)
 
     def error(self, message):
         self.print_usage(sys.stderr)

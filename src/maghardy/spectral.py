@@ -22,10 +22,11 @@ any number of modes.  The phase integral of every well, the borderline one in
 s = log|t|, runs on the sin^2-mapped Gauss panels of
 ``weights._sin2_gauss_panels``, between each mode's turning points and the
 fixed breaks, which one lexsort orders for all modes (``_mode_panels``).
-The turning points are bracketed on a probe without a pass per mode: at one
-node the modes with a positive radicand are one run of the sorted modes, so
-each node's run ends, settled by the exact radicand, give every sign change
-(``_mode_brackets``).  Couplings are a batch axis as well: for a ladder of
+The turning points are bracketed on a probe that ends at the potential's
+support edge, so no bracket straddles its jump, and without a pass per mode:
+at one node the modes with a positive radicand are one run of the sorted
+modes, so each node's run ends, settled by the exact radicand, give every
+sign change (``_mode_brackets``).  Couplings are a batch axis as well: for a ladder of
 (coupling, modes) jobs, one root solve refines every turning point and one
 panel call integrates every panel (``phase_integral_counts``).
 """
@@ -564,19 +565,26 @@ def phase_integral_counts(
 
 def _direct_coordinate(field, V, critical_shift, t_domain):
     """The phase integrand in t: ``terms(t, lam)``, and ``span(lam)``, the
-    probe and breaks, which do not depend on the coupling."""
+    probe and breaks, which do not depend on the coupling; None when the
+    range is empty.  The range ends at a finite support edge of V, past which
+    the radicand is at most 0, and a probe ending there brackets no turning
+    point at the jump."""
+    sup = V.support_t_max
     if t_domain is None:
-        sup = V.support_t_max
-        t_lo, t_hi = -60.0, (2.0 if sup is None else max(sup + 1.0, 1.0))
+        t_lo, t_hi = -60.0, (2.0 if sup is None else sup)
     else:
         t_lo, t_hi = float(min(t_domain)), float(max(t_domain))
+    if sup is not None:
+        t_hi = min(t_hi, sup)
 
     def terms(t, lam):
         barrier = 1.0 / (4.0 * (1.0 + t * t)) if critical_shift else 0.0
         return lam * V.e2t_v(t), field.alpha(t), 1.0, barrier
 
-    # split at known jumps so no quadrature panel straddles a discontinuity
-    fixed = [t_lo, t_hi, V.support_t_max, *field.kinks]
+    if t_hi <= t_lo:
+        return terms, lambda lam: None
+    # split at the field's kinks so no quadrature panel straddles one
+    fixed = [t_lo, t_hi, *field.kinks]
     probe = np.linspace(t_lo, t_hi, 4001)
     return terms, lambda lam: (probe, fixed)
 
@@ -653,7 +661,7 @@ def _phase_panels(terms, jobs):
         if open_k.size:
             brackets.append((lo, hi, f_lo, f_hi, offsets[j] + k))
             x_lo, x_hi = probe[0], probe[-1]
-            fixed = np.array([x for x in fixed if x is not None and x_lo <= x <= x_hi], dtype=float)
+            fixed = np.array([x for x in fixed if x_lo <= x <= x_hi], dtype=float)
             open_jobs.append((j, offsets[j] + open_k, fixed))
     if not open_jobs:
         return [[0.0] * len(modes) for _, modes, _ in jobs]

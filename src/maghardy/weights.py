@@ -21,7 +21,8 @@ round refines the crossings of every cap still searching.
 
 One cap sweep serves this functional and ``counting.bound_jst``: the caps
 (``_caps``), the 1% saturation rule (``_saturation``) and the upper end
-t = 30 (r = e^30) of every scan and bound integral.
+t = 30 (r = e^30), or the potential's support edge, of every scan and bound
+integral.
 
 The sin^2-mapped Gauss panels (``_sin2_gauss_panels``) integrate every
 closed-form density of the library: the log moments here, the phase
@@ -369,6 +370,11 @@ def _ratio(V: Potential):
 class _LevelScan:
     """One scan of V/w0 from the lower cap to t_max, and its level sets.
 
+    The scan ends at V's support edge where that lies below t_max (and at
+    the cap where the edge lies at or below it): the edge is its last node,
+    so a set that reaches the edge closes there exactly, with no root solve
+    across the jump of V.
+
     ``levels(taus)`` gives, for a threshold grid, the ends of all intervals of
     {V/w0 > tau} as one flat array (start, end, start, ...), each threshold's
     level-set measure and whether its set reaches the lower cap.  It runs in
@@ -386,7 +392,12 @@ class _LevelScan:
         pieces = [np.linspace(max(t_min_cap, -2.0), t_max, max(scan_n // 4, 16))]
         if t_min_cap < -2.0:
             pieces.insert(0, -np.geomspace(2.0, -t_min_cap, scan_n)[::-1])
-        self.nodes = nodes = np.unique(np.concatenate(pieces))
+        nodes = np.unique(np.concatenate(pieces))
+        # V vanishes past its support edge, so the scan ends there, no lower
+        # than the cap
+        sup = V.support_t_max
+        end = t_max if sup is None else max(min(t_max, sup), t_min_cap)
+        self.nodes = nodes = np.append(nodes[nodes < end], end)
         fine_t = np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))  # interleaved
         fine = self.ratio(fine_t)
         self.vals = vals = np.ascontiguousarray(fine[0::2])
@@ -458,9 +469,10 @@ def level_set(
     """Level set {V > t_val * w0} from a cached scan and a bracketed root solve.
 
     Each end is refined until its bracket is at most 1e-9 + 8.9e-16 |t| wide
-    (brentq's tolerance, attainable at any float magnitude).  A 2x finer scan
-    that sees a different crossing count emits a ScanResolutionWarning (never
-    silently dropped); a non-finite V/w0 on the scan raises DomainError.
+    (brentq's tolerance, attainable at any float magnitude); an end at V's
+    support edge is the edge itself.  A 2x finer scan that sees a different
+    crossing count emits a ScanResolutionWarning (never silently dropped); a
+    non-finite V/w0 on the scan raises DomainError.
     The scan needs ``scan_n`` >= 16, the node floor of its t-side piece.
     """
     if not t_val > 0:

@@ -409,12 +409,18 @@ def test_usage_errors_exit_1(argv, capsys):
     assert "error: " in capsys.readouterr().err.splitlines()[-1]
 
 
-@pytest.mark.parametrize("token", ["-1e3", "-1E+3", "-.5e-1", "-2.", "-inf", "-Infinity", "-nan"])
+@pytest.mark.parametrize(
+    "token", ["-1e3", "-1E+3", "-.5e-1", "-2.", "-inf", "-Infinity", "-nan", "-1:1", "-4:-2"]
+)
 def test_negative_number_tokens_are_flag_values(token):
-    # argparse alone reads only -5 and -.5 as numbers: -1e3 once ended with
-    # "expected one argument"
-    args = cli.build_parser().parse_args(["vnorm", "--t-min-cap", token])
-    assert repr(vars(args)["t_min_cap"]) == repr(float(token))
+    # argparse alone reads only -5 and -.5 as numbers: -1e3 and the mode
+    # range -1:1 once ended with "expected one argument"
+    if ":" in token:
+        args = cli.build_parser().parse_args(["hardy", "--m-range", token])
+        assert vars(args)["m_range"] == [int(x) for x in token.split(":")]
+    else:
+        args = cli.build_parser().parse_args(["vnorm", "--t-min-cap", token])
+        assert repr(vars(args)["t_min_cap"]) == repr(float(token))
 
 
 @pytest.mark.parametrize(

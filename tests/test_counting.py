@@ -296,19 +296,24 @@ def _reference_phase_integral_count(
 
 
 def _reference_direct_coordinate(field, V, lam, critical_shift, t_domain):
-    """The phase integrand in t: probe, breaks and mode-independent terms."""
+    """The phase integrand in t: probe, breaks and mode-independent terms;
+    None when the range, which ends at the support edge, is empty."""
+    sup = V.support_t_max
     if t_domain is None:
-        sup = V.support_t_max
-        t_lo, t_hi = -60.0, (2.0 if sup is None else max(sup + 1.0, 1.0))
+        t_lo, t_hi = -60.0, (2.0 if sup is None else sup)
     else:
         t_lo, t_hi = float(min(t_domain)), float(max(t_domain))
+    if sup is not None:
+        t_hi = min(t_hi, sup)
+    if t_hi <= t_lo:
+        return None
 
     def terms(t):
         barrier = 1.0 / (4.0 * (1.0 + t * t)) if critical_shift else 0.0
         return lam * V.e2t_v(t), field.alpha(t), 1.0, barrier
 
-    # split at known jumps so no quadrature panel straddles a discontinuity
-    fixed = [t_lo, t_hi, V.support_t_max, *field.kinks]
+    # split at the field's kinks so no quadrature panel straddles one
+    fixed = [t_lo, t_hi, *field.kinks]
     return np.linspace(t_lo, t_hi, 4001), terms, fixed
 
 

@@ -739,17 +739,44 @@ def test_phase_integral_quadratic_growth():
         assert n / lam**2 == pytest.approx(2.0, rel=0.01)
 
 
+def test_phase_probe_ends_at_the_support_edge(monkeypatch):
+    # past the jump of the step the radicand is negative: a probe that ran on
+    # to t = 1 bracketed the jump once per open mode, and those brackets
+    # took 66 evaluations against 7 for a Gaussian well
+    roots, evals = mh.spectral._roots, []
+
+    def counted(w_neg, *args):
+        evals.append(0)
+
+        def counted_w_neg(x):
+            evals[-1] += 1
+            return w_neg(x)
+
+        return roots(counted_w_neg, *args)
+
+    monkeypatch.setattr(mh.spectral, "_roots", counted)
+    counts = mh.phase_integral_count(
+        mh.BumpField(0.5), mh.StepWell(2.0, 0.5), range(-3, 4), 50.0, critical_shift=False
+    )
+    assert any(counts) and evals and max(evals) <= 12
+
+
 def _phase_direct_reference(field, V, m, lam, critical_shift=True, t_domain=None):
     """One mode of the direct phase integral by scalar brentq and quad: the
     probe, the break rule and the integrand of the batched path, solved
     independently."""
     from scipy import integrate, optimize
 
+    sup = V.support_t_max
     if t_domain is None:
-        sup = V.support_t_max
-        t_lo, t_hi = -60.0, (2.0 if sup is None else max(sup + 1.0, 1.0))
+        t_lo, t_hi = -60.0, (2.0 if sup is None else sup)
     else:
         t_lo, t_hi = float(min(t_domain)), float(max(t_domain))
+    # the probe ends at the support edge, past which the radicand is at most 0
+    if sup is not None:
+        t_hi = min(t_hi, sup)
+    if t_hi <= t_lo:
+        return 0.0
 
     def w_neg(t):
         t = np.asarray(t, dtype=float)
@@ -765,9 +792,6 @@ def _phase_direct_reference(field, V, m, lam, critical_shift=True, t_domain=None
     for i in range(len(probe) - 1):
         if sign[i] != sign[i + 1]:
             breaks.add(float(optimize.brentq(lambda x: float(w_neg(x)), probe[i], probe[i + 1])))
-    sup = V.support_t_max
-    if sup is not None and np.isfinite(sup) and t_lo < sup < t_hi:
-        breaks.add(float(sup))
     breaks.update(float(k) for k in field.kinks if t_lo < k < t_hi)
     pts = sorted(breaks)
     total = 0.0

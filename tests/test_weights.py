@@ -97,7 +97,7 @@ def test_level_set_vsigma_crossing_matches_scalar_root():
     ls = mh.level_set(V, tau, t_min_cap=-1e60)
     assert len(ls.intervals) == 1 and not ls.truncated_left
     t_deep, t_edge = ls.intervals[0]
-    assert t_edge == pytest.approx(-2.0, abs=1e-6)
+    assert t_edge == -2.0
     # oracle: solve (1+t^2)/(t^2 sqrt(log|t|)) = tau for t = -e^s
     fn = lambda s: (1.0 + np.exp(2 * s)) / (np.exp(2 * s) * np.sqrt(s)) - tau
     s_root = optimize.brentq(fn, 1.0, 130.0, xtol=1e-13)
@@ -107,6 +107,65 @@ def test_level_set_vsigma_crossing_matches_scalar_root():
     # with the default cap above the crossing the interval is truncated
     ls_cap = mh.level_set(V, tau, t_min_cap=-1e6)
     assert len(ls_cap.intervals) == 1 and ls_cap.truncated_left
+
+
+def test_level_set_reaches_the_support_edge_above_the_node_maximum():
+    # V/w0 rises up to the jump at log 0.01, where it is 0.63% above its
+    # largest value on the scan nodes below the jump; a threshold in that gap
+    # once gave an empty set
+    V = mh.StepWell(2.0, 0.01)
+    edge = np.log(0.01)
+    ratio = lambda t: 2.0 * np.exp(2.0 * t) * (1.0 + t * t)
+    node_max = float(np.max(mh.weights._LevelScan(V, -1e4).vals[:-1]))
+    assert 1.006 * node_max < ratio(edge) < 1.007 * node_max
+    tau = 0.5 * (node_max + ratio(edge))
+    ls = mh.level_set(V, tau, t_min_cap=-1e4)
+    assert len(ls.intervals) == 1 and not ls.truncated_left
+    t_lo, t_hi = ls.intervals[0]
+    assert t_hi == edge
+    want = optimize.brentq(lambda t: ratio(t) - tau, edge - 1.0, edge, xtol=1e-13)
+    assert abs(t_lo - want) <= 1e-9
+
+
+def test_support_edge_at_or_below_the_cap_gives_zero_results():
+    # the scan of [cap, 30] is the cap alone: V/w0 there is 0, or, with the
+    # edge at the cap, positive on a set of measure 0
+    cases = [
+        (mh.VSigma(2.0), -1.0),
+        (mh.VSigma(2.0), -2.0),
+        (mh.StepWell(1.0, 0.01), -3.0),
+        (mh.ZeroPotential(), -100.0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for V, cap in cases:
+            for tau in (1e-6, 1.0, 1e6):
+                ls = mh.level_set(V, tau, t_min_cap=cap)
+                assert all(t == cap for ends in ls.intervals for t in ends)
+                assert level_measure(ls) == 0.0
+            taus, vals = mh.weights.threshold_curve(V, 2.0, t_min_cap=cap)
+            assert np.isfinite(taus).all() and not np.any(vals)
+            res = mh.v_norm_a(V, 2.0, t_min_cap=cap, cap_doublings=0)
+            assert res.value == 0.0 and res.cap_sequence == ((cap, 0.0),)
+
+
+def test_v_norm_solves_no_bracket_across_the_support_edge(monkeypatch):
+    # every level set of VSigma ends at its jump t = -2; brackets there once
+    # took up to 34 Illinois steps, and each lockstep solve waited for them
+    roots, evals = mh.weights._roots, []
+
+    def counted(ratio, *args):
+        evals.append(0)
+
+        def counted_ratio(t):
+            evals[-1] += 1
+            return ratio(t)
+
+        return roots(counted_ratio, *args)
+
+    monkeypatch.setattr(mh.weights, "_roots", counted)
+    mh.v_norm_a(mh.VSigma(2.0), 2.0, -100.0, 3)
+    assert evals and max(evals) <= 8
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +183,10 @@ def _ref_scan(V, t_min_cap):
     if t_min_cap < -2.0:
         pieces.insert(0, -np.geomspace(2.0, -t_min_cap, 4000)[::-1])
     nodes = np.unique(np.concatenate(pieces))
+    # the scan ends at the support edge, or at the cap if the edge is below it
+    sup = V.support_t_max
+    end = 30.0 if sup is None else max(min(30.0, sup), t_min_cap)
+    nodes = np.append(nodes[nodes < end], end)
     return ratio, nodes, ratio(nodes)
 
 
@@ -383,6 +446,10 @@ def _levels_loop_reference(V, t_min_cap: float, t_max: float = 30.0, scan_n: int
     if t_min_cap < -2.0:
         pieces.insert(0, -np.geomspace(2.0, -t_min_cap, scan_n)[::-1])
     nodes = np.unique(np.concatenate(pieces))
+    # the scan ends at the support edge, or at the cap if the edge is below it
+    sup = V.support_t_max
+    end = t_max if sup is None else max(min(t_max, sup), t_min_cap)
+    nodes = np.append(nodes[nodes < end], end)
     fine_t = np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))  # interleaved
     fine = ratio(fine_t)
     vals = np.ascontiguousarray(fine[0::2])

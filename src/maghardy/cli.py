@@ -133,18 +133,15 @@ def build_weight(spec: dict | None, field=None) -> weights.Weight:
 
 
 def build_grid(spec: dict | None, default=(-8.0, 8.0, 801)) -> Grid:
-    spec = dict(spec or {})
-    t_min = float(spec.get("t_min", default[0]))
-    t_max = float(spec.get("t_max", default[1]))
-    n = int(spec.get("n", default[2]))
-    kind = spec.get("kind", "uniform")
-    if kind == "uniform":
-        return Grid.uniform(t_min, t_max, n)
-    if kind == "geometric":
-        return Grid.geometric(t_min, t_max, n)
-    if kind == "auto":
-        return Grid.auto(t_min, t_max, n)
-    raise ConfigError(f"grid.kind: unknown kind {kind!r}")
+    def maker(make):
+        return lambda s: make(
+            float(s.get("t_min", default[0])),
+            float(s.get("t_max", default[1])),
+            int(s.get("n", default[2])),
+        )
+
+    kinds = {"uniform": Grid.uniform, "geometric": Grid.geometric, "auto": Grid.auto}
+    return _build("grid", spec, "uniform", {k: maker(make) for k, make in kinds.items()})
 
 
 def _parse_float(value, key):

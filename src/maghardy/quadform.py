@@ -17,10 +17,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FluxNotInteger, ParameterError, PreconditionError, SupportError
+from .errors import (
+    FluxNotInteger,
+    ParameterError,
+    PreconditionError,
+    QuadratureFailure,
+    SupportError,
+)
 from .grids import Grid
 from .profiles import RadialField, _as_array
-from .weights import LogPowerWeight, Weight
+from .weights import CustomWeight, LogPowerWeight, Weight
 
 
 class TestFunction:
@@ -174,8 +180,6 @@ def qform_checked(field, u, grid, rtol: float = 1e-6):
     Returns the refined value; raises QuadratureFailure when the two levels
     disagree beyond rtol.  Only meaningful for profiles smooth on the grid.
     """
-    from .errors import QuadratureFailure
-
     coarse = qform(field, u, grid).total
     fine = qform(field, u, grid.refine())
     if abs(fine.total - coarse) > rtol * max(abs(fine.total), 1e-300):
@@ -319,8 +323,6 @@ def slow_log_weight(t_min: float = 2.0) -> Weight:
     The canonical weight that decays too slowly at infinity: its log-moment
     with exponent 1 diverges, and the tail probe exhibits the divergence.
     """
-    from .weights import CustomWeight
-
     def density(t):
         t = _as_array(t)
         out = np.zeros_like(t)

@@ -453,12 +453,6 @@ class _LevelScan:
         return self.finish(taus, cut, owner, _roots(self.ratio, *solve))
 
 
-def _scan_levels(V: Potential, t_min_cap: float, t_max: float = _T_MAX, scan_n: int = 4000):
-    """Scan V/w0 once (``_LevelScan``); return its maximum and ``levels``."""
-    scan = _LevelScan(V, t_min_cap, t_max, scan_n)
-    return scan.rmax, scan.levels
-
-
 def level_set(
     V: Potential,
     t_val: float,
@@ -481,8 +475,7 @@ def level_set(
         raise ValueError("the scan needs finite t_min_cap < t_max")
     if not scan_n >= 16:
         raise ValueError("scan_n must be at least 16")
-    _, levels = _scan_levels(V, t_min_cap, t_max, scan_n)
-    ends, _, truncated = levels(t_val)
+    ends, _, truncated = _LevelScan(V, t_min_cap, t_max, scan_n).levels(t_val)
     intervals = tuple(zip(ends[0::2].tolist(), ends[1::2].tolist()))
     return LevelSet(threshold=float(t_val), intervals=intervals, truncated_left=bool(truncated[0]))
 
@@ -520,9 +513,13 @@ def _sup_search(rmax: float, tau_grid_n: int):
     largest value seen and its tau.  A geometric grid brackets the best tau;
     each zoom round then asks for _ZOOM_POINTS equally spaced interior points
     of the log-tau bracket and keeps the argmax's two neighbours, until the
-    bracket is narrower than 1e-10."""
+    bracket is narrower than 1e-10.  A grid of zero values ends the search
+    at (0, 0): level sets shrink as tau grows, so every set a zoom could ask
+    for has measure 0 too."""
     taus = np.geomspace(rmax * 1e-8, rmax * 1e8, tau_grid_n)
     vals = yield taus
+    if not vals.any():
+        return 0.0, 0.0
     k = int(np.argmax(vals))
     best, arg_t = float(vals[k]), float(taus[k])
     lo, hi = max(k - 1, 0), min(k + 1, taus.size - 1)
@@ -541,7 +538,7 @@ def _sup_search(rmax: float, tau_grid_n: int):
 
 def _sup_over_thresholds(V: Potential, a: float, caps, tau_grid_n: int = 512):
     """(largest tau^a * measure seen, its tau) for each lower cap; (0, 0)
-    where V/w0 vanishes on the scan.
+    where V/w0 vanishes on the scan or its level sets have measure 0.
 
     Every cap runs ``_sup_search``, all in lockstep: a round's level sets of
     every cap still searching share one ``_roots`` call, since every scan is
@@ -642,11 +639,11 @@ def threshold_curve(V: Potential, a: float, t_min_cap: float = -1e4, n: int = 20
     """(tau, tau^a * measure(level set)) samples for plotting the sup search."""
     _check_exponent(a)
     _check_cap(t_min_cap)
-    rmax, levels = _scan_levels(V, t_min_cap)
-    if rmax <= 0:
+    scan = _LevelScan(V, t_min_cap)
+    if scan.rmax <= 0:
         return np.zeros(0), np.zeros(0)
-    taus = np.geomspace(rmax * 1e-6, rmax, n)
-    return taus, taus**a * levels(taus)[1]
+    taus = np.geomspace(scan.rmax * 1e-6, scan.rmax, n)
+    return taus, taus**a * scan.levels(taus)[1]
 
 
 def log_moment(w: Weight, alpha: float, R: float) -> float:

@@ -13,6 +13,7 @@ import pytest
 
 from maghardy import cli
 from maghardy.errors import ConfigError
+from maghardy.grids import Grid
 
 
 def _child_env():
@@ -550,6 +551,8 @@ def test_library_value_errors_exit_1(tmp_path, capsys, config, argv):
         (None, ["weight", "--weight", "log_power", "--r", "1"], "weight.b: required for kind 'log_power'"),
         (None, ["weight", "--weight", "flux_augmented", "--r", "1"],
          "flux_augmented weight needs a field section"),
+        ({"grid": {"kind": "nope"}}, ["hardy"], "grid.kind: unknown kind 'nope'"),
+        ({"grid": {"kind": ["auto"]}}, ["count"], "grid.kind: unknown kind ['auto']"),
     ],
     ids=[
         "flux-nan-radius",
@@ -568,6 +571,8 @@ def test_library_value_errors_exit_1(tmp_path, capsys, config, argv):
         "weight-unknown-kind",
         "weight-missing-key",
         "flux-augmented-without-field",
+        "grid-unknown-kind",
+        "grid-kind-not-a-string",
     ],
 )
 def test_config_errors_exit_1(tmp_path, capsys, config, argv, message):
@@ -578,6 +583,17 @@ def test_config_errors_exit_1(tmp_path, capsys, config, argv, message):
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_grid_kinds_build_their_grids():
+    # no section is a uniform grid on the caller's default span
+    want = Grid.uniform(-40.0, 2.0, 2001).t
+    assert np.array_equal(cli.build_grid(None, default=(-40.0, 2.0, 2001)).t, want)
+    assert np.array_equal(cli.build_grid({"n": 2001}, default=(-40.0, 2.0, 9)).t, want)
+    for kind, t_min in (("uniform", -8.0), ("geometric", -1e6), ("auto", -400.0)):
+        spec = {"kind": kind, "t_min": t_min, "t_max": -0.5, "n": 301}
+        want = getattr(Grid, kind)(t_min, -0.5, 301).t
+        assert np.array_equal(cli.build_grid(spec).t, want)
 
 
 @pytest.mark.parametrize(

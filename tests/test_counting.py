@@ -218,207 +218,21 @@ def test_count_report_serialization():
 
 
 # ---------------------------------------------------------------------------
-# Reference for the coupling ladder as a batch axis: count_total coupling by
-# coupling, each phase integral with a root solve and a panel call of its own.
+# The coupling ladder as a batch axis, against its one-coupling case: each
+# coupling counted by a ladder of its own, as count_total does.
 # ---------------------------------------------------------------------------
-
-
-def _reference_count_total(field, V, lam, grid, method="inertia"):
-    """count_total of one coupling, by the phase integral of one coupling."""
-    if not 0.0 <= lam < np.inf:
-        raise ValueError("coupling must be finite and nonnegative")
-    if method not in ("inertia", "prufer", "phase"):
-        raise ValueError(f"unknown method {method!r}")
-    if grid is None and method != "phase":
-        raise ValueError("inertia and oscillation methods require a grid")
-    if lam == 0.0:
-        return mh.counting.CountReport(
-            lam=0.0,
-            per_mode={},
-            m_max=0,
-            total=0,
-            method=method,
-            grid_meta=grid.meta() if grid else None,
-            forbidden_margin=None,
-        )
-
-    if grid is not None:
-        m_max = mh.spectral.mode_truncation(field, V, grid, lam)
-    else:
-        probe = mh.Grid.auto(-1e7, 1.0, 2000)
-        m_max = mh.spectral.mode_truncation(field, V, probe, lam)
-    modes = list(range(-m_max, m_max + 1))
-
-    if method == "inertia":
-        counts = mh.spectral.count_modes(field, V, modes, grid, lam)
-    elif method == "prufer":
-        span = (grid.t_min, grid.t_max)
-        counts = [mh.spectral.prufer_count(field, V, m, span, lam=lam) for m in modes]
-    else:
-        dom = (grid.t_min, grid.t_max) if grid is not None else None
-        counts = _reference_phase_integral_count(field, V, modes, lam, t_domain=dom)
-    per_mode = dict(zip(modes, counts))
-    total = sum(per_mode.values())
-    margin = None
-    if grid is not None and modes:
-        margin = mh.spectral.forbidden_margin(field, V, grid, lam, modes)
-    return mh.counting.CountReport(
-        lam=float(lam),
-        per_mode=per_mode,
-        m_max=m_max,
-        total=total if method == "phase" else int(total),
-        method=method,
-        grid_meta=grid.meta() if grid else None,
-        forbidden_margin=margin,
-    )
-
-
-def _reference_phase_integral_count(
-    field, V, m, lambda_coupling, critical_shift=True, t_domain=None
-):
-    """The phase integral of one coupling, on a probe, a root solve and a
-    panel call of its own."""
-    if not 0.0 <= lambda_coupling < np.inf:
-        raise ValueError("coupling must be finite and nonnegative")
-    modes = [m] if np.ndim(m) == 0 else list(m)
-    base, lam = mh.spectral._unwrap_scaled(V, lambda_coupling)
-    if isinstance(base, mh.VSigma):
-        coordinate = _reference_loglog_coordinate(field, base, lam, critical_shift, t_domain)
-    else:
-        coordinate = _reference_direct_coordinate(
-            field, V, lambda_coupling, critical_shift, t_domain
-        )
-    if coordinate is None:
-        counts = [0.0] * len(modes)
-    else:
-        counts = _reference_phase_panels(modes, *coordinate)
-    return counts[0] if np.ndim(m) == 0 else counts
-
-
-def _reference_direct_coordinate(field, V, lam, critical_shift, t_domain):
-    """The phase integrand in t: probe, breaks and mode-independent terms;
-    None when the range, which ends at the support edge, is empty."""
-    sup = V.support_t_max
-    if t_domain is None:
-        t_lo, t_hi = -60.0, (2.0 if sup is None else sup)
-    else:
-        t_lo, t_hi = float(min(t_domain)), float(max(t_domain))
-    if sup is not None:
-        t_hi = min(t_hi, sup)
-    if t_hi <= t_lo:
-        return None
-
-    def terms(t):
-        barrier = 1.0 / (4.0 * (1.0 + t * t)) if critical_shift else 0.0
-        return lam * V.e2t_v(t), field.alpha(t), 1.0, barrier
-
-    # split at the field's kinks so no quadrature panel straddles one
-    fixed = [t_lo, t_hi, *field.kinks]
-    return np.linspace(t_lo, t_hi, 4001), terms, fixed
-
-
-def _reference_loglog_coordinate(field, V, lam, critical_shift, t_domain):
-    """The borderline well's phase integrand in s = log|t|, t = -e^s <= -2.
-
-    dt = -e^s ds turns the radicand into lam s^{-1/sigma} - (e^s |m - alpha|)^2
-    - 1/(4(1 + e^{-2s})); None when the s-range is empty.
-    """
-    s_lo, s_hi = np.log(2.0), np.inf
-    if critical_shift:
-        # turning point of lam s^{-1/sigma} = 1/4 caps the s-range
-        s_hi = (4.0 * lam) ** V.sigma
-    if t_domain is not None:
-        t_lo, t_hi = float(min(t_domain)), float(max(t_domain))
-        if t_lo >= -2.0:
-            return None
-        s_hi = min(s_hi, np.log(-t_lo))
-        if t_hi < -2.0:
-            s_lo = np.log(-t_hi)
-    if not np.isfinite(s_hi):
-        raise ValueError(
-            "phase integral without the critical shift needs a finite t-domain "
-            "for the borderline potential"
-        )
-    if s_hi <= s_lo:
-        return None
-
-    def terms(s):
-        with np.errstate(over="ignore", invalid="ignore"):
-            es = np.exp(s)  # inf beyond s = 709: the forbidden limit wherever m != alpha
-            alpha = field.alpha(-es)
-        barrier = 1.0 / (4.0 * (1.0 + np.exp(-2.0 * s))) if critical_shift else 0.0
-        return lam * s ** (-1.0 / V.sigma), alpha, es, barrier
-
-    # the support edge t = -2 is s = log 2, at or below s_lo
-    fixed = [s_lo, s_hi, *(np.log(-k) for k in field.kinks if k < 0.0)]
-    return np.geomspace(s_lo, s_hi, 4001), terms, fixed
-
-
-def _reference_phase_panels(modes, probe, terms, fixed):
-    """Per-mode (1/pi) int sqrt(max(well - (g |m - alpha|)^2 - barrier, 0)) dx
-    over the probe's span, from ``terms(x) = (well, alpha, g, barrier)``.
-    ``fixed`` lists known jumps and kinks; those outside the span are ignored."""
-    x_lo, x_hi = probe[0], probe[-1]
-
-    def finite_terms(x):
-        well, alpha, g, barrier = terms(x)
-        bad = ~(np.isfinite(well) & np.isfinite(alpha))
-        if bad.any():
-            raise DomainError(f"phase integrand is not finite at {float(x[bad][0])!r}")
-        return well, alpha, g, barrier
-
-    def radicand(m, well, alpha, g, barrier):
-        am = np.abs(m - alpha)
-        # g = e^s may be inf: (g am)^2 overflows to the forbidden limit, and
-        # am == 0 is short-circuited
-        with np.errstate(over="ignore", invalid="ignore"):
-            return well - np.where(am > 0.0, (g * am) ** 2, 0.0) - barrier
-
-    def w_neg(x, m):
-        """The radicand at points x of modes m (x and m of one shape)."""
-        return radicand(m, *finite_terms(x))
-
-    # sign changes on the probe bracket the turning points; a mode's row is
-    # built from the shared terms by w_neg's own formula, so signs agree with it
-    shared = finite_terms(probe)
-    brackets, open_modes = [], []
-    for k, m in enumerate(modes):
-        vals = radicand(m, *shared)
-        sign = vals > 0
-        if not sign.any():
-            continue
-        i = np.flatnonzero(sign[:-1] != sign[1:])
-        brackets.append((i, vals[i], vals[i + 1], np.full(i.size, k)))
-        open_modes.append(k)
-    if not open_modes:
-        return [0.0] * len(modes)
-    i_lo, f_lo, f_hi, bracket_mode = (np.concatenate(c) for c in zip(*brackets))
-    m_of = np.asarray(modes, dtype=float)
-    edges = mh.weights._roots(
-        lambda x: w_neg(x, m_of[bracket_mode]), probe[i_lo], probe[i_lo + 1], f_lo, f_hi, 0.0
-    )
-
-    fixed = np.array([x for x in fixed if x is not None and x_lo <= x <= x_hi], dtype=float)
-    a, b, panel_mode = mh.spectral._mode_panels(edges, bracket_mode, open_modes, fixed)
-    keep = w_neg(0.5 * (a + b), m_of[panel_mode]) > 0
-    a, b, panel_mode = a[keep], b[keep], panel_mode[keep]
-    vals = mh.weights._sin2_gauss_panels(
-        lambda x, rows: np.sqrt(np.maximum(w_neg(x, m_of[panel_mode[rows]]), 0.0)), a, b
-    )
-    # each mode's panels are added in ascending order, as in a one-mode call
-    counts = np.bincount(panel_mode, weights=vals, minlength=len(modes))
-    return (counts / np.pi).tolist()
 
 
 def _ladder_outcome(call, monkeypatch, per_coupling):
     """repr of the call's result (or error) and its warnings' categories, with
-    the ladder or the per-coupling reference."""
+    the ladder or with one-coupling ladders."""
     if per_coupling:
+        ladder = mh.counting.count_ladder
         monkeypatch.setattr(
             mh.counting,
             "count_ladder",
             lambda field, V, lams, grid, method: [
-                _reference_count_total(field, V, lam, grid, method) for lam in lams
+                ladder(field, V, [lam], grid, method)[0] for lam in lams
             ],
         )
     with warnings.catch_warnings(record=True) as caught:

@@ -1,7 +1,6 @@
 """The scalar kernels against LAPACK counts, closed forms and the
 recurrences they replaced."""
 
-import sys
 import warnings
 from bisect import bisect_left
 from math import cos, sin
@@ -372,9 +371,8 @@ def test_prufer_harmonic_oscillator_node_count():
     assert int(np.floor(theta / np.pi)) == 2  # sin(3t) has nodes at pi/3, 2pi/3
 
 
-# The Pruefer kernel before its coefficient lookups were shared and its
-# slopes written inline, with its helpers, kept verbatim as the reference
-# the kernel must equal to the bit.
+# The Pruefer kernel's reference: the step-doubling loop whose three RK4 steps
+# each compute their own slopes and look Q up afresh, on np.sin and np.cos.
 
 
 def _reference_prufer_sweep(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
@@ -385,27 +383,27 @@ def _reference_prufer_sweep(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
     doubling-based error control at ``tol`` per step.  Returns the final
     angle and a failure flag (1 if the step size underflowed h_min).
     """
+
+    def rk4_step(t, theta, h):
+        k1 = _theta_rhs(t_nodes, q_nodes, n, t, theta)
+        k2 = _theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k1)
+        k3 = _theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k2)
+        k4 = _theta_rhs(t_nodes, q_nodes, n, t + h, theta + h * k3)
+        return theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
     theta = 0.0
     t = t0
     h = h_init
-    fail = 0
     n = t_nodes.shape[0]
-    # Python lists: a scalar bisect and list indexing beat numpy's per-call cost
     t_nodes, q_nodes = t_nodes.tolist(), q_nodes.tolist()
-
     while t < t1:
         if t + h > t1:
             h = t1 - t
-        # the slope at (t, theta) starts the full step and its first half
-        # step, and every retry with a halved h
-        k1 = _theta_rhs(t_nodes, q_nodes, n, t, theta)
         accepted = False
         while not accepted:
-            big = _rk4_step(t_nodes, q_nodes, n, t, theta, h, k1)
-            half = _rk4_step(t_nodes, q_nodes, n, t, theta, 0.5 * h, k1)
-            mid = t + 0.5 * h
-            k1_mid = _theta_rhs(t_nodes, q_nodes, n, mid, half)
-            two = _rk4_step(t_nodes, q_nodes, n, mid, half, 0.5 * h, k1_mid)
+            big = rk4_step(t, theta, h)
+            half = rk4_step(t, theta, 0.5 * h)
+            two = rk4_step(t + 0.5 * h, half, 0.5 * h)
             err = abs(big - two)
             if err <= tol:
                 theta = two
@@ -416,23 +414,14 @@ def _reference_prufer_sweep(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
             else:
                 h = 0.5 * h
                 if h < h_min:
-                    fail = 1
-                    return theta, fail
-    return theta, fail
-
-
-def _rk4_step(t_nodes, q_nodes, n, t, theta, h, k1):
-    """One RK4 step of size h from (t, theta), whose slope k1 is given."""
-    k2 = _theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k1)
-    k3 = _theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k2)
-    k4 = _theta_rhs(t_nodes, q_nodes, n, t + h, theta + h * k3)
-    return theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    return theta, 1
+    return theta, 0
 
 
 def _theta_rhs(t_nodes, q_nodes, n, t, theta):
     q = _interp(t_nodes, q_nodes, n, t)
-    s = sin(theta)
-    c = cos(theta)
+    s = np.sin(theta)
+    c = np.cos(theta)
     return c * c - q * s * s
 
 
@@ -452,13 +441,13 @@ def _interp(t_nodes, q_nodes, n, t):
     return q_nodes[i] * (1.0 - w) + q_nodes[i + 1] * w
 
 
-def _numpy_theta_rhs(t_nodes, q_nodes, n, t, theta):
-    """The Pruefer right-hand side on np.sin/np.cos, kept as the reference
-    for the math.sin/math.cos one."""
-    q = _interp(t_nodes, q_nodes, n, t)
-    s = np.sin(theta)
-    c = np.cos(theta)
-    return c * c - q * s * s
+def _numpy_trig(monkeypatch):
+    """Patch the kernel's math.sin and math.cos to np.sin and np.cos, and
+    record every angle they take."""
+    angles = []
+    monkeypatch.setattr(_kernels, "sin", lambda x: angles.append(x) or np.sin(x))
+    monkeypatch.setattr(_kernels, "cos", lambda x: np.cos(x))
+    return angles
 
 
 _TRIG_PROBLEMS = [
@@ -479,8 +468,8 @@ def _trig_problem_args(q_of_t, span, tol):
 def test_prufer_theta_equals_numpy_trig_reference(monkeypatch, q_of_t, span, tol):
     args = _trig_problem_args(q_of_t, span, tol)
     theta, fail = _kernels.prufer_sweep(*args)
-    monkeypatch.setattr(sys.modules[__name__], "_theta_rhs", _numpy_theta_rhs)
-    want_theta, want_fail = _reference_prufer_sweep(*args)
+    _numpy_trig(monkeypatch)
+    want_theta, want_fail = _kernels.prufer_sweep(*args)
     assert (theta, fail) == (want_theta, want_fail)
     assert theta > np.pi
 
@@ -489,63 +478,18 @@ def test_prufer_rhs_equals_numpy_trig_reference(monkeypatch):
     # the kernel's slope cos^2 - Q sin^2 takes math.sin and math.cos of each
     # angle; theta absorbs a one-ulp change in a slope, so the sweep test
     # alone would miss one: compare the trig values on the angles themselves,
-    # random ones and every angle the reference sweeps of the problems above
-    # take a slope at
-    rhs, angles = _theta_rhs, []
-
-    def recording(t_nodes, q_nodes, n, t, theta):
-        angles.append(theta)
-        return rhs(t_nodes, q_nodes, n, t, theta)
-
-    monkeypatch.setattr(sys.modules[__name__], "_theta_rhs", recording)
+    # random ones and every angle the kernel's sweeps of the problems above
+    # take a sine of
+    angles = _numpy_trig(monkeypatch)
     for problem in _TRIG_PROBLEMS:
-        _reference_prufer_sweep(*_trig_problem_args(*problem))
+        _kernels.prufer_sweep(*_trig_problem_args(*problem))
+    monkeypatch.undo()
     rng = np.random.default_rng(5)
     random = np.concatenate([rng.uniform(-10.0, 200.0, 20000), rng.normal(size=2000) * 1e-8])
     assert len(angles) > 1000
     for theta in [*angles, *random.tolist()]:
         assert sin(theta) == np.sin(theta)
         assert cos(theta) == np.cos(theta)
-
-
-def _unshared_slope_sweep(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
-    """The step-doubling loop whose three RK4 steps each computed their own
-    first slope, kept as the reference for the shared one."""
-
-    def rk4_step(t_nodes, q_nodes, n, t, theta, h):
-        k1 = _theta_rhs(t_nodes, q_nodes, n, t, theta)
-        k2 = _theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k1)
-        k3 = _theta_rhs(t_nodes, q_nodes, n, t + 0.5 * h, theta + 0.5 * h * k2)
-        k4 = _theta_rhs(t_nodes, q_nodes, n, t + h, theta + h * k3)
-        return theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    theta = 0.0
-    t = t0
-    h = h_init
-    fail = 0
-    n = t_nodes.shape[0]
-    t_nodes, q_nodes = t_nodes.tolist(), q_nodes.tolist()
-    while t < t1:
-        if t + h > t1:
-            h = t1 - t
-        accepted = False
-        while not accepted:
-            big = rk4_step(t_nodes, q_nodes, n, t, theta, h)
-            half = rk4_step(t_nodes, q_nodes, n, t, theta, 0.5 * h)
-            two = rk4_step(t_nodes, q_nodes, n, t + 0.5 * h, half, 0.5 * h)
-            err = abs(big - two)
-            if err <= tol:
-                theta = two
-                t = t + h
-                accepted = True
-                if err < 0.03125 * tol and h < 0.25 * (t1 - t0):
-                    h = 2.0 * h
-            else:
-                h = 0.5 * h
-                if h < h_min:
-                    fail = 1
-                    return theta, fail
-    return theta, fail
 
 
 def _count_sweeps(field, V, lam, grid):
@@ -592,9 +536,7 @@ def test_prufer_shared_slope_equals_reference_stepper(sweeps):
     args = sweeps()
     assert args
     for a in args:
-        got = _kernels.prufer_sweep(*a)
-        assert got == _reference_prufer_sweep(*a)
-        assert got == _unshared_slope_sweep(*a)
+        assert _kernels.prufer_sweep(*a) == _reference_prufer_sweep(*a)
 
 
 def test_interp_lookup_equals_searchsorted():

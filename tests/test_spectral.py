@@ -847,11 +847,9 @@ def test_phase_integral_rejects_non_finite_or_negative_coupling(V, lam):
 
 
 def _per_mode_panels(edges, edge_mode, open_modes, fixed):
-    """The per-mode loop the one-lexsort panels replaced, kept as their reference."""
-    panels = []
-    for k in open_modes:
-        pts = np.unique(np.concatenate([edges[edge_mode == k], fixed]))
-        panels.append((pts[:-1], pts[1:], np.full(pts.size - 1, k)))
+    """``_mode_panels`` mode by mode: its one-mode case."""
+    mine = [edge_mode == k for k in open_modes]
+    panels = [_mode_panels(edges[m], edge_mode[m], [k], fixed) for m, k in zip(mine, open_modes)]
     return tuple(np.concatenate(c) for c in zip(*panels))
 
 
@@ -893,21 +891,15 @@ def test_mode_panels_equal_per_mode_unique(inputs):
 
 
 def _per_mode_brackets(probe, terms, modes):
-    """The per-mode scan the mode runs replaced, kept as their reference: each
-    mode's radicand on the whole probe, and the nodes where its sign changes."""
-    well, alpha, g, barrier = terms
-    brackets, open_k = [(probe[:0], probe[:0], probe[:0], probe[:0], np.zeros(0, np.int64))], []
+    """``_mode_brackets`` mode by mode: its one-mode case, whose runs are at
+    most one position long."""
+    none = np.zeros(0, np.int64)
+    brackets, open_k = [(probe[:0], probe[:0], probe[:0], probe[:0], none)], [none]
     for k, m in enumerate(modes):
-        am = np.abs(m - alpha)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = well - np.where(am > 0.0, (g * am) ** 2, 0.0) - barrier
-        sign = vals > 0
-        if not sign.any():
-            continue
-        i = np.flatnonzero(sign[:-1] != sign[1:])
-        brackets.append((probe[i], probe[i + 1], vals[i], vals[i + 1], np.full(i.size, k)))
-        open_k.append(k)
-    return tuple(np.concatenate(c) for c in zip(*brackets)), np.array(open_k, dtype=np.int64)
+        (*ends, one), open_one = _mode_brackets(probe, terms, [m])
+        brackets.append((*ends, one + k))
+        open_k.append(open_one + k)
+    return tuple(np.concatenate(c) for c in zip(*brackets)), np.concatenate(open_k)
 
 
 def _assert_brackets_equal(probe, terms, modes):

@@ -10,7 +10,7 @@ from scipy import optimize
 
 import maghardy as mh
 from maghardy.errors import DomainError, ScanResolutionWarning, UnboundedWarning
-from maghardy.weights import _measure_antiderivative, _roots, level_measure
+from maghardy.weights import level_measure
 
 
 def test_baseline_weight_values():
@@ -127,7 +127,7 @@ def test_level_set_reaches_the_support_edge_above_the_node_maximum():
     assert abs(t_lo - want) <= 1e-9
 
 
-def test_support_edge_at_or_below_the_cap_gives_zero_results():
+def test_support_edge_at_or_below_the_cap_gives_zero_results(monkeypatch):
     # the scan of [cap, 30] is the cap alone: V/w0 there is 0, or, with the
     # edge at the cap, positive on a set of measure 0
     cases = [
@@ -136,6 +136,10 @@ def test_support_edge_at_or_below_the_cap_gives_zero_results():
         (mh.StepWell(1.0, 0.01), -3.0),
         (mh.ZeroPotential(), -100.0),
     ]
+    brackets, rounds = mh.weights._LevelScan.brackets, []
+    monkeypatch.setattr(
+        mh.weights._LevelScan, "brackets", lambda self, taus: rounds.append(0) or brackets(self, taus)
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for V, cap in cases:
@@ -145,8 +149,12 @@ def test_support_edge_at_or_below_the_cap_gives_zero_results():
                 assert level_measure(ls) == 0.0
             taus, vals = mh.weights.threshold_curve(V, 2.0, t_min_cap=cap)
             assert np.isfinite(taus).all() and not np.any(vals)
+            # a search over measures that are all 0 stops after its grid: it
+            # once zoomed 6 rounds on and reported the grid's first threshold
+            rounds.clear()
             res = mh.v_norm_a(V, 2.0, t_min_cap=cap, cap_doublings=0)
             assert res.value == 0.0 and res.cap_sequence == ((cap, 0.0),)
+            assert res.arg_t == 0.0 and len(rounds) <= 1
 
 
 def test_v_norm_solves_no_bracket_across_the_support_edge(monkeypatch):
@@ -420,103 +428,9 @@ def test_log_moment_alpha09_converges():
 
 
 # ---------------------------------------------------------------------------
-# References for the batched threshold search: the level-set scan with one
-# greater/flatnonzero pass per threshold, and golden section on log tau.
+# The batched threshold search: level sets of many thresholds in one call,
+# and the zoom on log tau.
 # ---------------------------------------------------------------------------
-
-
-def _levels_loop_reference(V, t_min_cap: float, t_max: float = 30.0, scan_n: int = 4000):
-    """Scan V/w0 = e^{2t} V (1 + t^2) once; return its maximum and ``levels``.
-
-    ``levels(taus)`` gives, for a threshold grid, the ends of all intervals of
-    {V/w0 > tau} as one flat array (start, end, start, ...), each threshold's
-    level-set measure and whether its set reaches the lower cap.  Crossings
-    are the scan's sign changes, refined by one bracketed solve for the grid.
-    A ScanResolutionWarning is emitted when, for a threshold below the scan
-    maximum, the midpoint-refined scan sees another crossing count.
-    """
-
-    def ratio(t):
-        vals = V.vplus_density(t) * (1.0 + t * t)
-        if not np.isfinite(vals).all():
-            raise DomainError(f"V/w0 is not finite at t = {float(t[~np.isfinite(vals)][0])!r}")
-        return vals
-
-    pieces = [np.linspace(max(t_min_cap, -2.0), t_max, max(scan_n // 4, 16))]
-    if t_min_cap < -2.0:
-        pieces.insert(0, -np.geomspace(2.0, -t_min_cap, scan_n)[::-1])
-    nodes = np.unique(np.concatenate(pieces))
-    # the scan ends at the support edge, or at the cap if the edge is below it
-    sup = V.support_t_max
-    end = t_max if sup is None else max(min(t_max, sup), t_min_cap)
-    nodes = np.append(nodes[nodes < end], end)
-    fine_t = np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))  # interleaved
-    fine = ratio(fine_t)
-    vals = np.ascontiguousarray(fine[0::2])
-    rmax = float(np.max(vals))
-    # segment i is crossed by tau iff min(v_i, v_i+1) <= tau < max(v_i, v_i+1)
-    spans = [np.sort(f(v[:-1], v[1:])) for v in (vals, fine) for f in (np.minimum, np.maximum)]
-    above = np.zeros(nodes.size + 2, dtype=bool)  # padded, so open ends count as crossings
-
-    def crossings(lo, hi, taus):
-        return np.searchsorted(lo, taus, "right") - np.searchsorted(hi, taus, "right")
-
-    def levels(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        # at or above rmax the scan's level set is empty by construction
-        differ = crossings(*spans[:2], taus) != crossings(*spans[2:], taus)
-        if np.any(differ & (taus < rmax)):
-            msg = "ratio oscillates faster than the level-set scan grid"
-            warnings.warn(msg, ScanResolutionWarning)
-        cuts = []
-        for tau in taus:
-            np.greater(vals, tau, out=above[1:-1])
-            cuts.append(np.flatnonzero(above[1:] != above[:-1]) - 1)
-        cut = np.concatenate(cuts)
-        # cut -1 opens at the cap, cut n-1 closes at t_max, other ends lie in (cut, cut+1)
-        ends = np.where(cut < 0, nodes[0], nodes[-1])
-        inner = (cut >= 0) & (cut < nodes.size - 1)
-        i, lvl = cut[inner], np.repeat(taus, [c.size for c in cuts])[inner]
-        ends[inner] = _roots(ratio, nodes[i], nodes[i + 1], vals[i] - lvl, vals[i + 1] - lvl, lvl)
-        F = _measure_antiderivative(ends)
-        owner = np.repeat(np.arange(taus.size), [c.size // 2 for c in cuts])
-        measure = np.bincount(owner, weights=F[1::2] - F[0::2], minlength=taus.size)
-        return ends, measure, vals[0] > taus
-
-    return rmax, levels
-
-
-def _golden_sup_reference(V, a: float, t_min_cap: float, tau_grid_n: int = 512):
-    rmax, levels = mh.weights._scan_levels(V, t_min_cap)
-    if rmax <= 0.0:
-        return 0.0, 0.0
-
-    def g(taus):
-        return taus**a * levels(taus)[1]
-
-    taus = np.geomspace(rmax * 1e-8, rmax * 1e8, tau_grid_n)
-    grid_vals = g(taus)
-    k = int(np.argmax(grid_vals))
-
-    # golden-section on log tau around the grid argmax
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x_lo, x_hi = np.log(taus[max(k - 1, 0)]), np.log(taus[min(k + 1, len(taus) - 1)])
-    c, d = x_hi - invphi * (x_hi - x_lo), x_lo + invphi * (x_hi - x_lo)
-    gc, gd = g(np.exp([c, d]))
-    for _ in range(60):
-        if gc < gd:
-            x_lo, c, gc = c, d, gd
-            d = x_lo + invphi * (x_hi - x_lo)
-            gd = g(np.exp(d))[0]
-        else:
-            x_hi, d, gd = d, c, gc
-            c = x_hi - invphi * (x_hi - x_lo)
-            gc = g(np.exp(c))[0]
-        if x_hi - x_lo < 1e-10:
-            break
-    x_best = 0.5 * (x_lo + x_hi)
-    best = max(g(np.exp(x_best))[0], float(np.max(grid_vals)))
-    return best, float(np.exp(x_best))
 
 
 _oscillating = st.floats(1.0, 60.0).map(
@@ -556,12 +470,11 @@ def _outcome(call):
     st.randoms(use_true_random=False),
 )
 def test_levels_equals_loop_reference(V, cap, draws, rnd):
-    rmax, levels = mh.weights._scan_levels(V, cap)
-    ref_rmax, ref_levels = _levels_loop_reference(V, cap)
-    assert rmax == ref_rmax
-    scale = rmax or 1.0  # a cap above the support of VSigma scans V/w0 = 0
-    _, _, vals = _ref_scan(V, cap)
-    vals = vals[vals > 0] if rmax > 0 else np.array([scale])  # thresholds are positive
+    # the batch against a loop of one-threshold calls, each of which
+    # test_level_set_matches_scalar_reference checks against scalar brentq
+    scan = mh.weights._LevelScan(V, cap)
+    scale = scan.rmax or 1.0  # a cap above the support of VSigma scans V/w0 = 0
+    vals = scan.vals[scan.vals > 0] if scan.rmax > 0 else np.array([scale])  # thresholds are positive
     taus = []
     for kind, u in draws:
         if kind == "rel":
@@ -572,13 +485,14 @@ def test_levels_equals_loop_reference(V, cap, draws, rnd):
             taus.append(float(vals[int(u * (vals.size - 1))]))
     taus = taus + rnd.sample(taus, min(3, len(taus)))  # repeated thresholds
     rnd.shuffle(taus)
-    got, n_warn = _outcome(lambda: levels(taus))
-    want, ref_warn = _outcome(lambda: ref_levels(taus))
-    assert n_warn == ref_warn
-    assert type(got) is type(want)
-    if isinstance(want, str):
-        assert got == want
+    got, n_warn = _outcome(lambda: scan.levels(taus))
+    singles = [_outcome(lambda: scan.levels(tau)) for tau in taus]
+    assert (n_warn > 0) == any(w for _, w in singles)
+    errors = [out for out, _ in singles if isinstance(out, str)]
+    if isinstance(got, str) or errors:
+        assert got in errors
         return
+    want = [np.concatenate(c) for c in zip(*(out for out, _ in singles))]
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
@@ -596,7 +510,9 @@ _ZOOM_CASES = [
 
 @pytest.mark.parametrize("V, a, cap", _ZOOM_CASES)
 def test_zoom_matches_golden_section(V, a, cap, monkeypatch):
-    scan = mh.weights._scan_levels
+    # the zoom refines the grid's best bracket to a width of 1e-10 in log tau,
+    # as golden section did: no threshold of that bracket, sampled densely
+    # and near arg_t at scales from 1e-10 to 1e-2, beats it by 1e-9 relative
     brackets = mh.weights._LevelScan.brackets
     calls = []
 
@@ -608,15 +524,19 @@ def test_zoom_matches_golden_section(V, a, cap, monkeypatch):
     [(value, arg_t)] = mh.weights._sup_over_thresholds(V, a, [cap])
     assert len(calls) <= 10
     monkeypatch.undo()
-    want, _ = _golden_sup_reference(V, a, cap)
-    rmax, levels = scan(V, cap)
-    if rmax <= 0.0:
-        assert (value, arg_t) == (0.0, 0.0) and want == 0.0
+    scan = mh.weights._LevelScan(V, cap)
+    if scan.rmax <= 0.0:
+        assert (value, arg_t) == (0.0, 0.0)
         return
-    assert value == pytest.approx(want, rel=1e-9)
-    taus = np.geomspace(rmax * 1e-8, rmax * 1e8, 512)
-    assert value >= np.max(taus**a * levels(taus)[1])
-    assert value == np.array([arg_t]) ** a * levels([arg_t])[1][0]
+    g = lambda taus: taus**a * scan.levels(taus)[1]
+    taus = np.geomspace(scan.rmax * 1e-8, scan.rmax * 1e8, 512)
+    k = int(np.argmax(g(taus)))
+    assert value >= g(taus)[k]
+    x = np.linspace(np.log(taus[max(k - 1, 0)]), np.log(taus[min(k + 1, 511)]), 4097)
+    steps = np.geomspace(1e-10, 1e-2, 33)
+    near = np.log(arg_t) + np.concatenate([-steps, steps])
+    assert np.max(g(np.exp(np.concatenate([x, near])))) <= value * (1.0 + 1e-9)
+    assert value == np.array([arg_t]) ** a * scan.levels([arg_t])[1][0]
 
 
 def test_square_schedule_and_cap_doublings_validation():
@@ -651,65 +571,34 @@ def test_subnormal_threshold_level_set_is_finite():
 
 
 # ---------------------------------------------------------------------------
-# Reference for the caps batched into one root solve per round: the search of
-# one cap at a time, each round with a root solve of its own.
+# The caps batched into one root solve per round, against the one-cap case:
+# each cap searched alone, with root solves of its own.
 # ---------------------------------------------------------------------------
 
 
-def _per_cap_sup_reference(V, a: float, t_min_cap: float, tau_grid_n: int = 512):
-    """Largest tau^a * measure seen and its tau: a geometric grid, then a zoom.
+def _v_norm_outcome(call, monkeypatch, per_cap):
+    """repr of the call's result (or exception), the categories of its
+    warnings and its searches' root solves: one count for the batched search,
+    or one per cap for one-cap searches."""
+    roots, solves = mh.weights._roots, [0]
 
-    Each zoom round evaluates _ZOOM_POINTS equally spaced interior points of
-    the log-tau bracket in one ``levels`` call and keeps the argmax's two
-    neighbours, until the bracket is narrower than 1e-10.
-    """
-    rmax, levels = mh.weights._scan_levels(V, t_min_cap)
-    if rmax <= 0.0:
-        return 0.0, 0.0
-
-    def g(taus):
-        return taus**a * levels(taus)[1]
-
-    taus = np.geomspace(rmax * 1e-8, rmax * 1e8, tau_grid_n)
-    vals = g(taus)
-    k = int(np.argmax(vals))
-    best, arg_t = float(vals[k]), float(taus[k])
-    lo, hi = max(k - 1, 0), min(k + 1, taus.size - 1)
-    x, v = np.log(taus[[lo, hi]]), vals[[lo, hi]]
-    while x[1] - x[0] >= 1e-10:
-        xs = np.linspace(x[0], x[1], mh.weights._ZOOM_POINTS + 2)
-        ts = np.exp(xs[1:-1])
-        vs = np.concatenate([v[:1], g(ts), v[1:]])
-        j = int(np.argmax(vs))
-        if vs[j] > best:  # the ends are old values, so j is an interior point
-            best, arg_t = float(vs[j]), float(ts[j - 1])
-        lo, hi = max(j - 1, 0), min(j + 1, xs.size - 1)
-        x, v = xs[[lo, hi]], vs[[lo, hi]]
-    return best, arg_t
-
-
-def _counted_roots(monkeypatch):
-    """Patch weights._roots to record the number of brackets of each call."""
-    roots = mh.weights._roots
-    sizes = []
-
-    def counted(ratio, a, b, fa, fb, tau):
-        sizes.append(a.size)
-        return roots(ratio, a, b, fa, fb, tau)
+    def counted(*args):
+        solves[-1] += 1
+        return roots(*args)
 
     monkeypatch.setattr(mh.weights, "_roots", counted)
-    return sizes
-
-
-def _v_norm_outcome(call, monkeypatch, per_cap):
-    """repr of the call's result (or exception) and the categories of its
-    warnings, with the batched or the per-cap search."""
     if per_cap:
-        monkeypatch.setattr(
-            mh.weights,
-            "_sup_over_thresholds",
-            lambda V, a, caps: [_per_cap_sup_reference(V, a, cap) for cap in caps],
-        )
+        search = mh.weights._sup_over_thresholds
+
+        def one_cap_searches(V, a, caps):
+            solves.clear()
+            sups = []
+            for cap in caps:
+                solves.append(0)
+                sups += search(V, a, [cap])
+            return sups
+
+        monkeypatch.setattr(mh.weights, "_sup_over_thresholds", one_cap_searches)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -717,7 +606,7 @@ def _v_norm_outcome(call, monkeypatch, per_cap):
         except DomainError as exc:
             out = f"DomainError: {exc}"
     monkeypatch.undo()
-    return out, [w.category.__name__ for w in caught]
+    return out, [w.category.__name__ for w in caught], solves
 
 
 _oscillating_15 = mh.profiles.CallablePotential(
@@ -745,26 +634,14 @@ def test_batched_caps_equal_per_cap_search(V, a, cap, schedule, doublings, monke
     def call():
         return mh.v_norm_a(V, a, cap, doublings, cap_schedule=schedule)
 
-    got, got_warnings = _v_norm_outcome(call, monkeypatch, per_cap=False)
-    want, want_warnings = _v_norm_outcome(call, monkeypatch, per_cap=True)
+    got, got_warnings, solves = _v_norm_outcome(call, monkeypatch, per_cap=False)
+    want, want_warnings, per_cap_solves = _v_norm_outcome(call, monkeypatch, per_cap=True)
     assert got == want  # value, arg_t and cap_sequence to the bit, or the same error
     assert sorted(got_warnings) == sorted(want_warnings)
     if got.startswith("DomainError"):
         return
     # one root solve per round, as many rounds as the longest search of one cap
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = mh.v_norm_a(V, a, cap, doublings, cap_schedule=schedule)
-        caps = [c for c, _ in result.cap_sequence]
-        rounds = []
-        for c in caps:
-            sizes = _counted_roots(monkeypatch)
-            mh.weights._sup_over_thresholds(V, a, [c])
-            monkeypatch.undo()
-            rounds.append(len(sizes))
-        sizes = _counted_roots(monkeypatch)
-        mh.weights._sup_over_thresholds(V, a, caps)
-    assert len(sizes) == max(rounds)
+    assert solves == [max(per_cap_solves)]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0, 0.5, -np.inf])

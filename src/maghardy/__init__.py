@@ -23,7 +23,6 @@ from .profiles import (
     VSigma,
     ZeroField,
     ZeroPotential,
-    azimuthal_gauge,
     flux,
     flux_quadrature,
     phi,

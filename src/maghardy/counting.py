@@ -9,7 +9,9 @@ sweeps fit the growth exponent of N(lam) on the largest decade with at least
 int V_+ (1 + |log r|) r dr up to r = e^30 (on the sin^2-mapped Gauss panels,
 its deep tail in s = log|t|) and the sup-functional route are provided for
 bound verification.  Both detect divergence for borderline potentials by
-the one cap sweep of ``weights``: the caps and the 1% saturation rule.
+the one cap sweep of ``weights``: the caps and the 1% saturation rule.  The
+integral bound (``bound_jst``) always sweeps four caps: t_min_cap and its
+three doublings.
 """
 
 from dataclasses import dataclass
@@ -192,15 +194,16 @@ def _log_weight_integral(V: Potential, t_min: float, t_max: float) -> float:
     return total + integral(t_inner, t_max, edge, lambda t: V.vplus_density(t) * (1.0 + np.abs(t)))
 
 
-def bound_jst(V: Potential, t_min_cap: float = -1e4, cap_doublings: int = 3) -> BoundValue:
+def bound_jst(V: Potential, t_min_cap: float = -1e4) -> BoundValue:
     """Constant-free value of int V_+ (1 + |log r|) r dr with cap sweep.
 
-    The integral runs from each lower cap of ``v_norm_a``'s doubling sweep up
-    to r = e^30.  The ``unbounded`` flag is raised when every doubling still
-    grows the value by 1% or more — the signature of the borderline
-    potentials this bound cannot handle.
+    The integral runs from each of four lower caps, t_min_cap and its three
+    doublings (``v_norm_a``'s doubling sweep), up to r = e^30.  The
+    ``unbounded`` flag is raised when every doubling still grows the value by
+    1% or more — the signature of the borderline potentials this bound
+    cannot handle.
     """
-    caps = _caps(t_min_cap, cap_doublings)
+    caps = _caps(t_min_cap, 3)
     values = [_log_weight_integral(V, cap, _T_MAX) for cap in caps]
     _, unbounded = _saturation(values, "log-weighted potential integral grows without saturating")
     return BoundValue(

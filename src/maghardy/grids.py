@@ -3,8 +3,8 @@
 All radial machinery works on strictly increasing node sets in t.  Two basic
 constructors are provided: uniform spacing, and geometric spacing in |t|
 (needed for potentials whose level sets reach |t| ~ 1e6 and beyond).  The
-``auto`` constructor glues a linear core onto geometric tails so one grid can
-span, say, t in [-1e7, 5] without wasting nodes.
+``auto`` constructor glues a linear core on [-1, 1] onto geometric tails so
+one grid can span, say, t in [-1e7, 5] without wasting nodes.
 """
 
 from dataclasses import dataclass, field
@@ -46,30 +46,30 @@ class Grid:
         return cls(nodes)
 
     @classmethod
-    def auto(cls, t_min: float, t_max: float, n: int, core: float = 1.0) -> "Grid":
-        """Linear nodes on [-core, core], geometric tails outside.
+    def auto(cls, t_min: float, t_max: float, n: int) -> "Grid":
+        """Linear nodes on [-1, 1], geometric tails outside.
 
         Node budget is split in proportion to the log-extent of each piece so
         wide tails are resolved without starving the core.
         """
         pieces = []
-        lo = max(t_min, -core)
-        hi = min(t_max, core)
+        lo = max(t_min, -1.0)
+        hi = min(t_max, 1.0)
         spans = []
-        if t_min < -core:
-            spans.append(("left", np.log10(-t_min) - np.log10(core)))
+        if t_min < -1.0:
+            spans.append(("left", np.log10(-t_min)))
         if hi > lo:
             spans.append(("core", 2.0))
-        if t_max > core:
-            spans.append(("right", np.log10(t_max) - np.log10(core)))
+        if t_max > 1.0:
+            spans.append(("right", np.log10(t_max)))
         total = sum(s for _, s in spans)
         counts = {name: max(8, int(round(n * s / total))) for name, s in spans}
-        if t_min < -core:
-            pieces.append(-np.geomspace(core, -t_min, counts["left"])[::-1])
+        if t_min < -1.0:
+            pieces.append(-np.geomspace(1.0, -t_min, counts["left"])[::-1])
         if hi > lo:
             pieces.append(np.linspace(lo, hi, counts["core"]))
-        if t_max > core:
-            pieces.append(np.geomspace(core, t_max, counts["right"]))
+        if t_max > 1.0:
+            pieces.append(np.geomspace(1.0, t_max, counts["right"]))
         nodes = np.concatenate(pieces)
         nodes = np.unique(nodes)
         nodes[0] = t_min

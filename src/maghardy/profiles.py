@@ -33,7 +33,6 @@ def _as_array(t):
 class RadialField:
     """Base class: a radial magnetic field B(r), accessed via t = log r."""
 
-    kind = "abstract"
     #: t-values where the profile is only piecewise smooth
     kinks: tuple = ()
 
@@ -120,11 +119,6 @@ class RadialField:
     def _check_integrable(self):
         pass
 
-    def phi(self, t):
-        """Phi = alpha / r = alpha(t) e^{-t}; overflows for very negative t."""
-        t = _as_array(t)
-        return self.alpha(t) * np.exp(-t)
-
     def total_flux(self):
         """Limit of alpha(t) as t -> +inf, or None if not constant at infinity."""
         return None
@@ -135,7 +129,7 @@ class RadialField:
 
 @dataclass(frozen=True)
 class ZeroField(RadialField):
-    kind: str = "zero"
+    """B = 0: no flux anywhere."""
 
     def b(self, t):
         return np.zeros_like(_as_array(t))
@@ -164,7 +158,6 @@ class LogPowerField(RadialField):
 
     b0: float
     gamma: float
-    kind: str = "example1"
 
     @property
     def kinks(self):
@@ -223,7 +216,6 @@ class LogLogPowerField(RadialField):
 
     b0: float
     gamma: float
-    kind: str = "example2"
 
     @property
     def kinks(self):
@@ -294,7 +286,6 @@ class BumpField(RadialField):
 
     flux: float
     r1: float = 1.0
-    kind: str = "bump"
 
     def __post_init__(self):
         if self.r1 <= 0:
@@ -339,7 +330,6 @@ class SumField(RadialField):
     """Pointwise sum of component fields; flux is the sum of fluxes."""
 
     parts: tuple
-    kind: str = "sum"
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
@@ -390,7 +380,6 @@ class CustomField(RadialField):
     t_samples: np.ndarray
     b_samples: np.ndarray
     integrability: str | None = None
-    kind: str = "custom"
 
     def __post_init__(self):
         ts = np.asarray(self.t_samples, dtype=float)
@@ -449,14 +438,10 @@ def flux_quadrature(field: RadialField, t=None, r=None):
 
 
 def phi(field: RadialField, t=None, r=None):
-    """Phi(r) = alpha(r)/r."""
+    """Phi(r) = alpha(r)/r = alpha(t) e^{-t}, the azimuthal vector-potential
+    component of a radial field; overflows for very negative t."""
     t = _resolve_t(t, r)
-    return field.phi(t)
-
-
-def azimuthal_gauge(field: RadialField, t=None, r=None):
-    """Azimuthal vector-potential component a(r) = alpha(r)/r (radial fields)."""
-    return phi(field, t=t, r=r)
+    return field.alpha(t) * np.exp(-t)
 
 
 def singularity_class(field: RadialField) -> str:
@@ -483,7 +468,6 @@ def _resolve_t(t, r):
 class Potential:
     """Radial electric potential; for radial V the angular sup is V_+ itself."""
 
-    kind = "abstract"
     #: largest t past which the potential vanishes (None = unbounded support)
     support_t_max: float | None = None
 
@@ -502,7 +486,8 @@ class Potential:
 
 @dataclass(frozen=True)
 class ZeroPotential(Potential):
-    kind: str = "zero"
+    """V = 0."""
+
     support_t_max = -np.inf
 
     def v(self, t):
@@ -521,7 +506,6 @@ class VSigma(Potential):
     """
 
     sigma: float
-    kind: str = "vsigma"
 
     def __post_init__(self):
         if self.sigma <= 1.0:
@@ -549,7 +533,6 @@ class GaussianWell(Potential):
 
     depth: float = 1.0
     width: float = 1.0
-    kind: str = "gaussian"
 
     def v(self, t):
         t = _as_array(t)
@@ -566,7 +549,6 @@ class StepWell(Potential):
 
     depth: float = 1.0
     radius: float = 1.0
-    kind: str = "step"
 
     @property
     def support_t_max(self):
@@ -587,7 +569,6 @@ class CustomPotential(Potential):
 
     t_samples: np.ndarray
     v_samples: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self):
         ts = np.asarray(self.t_samples, dtype=float)
@@ -614,7 +595,6 @@ class ScaledPotential(Potential):
 
     base: Potential
     lam: float
-    kind: str = "scaled"
 
     @property
     def support_t_max(self):
@@ -632,7 +612,6 @@ class CallablePotential(Potential):
     """Potential defined by a closed-form density e^{2t} V(t)."""
 
     density: Callable
-    kind: str = "callable"
 
     def v(self, t):
         t = _as_array(t)

@@ -7,9 +7,11 @@ gauge, the magnetic Dirichlet form collapses to
 
 with t = log r.  The derivative term is computed cell-wise from node
 differences (exact for piecewise-linear samples, O(h^2) for smooth ones);
-zero-order terms use the trapezoid rule.  The probes below drive explicit
-test-function families through this form to exhibit the failure of
-too-singular weights at the origin and of too-slow log weights at infinity.
+zero-order terms use the trapezoid rule; ``qform_checked`` accepts a value
+when the midpoint-refined grid agrees to 1e-6 relative.  The probes below
+drive explicit test-function families through this form, each on its own
+fixed grid, to exhibit the failure of too-singular weights at the origin and
+of too-slow log weights at infinity.
 """
 
 from dataclasses import dataclass
@@ -159,30 +161,26 @@ def _sampled(u: TestFunction, grid: Grid):
     return vals
 
 
-def lambda_sq(field: RadialField, m: int, t, alpha_shift: float = 0.0):
-    """Squared angular eigenvalue (m - alpha(t) - shift)^2 on nodes t."""
-    return (m - field.alpha(_as_array(t)) - alpha_shift) ** 2
-
-
 def qform(field: RadialField, u: TestFunction, grid: Grid) -> QuadFormValue:
     """Single-mode magnetic form 2 pi * int (|u'|^2 + (m-alpha)^2 u^2) dt."""
     vals = _sampled(u, grid)
     h = grid.steps
     radial = float(np.sum(np.diff(vals) ** 2 / h))
-    lam2 = lambda_sq(field, u.m, grid.t)
+    lam2 = (u.m - field.alpha(grid.t)) ** 2  # the squared angular eigenvalue
     angular = float(np.trapezoid(lam2 * vals**2, grid.t))
     return QuadFormValue(2.0 * np.pi * radial, 2.0 * np.pi * angular)
 
 
-def qform_checked(field, u, grid, rtol: float = 1e-6):
+def qform_checked(field, u, grid):
     """qform with a Richardson consistency check on the midpoint-refined grid.
 
     Returns the refined value; raises QuadratureFailure when the two levels
-    disagree beyond rtol.  Only meaningful for profiles smooth on the grid.
+    disagree by more than 1e-6 relative.  Only meaningful for profiles smooth
+    on the grid.
     """
     coarse = qform(field, u, grid).total
     fine = qform(field, u, grid.refine())
-    if abs(fine.total - coarse) > rtol * max(abs(fine.total), 1e-300):
+    if abs(fine.total - coarse) > 1e-6 * max(abs(fine.total), 1e-300):
         raise QuadratureFailure(
             f"composite quadrature not converged: {coarse!r} vs {fine.total!r}"
         )
@@ -191,7 +189,6 @@ def qform_checked(field, u, grid, rtol: float = 1e-6):
 
 def weighted_norm(u: TestFunction, w: Weight, grid: Grid) -> float:
     """2 pi * int w(t) |u|^2 e^{2t} dt over the grid."""
-    w.check_domain(grid.t)
     vals = u.values(grid.t)
     return float(2.0 * np.pi * np.trapezoid(w.mass_density(grid.t) * vals**2, grid.t))
 
@@ -246,20 +243,13 @@ class ProbeRecord:
         return self.numerator / self.denominator
 
 
-def _zero_probe_grid(k_max: float) -> Grid:
-    inner = Grid.geometric(-2.5 * k_max, -1e-3, 4096)
-    corner = Grid.uniform(-1e-3, 0.0, 3)
-    return Grid.concat(inner, corner)
-
-
 def hardy_probe_at_zero(
-    field: RadialField,
-    b: float,
-    alpha: float,
-    cut_list: Sequence[float],
-    grid: Grid | None = None,
+    field: RadialField, b: float, alpha: float, cut_list: Sequence[float]
 ) -> list[ProbeRecord]:
     """Weighted-norm / form ratios of the origin probe for weight 1/(r^2|log r|^b).
+
+    The grid is geometric in |t| on [-2.5 max|t_cut|, -1e-3] (4096 nodes)
+    plus a corner up to t = 0.
 
     For b < 2 and alpha in ((b-1)/2, 1/2) the ratio diverges like
     |t_cut|^{2 alpha - b + 1} (no Hardy inequality with that weight); for
@@ -271,8 +261,7 @@ def hardy_probe_at_zero(
     cuts = [float(k) for k in cut_list]
     if any(k <= 0 for k in cuts):
         raise ParameterError("cut list entries are |t_cut| values and must be positive")
-    if grid is None:
-        grid = _zero_probe_grid(max(cuts))
+    grid = Grid.concat(Grid.geometric(-2.5 * max(cuts), -1e-3, 4096), Grid.uniform(-1e-3, 0.0, 3))
     w = LogPowerWeight(b)
     neg = Grid(grid.t[grid.t < 0.0])
     records = []
@@ -285,18 +274,15 @@ def hardy_probe_at_zero(
 
 
 def infinity_probe(
-    field: RadialField,
-    bad_weight: Weight,
-    alpha_exp: float,
-    n_list: Sequence[float],
-    grid: Grid | None = None,
+    field: RadialField, bad_weight: Weight, alpha_exp: float, n_list: Sequence[float]
 ) -> list[ProbeRecord]:
     """Tail-probe ladder u_n against a candidate weight at infinity.
 
     Requires integer total flux (within 1e-9); the probe is built in the mode
     matching the flux so the angular term vanishes outside the field support
     and Q[u_n] stays bounded, while for weights violating the log-moment
-    criterion the weighted norm grows along the ladder.
+    criterion the weighted norm grows along the ladder.  The grid is uniform
+    with step 0.01 on [-0.25, log max(n) + 0.5].
     """
     total = field.total_flux()
     if total is None:
@@ -305,9 +291,8 @@ def infinity_probe(
     if abs(total - m) > 1e-9:
         raise FluxNotInteger(f"total flux {total} is not an integer")
     ns = [float(n) for n in n_list]
-    if grid is None:
-        t_hi = float(np.log(max(ns))) + 0.5
-        grid = Grid.uniform(-0.25, t_hi, int(np.ceil((t_hi + 0.25) / 0.01)) + 1)
+    t_hi = float(np.log(max(ns))) + 0.5
+    grid = Grid.uniform(-0.25, t_hi, int(np.ceil((t_hi + 0.25) / 0.01)) + 1)
     records = []
     for n in ns:
         u = TailProbe(n=n, alpha_exp=alpha_exp, m=m)
@@ -317,8 +302,8 @@ def infinity_probe(
     return records
 
 
-def slow_log_weight(t_min: float = 2.0) -> Weight:
-    """w1 = 1/(r^2 log r loglog r) for log r >= t_min, zero below.
+def slow_log_weight() -> Weight:
+    """w1 = 1/(r^2 log r loglog r) for log r >= 2, zero below.
 
     The canonical weight that decays too slowly at infinity: its log-moment
     with exponent 1 diverges, and the tail probe exhibits the divergence.
@@ -326,7 +311,7 @@ def slow_log_weight(t_min: float = 2.0) -> Weight:
     def density(t):
         t = _as_array(t)
         out = np.zeros_like(t)
-        mask = t >= t_min
+        mask = t >= 2.0
         out[mask] = 1.0 / (t[mask] * np.log(t[mask]))
         return out
 
@@ -340,19 +325,15 @@ def fit_loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def radial_1d_inequality_check(
-    samples: Sequence[TestFunction],
-    c: float = 0.5,
-    grid: Grid | None = None,
-) -> float:
-    """min over samples of [int |f'|^2 r dr + c int_0^e |f|^2 r dr] / RHS,
+def radial_1d_inequality_check(samples: Sequence[TestFunction]) -> float:
+    """min over samples of [int |f'|^2 r dr + 1/2 int_0^e |f|^2 r dr] / RHS,
 
     RHS = int_e^inf |f|^2 / (r log^2 r) dr.  In t the three pieces are
-    int |f_t|^2 dt, int_{t<=1} f^2 e^{2t} dt and int_{t>=1} f^2/t^2 dt.
-    Samples whose RHS vanishes (support inside r < e) are excluded.
+    int |f_t|^2 dt, int_{t<=1} f^2 e^{2t} dt and int_{t>=1} f^2/t^2 dt, on
+    the uniform grid of 4801 nodes over [-8, 16].  Samples whose RHS vanishes
+    (support inside r < e) are excluded.
     """
-    if grid is None:
-        grid = Grid.uniform(-8.0, 16.0, 4801)
+    grid = Grid.uniform(-8.0, 16.0, 4801)
     t = grid.t
     h = grid.steps
     inner = t <= 1.0
@@ -362,7 +343,7 @@ def radial_1d_inequality_check(
     for f in samples:
         vals = f.values(t)
         stiff = float(np.sum(np.diff(vals) ** 2 / h))
-        lhs = stiff + c * float(
+        lhs = stiff + 0.5 * float(
             np.trapezoid(np.where(inner, vals**2 * np.exp(2.0 * t), 0.0), t)
         )
         # the quotient only on t >= 1: t = 0 may be a node

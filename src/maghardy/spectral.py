@@ -17,11 +17,13 @@ the last refinement level.  A coarser level needs only the minimum over
 modes, so it solves the modes in a cheap proxy's order and skips each one
 whose inertia count at the best value so far proves it no lower
 (``_least_mode_mu``).  Oscillation (Pruefer) and phase-integral counts
-provide independent cross-checks of the inertia route.  The Pruefer count samples its coefficient table once for
-any number of modes.  The phase integral of every well, the borderline one in
-s = log|t|, runs on the sin^2-mapped Gauss panels of
-``weights._sin2_gauss_panels``, between each mode's turning points and the
-fixed breaks, which one lexsort orders for all modes (``_mode_panels``).
+provide independent cross-checks of the inertia route.  The Pruefer count
+samples its coefficients once for any number of modes, on a table of 8192
+points, and its RK4 steps hold a tolerance of 1e-6 each.  The phase
+integral of every well, the borderline one in s = log|t|, runs on the
+sin^2-mapped Gauss panels of ``weights._sin2_gauss_panels``, between each
+mode's turning points and the fixed breaks, which one lexsort orders for
+all modes (``_mode_panels``).
 The turning points are bracketed on a probe that ends at the potential's
 support edge, so no bracket straddles its jump, and without a pass per mode:
 at one node the modes with a positive radicand are one run of the sorted
@@ -56,11 +58,6 @@ class ModeOperator:
     m: int
     diag: np.ndarray
     offdiag: np.ndarray
-    grid: Grid
-
-    @property
-    def n(self):
-        return self.diag.size
 
 
 def _check_coupling(*lams):
@@ -109,7 +106,7 @@ def assemble_mode(
         ang = (m - field.alpha(ti)) ** 2
     else:
         ang = np.broadcast_to(np.asarray(angular_override, dtype=float), ti.shape)
-    return ModeOperator(m=int(m), diag=diag(ang - lam * V.e2t_v(ti)), offdiag=off, grid=grid)
+    return ModeOperator(m=int(m), diag=diag(ang - lam * V.e2t_v(ti)), offdiag=off)
 
 
 def count_negative(op: ModeOperator) -> int:
@@ -445,18 +442,20 @@ def prufer_count(
     m: int | Sequence[int],
     t_range: tuple,
     lam: float = 1.0,
-    tol: float = 1e-6,
-    coeff_samples: int = 8192,
 ) -> int | list[int]:
     """Node count of the zero-energy solution across t_range.
 
     Integrates the phase of -u'' + ((m-alpha)^2 - lam e^{2t} V) u = 0 with
     u(t0) = 0; the number of pi-crossings equals the Dirichlet negative-
-    eigenvalue count on the interval up to boundary effects of +-1.
+    eigenvalue count on the interval up to boundary effects of +-1.  The
+    RK4 steps hold a tolerance of 1e-6 per step, from a first step of
+    span/1024; StiffnessFailure is raised when a step would fall below
+    span * 1e-12.
 
     ``m`` is one mode or a sequence of modes; a sequence gives the list of
     per-mode counts, equal to the one-mode calls.  alpha and lam e^{2t} V are
-    sampled on the coefficient table once for all of them.
+    sampled once for all of them, on a table of 8192 equally spaced points
+    (the coefficient is interpolated linearly between them).
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not t1 > t0:
@@ -465,20 +464,16 @@ def prufer_count(
     if not np.isfinite(t1 - t0):
         raise ValueError("t_range must have finite ends and a finite span")
     _check_coupling(lam)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if not coeff_samples >= 1:
-        raise ValueError("coeff_samples must be at least 1")
     modes = [m] if np.ndim(m) == 0 else list(m)
     _check_modes(modes)
-    tq = np.linspace(t0, t1, coeff_samples)
+    tq = np.linspace(t0, t1, 8192)
     alpha = field.alpha(tq)
     lv = lam * V.e2t_v(tq)
     span = t1 - t0
     counts = []
     for mode in modes:
         theta, fail = _kernels.prufer_sweep(
-            tq, (mode - alpha) ** 2 - lv, t0, t1, tol, span / 1024.0, span * 1e-12
+            tq, (mode - alpha) ** 2 - lv, t0, t1, 1e-6, span / 1024.0, span * 1e-12
         )
         if fail:
             raise StiffnessFailure("adaptive phase integration underflowed its step size")

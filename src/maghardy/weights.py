@@ -1,10 +1,11 @@
 """Hardy weight families, level sets, and the capped sup-functional.
 
-Weights are radial; every family exposes both the raw value w(r) and the
-"mass density" w(e^t) e^{2t}, which is the factor multiplying |u(t)|^2 dt in
+Weights are radial, and every family is given by one formula: its "mass
+density" w(e^t) e^{2t}, which is the factor multiplying |u(t)|^2 dt in
 weighted norms after the change of variables r dr -> e^{2t} dt.  The mass
-density is always the overflow-safe form (e.g. the baseline log-squared
-weight has mass density 1/(1+t^2)).
+density is the overflow-safe form (e.g. the baseline log-squared weight has
+mass density 1/(1+t^2)); the raw value w(r) = mass density * e^{-2t} is
+derived from it once, in ``Weight.value``.
 
 The sup-functional over thresholds tau,
 
@@ -52,21 +53,19 @@ _SATURATION_TOL = 0.01
 
 
 class Weight:
-    """Base class for radial weights w(r) > 0, accessed via t = log r."""
+    """Base class for radial weights w(r) > 0, accessed via t = log r; a
+    family defines ``mass_density``, and the raw value is derived from it."""
 
     kind = "abstract"
-
-    def value(self, t):
-        """Raw w(e^t); may overflow at extreme t."""
-        raise NotImplementedError
 
     def mass_density(self, t):
         """w(e^t) e^{2t}, overflow-safe."""
         raise NotImplementedError
 
-    def check_domain(self, t):
-        """Raise DomainError if any node is outside the weight's domain."""
-        return None
+    def value(self, t):
+        """Raw w(e^t) = mass_density(t) e^{-2t}; may overflow at extreme t."""
+        t = _as_array(t)
+        return self.mass_density(t) * np.exp(-2.0 * t)
 
 
 @dataclass(frozen=True)
@@ -74,10 +73,6 @@ class LogSquaredWeight(Weight):
     """Baseline weight 1/(r^2 (1 + log^2 r)); mass density 1/(1+t^2)."""
 
     kind: str = "log_squared"
-
-    def value(self, t):
-        t = _as_array(t)
-        return np.exp(-2.0 * t) / (1.0 + t * t)
 
     def mass_density(self, t):
         t = _as_array(t)
@@ -91,19 +86,11 @@ class LogPowerWeight(Weight):
     b: float
     kind: str = "log_power"
 
-    def value(self, t):
-        t = _as_array(t)
-        self.check_domain(t)
-        return np.exp(-2.0 * t) * np.abs(t) ** (-self.b)
-
     def mass_density(self, t):
         t = _as_array(t)
-        self.check_domain(t)
-        return np.abs(t) ** (-self.b)
-
-    def check_domain(self, t):
-        if np.any(_as_array(t) == 0.0):
+        if np.any(t == 0.0):
             raise DomainError("log-power weight is undefined at r = 1 (t = 0)")
+        return np.abs(t) ** (-self.b)
 
 
 @dataclass(frozen=True)
@@ -119,16 +106,6 @@ class FluxAugmentedWeight(Weight):
     field: RadialField
     t_eta: float
     kind: str = "flux_augmented"
-
-    @property
-    def eta(self):
-        return float(np.exp(self.t_eta))
-
-    def value(self, t):
-        t = _as_array(t)
-        base = np.exp(-2.0 * t) / (1.0 + t * t)
-        phi2 = (self.field.alpha(t) * np.exp(-t)) ** 2
-        return np.where(t <= self.t_eta, base + phi2, base)
 
     def mass_density(self, t):
         t = _as_array(t)
@@ -148,11 +125,6 @@ class ShiftedLogWeight(Weight):
         if self.r0 <= 1.0:
             raise ValueError("r0 must exceed 1")
 
-    def value(self, t):
-        t = _as_array(t)
-        s = np.maximum(np.log(self.r0) - t, 0.0)
-        return np.exp(-2.0 * t) / (1.0 + s * s)
-
     def mass_density(self, t):
         t = _as_array(t)
         s = np.maximum(np.log(self.r0) - t, 0.0)
@@ -171,10 +143,6 @@ class AharonovBohmWeight(Weight):
         frac = self.mu - np.floor(self.mu)
         return float(min(frac, 1.0 - frac) ** 2)
 
-    def value(self, t):
-        t = _as_array(t)
-        return self.coefficient * np.exp(-2.0 * t)
-
     def mass_density(self, t):
         t = _as_array(t)
         return np.full_like(t, self.coefficient)
@@ -187,10 +155,6 @@ class CustomWeight(Weight):
     density: object
     kind: str = "custom"
 
-    def value(self, t):
-        t = _as_array(t)
-        return self.density(t) * np.exp(-2.0 * t)
-
     def mass_density(self, t):
         return self.density(_as_array(t))
 
@@ -200,13 +164,15 @@ def eval_weight(w: Weight, t=None, r=None):
     return w.value(_resolve_t(t, r))
 
 
-def select_eta_log(field: RadialField, t_lo: float = -1e9, t_hi: float = 0.0) -> float:
-    """Quarter-flux matching radius in log units: the largest t_eta with
-    sup_{s <= t_eta + log 2} |alpha(s)| <= 1/4, found by bisection.
+def select_eta_log(field: RadialField) -> float:
+    """Quarter-flux matching radius in log units: the largest t_eta <= 0 with
+    sup_{s <= t_eta + log 2} |alpha(s)| <= 1/4, found by bisection on
+    [-1e9, 0].
 
     Returned in log units (eta = e^{t_eta}) since slowly decaying fluxes
     push the matching radius to radii that underflow a linear float.
     """
+    t_lo, t_hi = -1e9, 0.0
 
     def sup_alpha(t):
         s = np.linspace(min(t_lo, t + np.log(2.0) - 1.0), t + np.log(2.0), 4096)
@@ -368,9 +334,9 @@ def _ratio(V: Potential):
 
 
 class _LevelScan:
-    """One scan of V/w0 from the lower cap to t_max, and its level sets.
+    """One scan of V/w0 from the lower cap to _T_MAX, and its level sets.
 
-    The scan ends at V's support edge where that lies below t_max (and at
+    The scan ends at V's support edge where that lies below _T_MAX (and at
     the cap where the edge lies at or below it): the edge is its last node,
     so a set that reaches the edge closes there exactly, with no root solve
     across the jump of V.
@@ -387,16 +353,16 @@ class _LevelScan:
     maximum, the midpoint-refined scan sees another crossing count.
     """
 
-    def __init__(self, V: Potential, t_min_cap: float, t_max: float = _T_MAX, scan_n: int = 4000):
+    def __init__(self, V: Potential, t_min_cap: float, scan_n: int = 4000):
         self.ratio = _ratio(V)
-        pieces = [np.linspace(max(t_min_cap, -2.0), t_max, max(scan_n // 4, 16))]
+        pieces = [np.linspace(max(t_min_cap, -2.0), _T_MAX, max(scan_n // 4, 16))]
         if t_min_cap < -2.0:
             pieces.insert(0, -np.geomspace(2.0, -t_min_cap, scan_n)[::-1])
         nodes = np.unique(np.concatenate(pieces))
         # V vanishes past its support edge, so the scan ends there, no lower
         # than the cap
         sup = V.support_t_max
-        end = t_max if sup is None else max(min(t_max, sup), t_min_cap)
+        end = _T_MAX if sup is None else max(min(_T_MAX, sup), t_min_cap)
         self.nodes = nodes = np.append(nodes[nodes < end], end)
         fine_t = np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))  # interleaved
         fine = self.ratio(fine_t)
@@ -432,7 +398,7 @@ class _LevelScan:
         owner = order[np.arange(seg.size) - np.repeat(np.cumsum(hits) - hits - first, hits)]
         by_tau = np.lexsort((seg, owner))  # each threshold's cuts in increasing order
         cut, owner = seg[by_tau] - 1, owner[by_tau]
-        # cut -1 opens at the cap, cut n-1 closes at t_max, other ends lie in (cut, cut+1)
+        # cut -1 opens at the cap, cut n-1 closes at the scan's end, other ends lie in (cut, cut+1)
         inner = (cut >= 0) & (cut < self.nodes.size - 1)
         i, lvl = cut[inner], taus[owner[inner]]
         nodes, vals = self.nodes, self.vals
@@ -453,14 +419,9 @@ class _LevelScan:
         return self.finish(taus, cut, owner, _roots(self.ratio, *solve))
 
 
-def level_set(
-    V: Potential,
-    t_val: float,
-    t_min_cap: float = -1e6,
-    t_max: float = _T_MAX,
-    scan_n: int = 4000,
-) -> LevelSet:
-    """Level set {V > t_val * w0} from a cached scan and a bracketed root solve.
+def level_set(V: Potential, t_val: float, t_min_cap: float = -1e6, scan_n: int = 4000) -> LevelSet:
+    """Level set {V > t_val * w0} on [t_min_cap, 30] (r up to e^30), from a
+    scan and a bracketed root solve.
 
     Each end is refined until its bracket is at most 1e-9 + 8.9e-16 |t| wide
     (brentq's tolerance, attainable at any float magnitude); an end at V's
@@ -471,11 +432,11 @@ def level_set(
     """
     if not t_val > 0:
         raise ValueError("threshold must be positive")
-    if not -np.inf < t_min_cap < t_max < np.inf:
-        raise ValueError("the scan needs finite t_min_cap < t_max")
+    if not -np.inf < t_min_cap < _T_MAX:
+        raise ValueError("the scan needs finite t_min_cap < t_max = 30")
     if not scan_n >= 16:
         raise ValueError("scan_n must be at least 16")
-    ends, _, truncated = _LevelScan(V, t_min_cap, t_max, scan_n).levels(t_val)
+    ends, _, truncated = _LevelScan(V, t_min_cap, scan_n).levels(t_val)
     intervals = tuple(zip(ends[0::2].tolist(), ends[1::2].tolist()))
     return LevelSet(threshold=float(t_val), intervals=intervals, truncated_left=bool(truncated[0]))
 
@@ -507,16 +468,17 @@ class VNormResult:
         }
 
 
-def _sup_search(rmax: float, tau_grid_n: int):
+def _sup_search(rmax: float):
     """One cap's search for the largest tau^a * measure, as a generator: it
     yields threshold arrays, is sent their tau^a * measure, and returns the
-    largest value seen and its tau.  A geometric grid brackets the best tau;
+    largest value seen and its tau.  A geometric grid of 512 thresholds over
+    rmax * [1e-8, 1e8] brackets the best tau;
     each zoom round then asks for _ZOOM_POINTS equally spaced interior points
     of the log-tau bracket and keeps the argmax's two neighbours, until the
     bracket is narrower than 1e-10.  A grid of zero values ends the search
     at (0, 0): level sets shrink as tau grows, so every set a zoom could ask
     for has measure 0 too."""
-    taus = np.geomspace(rmax * 1e-8, rmax * 1e8, tau_grid_n)
+    taus = np.geomspace(rmax * 1e-8, rmax * 1e8, 512)
     vals = yield taus
     if not vals.any():
         return 0.0, 0.0
@@ -536,7 +498,7 @@ def _sup_search(rmax: float, tau_grid_n: int):
     return best, arg_t
 
 
-def _sup_over_thresholds(V: Potential, a: float, caps, tau_grid_n: int = 512):
+def _sup_over_thresholds(V: Potential, a: float, caps):
     """(largest tau^a * measure seen, its tau) for each lower cap; (0, 0)
     where V/w0 vanishes on the scan or its level sets have measure 0.
 
@@ -549,7 +511,7 @@ def _sup_over_thresholds(V: Potential, a: float, caps, tau_grid_n: int = 512):
     ratio = _ratio(V)
     sups = [(0.0, 0.0)] * len(scans)
     searches = {
-        k: _sup_search(scan.rmax, tau_grid_n) for k, scan in enumerate(scans) if scan.rmax > 0.0
+        k: _sup_search(scan.rmax) for k, scan in enumerate(scans) if scan.rmax > 0.0
     }
     asked = {k: next(search) for k, search in searches.items()}
     while asked:
@@ -635,14 +597,15 @@ def v_norm_a(
     )
 
 
-def threshold_curve(V: Potential, a: float, t_min_cap: float = -1e4, n: int = 200):
-    """(tau, tau^a * measure(level set)) samples for plotting the sup search."""
+def threshold_curve(V: Potential, a: float, t_min_cap: float = -1e4):
+    """(tau, tau^a * measure(level set)) at 200 thresholds geometric over
+    rmax * [1e-6, 1], for plotting the sup search."""
     _check_exponent(a)
     _check_cap(t_min_cap)
     scan = _LevelScan(V, t_min_cap)
     if scan.rmax <= 0:
         return np.zeros(0), np.zeros(0)
-    taus = np.geomspace(scan.rmax * 1e-6, scan.rmax, n)
+    taus = np.geomspace(scan.rmax * 1e-6, scan.rmax, 200)
     return taus, taus**a * scan.levels(taus)[1]
 
 

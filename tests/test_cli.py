@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maghardy import cli
+from maghardy import cli, profiles, weights
 from maghardy.errors import ConfigError
 from maghardy.grids import Grid
 
@@ -237,6 +237,17 @@ def test_weight_subcommand_value():
         }
     )
     assert report2["results"]["value"] == pytest.approx(0.01)
+
+
+def test_weight_flux_augmented_defaults_to_the_quarter_flux_radius(tmp_path, capsys):
+    # with no t_eta the CLI places the matching radius by select_eta_log
+    argv = ["weight", "--weight", "flux_augmented", "--field", "bump", "--total-flux", "0.5"]
+    assert cli.main([*argv, "--r", "0.5", "--out", str(tmp_path)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    field = profiles.BumpField(0.5)
+    w = weights.FluxAugmentedWeight(field, weights.select_eta_log(field))
+    assert result["kind"] == "flux_augmented"
+    assert result["mass_density"] == float(w.mass_density(np.log(0.5)))
 
 
 def test_bound_subcommand_with_counting_table():

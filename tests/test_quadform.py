@@ -130,24 +130,14 @@ def test_qform_support_error():
     with pytest.raises(SupportError):
         mh.qform(mh.ZeroField(), u, g)
 
-def test_qform_gauge_shift_identity():
-    # (m+k) - (alpha+k) == m - alpha: the angular weight is invariant under a
-    # simultaneous integer shift of mode index and flux
-    field = mh.BumpField(flux=0.5)
-    ts = np.linspace(-3.0, 3.0, 101)
-    for m, k in ((0, 1), (1, -2), (-2, 3)):
-        base = mh.quadform.lambda_sq(field, m, ts)
-        shifted = mh.quadform.lambda_sq(field, m + k, ts, alpha_shift=float(k))
-        assert np.allclose(base, shifted, rtol=1e-13, atol=0)
-
 def test_qform_checked_richardson():
     u = mh.ModeBump(m=1, t_lo=-1.0, t_hi=1.0)
     g = mh.Grid.uniform(-2.0, 2.0, 8001)
-    out = mh.qform_checked(mh.ZeroField(), u, g, rtol=1e-6)
+    out = mh.qform_checked(mh.ZeroField(), u, g)
     assert out.total > 0
     coarse = mh.Grid.uniform(-2.0, 2.0, 9)
     with pytest.raises(QuadratureFailure):
-        mh.qform_checked(mh.ZeroField(), u, coarse, rtol=1e-10)
+        mh.qform_checked(mh.ZeroField(), u, coarse)
 
 # ---------------------------------------------------------------------------
 # weighted norms

@@ -11,7 +11,13 @@ from scipy.linalg import eigh_tridiagonal
 
 import maghardy as mh
 from maghardy import _kernels
-from maghardy.errors import DomainError, NoTruncation, QuadratureFailure, ZeroPivotWarning
+from maghardy.errors import (
+    DomainError,
+    NoTruncation,
+    QuadratureFailure,
+    StiffnessFailure,
+    ZeroPivotWarning,
+)
 from maghardy.profiles import ZeroPotential
 from maghardy.spectral import (
     HardyEstimate,
@@ -152,12 +158,7 @@ def test_zero_pivot_warning_reported():
     from maghardy.errors import ZeroPivotWarning
     from maghardy.spectral import ModeOperator
 
-    op = ModeOperator(
-        m=0,
-        diag=np.zeros(4),
-        offdiag=np.zeros(3),
-        grid=mh.Grid.uniform(0.0, 1.0, 6),
-    )
+    op = ModeOperator(m=0, diag=np.zeros(4), offdiag=np.zeros(3))
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         assert mh.count_negative(op) == 0
@@ -395,7 +396,7 @@ def test_mode_functions_keep_non_integer_modes():
 )
 def test_count_negative_rejects_non_finite_operator(diag, off):
     # an all-NaN diagonal once counted 0
-    op = ModeOperator(0, np.array(diag), np.array(off), None)
+    op = ModeOperator(0, np.array(diag), np.array(off))
     with pytest.raises(ValueError, match="mode operator entries must be finite"):
         mh.count_negative(op)
 
@@ -422,6 +423,22 @@ def test_hardy_zero_field_minimum_decays_with_domain():
         )
         mus.append(est.mu_star)
     assert mus[0] > mus[1] > mus[2]
+
+
+def test_hardy_aharonov_bohm_weight_equals_discrete_laplacian_eigenvalue():
+    # mu = 1/2 gives the constant mass density 1/4; with no field, mode m's
+    # matrix is the Dirichlet Laplacian plus m^2, against a uniform mass, so
+    # each minimum is 4 [(4/h^2) sin^2(pi h / 16) + m^2] on [-4, 4]
+    grid = mh.Grid.uniform(-4.0, 4.0, 101)
+    h = 0.08
+    est = mh.hardy_constant(mh.ZeroField(), mh.AharonovBohmWeight(0.5), grid, refine_levels=0)
+    for m, mu in est.per_mode_minima.items():
+        want = 4.0 * (4.0 / h**2 * np.sin(np.pi * h / 16.0) ** 2 + m * m)
+        assert mu == pytest.approx(want, rel=1e-12)
+    assert est.mu_star == est.per_mode_minima[0]
+    # an integer flux has coefficient 0: every node is massless
+    massless = mh.hardy_constant(mh.ZeroField(), mh.AharonovBohmWeight(1.0), grid, refine_levels=0)
+    assert massless.mu_star == np.inf
 
 
 def test_hardy_refinement_history_nonincreasing():
@@ -600,21 +617,14 @@ def test_prufer_zero_potential_no_nodes():
         ({"t_range": (-1e308, 1e308)}, "t_range must have finite ends"),
         ({"t_range": (2.0, -8.0)}, "t_range must be increasing"),
         ({"t_range": (np.nan, 2.0)}, "t_range must be increasing"),
-        ({"tol": 0.0}, "tol must be positive"),
-        ({"tol": -1e-6}, "tol must be positive"),
-        ({"tol": np.nan}, "tol must be positive"),
-        ({"coeff_samples": 0}, "coeff_samples must be at least 1"),
-        ({"coeff_samples": -3}, "coeff_samples must be at least 1"),
     ],
     ids=[
         "lam-nan", "lam-inf", "lam-negative", "t-min-inf", "t-max-inf", "span-overflows",
-        "t-decreasing", "t-nan", "tol-zero", "tol-negative", "tol-nan", "samples-zero",
-        "samples-negative",
+        "t-decreasing", "t-nan",
     ],
 )
 def test_prufer_count_rejects_bad_input_before_sweeping(monkeypatch, kwargs, message):
-    # an infinite span once hung the sweep, a bad tol ended in StiffnessFailure
-    # and no samples in IndexError
+    # an infinite span once hung the sweep
     def no_sweep(*args):
         raise AssertionError("the sweep ran")
 
@@ -622,6 +632,13 @@ def test_prufer_count_rejects_bad_input_before_sweeping(monkeypatch, kwargs, mes
     args = {"t_range": (-8.0, 2.0), **kwargs}
     with pytest.raises(ValueError, match=message):
         mh.prufer_count(mh.ZeroField(), mh.GaussianWell(), 0, **args)
+
+
+def test_prufer_count_raises_when_its_step_underflows():
+    # Q = -1e200 turns theta faster than any step above span * 1e-12 can follow
+    V = mh.profiles.CallablePotential(lambda t: np.full_like(t, 1e200))
+    with pytest.raises(StiffnessFailure, match="underflowed its step size"):
+        mh.prufer_count(mh.ZeroField(), V, 0, (0.0, 1.0))
 
 
 def test_prufer_count_of_modes_equals_one_mode_sweeps(monkeypatch):
@@ -645,12 +662,6 @@ def test_prufer_count_of_modes_equals_one_mode_sweeps(monkeypatch):
     got = mh.prufer_count(field, V, modes, span, lam)
     assert got == want and samples == [8192]
     assert [mh.prufer_count(field, V, m, span, lam) for m in modes] == want
-
-
-def test_prufer_count_single_coefficient_sample():
-    # one sample makes Q constant at its value at t_min, where the well has
-    # decayed: no node
-    assert mh.prufer_count(mh.ZeroField(), mh.GaussianWell(), 0, (-8.0, 2.0), 50.0, 1e-6, 1) == 0
 
 
 def test_prufer_matches_inertia_step_well():
@@ -742,7 +753,9 @@ def test_phase_integral_quadratic_growth():
 def test_phase_probe_ends_at_the_support_edge(monkeypatch):
     # past the jump of the step the radicand is negative: a probe that ran on
     # to t = 1 bracketed the jump once per open mode, and those brackets
-    # took 66 evaluations against 7 for a Gaussian well
+    # took 66 evaluations against 7 for a Gaussian well.  A t_domain that
+    # reaches past the edge is cut there too: uncut, its probe made 780
+    # evaluated points against 42
     roots, evals = mh.spectral._roots, []
 
     def counted(w_neg, *args):
@@ -755,10 +768,27 @@ def test_phase_probe_ends_at_the_support_edge(monkeypatch):
         return roots(counted_w_neg, *args)
 
     monkeypatch.setattr(mh.spectral, "_roots", counted)
-    counts = mh.phase_integral_count(
-        mh.BumpField(0.5), mh.StepWell(2.0, 0.5), range(-3, 4), 50.0, critical_shift=False
-    )
+    args = (mh.BumpField(0.5), mh.StepWell(2.0, 0.5), range(-3, 4), 50.0)
+    counts = mh.phase_integral_count(*args, critical_shift=False)
     assert any(counts) and evals and max(evals) <= 12
+    uncut, evals[:] = list(evals), []
+    assert mh.phase_integral_count(*args, critical_shift=False, t_domain=(-60.0, 5.0)) == counts
+    assert evals == uncut
+
+
+def test_phase_jobs_integrate_only_their_own_turning_points():
+    # in both jobs m = 0 has turning points; a bracket mask one row too wide
+    # let the first job integrate the second job's m = 0 as well, which then
+    # read 15.75 instead of 7.876
+    field, V = mh.BumpField(0.5), mh.GaussianWell(1.0, 1.0)
+    jobs = [(200.0, [0, 1]), (400.0, [0, 1])]
+    want = [mh.phase_integral_count(field, V, modes, lam) for lam, modes in jobs]
+    assert mh.phase_integral_counts(field, V, jobs) == want
+
+
+def test_phase_integral_borderline_without_shift_needs_a_t_domain():
+    with pytest.raises(ValueError, match="needs a finite t-domain"):
+        mh.phase_integral_count(mh.BumpField(0.5), mh.VSigma(2.0), 0, 10.0, critical_shift=False)
 
 
 def _phase_direct_reference(field, V, m, lam, critical_shift=True, t_domain=None):

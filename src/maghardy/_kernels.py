@@ -34,7 +34,7 @@ def tridiag_inertia(diag, off, off2, pivmin, stop=None):
     divides by zero.  An empty matrix has no negative eigenvalue: (0, 0).
 
     ``stop`` is the index of the last weak row, when every later row is
-    strong in the sense of ``spectral._inertia``.  From that row on,
+    strong in the sense of ``spectral._inertia_counter``.  From that row on,
     the sweep ends at the first clamped pivot d with d >= |b|, b its coupling
     to the next row: from there no later pivot is negative or zero, so the
     counts equal those of the full sweep.

@@ -9,15 +9,16 @@ terms on a Dirichlet grid, giving a symmetric tridiagonal matrix whose
 inertia yields exact negative-eigenvalue counts.  Rows where (m - alpha)^2
 outweighs the potential are diagonally dominant; each count sweeps the
 matrix in the direction that leaves the longer such run last, and stops
-inside it once a pivot dominates its coupling (``_inertia``, which
+inside it once a pivot dominates its coupling (``_inertia_counter``, which
 squares the couplings once for every mode).  The same matrices drive the
 Hardy-constant estimator: the lowest generalized eigenvalue against a
-lumped weight mass, by LAPACK's Sturm bisection (stebz), for every mode on
-the last refinement level.  A coarser level needs only the minimum over
-modes, so it solves the modes in a cheap proxy's order and skips each one
-whose inertia count at the best value so far proves it no lower
-(``_least_mode_mu``).  Oscillation (Pruefer) and phase-integral counts
-provide independent cross-checks of the inertia route.  The Pruefer count
+lumped weight mass, for every mode on the last refinement level, bisected
+from a Rayleigh bound on LAPACK's LDL^T factorization (dpttrf) of K - mu M.
+A coarser level needs only the minimum over modes, so it solves the modes
+in a cheap proxy's order and skips each one whose factorization at the
+best value so far proves it no lower (``_least_mode_mu``).  Oscillation
+(Pruefer) and phase-integral counts provide independent cross-checks of
+the inertia route.  The Pruefer count
 samples its coefficients once for any number of modes, on a table of 8192
 points, and its RK4 steps hold a tolerance of 1e-6 each.  The phase
 integral of every well, the borderline one in s = log|t|, runs on the
@@ -36,6 +37,7 @@ panel call integrates every panel (``phase_integral_counts``).
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -144,24 +146,7 @@ _TAME = (2.0**-500, 2.0**500)
 
 def _inertia_counter(off):
     """The negative-pivot count of the tridiagonal (diag, off) as a function of
-    diag, warning (ZeroPivotWarning) when an exact zero pivot was perturbed."""
-    inertia = _inertia(off)
-
-    def count(diag):
-        neg, zero_pivots = inertia(diag)
-        if zero_pivots:
-            warnings.warn(
-                f"{zero_pivots} exact zero pivot(s) perturbed in inertia count",
-                ZeroPivotWarning,
-            )
-        return neg
-
-    return count
-
-
-def _inertia(off):
-    """The counts (negative pivots, exact zero pivots) of the tridiagonal
-    (diag, off) as a function of diag.
+    diag, warning (ZeroPivotWarning) when an exact zero pivot was perturbed.
 
     The lists of the off-diagonal and of its squares, forward and reversed,
     its largest square and the bound each row's diagonal must exceed are
@@ -201,10 +186,10 @@ def _inertia(off):
     bound[:-1][wild] = np.inf
     bound[1:][wild] = np.inf
 
-    def inertia(diag):
+    def count(diag):
         weak = np.flatnonzero(~(diag > bound))
         if not weak.size:
-            return 0, 0
+            return 0
         first, last = int(weak[0]), int(weak[-1])
         if first > n - 1 - last:
             diag, stop = diag[::-1], n - 1 - first
@@ -216,9 +201,14 @@ def _inertia(off):
         neg, zero_pivots = _kernels.tridiag_inertia(
             memoryview(diag), off_sweep, off2_sweep, _pivmin(diag, peak), stop
         )
-        return int(neg), zero_pivots
+        if zero_pivots:
+            warnings.warn(
+                f"{zero_pivots} exact zero pivot(s) perturbed in inertia count",
+                ZeroPivotWarning,
+            )
+        return int(neg)
 
-    return inertia
+    return count
 
 
 def _pivmin(diag, off):
@@ -299,37 +289,54 @@ class HardyEstimate:
 def smallest_generalized_mu(kdiag, off, mdiag) -> float:
     """Smallest mu with K - mu M singular; ``inf`` when M vanishes.
 
-    K is symmetric tridiagonal positive definite and M diagonal nonnegative.
-    Massless nodes are first eliminated by an exact Schur complement, which
-    stays tridiagonal on a path graph.  The lowest eigenvalue of the reduced
-    M^{-1/2} K M^{-1/2} is then bisected by LAPACK (stebz) to full precision:
-    the scaled matrix can span many decades, so the default tolerance
-    (eps * norm) would be too coarse.
+    K is symmetric tridiagonal positive definite and M diagonal nonnegative,
+    all finite, or ValueError.  mu is bisected on the test ``_below_lowest``
+    from 0, which factoring K certifies, and the Rayleigh quotient of
+    x = K^{-1} M^{1/2} 1 > 0 (K is a Stieltjes matrix; one inverse iteration
+    of M^{-1/2} K M^{-1/2} from 1), doubled until the test fails, to stebz's
+    width 2 eps hi.  It returns hi: the test fails there and passes at any
+    lower shift, as the pivots fall monotonically in mu in floating point
+    too (Demmel, Dhillon & Ren, ETNA 3, 1995).
     """
-    from scipy.linalg import eigvalsh_tridiagonal  # on use: slow to import, needed only here
-
-    positive = mdiag > 0
-    keep = np.flatnonzero(positive)
-    if keep.size == 0:
+    kdiag, off, mdiag = (np.asarray(a, dtype=float) for a in (kdiag, off, mdiag))
+    if not all(np.isfinite(a).all() for a in (kdiag, off, mdiag)) or (mdiag < 0.0).any():
+        raise ValueError("pencil entries must be finite and the masses nonnegative")
+    if not (mdiag > 0.0).any():
         return np.inf
-    d, e = np.array(kdiag, dtype=float), np.array(off, dtype=float)
-    # nearest kept node to the left of each node (-1: none)
-    left = np.maximum.accumulate(np.where(positive, np.arange(d.size), -1))
-    for i in np.flatnonzero(~positive):  # left to right; e[i] then couples left[i], i+1
-        lc = e[i - 1] if i > 0 else 0.0
-        if left[i] >= 0:
-            d[left[i]] -= lc * lc / d[i]
-        if i < e.size:
-            d[i + 1] -= e[i] * e[i] / d[i]
-            e[i] = -lc * e[i] / d[i]
-    scale = 1.0 / np.sqrt(mdiag[keep])
-    return float(
-        eigvalsh_tridiagonal(
-            d[keep] * scale * scale, e[keep[1:] - 1] * scale[:-1] * scale[1:],
-            select="i", select_range=(0, 0), lapack_driver="stebz",
-            tol=np.finfo(float).tiny,
-        )[0]
-    )
+    d, e, info = _lapack().dpttrf(kdiag, off if off.size else _NO_COUPLING)
+    if info:
+        raise ValueError("K must be symmetric tridiagonal positive definite")
+    root = np.sqrt(mdiag)
+    x = _lapack().dpttrs(d, e, root)[0]
+    with np.errstate(all="ignore"):
+        lo, hi = 0.0, float(root @ x / (mdiag @ (x * x)))
+    if not 0.0 < hi < np.inf:
+        raise ValueError("the pencil's Rayleigh bound over- or underflows")
+    while _below_lowest(kdiag, off, mdiag, hi):
+        lo, hi = hi, 2.0 * hi
+    mid = 0.5 * (lo + hi)
+    while hi - lo > _TWO_EPS * hi and lo < mid < hi:
+        lo, hi = (mid, hi) if _below_lowest(kdiag, off, mdiag, mid) else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
+# the stop of stebz, and the coupling scipy's dpttrf wants of a 1 x 1 matrix
+_TWO_EPS, _NO_COUPLING = 2.0 * np.finfo(float).eps, np.zeros(1)
+
+
+@cache
+def _lapack():  # imported on first use: slow to import, and only Hardy solves need it
+    from scipy.linalg import lapack
+    return lapack
+
+
+def _below_lowest(kdiag, off, mass, mu) -> bool:
+    """Whether mu lies below the pencil's lowest eigenvalue: K - mu M has an
+    LDL^T factorization (LAPACK dpttrf) with every pivot positive.  Massless
+    rows form a positive definite block, so by Haynsworth's inertia
+    additivity they need no elimination."""
+    return _lapack().dpttrf(kdiag - mu * mass, off if off.size else _NO_COUPLING, overwrite_d=1)[2] == 0
 
 
 def hardy_constant(
@@ -354,9 +361,10 @@ def hardy_constant(
 
     The last level solves every mode to full precision, giving
     ``per_mode_minima``.  A coarser level enters only ``refinement_history``,
-    so it solves just the modes that an inertia count cannot prove to lie
-    above its minimum (``_least_mode_mu``).  Its value is the same unless two
-    modes tie within stebz's own tolerance.
+    so it solves just the modes that a factorization cannot prove to lie
+    above its minimum (``_least_mode_mu``).  Its value is the same, ties
+    included: a skipped mode passes the bisection's test at that minimum,
+    and each solve returns a shift that fails it.
 
     The domain error need not decay like 1/|t_min|.  For fields with
     alpha -> 0 at the origin (t -> -inf) under ``LogSquaredWeight`` the
@@ -364,8 +372,8 @@ def hardy_constant(
     ``|t_min|^{-2 sqrt(1/4 - mu*)}`` with mu* the whole-line constant
     (about |t_min|^{-0.38} for ``BumpField(flux=0.5)``).
 
-    A node of zero weight mass is eliminated (``smallest_generalized_mu``);
-    a negative or NaN mass raises DomainError.
+    A node of zero weight mass is allowed; an infinite, negative or NaN mass
+    raises DomainError.
     """
     if refine_levels < 0:
         raise ValueError("refine_levels must be nonnegative")
@@ -379,9 +387,9 @@ def hardy_constant(
         ti, off, diag = _mode_terms(g)
         density = w.mass_density(ti)
         mass = density * _lumps(g)
-        bad = ~(mass >= 0.0)
+        bad = ~((mass >= 0.0) & (mass < np.inf))
         if bad.any():
-            raise DomainError(f"weight mass is negative or NaN at t = {float(ti[bad][0])!r}")
+            raise DomainError(f"weight mass is infinite, negative or NaN at t = {float(ti[bad][0])!r}")
         alpha = field.alpha(ti)
         if level < refine_levels:
             mu_star = _least_mode_mu(m_range, alpha, density, off, diag, mass)
@@ -410,22 +418,18 @@ def _least_mode_mu(modes, alpha, density, off, diag, mass) -> float:
     mass density, over the nodes of positive mass.  That puts the minimizing
     mode first in most problems; the value does not depend on the order.
     Once a mode gave mu_best, a later mode is skipped when K - mu_best M has
-    no negative and no exact zero pivot: its lowest eigenvalue then lies
-    above mu_best.  The massless nodes need no elimination for that count:
-    they form a positive definite block of K - mu M, so by Haynsworth's
-    inertia additivity K - mu M has as many negative eigenvalues as the
-    reduced pencil has eigenvalues below mu.  An infinite mu_best (no mass)
-    or a NaN one is never used as a shift.
+    no negative and no zero pivot (``_below_lowest``, the bisection's own
+    test): its lowest eigenvalue then lies above mu_best.  An infinite
+    mu_best (no mass) is never used as a shift.
     """
     positive = mass > 0.0
     with np.errstate(over="ignore"):
         # sums, not means: the same order, and no warning with no mass
         proxy = [float(np.sum((m - alpha[positive]) ** 2 / density[positive])) for m in modes]
-    inertia = _inertia(off)
     best = np.inf
     for i in np.argsort(proxy, kind="stable"):
         kdiag = diag((modes[i] - alpha) ** 2)
-        if best < np.inf and inertia(kdiag - best * mass) == (0, 0):
+        if best < np.inf and _below_lowest(kdiag, off, mass, best):
             continue
         best = min(best, smallest_generalized_mu(kdiag, off, mass))
     return best

@@ -1,9 +1,12 @@
-"""Closed forms against mpmath at 30 digits: fluxes, VSigma, level measures.
+"""Closed forms against mpmath at 30 digits: fluxes, VSigma, level measures;
+and the Hardy pencil's lowest eigenvalue by a 40-digit Sturm bisection.
 
 Each oracle is an mpmath evaluation of the defining formula: the flux is the
 integral of the field's t-density from -infinity, and the level measure the
-integral of (1+|t|)/(1+t^2) over each interval.  Every comparison asserts a
-relative error of at most 1e-13.
+integral of (1+|t|)/(1+t^2) over each interval.  Every such comparison
+asserts a relative error of at most 1e-13.  The Hardy oracle bisects the
+float pencil K - sigma M, exactly as assembled, on its LDL^T pivots at 40
+digits, and the solve must agree within 1e-12 relative.
 """
 
 import mpmath as mp
@@ -11,6 +14,8 @@ import numpy as np
 import pytest
 
 import maghardy as mh
+from maghardy.profiles import ZeroPotential
+from maghardy.spectral import ModeOperator, _lumps, assemble_mode, smallest_generalized_mu
 from maghardy.weights import level_measure
 
 RTOL = 1e-13
@@ -107,3 +112,60 @@ def test_level_measure_matches_mpmath_quad(V, rel_tau, cap):
     assert not ls.is_empty
     exact = sum(_measure_oracle(lo, hi) for lo, hi in ls.intervals)
     assert _close(level_measure(ls), exact), ls.intervals
+
+
+def _pencil(field, w, grid, m):
+    op = assemble_mode(field, ZeroPotential(), m, grid)
+    return op.diag, op.offdiag, w.mass_density(grid.t[1:-1]) * _lumps(grid)
+
+
+def _sturm_mu(kdiag, off, mass, hi):
+    """Lowest eigenvalue of the pencil (K, M) by bisection on the LDL^T
+    pivots of K - sigma M at 40 digits, from [0, hi], to a width of 1e-17 hi.
+    A massless row stays in the recurrence: it changes no count."""
+    rows = [(mp.mpf(float(k)), mp.mpf(float(m))) for k, m in zip(kdiag, mass)]
+    squares = [mp.mpf(0)] + [mp.mpf(float(b)) ** 2 for b in off]
+
+    def below(sigma):
+        d = mp.mpf(1)
+        for (k, m), b2 in zip(rows, squares):
+            d = k - sigma * m - b2 / d
+            if d <= 0:
+                return False
+        return True
+
+    lo, hi = mp.mpf(0), mp.mpf(hi)
+    assert below(lo) and not below(hi)
+    while hi - lo > hi * mp.mpf(10) ** -17:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return (lo + hi) / 2
+
+
+def _singular_case():
+    field = mh.LogPowerField(b0=1.0, gamma=1.3)
+    w = mh.FluxAugmentedWeight(field=field, t_eta=mh.select_eta_log(field))
+    return field, w, mh.Grid.geometric(-1e8, -1e-2, 800), 0, 0
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (mh.BumpField(0.5), mh.LogSquaredWeight(), mh.Grid.uniform(-8.0, 8.0, 401), 0, 0),
+        # slow_log has no mass for t < 2
+        lambda: (mh.BumpField(0.5), mh.slow_log_weight(), mh.Grid.uniform(-8.0, 8.0, 401), 1, 249),
+        _singular_case,
+    ],
+    ids=["bump", "slow-log-massless", "singular-m0-cluster"],
+)
+def test_smallest_generalized_mu_matches_mpmath_sturm_bisection(case):
+    field, w, grid, m, massless = case()
+    kdiag, off, mass = _pencil(field, w, grid, m)
+    assert (mass == 0.0).sum() == massless
+    mu = smallest_generalized_mu(kdiag, off, mass)
+    with mp.workdps(40):
+        exact = _sturm_mu(kdiag, off, mass, 2.0 * mu)
+        assert abs(mp.mpf(mu) - exact) <= 1e-12 * exact, (mu, exact)
+    # the library's pure-Python LDL^T certifies it from both sides
+    count = lambda shift: mh.count_negative(ModeOperator(m, kdiag - shift * mass, off))
+    assert count(mu * (1.0 - 1e-11)) == 0 and count(mu * (1.0 + 1e-11)) >= 1

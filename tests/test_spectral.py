@@ -326,6 +326,38 @@ def test_smallest_generalized_mu_massless_nodes_vs_dense_schur(massless):
     assert smallest_generalized_mu(op.diag, op.offdiag, np.zeros_like(mass)) == np.inf
 
 
+def test_smallest_generalized_mu_one_node_and_no_mass():
+    # scipy's dpttrf rejects the empty coupling of a 1 x 1 pencil
+    assert smallest_generalized_mu(np.array([3.0]), np.array([]), np.array([1.0])) == 3.0
+    assert smallest_generalized_mu(np.array([3.0]), np.array([]), np.array([0.0])) == np.inf
+    assert smallest_generalized_mu(np.array([]), np.array([]), np.array([])) == np.inf
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["kdiag", "off", "mass"])
+def test_smallest_generalized_mu_rejects_non_finite_entries(which, bad):
+    pencil = [np.full(5, 2.0), np.full(4, -1.0), np.ones(5)]
+    pencil[which][1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        smallest_generalized_mu(*pencil)
+
+
+@pytest.mark.parametrize(
+    "kdiag, mass, message",
+    [
+        # eigenvalues 2 - 2 cos(k pi / 6) - 1.5: the lowest is negative
+        (np.full(5, 0.5), np.ones(5), "positive definite"),
+        (np.full(5, 2.0), np.r_[1.0, -1.0, 1.0, 1.0, 1.0], "masses nonnegative"),
+        # m x^2 = 1e-200 (1e-100)^2 underflows to 0: no finite Rayleigh bound
+        (np.full(5, 2.0), np.full(5, 1e-200), "Rayleigh bound"),
+    ],
+    ids=["indefinite-K", "negative-mass", "underflow"],
+)
+def test_smallest_generalized_mu_rejects_pencils_outside_its_contract(kdiag, mass, message):
+    with pytest.raises(ValueError, match=message):
+        smallest_generalized_mu(kdiag, np.full(4, -1.0), mass)
+
+
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -1.0])
 def test_per_mode_functions_reject_non_finite_or_negative_coupling(lam):
     # a NaN coupling once counted [0, 0, 0] and truncated at M = 0
@@ -594,6 +626,68 @@ def test_hardy_constant_rejects_negative_or_nan_weight_mass(density, t_bad):
     grid = mh.Grid.uniform(-8.0, 8.0, 201)
     with pytest.raises(DomainError, match=f"negative or NaN at t = {t_bad!r}"):
         mh.hardy_constant(mh.BumpField(0.5), mh.CustomWeight(density), grid, range(-1, 2))
+
+
+def test_hardy_constant_rejects_infinite_weight_mass():
+    # once mu_star = 0.0 for every mode, with two RuntimeWarnings from inf * 0
+    w = mh.CustomWeight(lambda t: np.where(t == 0, np.inf, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="infinite, negative or NaN at t = 0.0"):
+            mh.hardy_constant(mh.BumpField(0.5), w, mh.Grid.uniform(-8, 8, 801), range(-1, 2), 1)
+
+
+def _count_factorizations(monkeypatch):
+    """Counts of dpttrf calls, LDL^T factorizations of the pencil: "all" of
+    them, those "in solves" of smallest_generalized_mu, and the "solves"."""
+    lapack, solve = mh.spectral._lapack(), mh.spectral.smallest_generalized_mu
+    dpttrf, calls = lapack.dpttrf, {"all": 0, "in solves": 0, "solves": 0}
+
+    def counted(*args, **kwargs):
+        calls["all"] += 1
+        return dpttrf(*args, **kwargs)
+
+    def counted_solve(*args):
+        before = calls["all"]
+        mu = solve(*args)
+        calls["in solves"] += calls["all"] - before
+        calls["solves"] += 1
+        return mu
+
+    monkeypatch.setattr(lapack, "dpttrf", counted)
+    monkeypatch.setattr(mh.spectral, "smallest_generalized_mu", counted_solve)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (mh.BumpField(0.5), mh.LogSquaredWeight(), mh.Grid.uniform(-16.0, 16.0, 3201)),
+        lambda: (*_singular_hardy_case()[:2], mh.Grid.geometric(-1e8, -1e-2, 3000).refine()),
+    ],
+    ids=["bump-3199", "singular-5997"],
+)
+def test_hardy_solve_cost_in_factorizations(case, monkeypatch):
+    # a bracket within 2x of mu halves about 51 times to 2 ulp; stebz's
+    # Gershgorin start lay up to 1e15 times above mu on the singular problem
+    field, w, grid = case()
+    calls = _count_factorizations(monkeypatch)
+    mass = w.mass_density(grid.t[1:-1]) * _lumps(grid)
+    for m in range(-3, 4):
+        op = assemble_mode(field, ZeroPotential(), m, grid)
+        before = calls["all"]
+        mh.spectral.smallest_generalized_mu(op.diag, op.offdiag, mass)
+        assert calls["all"] - before <= 56, (m, calls["all"] - before)
+
+
+def test_hardy_coarse_level_screens_a_mode_with_one_factorization(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    args = (mh.BumpField(0.5), mh.LogSquaredWeight(), mh.Grid.uniform(-8.0, 8.0, 401), range(-3, 4))
+    mh.hardy_constant(*args, refine_levels=1)
+    # 7 solves on the last level; of the 7 coarse modes, the first is solved
+    # and each other one solved or screened
+    screened = 14 - calls["solves"]
+    assert screened >= 5 and calls["all"] - calls["in solves"] == screened
 
 
 # ---------------------------------------------------------------------------

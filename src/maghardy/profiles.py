@@ -5,11 +5,12 @@ flux through the ball of radius r is
 
     alpha(r) = int_0^r B(s) s ds,      Phi(r) = alpha(r) / r,
 
-which in t becomes alpha(t) = int_{-inf}^t B(e^s) e^{2s} ds.  Field kinds
-with singular profiles near the origin carry closed-form fluxes; the
-quadrature route is kept alongside as an independent cross-check.  Combined
-quantities such as B(e^t) e^{2t} and V(e^t) e^{2t} are provided as closed
-forms so that radii as extreme as e^{-1e6} never touch an exponential.
+which in t becomes alpha(t) = int_{-inf}^t B(e^s) e^{2s} ds.  A field is
+given by its flux density B(e^t) e^{2t} and its closed-form flux alpha; the
+quadrature of the density is kept alongside as an independent cross-check,
+and the total flux is alpha's limit as t -> +inf.  A potential is given by
+its density V(e^t) e^{2t}.  These combined forms are the only ones the
+library reads, so radii as extreme as e^{-1e6} never touch an exponential.
 """
 
 from dataclasses import dataclass
@@ -31,14 +32,11 @@ def _as_array(t):
 
 
 class RadialField:
-    """Base class: a radial magnetic field B(r), accessed via t = log r."""
+    """Base class: a radial magnetic field B(r), given by its flux density
+    B(e^t) e^{2t} in t = log r and, where one exists, a closed-form flux."""
 
     #: t-values where the profile is only piecewise smooth
     kinks: tuple = ()
-
-    def b(self, t):
-        """Raw field value B(e^t); may overflow for extreme t."""
-        raise NotImplementedError
 
     def b_log_density(self, t):
         """B(e^t) e^{2t}, the flux density in t (stable at extreme t)."""
@@ -69,7 +67,15 @@ class RadialField:
     def _alpha_quad_scalar(self, t):
         from scipy import integrate  # on use: it would dominate the package's import time
 
-        self._check_integrable()
+        def quad(fn, a, b):
+            return integrate.quad(fn, a, b, epsabs=0.0, epsrel=_QUAD_RTOL, limit=400)
+
+        def density(s):
+            return float(self.b_log_density(s))
+
+        def tail(u):
+            return float(self.u_tail_density(np.array(u)))
+
         points = sorted(k for k in self.kinks if k < t)
         total = 0.0
         edges = [-np.inf] + points + [t]
@@ -80,33 +86,12 @@ class RadialField:
                 # deep tail in u = log(-s): slowly decaying densities become
                 # plain power tails there and the improper quadrature is robust
                 cut = min(b, -1.0)
-                val, err = integrate.quad(
-                    lambda u: float(self.u_tail_density(np.array(u))),
-                    np.log(-cut),
-                    np.inf,
-                    epsabs=0.0,
-                    epsrel=_QUAD_RTOL,
-                    limit=400,
-                )
+                val, err = quad(tail, np.log(-cut), np.inf)
                 if cut < b:
-                    v2, e2 = integrate.quad(
-                        lambda s: float(self.b_log_density(s)),
-                        cut,
-                        b,
-                        epsabs=0.0,
-                        epsrel=_QUAD_RTOL,
-                        limit=400,
-                    )
+                    v2, e2 = quad(density, cut, b)
                     val, err = val + v2, err + e2
             else:
-                val, err = integrate.quad(
-                    lambda s: float(self.b_log_density(s)),
-                    a,
-                    b,
-                    epsabs=0.0,
-                    epsrel=_QUAD_RTOL,
-                    limit=400,
-                )
+                val, err = quad(density, a, b)
             if not np.isfinite(val):
                 raise QuadratureFailure(f"flux quadrature diverged on ({a}, {b})")
             if abs(err) > 1000 * _QUAD_RTOL * max(abs(val), 1e-300):
@@ -116,12 +101,10 @@ class RadialField:
             total += val
         return total
 
-    def _check_integrable(self):
-        pass
-
     def total_flux(self):
-        """Limit of alpha(t) as t -> +inf, or None if not constant at infinity."""
-        return None
+        """Limit of alpha(t) as t -> +inf, or None where it is not finite."""
+        total = float(self.alpha(np.inf))
+        return total if np.isfinite(total) else None
 
     def classify(self) -> str:
         raise NotImplementedError
@@ -131,24 +114,42 @@ class RadialField:
 class ZeroField(RadialField):
     """B = 0: no flux anywhere."""
 
-    def b(self, t):
-        return np.zeros_like(_as_array(t))
-
     def b_log_density(self, t):
         return np.zeros_like(_as_array(t))
 
     def alpha(self, t):
         return np.zeros_like(_as_array(t))
 
-    def total_flux(self):
-        return 0.0
-
     def classify(self):
         return REGULAR
 
 
 @dataclass(frozen=True)
-class LogPowerField(RadialField):
+class _GammaField(RadialField):
+    """A field singular at the origin with exponent gamma: locally integrable,
+    and its flux finite, iff gamma > 1."""
+
+    b0: float
+    gamma: float
+
+    def alpha_quadrature(self, t):
+        self._check_integrable()
+        return super().alpha_quadrature(t)
+
+    def _check_integrable(self):
+        if self.gamma <= 1.0:
+            raise NonIntegrableField(
+                f"gamma={self.gamma} <= 1: the flux integral diverges at the origin"
+            )
+
+    def classify(self):
+        if self.gamma <= 1.0:
+            return NOT_LOCALLY_INTEGRABLE
+        return SINGULAR
+
+
+@dataclass(frozen=True)
+class LogPowerField(_GammaField):
     """B = b0 / (r^2 |log r|^gamma) for r <= 1/e, zero outside.
 
     Locally integrable iff gamma > 1, with flux
@@ -156,19 +157,9 @@ class LogPowerField(RadialField):
     Config kind string: ``example1``.
     """
 
-    b0: float
-    gamma: float
-
     @property
     def kinks(self):
         return (-1.0,)
-
-    def b(self, t):
-        t = _as_array(t)
-        out = np.zeros_like(t)
-        mask = t <= -1.0
-        out[mask] = self.b0 * np.exp(-2.0 * t[mask]) * np.abs(t[mask]) ** (-self.gamma)
-        return out
 
     def b_log_density(self, t):
         t = _as_array(t)
@@ -181,12 +172,6 @@ class LogPowerField(RadialField):
         u = _as_array(u)
         return np.where(u >= 0.0, self.b0 * np.exp((1.0 - self.gamma) * u), 0.0)
 
-    def _check_integrable(self):
-        if self.gamma <= 1.0:
-            raise NonIntegrableField(
-                f"gamma={self.gamma} <= 1: the flux integral diverges at the origin"
-            )
-
     def alpha(self, t):
         self._check_integrable()
         t = _as_array(t)
@@ -196,40 +181,18 @@ class LogPowerField(RadialField):
         out[mask] = plateau * np.abs(t[mask]) ** (1.0 - self.gamma)
         return out
 
-    def total_flux(self):
-        self._check_integrable()
-        return self.b0 / (self.gamma - 1.0)
-
-    def classify(self):
-        if self.gamma <= 1.0:
-            return NOT_LOCALLY_INTEGRABLE
-        return SINGULAR
-
 
 @dataclass(frozen=True)
-class LogLogPowerField(RadialField):
+class LogLogPowerField(_GammaField):
     """B = b0 / (r^2 |log r| (log|log r|)^gamma) for r <= e^{-2}, zero outside.
 
     Flux alpha(r) = b0/(gamma-1) (log|log r|)^{1-gamma} for r <= e^{-2};
     integrable iff gamma > 1.  Config kind string: ``example2``.
     """
 
-    b0: float
-    gamma: float
-
     @property
     def kinks(self):
         return (-2.0,)
-
-    def b(self, t):
-        t = _as_array(t)
-        out = np.zeros_like(t)
-        mask = t <= -2.0
-        at = np.abs(t[mask])
-        out[mask] = (
-            self.b0 * np.exp(-2.0 * t[mask]) / (at * np.log(at) ** self.gamma)
-        )
-        return out
 
     def b_log_density(self, t):
         t = _as_array(t)
@@ -246,12 +209,6 @@ class LogLogPowerField(RadialField):
         out[mask] = self.b0 * u[mask] ** (-self.gamma)
         return out
 
-    def _check_integrable(self):
-        if self.gamma <= 1.0:
-            raise NonIntegrableField(
-                f"gamma={self.gamma} <= 1: the flux integral diverges at the origin"
-            )
-
     def alpha(self, t):
         self._check_integrable()
         t = _as_array(t)
@@ -264,15 +221,6 @@ class LogLogPowerField(RadialField):
             * np.log(np.abs(t[mask])) ** (1.0 - self.gamma)
         )
         return out
-
-    def total_flux(self):
-        self._check_integrable()
-        return self.b0 / (self.gamma - 1.0) * np.log(2.0) ** (1.0 - self.gamma)
-
-    def classify(self):
-        if self.gamma <= 1.0:
-            return NOT_LOCALLY_INTEGRABLE
-        return SINGULAR
 
 
 @dataclass(frozen=True)
@@ -299,13 +247,6 @@ class BumpField(RadialField):
         # q = (r/r1)^2 = e^{2(t - log r1)}
         return np.exp(2.0 * (_as_array(t) - np.log(self.r1)))
 
-    def b(self, t):
-        t = _as_array(t)
-        q = self._q(t)
-        c = 6.0 * self.flux / self.r1**2
-        out = np.where(q < 1.0, c * (1.0 - q) ** 2, 0.0)
-        return out
-
     def b_log_density(self, t):
         t = _as_array(t)
         q = self._q(t)
@@ -317,9 +258,6 @@ class BumpField(RadialField):
         qc = np.minimum(q, 1.0)
         # 1 - (1-q)^3 = q (3 - 3q + q^2), stable for q -> 0
         return self.flux * qc * (3.0 - 3.0 * qc + qc * qc)
-
-    def total_flux(self):
-        return self.flux
 
     def classify(self):
         return REGULAR
@@ -341,9 +279,6 @@ class SumField(RadialField):
             ks.update(p.kinks)
         return tuple(sorted(ks))
 
-    def b(self, t):
-        return sum(p.b(t) for p in self.parts)
-
     def b_log_density(self, t):
         return sum(p.b_log_density(t) for p in self.parts)
 
@@ -352,12 +287,6 @@ class SumField(RadialField):
 
     def alpha(self, t):
         return sum(p.alpha(t) for p in self.parts)
-
-    def total_flux(self):
-        fluxes = [p.total_flux() for p in self.parts]
-        if any(f is None for f in fluxes):
-            return None
-        return float(sum(fluxes))
 
     def classify(self):
         classes = [p.classify() for p in self.parts]
@@ -391,13 +320,10 @@ class CustomField(RadialField):
         object.__setattr__(self, "t_samples", ts)
         object.__setattr__(self, "b_samples", bs)
 
-    def b(self, t):
-        t = _as_array(t)
-        return np.interp(t, self.t_samples, self.b_samples, left=0.0, right=0.0)
-
     def b_log_density(self, t):
         t = _as_array(t)
-        return self.b(t) * np.exp(2.0 * t)
+        b = np.interp(t, self.t_samples, self.b_samples, left=0.0, right=0.0)
+        return b * np.exp(2.0 * t)
 
     def alpha(self, t):
         t = _as_array(t)
@@ -405,10 +331,6 @@ class CustomField(RadialField):
         # cumulative trapezoid, in scipy's cumulative_trapezoid operation order
         cum = np.concatenate([[0.0], np.cumsum(np.diff(self.t_samples) * (d[1:] + d[:-1]) / 2.0)])
         return np.interp(t, self.t_samples, cum, left=0.0, right=cum[-1])
-
-    def total_flux(self):
-        dens = self.b_samples * np.exp(2.0 * self.t_samples)
-        return float(np.trapezoid(dens, self.t_samples))
 
     def classify(self):
         if self.integrability == "regular":
@@ -471,10 +393,6 @@ class Potential:
     #: largest t past which the potential vanishes (None = unbounded support)
     support_t_max: float | None = None
 
-    def v(self, t):
-        """Raw V(e^t); may overflow for extreme t."""
-        raise NotImplementedError
-
     def e2t_v(self, t):
         """V(e^t) e^{2t} in combined, overflow-safe form."""
         raise NotImplementedError
@@ -489,9 +407,6 @@ class ZeroPotential(Potential):
     """V = 0."""
 
     support_t_max = -np.inf
-
-    def v(self, t):
-        return np.zeros_like(_as_array(t))
 
     def e2t_v(self, t):
         return np.zeros_like(_as_array(t))
@@ -515,9 +430,6 @@ class VSigma(Potential):
     def support_t_max(self):
         return -2.0
 
-    def v(self, t):
-        return self.e2t_v(t) * np.exp(-2.0 * _as_array(t))
-
     def e2t_v(self, t):
         t = _as_array(t)
         out = np.zeros_like(t)
@@ -534,10 +446,6 @@ class GaussianWell(Potential):
     depth: float = 1.0
     width: float = 1.0
 
-    def v(self, t):
-        t = _as_array(t)
-        return self.depth * np.exp(-np.exp(2.0 * t) / self.width**2)
-
     def e2t_v(self, t):
         t = _as_array(t)
         return self.depth * np.exp(2.0 * t - np.exp(2.0 * t) / self.width**2)
@@ -553,10 +461,6 @@ class StepWell(Potential):
     @property
     def support_t_max(self):
         return float(np.log(self.radius))
-
-    def v(self, t):
-        t = _as_array(t)
-        return np.where(t <= np.log(self.radius), self.depth, 0.0)
 
     def e2t_v(self, t):
         t = _as_array(t)
@@ -580,13 +484,10 @@ class CustomPotential(Potential):
         object.__setattr__(self, "t_samples", ts)
         object.__setattr__(self, "v_samples", vs)
 
-    def v(self, t):
-        t = _as_array(t)
-        return np.interp(t, self.t_samples, self.v_samples, left=0.0, right=0.0)
-
     def e2t_v(self, t):
         t = _as_array(t)
-        return self.v(t) * np.exp(2.0 * t)
+        v = np.interp(t, self.t_samples, self.v_samples, left=0.0, right=0.0)
+        return v * np.exp(2.0 * t)
 
 
 @dataclass(frozen=True)
@@ -600,9 +501,6 @@ class ScaledPotential(Potential):
     def support_t_max(self):
         return self.base.support_t_max
 
-    def v(self, t):
-        return self.lam * self.base.v(t)
-
     def e2t_v(self, t):
         return self.lam * self.base.e2t_v(t)
 
@@ -612,10 +510,6 @@ class CallablePotential(Potential):
     """Potential defined by a closed-form density e^{2t} V(t)."""
 
     density: Callable
-
-    def v(self, t):
-        t = _as_array(t)
-        return self.density(t) * np.exp(-2.0 * t)
 
     def e2t_v(self, t):
         return self.density(_as_array(t))

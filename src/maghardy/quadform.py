@@ -35,7 +35,6 @@ class TestFunction:
     """Radial profile f(t) in a single angular mode m, compactly supported."""
 
     m = 0
-    support = (-np.inf, np.inf)
 
     def values(self, t):
         raise NotImplementedError
@@ -48,24 +47,19 @@ class ModeBump(TestFunction):
     m: int = 0
     t_lo: float = -1.0
     t_hi: float = 1.0
-    amplitude: float = 1.0
-
-    @property
-    def support(self):
-        return (self.t_lo, self.t_hi)
 
     def values(self, t):
         t = _as_array(t)
         x = (2.0 * t - (self.t_lo + self.t_hi)) / (self.t_hi - self.t_lo)
         inside = np.abs(x) < 1.0
         out = np.zeros_like(t)
-        out[inside] = self.amplitude * (1.0 - x[inside] ** 2) ** 2
+        out[inside] = (1.0 - x[inside] ** 2) ** 2
         return out
 
 
 @dataclass(frozen=True)
 class OriginProbe(TestFunction):
-    """|t|^alpha on [t_cut, 0), ramped linearly to zero on [2 t_cut, t_cut].
+    """|t|^alpha on [t_cut, 0), ramped linearly to zero on [2 t_cut, t_cut]; mode 0.
 
     This is the log-power family that witnesses the failure of weights more
     singular than 1/(r^2 log^2 r) at the origin.  The inner tail is replaced
@@ -75,17 +69,12 @@ class OriginProbe(TestFunction):
 
     alpha: float
     t_cut: float
-    m: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 0.5):
             raise ParameterError("alpha must lie in (0, 1/2) for an H^1 probe")
         if self.t_cut >= 0.0:
             raise ParameterError("t_cut must be negative")
-
-    @property
-    def support(self):
-        return (2.0 * self.t_cut, 0.0)
 
     def values(self, t):
         t = _as_array(t)
@@ -116,10 +105,6 @@ class TailProbe(TestFunction):
     def log_n(self):
         return float(np.log(self.n))
 
-    @property
-    def support(self):
-        return (0.0, self.log_n)
-
     def values(self, t):
         t = _as_array(t)
         L = self.log_n
@@ -131,11 +116,10 @@ class TailProbe(TestFunction):
 
 @dataclass(frozen=True)
 class CustomTestFunction(TestFunction):
-    """Arbitrary callable profile with declared support and mode."""
+    """Arbitrary callable profile in a declared mode."""
 
     fn: object
     m: int = 0
-    support: tuple = (-np.inf, np.inf)
 
     def values(self, t):
         return np.asarray(self.fn(_as_array(t)), dtype=float)

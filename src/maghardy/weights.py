@@ -33,6 +33,7 @@ integral and the log-weighted potential bound.
 import functools
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -72,7 +73,7 @@ class Weight:
 class LogSquaredWeight(Weight):
     """Baseline weight 1/(r^2 (1 + log^2 r)); mass density 1/(1+t^2)."""
 
-    kind: str = "log_squared"
+    kind: ClassVar[str] = "log_squared"
 
     def mass_density(self, t):
         t = _as_array(t)
@@ -84,7 +85,7 @@ class LogPowerWeight(Weight):
     """1/(r^2 |log r|^b), defined away from r = 1 (t = 0)."""
 
     b: float
-    kind: str = "log_power"
+    kind: ClassVar[str] = "log_power"
 
     def mass_density(self, t):
         t = _as_array(t)
@@ -105,7 +106,7 @@ class FluxAugmentedWeight(Weight):
 
     field: RadialField
     t_eta: float
-    kind: str = "flux_augmented"
+    kind: ClassVar[str] = "flux_augmented"
 
     def mass_density(self, t):
         t = _as_array(t)
@@ -119,7 +120,7 @@ class ShiftedLogWeight(Weight):
     """1/(r^2 [1 + (log_+(r0/r))^2]) for a matching radius r0 > 1."""
 
     r0: float
-    kind: str = "shifted_log"
+    kind: ClassVar[str] = "shifted_log"
 
     def __post_init__(self):
         if self.r0 <= 1.0:
@@ -136,7 +137,7 @@ class AharonovBohmWeight(Weight):
     """min_k |mu - k|^2 / r^2 — the point-flux weight."""
 
     mu: float
-    kind: str = "aharonov_bohm"
+    kind: ClassVar[str] = "aharonov_bohm"
 
     @property
     def coefficient(self):
@@ -209,7 +210,7 @@ class LevelSet:
 
     threshold: float
     intervals: tuple
-    truncated_left: bool = False
+    truncated_left: bool
 
     @property
     def is_empty(self):

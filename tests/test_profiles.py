@@ -50,11 +50,12 @@ def test_azimuthal_gauge_equals_phi_and_matches_direct_quadrature():
     # the azimuthal gauge component a(r) = alpha(r)/r is phi
     assert mh.phi(f, t=t) == pytest.approx(3.6945280494, rel=1e-9)
     # independent oracle in r space on a compactly supported field:
-    # a(r) = (1/r) int_0^r B(s) s ds by quadrature on the raw profile
+    # a(r) = (1/r) int_0^r B(s) s ds by quadrature on the raw profile,
+    # B(s) = 6 flux (1 - s^2)^2 on s < r1 = 1
     b = mh.BumpField(flux=0.7, r1=1.0)
     for r in (0.3, 0.9, 2.5):
         val, _ = integrate.quad(
-            lambda s: float(b.b(np.log(s))) * s, 0.0, min(r, 1.0), epsrel=1e-11
+            lambda s: 6.0 * 0.7 * (1.0 - s * s) ** 2 * s, 0.0, min(r, 1.0), epsrel=1e-11
         )
         assert mh.phi(b, r=r) == pytest.approx(val / r, rel=1e-9)
 
@@ -180,8 +181,8 @@ def test_potentials_basic():
     with pytest.raises(ValueError):
         mh.VSigma(sigma=0.9)
     s = mh.StepWell(depth=3.0, radius=2.0)
-    assert s.v(np.array([0.0]))[0] == 3.0
-    assert s.v(np.array([1.0]))[0] == 0.0
+    assert s.e2t_v(np.array([0.0]))[0] == 3.0
+    assert s.e2t_v(np.array([1.0]))[0] == 0.0
     g = mh.GaussianWell(depth=2.0, width=1.0)
     assert g.e2t_v(np.array([0.0]))[0] == pytest.approx(2.0 * np.exp(-1.0))
     sc = mh.ScaledPotential(g, 3.0)

@@ -63,6 +63,20 @@ def test_lambda_sandwich_precondition():
 # qform and the two-dimensional oracle
 # ---------------------------------------------------------------------------
 
+def _raw_b(field, r):
+    """B(r) of the zero, bump and log-power fields, from their definitions."""
+    if isinstance(field, mh.ZeroField):
+        return np.zeros_like(r)
+    if isinstance(field, mh.BumpField):
+        q = (r / field.r1) ** 2
+        return np.where(q < 1.0, 6.0 * field.flux / field.r1**2 * (1.0 - q) ** 2, 0.0)
+    if isinstance(field, mh.LogPowerField):
+        out = np.zeros_like(r)
+        inner = r <= np.exp(-1.0)
+        out[inner] = field.b0 / (r[inner] ** 2 * np.abs(np.log(r[inner])) ** field.gamma)
+        return out
+    raise TypeError(f"no raw profile for {field!r}")
+
 def qform_2d_oracle(field, u, n_r=20000, n_theta=64):
     """Direct polar-grid quadrature of |(i grad + A) f e^{im theta}|^2.
 
@@ -70,9 +84,10 @@ def qform_2d_oracle(field, u, n_r=20000, n_theta=64):
     uniform r-grid, azimuthal part from the gauge field a(r) obtained by
     cumulative trapezoid of the raw profile B(s) s (independent of the
     closed-form flux).  This validates the single-mode reduction and the
-    t = log r change of variables.
+    t = log r change of variables.  ``u`` is a ModeBump, supported on
+    (t_lo, t_hi).
     """
-    t_lo, t_hi = u.support
+    t_lo, t_hi = u.t_lo, u.t_hi
     r = np.geomspace(np.exp(t_lo), np.exp(t_hi), n_r)
     kinks = [np.exp(k) for k in field.kinks if t_lo < k < t_hi]
     r = np.unique(np.concatenate([r, np.asarray(kinks)]))
@@ -81,7 +96,7 @@ def qform_2d_oracle(field, u, n_r=20000, n_theta=64):
     # flux by midpoint cumulative sum: second order and exact across the
     # field kinks once those radii are grid nodes
     r_mid = 0.5 * (r[:-1] + r[1:])
-    inc = field.b(np.log(r_mid)) * r_mid * np.diff(r)
+    inc = _raw_b(field, r_mid) * r_mid * np.diff(r)
     alpha_q = np.concatenate([[0.0], np.cumsum(inc)])
     alpha_q += float(field.alpha(np.array([np.log(r[0])]))[0])
     a = alpha_q / r
@@ -152,7 +167,7 @@ def test_weighted_norm_plateau_against_closed_form():
         down = np.clip((1.0 - t) / eps, 0.0, 1.0)
         return np.minimum(up, down)
 
-    u = mh.CustomTestFunction(fn=plateau, m=0, support=(0.0, 1.0))
+    u = mh.CustomTestFunction(fn=plateau, m=0)
     g = mh.Grid.uniform(-0.5, 1.5, 8001)
     val = mh.weighted_norm(u, mh.LogSquaredWeight(), g)
     assert val == pytest.approx(2.0 * np.pi * np.arctan(1.0), rel=2e-2)
@@ -248,7 +263,7 @@ def _random_bumps(rng, n, t_window=(-2.0, 8.0)):
                 total[inside] += amp * (1.0 - x[inside] ** 2) ** 2
             return total
 
-        out.append(mh.CustomTestFunction(fn=f, m=0, support=t_window))
+        out.append(mh.CustomTestFunction(fn=f, m=0))
     return out
 
 def test_radial_inequality_inner_support_excluded():

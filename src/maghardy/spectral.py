@@ -12,8 +12,11 @@ matrix in the direction that leaves the longer such run last, and stops
 inside it once a pivot dominates its coupling (``_inertia_counter``, which
 squares the couplings once for every mode).  The same matrices drive the
 Hardy-constant estimator: the lowest generalized eigenvalue against a
-lumped weight mass, for every mode on the last refinement level, bisected
-from a Rayleigh bound on LAPACK's LDL^T factorization (dpttrf) of K - mu M.
+lumped weight mass, for every mode on the last refinement level, as the
+least double at which LAPACK's LDL^T factorization (dpttrf) of K - mu M
+fails.  Bisection from a Rayleigh bound brackets it, inverse iteration
+(dpttrs) on the factorization at the bracket's certified lower end closes
+in on it, and factorizations on both sides certify it.
 A coarser level needs only the minimum over modes, so it solves the modes
 in a cheap proxy's order and skips each one whose factorization at the
 best value so far proves it no lower (``_least_mode_mu``).  Oscillation
@@ -290,39 +293,63 @@ def smallest_generalized_mu(kdiag, off, mdiag) -> float:
     """Smallest mu with K - mu M singular; ``inf`` when M vanishes.
 
     K is symmetric tridiagonal positive definite and M diagonal nonnegative,
-    all finite, or ValueError.  mu is bisected on the test ``_below_lowest``
-    from 0, which factoring K certifies, and the Rayleigh quotient of
-    x = K^{-1} M^{1/2} 1 > 0 (K is a Stieltjes matrix; one inverse iteration
-    of M^{-1/2} K M^{-1/2} from 1), doubled until the test fails, to stebz's
-    width 2 eps hi.  It returns hi: the test fails there and passes at any
-    lower shift, as the pivots fall monotonically in mu in floating point
-    too (Demmel, Dhillon & Ren, ETNA 3, 1995).
+    all finite, or ValueError.  The result is the least double at which
+    LAPACK's LDL^T factorization (dpttrf) of K - mu M fails (``_factor``),
+    whatever path found it: the pivots fall monotonically in mu in floating
+    point too (Demmel, Dhillon & Ren, ETNA 3, 1995), so the factorization
+    fails there and passes at every lower shift.
+
+    A bracket [lo, hi] with a passing lo and a failing hi starts at 0, which
+    factoring K certifies, and at the Rayleigh quotient of x = K^{-1} M^{1/2} 1
+    > 0 (K is a Stieltjes matrix; one inverse iteration of M^{-1/2} K M^{-1/2}
+    from 1), doubled until it fails.  Bisection narrows it to 3% of hi, and
+    inverse iteration runs on the factorization at lo, a shift certified
+    below mu_1, until two Rayleigh quotients rho agree to 1e-12 relative
+    (``_inverse_iteration``).  When rho contracts by less than 10x a step,
+    mu_1 has a close neighbour: the bracket is halved 6 more times and the
+    iteration resumes.  The shifts rho -+ 1e-12 rho, each step widened 64x
+    while it lands on the wrong side, then narrow the bracket, and bisection
+    ends it at adjacent doubles.  It returns hi.
     """
     kdiag, off, mdiag = (np.asarray(a, dtype=float) for a in (kdiag, off, mdiag))
     if not all(np.isfinite(a).all() for a in (kdiag, off, mdiag)) or (mdiag < 0.0).any():
         raise ValueError("pencil entries must be finite and the masses nonnegative")
     if not (mdiag > 0.0).any():
         return np.inf
-    d, e, info = _lapack().dpttrf(kdiag, off if off.size else _NO_COUPLING)
-    if info:
+    pencil = (kdiag, off, mdiag)
+    factors = _factor(*pencil, 0.0)
+    if factors is None:
         raise ValueError("K must be symmetric tridiagonal positive definite")
     root = np.sqrt(mdiag)
-    x = _lapack().dpttrs(d, e, root)[0]
+    x = _lapack().dpttrs(*factors, root)[0]
     with np.errstate(all="ignore"):
         lo, hi = 0.0, float(root @ x / (mdiag @ (x * x)))
     if not 0.0 < hi < np.inf:
         raise ValueError("the pencil's Rayleigh bound over- or underflows")
-    while _below_lowest(kdiag, off, mdiag, hi):
-        lo, hi = hi, 2.0 * hi
-    mid = 0.5 * (lo + hi)
-    while hi - lo > _TWO_EPS * hi and lo < mid < hi:
-        lo, hi = (mid, hi) if _below_lowest(kdiag, off, mdiag, mid) else (lo, mid)
-        mid = 0.5 * (lo + hi)
-    return hi
+    while (found := _factor(*pencil, hi)) is not None:
+        lo, hi, factors = hi, 2.0 * hi, found
+    width = 0.03 * hi
+    while True:
+        lo, hi, factors = _bisect(pencil, lo, hi, factors, width)
+        rho, x, converged = _inverse_iteration(factors, lo, mdiag, x)
+        if converged or not lo < 0.5 * (lo + hi) < hi:
+            break
+        width = (hi - lo) / 64.0
+    # a factorization below rho should pass and one above it fail; each
+    # shift narrows the bracket whichever way it goes
+    for sign in (-1.0, 1.0):
+        step = 1e-12 * rho
+        while lo < (mu := rho + sign * step) < hi:
+            below = _factor(*pencil, mu) is not None
+            lo, hi = (mu, hi) if below else (lo, mu)
+            if below == (sign < 0.0):
+                break
+            step *= 64.0
+    return _bisect(pencil, lo, hi, None, 0.0)[1]
 
 
-# the stop of stebz, and the coupling scipy's dpttrf wants of a 1 x 1 matrix
-_TWO_EPS, _NO_COUPLING = 2.0 * np.finfo(float).eps, np.zeros(1)
+# the coupling scipy's dpttrf wants of a 1 x 1 matrix
+_NO_COUPLING = np.zeros(1)
 
 
 @cache
@@ -331,12 +358,48 @@ def _lapack():  # imported on first use: slow to import, and only Hardy solves n
     return lapack
 
 
-def _below_lowest(kdiag, off, mass, mu) -> bool:
-    """Whether mu lies below the pencil's lowest eigenvalue: K - mu M has an
-    LDL^T factorization (LAPACK dpttrf) with every pivot positive.  Massless
-    rows form a positive definite block, so by Haynsworth's inertia
-    additivity they need no elimination."""
-    return _lapack().dpttrf(kdiag - mu * mass, off if off.size else _NO_COUPLING, overwrite_d=1)[2] == 0
+def _factor(kdiag, off, mass, mu):
+    """LAPACK's LDL^T factorization (dpttrf) of K - mu M as (d, e), or None
+    when a pivot is not positive: then mu is no lower than the pencil's
+    lowest eigenvalue.  Massless rows form a positive definite block, so by
+    Haynsworth's inertia additivity they need no elimination."""
+    d, e, info = _lapack().dpttrf(kdiag - mu * mass, off if off.size else _NO_COUPLING, overwrite_d=1)
+    return None if info else (d, e)
+
+
+def _bisect(pencil, lo, hi, factors, width):
+    """Halve [lo, hi] until it is at most ``width`` wide or its ends are
+    adjacent doubles: (lo, hi, the factorization at lo)."""
+    while hi - lo > width and lo < (mid := 0.5 * (lo + hi)) < hi:
+        found = _factor(*pencil, mid)
+        if found is None:
+            hi = mid
+        else:
+            lo, factors = mid, found
+    return lo, hi, factors
+
+
+def _inverse_iteration(factors, sigma, mass, x):
+    """Inverse iteration from x on the factorization (d, e) of K - sigma M,
+    sigma below the lowest eigenvalue: (rho, x, converged).  Each step solves
+    (K - sigma M) y = M x (LAPACK dpttrs), takes the Rayleigh quotient
+    rho = sigma + y'Mx / y'My and M-normalizes y into x.  It stops converged
+    when two successive rho agree to 1e-12 relative, and unconverged when rho
+    contracts by less than 10x in a step, or is NaN."""
+    rho = change = np.inf
+    while True:
+        mx = mass * x
+        y = _lapack().dpttrs(*factors, mx)[0]
+        my = mass * y
+        norm2 = y @ my
+        new = sigma + float(y @ mx / norm2)
+        x = y / np.sqrt(norm2)
+        new_change = abs(rho - new)
+        if new_change <= 1e-12 * new:
+            return new, x, True
+        if not new_change <= 0.1 * change:
+            return new, x, False
+        rho, change = new, new_change
 
 
 def hardy_constant(
@@ -359,12 +422,18 @@ def hardy_constant(
     for a smooth weight, e.g. 0.39915180, 0.39915527, 0.39915613 for the
     bump on [-8, 8].
 
-    The last level solves every mode to full precision, giving
-    ``per_mode_minima``.  A coarser level enters only ``refinement_history``,
-    so it solves just the modes that a factorization cannot prove to lie
-    above its minimum (``_least_mode_mu``).  Its value is the same, ties
-    included: a skipped mode passes the bisection's test at that minimum,
-    and each solve returns a shift that fails it.
+    The last level solves every mode, giving ``per_mode_minima``: each is
+    the least double at which LAPACK's dpttrf fails to factor K - mu M,
+    found by inverse iteration at shifts certified below it and checked by
+    factorizations on both sides (``smallest_generalized_mu``).  A coarser
+    level enters only ``refinement_history``, so it solves just the modes
+    that a factorization cannot prove to lie above its minimum
+    (``_least_mode_mu``).  Its value is the same, ties included: a skipped
+    mode's factorization passes at that minimum, and each solve returns a
+    shift at which it fails.
+
+    The modes are integers (angular Fourier modes), or ValueError: the
+    minima are keyed by the integer mode.
 
     The domain error need not decay like 1/|t_min|.  For fields with
     alpha -> 0 at the origin (t -> -inf) under ``LogSquaredWeight`` the
@@ -381,6 +450,9 @@ def hardy_constant(
     if not m_range:
         raise ValueError("m_range must hold at least one mode")
     _check_modes(m_range)
+    # the per-mode minima are keyed by the integer mode
+    if any(m % 1 for m in m_range):
+        raise ValueError("modes must be integers")
     history = []
     g = grid
     for level in range(refine_levels + 1):
@@ -418,7 +490,7 @@ def _least_mode_mu(modes, alpha, density, off, diag, mass) -> float:
     mass density, over the nodes of positive mass.  That puts the minimizing
     mode first in most problems; the value does not depend on the order.
     Once a mode gave mu_best, a later mode is skipped when K - mu_best M has
-    no negative and no zero pivot (``_below_lowest``, the bisection's own
+    no negative and no zero pivot (``_factor``, the bisection's own
     test): its lowest eigenvalue then lies above mu_best.  An infinite
     mu_best (no mass) is never used as a shift.
     """
@@ -429,7 +501,7 @@ def _least_mode_mu(modes, alpha, density, off, diag, mass) -> float:
     best = np.inf
     for i in np.argsort(proxy, kind="stable"):
         kdiag = diag((modes[i] - alpha) ** 2)
-        if best < np.inf and _below_lowest(kdiag, off, mass, best):
+        if best < np.inf and _factor(kdiag, off, mass, best) is not None:
             continue
         best = min(best, smallest_generalized_mu(kdiag, off, mass))
     return best

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import lapack as scipy_lapack
 
 import maghardy as mh
 from maghardy import _kernels
@@ -413,7 +414,8 @@ def test_mode_functions_keep_non_integer_modes():
         mh.count_negative(assemble_mode(field, V, 0.5, grid, 100.0))
     ]
     assert mh.prufer_count(field, V, 0.5, (-8.0, 2.0), 100.0) >= 1
-    assert mh.hardy_constant(field, mh.LogSquaredWeight(), grid, [0.5], 0).mu_star > 0.0
+    # hardy_constant keys its minima by the integer mode and rejects these
+    # (tests/test_validation.py)
 
 
 @pytest.mark.parametrize(
@@ -638,46 +640,101 @@ def test_hardy_constant_rejects_infinite_weight_mass():
 
 
 def _count_factorizations(monkeypatch):
-    """Counts of dpttrf calls, LDL^T factorizations of the pencil: "all" of
-    them, those "in solves" of smallest_generalized_mu, and the "solves"."""
+    """Counts of the LAPACK calls on the pencil: "dpttrf" (LDL^T
+    factorizations) and "dpttrs" (solves with one), the factorizations "in
+    solves" of smallest_generalized_mu, and the "solves"."""
     lapack, solve = mh.spectral._lapack(), mh.spectral.smallest_generalized_mu
-    dpttrf, calls = lapack.dpttrf, {"all": 0, "in solves": 0, "solves": 0}
+    calls = {"dpttrf": 0, "dpttrs": 0, "in solves": 0, "solves": 0}
 
-    def counted(*args, **kwargs):
-        calls["all"] += 1
-        return dpttrf(*args, **kwargs)
+    def counted(name):
+        routine = getattr(lapack, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, call)
 
     def counted_solve(*args):
-        before = calls["all"]
+        before = calls["dpttrf"]
         mu = solve(*args)
-        calls["in solves"] += calls["all"] - before
+        calls["in solves"] += calls["dpttrf"] - before
         calls["solves"] += 1
         return mu
 
-    monkeypatch.setattr(lapack, "dpttrf", counted)
+    counted("dpttrf")
+    counted("dpttrs")
     monkeypatch.setattr(mh.spectral, "smallest_generalized_mu", counted_solve)
     return calls
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        lambda: (mh.BumpField(0.5), mh.LogSquaredWeight(), mh.Grid.uniform(-16.0, 16.0, 3201)),
-        lambda: (*_singular_hardy_case()[:2], mh.Grid.geometric(-1e8, -1e-2, 3000).refine()),
-    ],
-    ids=["bump-3199", "singular-5997"],
-)
-def test_hardy_solve_cost_in_factorizations(case, monkeypatch):
-    # a bracket within 2x of mu halves about 51 times to 2 ulp; stebz's
-    # Gershgorin start lay up to 1e15 times above mu on the singular problem
-    field, w, grid = case()
+def _benchmark_hardy_problem(name):
+    """A problem of the hardy benchmark, on the grid it refines once: the
+    bump at L = 16 (1601 nodes, 3201 refined) and the singular problem
+    (3000 nodes, 5999 refined)."""
+    if name == "bump":
+        return mh.BumpField(0.5), mh.LogSquaredWeight(), mh.Grid.uniform(-16.0, 16.0, 1601)
+    return (*_singular_hardy_case()[:2], mh.Grid.geometric(-1e8, -1e-2, 3000))
+
+
+@pytest.mark.parametrize("problem, cap", [("bump", 210), ("singular", 270)], ids=["bump-3199", "singular-5997"])
+def test_hardy_solve_cost_in_factorizations(problem, cap, monkeypatch):
+    # a solve bisects a bracket within 2x of mu to 3%, iterates on the
+    # factorization at its lower end, and bisects the certified 2e-12
+    # bracket to adjacent doubles.  Singular modes 0 and +-1 have a second
+    # eigenvalue 1.8e-10 and about 2e-3 above mu (relative): the iteration
+    # stalls there until more halvings bring its shift closer
+    field, w, grid = _benchmark_hardy_problem(problem)
+    grid = grid.refine()
     calls = _count_factorizations(monkeypatch)
     mass = w.mass_density(grid.t[1:-1]) * _lumps(grid)
     for m in range(-3, 4):
         op = assemble_mode(field, ZeroPotential(), m, grid)
-        before = calls["all"]
+        before = dict(calls)
         mh.spectral.smallest_generalized_mu(op.diag, op.offdiag, mass)
-        assert calls["all"] - before <= 56, (m, calls["all"] - before)
+        factorizations, solves = (calls[k] - before[k] for k in ("dpttrf", "dpttrs"))
+        assert factorizations <= 56 and solves <= 16, (m, factorizations, solves)
+    assert calls["dpttrf"] + calls["dpttrs"] <= cap, calls
+
+
+def _assert_least_failing_double(kdiag, off, mass, mu):
+    """mu is the least double at which LAPACK's dpttrf fails to factor
+    K - mu M: it fails at mu and succeeds at the next double below."""
+    off = off if off.size else np.zeros(1)
+    assert scipy_lapack.dpttrf(kdiag - mu * mass, off)[2] != 0, mu
+    assert scipy_lapack.dpttrf(kdiag - np.nextafter(mu, 0.0) * mass, off)[2] == 0, mu
+
+
+@pytest.mark.parametrize("problem", ["bump", "singular"])
+def test_hardy_minima_are_exact_dpttrf_thresholds_at_benchmark_size(problem):
+    # at n = 3199 the minima can lie 1.5e-12 from a 40-digit bisection of
+    # the same pencil; the factorization test holds with no tolerance
+    field, w, grid = _benchmark_hardy_problem(problem)
+    est = mh.hardy_constant(field, w, grid, range(-3, 4), refine_levels=1)
+    fine = grid.refine()
+    mass = w.mass_density(fine.t[1:-1]) * _lumps(fine)
+    for m, mu in est.per_mode_minima.items():
+        op = assemble_mode(field, ZeroPotential(), m, fine)
+        _assert_least_failing_double(op.diag, op.offdiag, mass, mu)
+
+
+@st.composite
+def _pencils(draw):
+    """A small diagonally dominant K and a mass M >= 0 with some zeros and
+    at least one positive entry."""
+    n = draw(st.integers(1, 24))
+    values = lambda lo, hi: np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+    off = -values(0.01, 10.0)[:-1]
+    kdiag = np.r_[0.0, -off] + np.r_[-off, 0.0] + values(1e-3, 10.0)
+    mass = values(1e-3, 1e3) * np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    mass[draw(st.integers(0, n - 1))] = draw(st.floats(1e-3, 1e3))
+    return kdiag, off, mass
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pencils())
+def test_smallest_generalized_mu_is_the_least_failing_double(pencil):
+    _assert_least_failing_double(*pencil, smallest_generalized_mu(*pencil))
 
 
 def test_hardy_coarse_level_screens_a_mode_with_one_factorization(monkeypatch):
@@ -687,7 +744,7 @@ def test_hardy_coarse_level_screens_a_mode_with_one_factorization(monkeypatch):
     # 7 solves on the last level; of the 7 coarse modes, the first is solved
     # and each other one solved or screened
     screened = 14 - calls["solves"]
-    assert screened >= 5 and calls["all"] - calls["in solves"] == screened
+    assert screened >= 5 and calls["dpttrf"] - calls["in solves"] == screened
 
 
 # ---------------------------------------------------------------------------

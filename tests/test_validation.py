@@ -56,6 +56,10 @@ CASES = [
                  ParameterError, _CUT, id="probe-zero-cut-0"),
     pytest.param(lambda: mh.check_f_identity(10.0, mh.Grid.uniform(-1.0, np.log(10.0), 5)),
                  ValueError, "grid touches r = r0 where f is singular", id="f-identity-grid-at-log-r0"),
+    # once merged by int(m): mu_star = 1.4649, mode -0.5 alone (0.5 alone gives 0.2323)
+    pytest.param(lambda: mh.hardy_constant(mh.BumpField(0.5), mh.LogSquaredWeight(),
+                                           mh.Grid.uniform(-8, 8, 201), [0.5, -0.5], 0),
+                 ValueError, "modes must be integers", id="hardy-non-integer-modes"),
 ]
 
 

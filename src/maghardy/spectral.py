@@ -16,7 +16,9 @@ lumped weight mass, for every mode on the last refinement level, as the
 least double at which LAPACK's LDL^T factorization (dpttrf) of K - mu M
 fails.  Bisection from a Rayleigh bound brackets it, inverse iteration
 (dpttrs) on the factorization at the bracket's certified lower end closes
-in on it, and factorizations on both sides certify it.
+in on it, and a gallop from the Rayleigh quotient and a bisection to
+adjacent doubles pin it; a midpoint whose shifted diagonal equals an end's
+takes that end's outcome without a factorization.
 A coarser level needs only the minimum over modes, so it solves the modes
 in a cheap proxy's order and skips each one whose factorization at the
 best value so far proves it no lower (``_least_mode_mu``).  Oscillation
@@ -307,9 +309,10 @@ def smallest_generalized_mu(kdiag, off, mdiag) -> float:
     below mu_1, until two Rayleigh quotients rho agree to 1e-12 relative
     (``_inverse_iteration``).  When rho contracts by less than 10x a step,
     mu_1 has a close neighbour: the bracket is halved 6 more times and the
-    iteration resumes.  The shifts rho -+ 1e-12 rho, each step widened 64x
-    while it lands on the wrong side, then narrow the bracket, and bisection
-    ends it at adjacent doubles.  It returns hi.
+    iteration resumes.  A factorization at rho tells which side of it the
+    threshold lies, a gallop from rho brackets it, and bisection ends the
+    bracket at adjacent doubles, factoring only the midpoints that neither
+    end decides (``_least_failing_double``).  It returns hi.
     """
     kdiag, off, mdiag = (np.asarray(a, dtype=float) for a in (kdiag, off, mdiag))
     if not all(np.isfinite(a).all() for a in (kdiag, off, mdiag)) or (mdiag < 0.0).any():
@@ -335,17 +338,7 @@ def smallest_generalized_mu(kdiag, off, mdiag) -> float:
         if converged or not lo < 0.5 * (lo + hi) < hi:
             break
         width = (hi - lo) / 64.0
-    # a factorization below rho should pass and one above it fail; each
-    # shift narrows the bracket whichever way it goes
-    for sign in (-1.0, 1.0):
-        step = 1e-12 * rho
-        while lo < (mu := rho + sign * step) < hi:
-            below = _factor(*pencil, mu) is not None
-            lo, hi = (mu, hi) if below else (lo, mu)
-            if below == (sign < 0.0):
-                break
-            step *= 64.0
-    return _bisect(pencil, lo, hi, None, 0.0)[1]
+    return _least_failing_double(pencil, lo, hi, rho)
 
 
 # the coupling scipy's dpttrf wants of a 1 x 1 matrix
@@ -377,6 +370,41 @@ def _bisect(pencil, lo, hi, factors, width):
         else:
             lo, factors = mid, found
     return lo, hi, factors
+
+
+def _least_failing_double(pencil, lo, hi, rho):
+    """The least double in (lo, hi] at which ``_factor`` fails, given that it
+    passes at lo and fails at hi, whatever rho is.  A rho inside the bracket
+    is factored to see which side it lies on; steps of 128 ulps of rho, 4x
+    wider each time, then gallop away from it until the outcome flips.
+    Bisection ends the bracket at adjacent doubles.  fl(k - fl(mu m)) is
+    monotone in mu for m >= 0, so a midpoint's shifted diagonal agrees with
+    both ends' on every row where theirs agree; one whose bytes equal an
+    end's on the other rows is that end's bit for bit, and takes its outcome
+    without a factorization."""
+    if lo < rho < hi:
+        below = _factor(*pencil, rho) is not None
+        lo, hi = (rho, hi) if below else (lo, rho)
+        step = 128.0 * np.spacing(rho)
+        while lo < (mu := rho + step if below else rho - step) < hi:
+            passes = _factor(*pencil, mu) is not None
+            lo, hi = (mu, hi) if passes else (lo, mu)
+            if passes != below:
+                break
+            step *= 4.0
+    kdiag, _, mass = pencil
+    rows = kdiag - lo * mass != kdiag - hi * mass
+    kdiag, mass = kdiag[rows], mass[rows]
+    at_lo, at_hi = (kdiag - lo * mass).tobytes(), (kdiag - hi * mass).tobytes()
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        at_mid = (kdiag - mid * mass).tobytes()
+        if at_mid == at_lo:
+            lo = mid
+        elif at_mid == at_hi or _factor(*pencil, mid) is None:
+            hi, at_hi = mid, at_mid
+        else:
+            lo, at_lo = mid, at_mid
+    return hi
 
 
 def _inverse_iteration(factors, sigma, mass, x):

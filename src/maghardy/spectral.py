@@ -14,14 +14,17 @@ squares the couplings once for every mode).  The same matrices drive the
 Hardy-constant estimator: the lowest generalized eigenvalue against a
 lumped weight mass, for every mode on the last refinement level, as the
 least double at which LAPACK's LDL^T factorization (dpttrf) of K - mu M
-fails.  Bisection from a Rayleigh bound brackets it, inverse iteration
-(dpttrs) on the factorization at the bracket's certified lower end closes
-in on it, and a gallop from the Rayleigh quotient and a bisection to
-adjacent doubles pin it; a midpoint whose shifted diagonal equals an end's
-takes that end's outcome without a factorization.
-A coarser level needs only the minimum over modes, so it solves the modes
-in a cheap proxy's order and skips each one whose factorization at the
-best value so far proves it no lower (``_least_mode_mu``).  Oscillation
+fails.  The approach (``_approach``) brackets it and closes in on it:
+inverse iteration (dpttrs) on the factorization at a shift certified below
+it, after a bisection from a Rayleigh bound on the first level, and from
+the coarser level's Rayleigh quotient and eigenvector, interpolated in t,
+on each finer one.  The end stage, a gallop from the Rayleigh quotient and
+a bisection to adjacent doubles, pins it; a midpoint whose shifted
+diagonal equals an end's takes that end's outcome without a factorization.
+A coarser level needs only the minimum over modes, so it runs the end
+stage in the order of the modes' Rayleigh quotients and skips each mode
+whose factorization at the best value so far proves it no lower
+(``_least_minimum``).  Oscillation
 (Pruefer) and phase-integral counts provide independent cross-checks of
 the inertia route.  The Pruefer count
 samples its coefficients once for any number of modes, on a table of 8192
@@ -313,6 +316,10 @@ def smallest_generalized_mu(kdiag, off, mdiag) -> float:
     threshold lies, a gallop from rho brackets it, and bisection ends the
     bracket at adjacent doubles, factoring only the midpoints that neither
     end decides (``_least_failing_double``).  It returns hi.
+
+    This is the cold composition of the two stages, ``_approach`` and
+    ``_least_failing_double``.  ``hardy_constant`` runs them itself, from
+    warm starts, on pencils it has checked once per level.
     """
     kdiag, off, mdiag = (np.asarray(a, dtype=float) for a in (kdiag, off, mdiag))
     if not all(np.isfinite(a).all() for a in (kdiag, off, mdiag)) or (mdiag < 0.0).any():
@@ -320,25 +327,75 @@ def smallest_generalized_mu(kdiag, off, mdiag) -> float:
     if not (mdiag > 0.0).any():
         return np.inf
     pencil = (kdiag, off, mdiag)
-    factors = _factor(*pencil, 0.0)
-    if factors is None:
-        raise ValueError("K must be symmetric tridiagonal positive definite")
-    root = np.sqrt(mdiag)
-    x = _lapack().dpttrs(*factors, root)[0]
-    with np.errstate(all="ignore"):
-        lo, hi = 0.0, float(root @ x / (mdiag @ (x * x)))
-    if not 0.0 < hi < np.inf:
-        raise ValueError("the pencil's Rayleigh bound over- or underflows")
-    while (found := _factor(*pencil, hi)) is not None:
-        lo, hi, factors = hi, 2.0 * hi, found
-    width = 0.03 * hi
+    lo, hi, rho, _ = _approach(pencil)
+    return _least_failing_double(pencil, lo, hi, rho)
+
+
+def _approach(pencil, start=None):
+    """(lo, hi, rho, x) for a valid pencil with some mass: ``_factor`` passes
+    at lo and fails at hi > lo, and x is an inverse-iteration vector with
+    Rayleigh quotient rho.  hi is infinite only when lo < rho, where
+    ``_least_failing_double`` factors at rho first and so finds a failing
+    shift itself.
+
+    Cold (no start, or a start vector with no mass): the bracket and
+    iteration of ``smallest_generalized_mu``.  From a start (rho0, x0), such
+    as a coarser grid's: factor at sigma = rho0 (1 - 1e-4), each failing
+    sigma becoming hi and the offset growing 16x (sigma = 0 once it reaches
+    1), and iterate from x0 on the passing factorization.  When rho stalls,
+    as in a close cluster, hi is made finite from rho, doubled while it
+    passes (rho >= mu_1 in exact arithmetic), and the cold path's retry
+    halves the bracket 6 times before each further iteration.  A rho that
+    is not in (lo, inf) starts the approach again, cold.
+    """
+    mass = pencil[2]
+    warm = start is not None and mass @ (start[1] * start[1]) > 0.0
+    if warm:
+        lo, hi, factors = _warm_bracket(pencil, start[0])
+        rho, x, converged = _inverse_iteration(factors, lo, mass, start[1])
+        if converged and lo < rho:
+            return lo, hi, rho, x
+        if not lo < rho < np.inf:
+            return _approach(pencil)
+        mu = rho
+        while mu < hi and (found := _factor(*pencil, mu)) is not None:
+            lo, factors, mu = mu, found, 2.0 * mu
+        hi = min(hi, mu)
+        width = (hi - lo) / 64.0
+    else:
+        factors = _factor(*pencil, 0.0)
+        if factors is None:
+            raise ValueError("K must be symmetric tridiagonal positive definite")
+        root = np.sqrt(mass)
+        x = _lapack().dpttrs(*factors, root)[0]
+        with np.errstate(all="ignore"):
+            lo, hi = 0.0, float(root @ x / (mass @ (x * x)))
+        if not 0.0 < hi < np.inf:
+            raise ValueError("the pencil's Rayleigh bound over- or underflows")
+        while (found := _factor(*pencil, hi)) is not None:
+            lo, hi, factors = hi, 2.0 * hi, found
+        width = 0.03 * hi
     while True:
         lo, hi, factors = _bisect(pencil, lo, hi, factors, width)
-        rho, x, converged = _inverse_iteration(factors, lo, mdiag, x)
+        rho, x, converged = _inverse_iteration(factors, lo, mass, x)
         if converged or not lo < 0.5 * (lo + hi) < hi:
-            break
+            return lo, hi, rho, x
         width = (hi - lo) / 64.0
-    return _least_failing_double(pencil, lo, hi, rho)
+
+
+def _warm_bracket(pencil, rho):
+    """(lo, hi, the factorization at lo): lo the first of rho (1 - 1e-4),
+    rho (1 - 1.6e-3), ... at which ``_factor`` passes, 0 once the offset
+    reaches 1, and hi the last shift tried before it (inf if none)."""
+    hi, offset = np.inf, 1e-4
+    while True:
+        sigma = rho * (1.0 - offset) if offset < 1.0 else 0.0
+        factors = _factor(*pencil, sigma)
+        if factors is not None:
+            return sigma, hi, factors
+        if sigma == 0.0:
+            raise ValueError("K must be symmetric tridiagonal positive definite")
+        hi, offset = sigma, 16.0 * offset
 
 
 # the coupling scipy's dpttrf wants of a 1 x 1 matrix
@@ -450,15 +507,19 @@ def hardy_constant(
     for a smooth weight, e.g. 0.39915180, 0.39915527, 0.39915613 for the
     bump on [-8, 8].
 
-    The last level solves every mode, giving ``per_mode_minima``: each is
-    the least double at which LAPACK's dpttrf fails to factor K - mu M,
-    found by inverse iteration at shifts certified below it and checked by
-    factorizations on both sides (``smallest_generalized_mu``).  A coarser
-    level enters only ``refinement_history``, so it solves just the modes
-    that a factorization cannot prove to lie above its minimum
-    (``_least_mode_mu``).  Its value is the same, ties included: a skipped
-    mode's factorization passes at that minimum, and each solve returns a
-    shift at which it fails.
+    Every level runs ``_approach`` for every mode: the first from a cold
+    start, each finer one from the coarser level's Rayleigh quotient and
+    vector of the same mode, interpolated in t onto the new nodes with zero
+    Dirichlet ends.  The last level runs the end stage
+    (``_least_failing_double``) for every mode, giving ``per_mode_minima``:
+    each is the least double at which LAPACK's dpttrf fails to factor
+    K - mu M, the value ``smallest_generalized_mu`` returns.  A coarser level
+    enters only ``refinement_history``: it takes its modes in the order of
+    their Rayleigh quotients and runs the end stage only for a mode whose
+    factorization at the least minimum so far fails.  Its value is the
+    same, ties included: a skipped mode's factorization passes at that
+    minimum, and each end stage returns a shift at which it fails.  K and M
+    are checked once per level, not per mode.
 
     The modes are integers (angular Fourier modes), or ValueError: the
     minima are keyed by the integer mode.
@@ -481,24 +542,38 @@ def hardy_constant(
     # the per-mode minima are keyed by the integer mode
     if any(m % 1 for m in m_range):
         raise ValueError("modes must be integers")
-    history = []
-    g = grid
+    modes = list(dict.fromkeys(int(m) for m in m_range))
+    history, g, starts = [], grid, {}
     for level in range(refine_levels + 1):
         ti, off, diag = _mode_terms(g)
-        density = w.mass_density(ti)
-        mass = density * _lumps(g)
+        mass = w.mass_density(ti) * _lumps(g)
         bad = ~((mass >= 0.0) & (mass < np.inf))
         if bad.any():
             raise DomainError(f"weight mass is infinite, negative or NaN at t = {float(ti[bad][0])!r}")
         alpha = field.alpha(ti)
-        if level < refine_levels:
-            mu_star = _least_mode_mu(m_range, alpha, density, off, diag, mass)
-        else:
+        # row by row, no mode's K exceeds that of the mode farthest from
+        # alpha: one check stands for every mode's
+        farthest = np.maximum((min(modes) - alpha) ** 2, (max(modes) - alpha) ** 2)
+        if not np.isfinite(diag(farthest)).all():
+            raise ValueError("pencil entries must be finite and the masses nonnegative")
+        solves = {}
+        if (mass > 0.0).any():
+            for m in modes:
+                pencil = (diag((m - alpha) ** 2), off, mass)
+                start = starts.get(m)
+                if start is not None:
+                    rho, x, t = start
+                    start = rho, np.interp(ti, t, np.r_[0.0, x, 0.0])
+                solves[m] = pencil, _approach(pencil, start)
+        if level == refine_levels:
             per_mode = {
-                int(m): smallest_generalized_mu(diag((m - alpha) ** 2), off, mass)
-                for m in m_range
-            }
+                m: _least_failing_double(pencil, *approach[:3])
+                for m, (pencil, approach) in solves.items()
+            } or dict.fromkeys(modes, np.inf)
             mu_star = float(min(per_mode.values()))
+        else:
+            mu_star = _least_minimum(solves.values())
+            starts = {m: (rho, x, g.t) for m, (_, (_, _, rho, x)) in solves.items()}
         history.append((g.n, mu_star))
         if level < refine_levels:
             g = g.refine()
@@ -510,28 +585,17 @@ def hardy_constant(
     )
 
 
-def _least_mode_mu(modes, alpha, density, off, diag, mass) -> float:
-    """min over modes of ``smallest_generalized_mu``, solving only the modes
-    that a Sturm count cannot rule out.
-
-    The modes go in order of the mean of (m - alpha)^2 / w, w the weight's
-    mass density, over the nodes of positive mass.  That puts the minimizing
+def _least_minimum(solves) -> float:
+    """The least end stage of (pencil, approach) pairs, inf for none.  They
+    go in the order of their Rayleigh quotients, which puts the minimizing
     mode first in most problems; the value does not depend on the order.
-    Once a mode gave mu_best, a later mode is skipped when K - mu_best M has
-    no negative and no zero pivot (``_factor``, the bisection's own
-    test): its lowest eigenvalue then lies above mu_best.  An infinite
-    mu_best (no mass) is never used as a shift.
-    """
-    positive = mass > 0.0
-    with np.errstate(over="ignore"):
-        # sums, not means: the same order, and no warning with no mass
-        proxy = [float(np.sum((m - alpha[positive]) ** 2 / density[positive])) for m in modes]
+    Once one gave mu_best, a later one runs its end stage only when
+    ``_factor`` fails at mu_best; where it passes, that mode's minimum lies
+    above mu_best."""
     best = np.inf
-    for i in np.argsort(proxy, kind="stable"):
-        kdiag = diag((modes[i] - alpha) ** 2)
-        if best < np.inf and _factor(kdiag, off, mass, best) is not None:
-            continue
-        best = min(best, smallest_generalized_mu(kdiag, off, mass))
+    for pencil, (lo, hi, rho, _) in sorted(solves, key=lambda solve: solve[1][2]):
+        if best == np.inf or _factor(*pencil, best) is None:
+            best = min(best, _least_failing_double(pencil, lo, hi, rho))
     return best
 
 

@@ -546,17 +546,24 @@ def test_hardy_constant_equals_per_mode_loop(case):
     assert est.as_dict() == ref.as_dict()
 
 
-def _record_solves(monkeypatch):
-    """The matrix size of every ``smallest_generalized_mu`` call, in order."""
-    sizes = []
-    solve = smallest_generalized_mu
+def _record_stages(monkeypatch):
+    """The stages ``hardy_constant`` runs, in order: ("approach", n, warm)
+    for each ``_approach``, warm when it has a start, and ("end", n) for
+    each ``_least_failing_double``, n the pencil's size."""
+    stages = []
+    approach, end = mh.spectral._approach, mh.spectral._least_failing_double
 
-    def spy(kdiag, off, mdiag):
-        sizes.append(kdiag.size)
-        return solve(kdiag, off, mdiag)
+    def spy_approach(pencil, start=None):
+        stages.append(("approach", pencil[0].size, start is not None))
+        return approach(pencil, start)
 
-    monkeypatch.setattr(mh.spectral, "smallest_generalized_mu", spy)
-    return sizes
+    def spy_end(pencil, lo, hi, rho):
+        stages.append(("end", pencil[0].size))
+        return end(pencil, lo, hi, rho)
+
+    monkeypatch.setattr(mh.spectral, "_approach", spy_approach)
+    monkeypatch.setattr(mh.spectral, "_least_failing_double", spy_end)
+    return stages
 
 
 # alpha = 1/2 exactly for t >= 1: flux 1 * (1 + 0) / 2 from the one cell [0, 1]
@@ -583,39 +590,68 @@ _HALF_FLUX = mh.CustomField(np.array([0.0, 1.0]), np.array([1.0, 0.0]), "regular
 def test_hardy_coarse_levels_equal_per_mode_loop_on_edge_cases(case, monkeypatch):
     field, w, grid, modes, levels = case()
     ref = _hardy_constant_per_mode_loop(field, w, grid, modes, levels)
-    sizes = _record_solves(monkeypatch)
+    grids = [grid]
+    for _ in range(levels):
+        grids.append(grids[-1].refine())
+    # each level's per-mode minima, one per-mode solve each
+    minima = [list(_hardy_constant_per_mode_loop(field, w, g, modes, 0).per_mode_minima.values())
+              for g in grids]
+    stages = _record_stages(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         est = mh.hardy_constant(field, w, grid, m_range=modes, refine_levels=levels)
     assert [str(c.message) for c in caught] == []
     assert est.as_dict() == ref.as_dict()
-    # the last level solves every mode
-    assert sizes[-len(modes):] == [grid.n * 2**levels - 2**levels - 1] * len(modes)
+    # every level approaches every mode, warm from the second level on; the
+    # last level runs the end stage for every mode, a coarser one only for
+    # the modes whose screening factorization fails: those that tie the
+    # level's minimum.  A pencil with no mass runs neither stage.
+    plan = []
+    for k, (g, level) in enumerate(zip(grids, minima)):
+        if min(level) < np.inf:
+            ends = len(modes) if k == levels else level.count(min(level))
+            plan += [("approach", g.n - 2, k > 0)] * len(modes) + [("end", g.n - 2)] * ends
+    assert stages == plan
     if grid.n == 3:
-        # the zero pivot makes the check solve the second mode
-        assert sizes == [1, 1, 3, 3]
+        # the zero pivot makes the screen run the second mode's end stage
+        assert [s[1] for s in stages if s[0] == "end"] == [1, 1, 3, 3]
 
 
-def test_hardy_coarse_level_solves_a_mode_the_proxy_ranks_second(monkeypatch):
-    # the proxy ranks mode 0 first (0.58099 on the 201-node level), but mode 1
-    # is lower (0.56951): its check must find a negative pivot and solve it
+def test_hardy_coarse_level_solves_a_mode_its_order_ranks_second(monkeypatch):
+    # mode 1 is the lowest on the 201-node level (0.56951, mode 0 0.58099):
+    # the Rayleigh quotients put it first, and every other screen passes
     field, w, grid = mh.BumpField(0.7), mh.LogSquaredWeight(), mh.Grid.uniform(-8.0, 8.0, 201)
     ref = _hardy_constant_per_mode_loop(field, w, grid, range(-3, 4), 1)
-    sizes = _record_solves(monkeypatch)
+    stages = _record_stages(monkeypatch)
     assert mh.hardy_constant(field, w, grid, refine_levels=1).as_dict() == ref.as_dict()
-    assert 2 <= sizes.count(199) < 7
+    assert stages.count(("end", 199)) == 1
+    # ranked behind mode 0 (a Rayleigh quotient above mode 0's), mode 1's
+    # screen at mode 0's minimum must fail and run its end stage
+    ti, off, diag = mh.spectral._mode_terms(grid)
+    mass = w.mass_density(ti) * _lumps(grid)
+    pencils = [(diag((m - field.alpha(ti)) ** 2), off, mass) for m in (0, 1)]
+    solves = [(pencil, mh.spectral._approach(pencil)) for pencil in pencils]
+    lo, hi, rho, x = solves[1][1]
+    solves[1] = pencils[1], (lo, hi, 2.0 * solves[0][1][2], x)
+    want = smallest_generalized_mu(*pencils[1])
+    stages.clear()
+    assert mh.spectral._least_minimum(solves) == want
+    assert stages == [("end", 199), ("end", 199)]
 
 
 def test_hardy_coarse_level_solves_only_modes_a_count_cannot_rule_out(monkeypatch):
-    sizes = _record_solves(monkeypatch)
+    stages = _record_stages(monkeypatch)
     args = (mh.BumpField(0.5), mh.LogSquaredWeight(), mh.Grid.uniform(-8.0, 8.0, 401), range(-3, 4))
     mh.hardy_constant(*args, refine_levels=1)
-    # the last, 799-node level solves all 7 modes; without the inertia checks
-    # the 399-node level would solve 7 too
-    assert sizes.count(799) == 7 and 1 <= sizes.count(399) <= 2
-    sizes.clear()
+    # both levels approach all 7 modes, the 799-node one from the 399-node
+    # one's; the last level runs all 7 end stages, and without the screening
+    # factorizations the 399-node level would run 7 too
+    assert stages[:7] == [("approach", 399, False)] * 7
+    assert stages[8:15] == [("approach", 799, True)] * 7
+    assert stages.count(("end", 799)) == 7 and stages.count(("end", 399)) == 1
+    stages.clear()
     mh.hardy_constant(*args, refine_levels=0)
-    assert sizes == [399] * 7
+    assert stages == [("approach", 399, False)] * 7 + [("end", 399)] * 7
 
 
 @pytest.mark.parametrize(
@@ -645,30 +681,41 @@ def test_hardy_constant_rejects_infinite_weight_mass():
 
 def _count_factorizations(monkeypatch):
     """Counts of the LAPACK calls on the pencil: "dpttrf" (LDL^T
-    factorizations) and "dpttrs" (solves with one), the factorizations "in
-    solves" of smallest_generalized_mu, and the "solves"."""
-    lapack, solve = mh.spectral._lapack(), mh.spectral.smallest_generalized_mu
-    calls = {"dpttrf": 0, "dpttrs": 0, "in solves": 0, "solves": 0}
+    factorizations) and "dpttrs" (solves with one), "rows" (the summed
+    sizes of both), the factorizations made "in stages" (inside
+    ``_approach`` or ``_least_failing_double``) and the "end stages" run."""
+    lapack = mh.spectral._lapack()
+    calls = {"dpttrf": 0, "dpttrs": 0, "rows": 0, "in stages": 0, "end stages": 0}
+    depth = [0]
 
     def counted(name):
         routine = getattr(lapack, name)
 
         def call(*args, **kwargs):
             calls[name] += 1
+            calls["rows"] += len(args[0])
+            calls["in stages"] += name == "dpttrf" and depth[0] > 0
             return routine(*args, **kwargs)
 
         monkeypatch.setattr(lapack, name, call)
 
-    def counted_solve(*args):
-        before = calls["dpttrf"]
-        mu = solve(*args)
-        calls["in solves"] += calls["dpttrf"] - before
-        calls["solves"] += 1
-        return mu
+    def staged(name):
+        stage = getattr(mh.spectral, name)
+
+        def call(*args):
+            calls["end stages"] += name == "_least_failing_double"
+            depth[0] += 1
+            try:
+                return stage(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(mh.spectral, name, call)
 
     counted("dpttrf")
     counted("dpttrs")
-    monkeypatch.setattr(mh.spectral, "smallest_generalized_mu", counted_solve)
+    staged("_approach")
+    staged("_least_failing_double")
     return calls
 
 
@@ -807,10 +854,120 @@ def test_hardy_coarse_level_screens_a_mode_with_one_factorization(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     args = (mh.BumpField(0.5), mh.LogSquaredWeight(), mh.Grid.uniform(-8.0, 8.0, 401), range(-3, 4))
     mh.hardy_constant(*args, refine_levels=1)
-    # 7 solves on the last level; of the 7 coarse modes, the first is solved
-    # and each other one solved or screened
-    screened = 14 - calls["solves"]
-    assert screened >= 5 and calls["dpttrf"] - calls["in solves"] == screened
+    # 7 end stages on the last level; of the 7 coarse modes, the first runs
+    # its end stage and each other one runs it or is screened out, by one
+    # factorization outside the stages
+    screened = 14 - calls["end stages"]
+    assert screened >= 5 and calls["dpttrf"] - calls["in stages"] == screened
+
+
+@pytest.mark.parametrize("problem, cap", [("bump", 395_000), ("singular", 1_250_000)])
+def test_hardy_constant_cost_in_lapack_rows(problem, cap, monkeypatch):
+    # rows swept by dpttrf and dpttrs in one two-level call: 387027 (bump)
+    # and 1223306 (singular), against 523023 and 1604165 when each fine
+    # mode started cold
+    calls = _count_factorizations(monkeypatch)
+    mh.hardy_constant(*_benchmark_hardy_problem(problem), range(-3, 4), refine_levels=1)
+    assert calls["rows"] <= cap, calls
+
+
+def test_hardy_finer_level_starts_from_the_coarser_vector_in_t(monkeypatch):
+    # on a geometric grid: each 1597-node mode starts from the 798-node
+    # mode's Rayleigh quotient and vector, interpolated in t with zero ends
+    field, w, grid = _singular_hardy_case()
+    approach, seen = mh.spectral._approach, []
+
+    def spy(pencil, start=None):
+        found = approach(pencil, start)
+        seen.append((start, found))
+        return found
+
+    monkeypatch.setattr(mh.spectral, "_approach", spy)
+    mh.hardy_constant(field, w, grid, range(-3, 4), refine_levels=1)
+    fine_t = grid.refine().t[1:-1]
+    for (start, (_, _, rho, x)), (fine_start, _) in zip(seen[:7], seen[7:]):
+        assert start is None and fine_start[0] == rho
+        np.testing.assert_array_equal(fine_start[1], np.interp(fine_t, grid.t, np.r_[0.0, x, 0.0]))
+
+
+@st.composite
+def _warm_starts(draw):
+    """A pencil, small or the bump's, its cold minimum mu and a start (rho0,
+    x0): rho0 above mu, far below it, at it, 0 or subnormal, and x0 of
+    random signs, all zeros, constant, or so large that its iteration
+    overflows to NaN."""
+    pencil = draw(st.one_of(_pencils(), st.just(_bump_pencil())))
+    mu = smallest_generalized_mu(*pencil)
+    rho = draw(
+        st.one_of(
+            st.floats(1.0, 8.0).map(lambda f: f * mu),
+            st.floats(1e-12, 0.5).map(lambda f: f * mu),
+            st.sampled_from([mu, 0.0, 5e-324, 1e-310]),
+        )
+    )
+    n = pencil[0].size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = draw(st.sampled_from([rng.standard_normal(n), np.zeros(n), np.ones(n), np.full(n, 1e200)]))
+    return pencil, mu, (rho, x)
+
+
+def _assert_warm_start_gives(pencil, mu, start):
+    """The approach from ``start`` holds its contract, and with the end
+    stage gives mu, the least double at which dpttrf fails."""
+    lo, hi, rho, x = mh.spectral._approach(pencil, start)
+    # lo passes; hi fails, or is inf and rho lies above lo for the end stage
+    assert _factor(*pencil, lo) is not None
+    assert (hi == np.inf and lo < rho) or _factor(*pencil, hi) is None
+    # the iteration converged, unless the bracket is two adjacent doubles
+    assert abs(rho - mu) <= 1e-9 * mu or hi == np.nextafter(lo, np.inf), (lo, hi, rho, mu)
+    found = _least_failing_double(pencil, lo, hi, rho)
+    assert found == mu
+    _assert_least_failing_double(*pencil, found)
+
+
+_OVERFLOWS = pytest.mark.filterwarnings(
+    "ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning"
+)
+
+
+@_OVERFLOWS
+@settings(max_examples=80, deadline=None)
+@given(_warm_starts())
+def test_warm_approach_and_end_stage_return_the_cold_minimum(case):
+    _assert_warm_start_gives(*case)
+
+
+@cache
+def _singular_m0_pencil():
+    """The benchmark singular problem's m = 0 pencil on its refined grid
+    (5997 nodes), whose lowest eigenvalues lie 2.3e-11 apart (relative)."""
+    field, w, grid = _benchmark_hardy_problem("singular")
+    grid = grid.refine()
+    op = assemble_mode(field, ZeroPotential(), 0, grid)
+    return op.diag, op.offdiag, w.mass_density(grid.t[1:-1]) * _lumps(grid)
+
+
+_RHO0 = [
+    pytest.param(lambda mu: 3.0 * mu, id="above"),
+    pytest.param(lambda mu: 1e-6 * mu, id="far-below"),
+    pytest.param(lambda mu: mu, id="at"),
+    pytest.param(lambda mu: 0.0, id="zero"),
+    pytest.param(lambda mu: 5e-324, id="subnormal"),
+]
+
+
+@_OVERFLOWS
+@pytest.mark.parametrize("x0", ["signs", "zeros", "ones", "huge"])
+@pytest.mark.parametrize("rho0", _RHO0)
+@pytest.mark.parametrize("pencil", [_bump_pencil, _singular_m0_pencil], ids=["bump", "singular-m0"])
+def test_warm_approach_from_each_kind_of_start(pencil, rho0, x0):
+    # every kind of start on two benchmark pencils, whatever hypothesis
+    # draws; from far below, the singular cluster stalls the iteration
+    pencil = pencil()
+    mu, n = smallest_generalized_mu(*pencil), pencil[0].size
+    x = {"signs": np.random.default_rng(5).standard_normal(n), "zeros": np.zeros(n),
+         "ones": np.ones(n), "huge": np.full(n, 1e200)}[x0]
+    _assert_warm_start_gives(pencil, mu, (rho0(mu), x))
 
 
 # ---------------------------------------------------------------------------

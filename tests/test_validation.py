@@ -11,6 +11,7 @@ _NOT_INCREASING = "grid nodes must be strictly increasing"
 _STRADDLES = "geometric grid cannot straddle or touch t = 0"
 _NEEDS_GRID = "inertia and oscillation methods require a grid"
 _CUT = "cut list entries are |t_cut| values and must be positive"
+_NAN_FIELD = mh.CustomField(np.array([0.0, 1.0]), np.array([np.nan, 0.0]), "regular")
 
 
 def _ladder(grid, method):
@@ -60,6 +61,10 @@ CASES = [
     pytest.param(lambda: mh.hardy_constant(mh.BumpField(0.5), mh.LogSquaredWeight(),
                                            mh.Grid.uniform(-8, 8, 201), [0.5, -0.5], 0),
                  ValueError, "modes must be integers", id="hardy-non-integer-modes"),
+    # a NaN flux density makes alpha, and every mode's K, NaN
+    pytest.param(lambda: mh.hardy_constant(_NAN_FIELD, mh.LogSquaredWeight(), mh.Grid.uniform(-2, 2, 41)),
+                 ValueError, "pencil entries must be finite and the masses nonnegative",
+                 id="hardy-non-finite-field"),
 ]
 
 

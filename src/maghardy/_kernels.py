@@ -1,69 +1,17 @@
-"""Hot scalar kernels: tridiagonal inertia and the Pruefer phase sweep.
+"""Hot scalar kernel: the Pruefer phase sweep.
 
-Both loops are inherently sequential recurrences over one mode's nodes, run
+The sweep is an inherently sequential recurrence over one mode's nodes, run
 on Python floats (IEEE doubles, so results equal those on float64 arrays).
-The inertia loop reads each coupling's square, made once per off-diagonal
-by its caller, so a row costs d = a - b^2 / d and, in the common case of a
-pivot at or above pivmin, one comparison; zero, tiny, negative and -inf
-pivots are sorted out inside that comparison's branch, and NaN and +inf
-pass it untouched.  The caller orients each sweep so that the longer run of
-strong (diagonally dominant) rows comes last, and names the last weak row:
-past it, the loop ends at the first pivot that dominates its coupling |b|
-to the next row, as no later pivot can then be negative or zero.  The
-Pruefer sweep is one function with its slopes written inline: one step
-doubling attempt looks Q up at five points, the slope at the step's start
-serves the full step, its first half step and every retry, and Q at a
-step's end is Q at the next step's start.  The slopes use math.sin and
-math.cos, which keep the angle a Python float; the tests compare them bit
-for bit with np.sin and np.cos.
+It is one function with its slopes written inline: one step doubling
+attempt looks Q up at five points, the slope at the step's start serves the
+full step, its first half step and every retry, and Q at a step's end is Q
+at the next step's start.  The slopes use math.sin and math.cos, which keep
+the angle a Python float; the tests compare them bit for bit with np.sin
+and np.cos.  Inertia counts run on LAPACK (``spectral._negative_pivots``).
 """
 
 from bisect import bisect_left
-from itertools import chain, islice
 from math import cos, sin
-
-
-def tridiag_inertia(diag, off, off2, pivmin, stop=None):
-    """Count negative eigenvalues of a symmetric tridiagonal matrix.
-
-    LDL^T recurrence d_i = a_i - b_{i-1}^2 / d_{i-1}, the squares b^2 given
-    as ``off2`` beside the couplings ``off``; the number of negative
-    pivots equals the number of negative eigenvalues (Sylvester).  Exact zero
-    pivots are replaced by +pivmin (they count as non-negative) and reported;
-    small nonzero pivots are clamped sign-preservingly so the recurrence never
-    divides by zero.  An empty matrix has no negative eigenvalue: (0, 0).
-
-    ``stop`` is the index of the last weak row, when every later row is
-    strong in the sense of ``spectral._inertia_counter``.  From that row on,
-    the sweep ends at the first clamped pivot d with d >= |b|, b its coupling
-    to the next row: from there no later pivot is negative or zero, so the
-    counts equal those of the full sweep.
-    """
-    neg = 0
-    zero_pivots = 0
-    n = len(diag)
-    rows = zip(diag, chain((0.0,), off2))
-    swept = 0
-    # all rows up to the last weak one, then one at a time
-    take = n if stop is None else stop + 1
-    # a zero coupling ahead of the first row makes its pivot a - 0 / 1 = a
-    d = 1.0
-    while True:
-        for a, b2 in islice(rows, take):
-            d = a - b2 / d
-            # a positive pivot, +inf and NaN pass untouched and count non-negative
-            if d < pivmin:
-                if d == 0.0:
-                    d = pivmin
-                    zero_pivots += 1
-                elif d > -pivmin:
-                    d = pivmin if d > 0.0 else -pivmin
-                if d < 0.0:
-                    neg += 1
-        swept += take
-        if swept >= n or d >= abs(off[swept - 1]):
-            return neg, zero_pivots
-        take = 1
 
 
 def prufer_sweep(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):

@@ -299,7 +299,8 @@ class SumField(RadialField):
 
 @dataclass(frozen=True)
 class CustomField(RadialField):
-    """Tabulated field: two columns (t, B) with strictly increasing t.
+    """Tabulated field: two columns (t, B) of finite samples, strictly
+    increasing t.
 
     Classification never guesses from samples: construction requires an
     explicit ``integrability`` declaration ('regular' or 'singular'), else
@@ -315,6 +316,8 @@ class CustomField(RadialField):
         bs = np.asarray(self.b_samples, dtype=float)
         if ts.ndim != 1 or ts.shape != bs.shape:
             raise ValueError("custom field needs matching 1-d (t, B) columns")
+        if not (np.isfinite(ts).all() and np.isfinite(bs).all()):
+            raise ValueError("custom field samples must be finite")
         if not np.all(np.diff(ts) > 0):
             raise ValueError("custom field t-column must be strictly increasing")
         object.__setattr__(self, "t_samples", ts)
@@ -469,7 +472,8 @@ class StepWell(Potential):
 
 @dataclass(frozen=True)
 class CustomPotential(Potential):
-    """Tabulated potential: columns (t, V), strictly increasing t."""
+    """Tabulated potential: columns (t, V) of finite samples, strictly
+    increasing t."""
 
     t_samples: np.ndarray
     v_samples: np.ndarray
@@ -479,6 +483,8 @@ class CustomPotential(Potential):
         vs = np.asarray(self.v_samples, dtype=float)
         if ts.ndim != 1 or ts.shape != vs.shape:
             raise ValueError("custom potential needs matching 1-d (t, V) columns")
+        if not (np.isfinite(ts).all() and np.isfinite(vs).all()):
+            raise ValueError("custom potential samples must be finite")
         if not np.all(np.diff(ts) > 0):
             raise ValueError("custom potential t-column must be strictly increasing")
         object.__setattr__(self, "t_samples", ts)

@@ -1,45 +1,40 @@
-"""Per-mode radial operators: assembly, inertia counts, phase methods.
+"""Per-mode radial operators: assembly, inertia counts, Hardy minima, phase methods.
 
 The mode-m quadratic form in t = log r,
 
     q_m[u] = int ( |u'|^2 + (m - alpha(t))^2 |u|^2 - e^{2t} V(t) |u|^2 ) dt,
 
 is discretized with cell-difference stiffness and trapezoid-lumped zero-order
-terms on a Dirichlet grid, giving a symmetric tridiagonal matrix whose
-inertia yields exact negative-eigenvalue counts.  Rows where (m - alpha)^2
-outweighs the potential are diagonally dominant; each count sweeps the
-matrix in the direction that leaves the longer such run last, and stops
-inside it once a pivot dominates its coupling (``_inertia_counter``, which
-squares the couplings once for every mode).  The same matrices drive the
-Hardy-constant estimator: the lowest generalized eigenvalue against a
-lumped weight mass, for every mode on the last refinement level, as the
-least double at which LAPACK's LDL^T factorization (dpttrf) of K - mu M
-fails.  The approach (``_approach``) brackets it and closes in on it:
-inverse iteration (dpttrs) on the factorization at a shift certified below
-it, after a bisection from a Rayleigh bound on the first level, and from
-the coarser level's Rayleigh quotient and eigenvector, interpolated in t,
-on each finer one.  The end stage, a gallop from the Rayleigh quotient and
-a bisection to adjacent doubles, pins it; a midpoint whose shifted
-diagonal equals an end's takes that end's outcome without a factorization.
-A coarser level needs only the minimum over modes, so it runs the end
-stage in the order of the modes' Rayleigh quotients and skips each mode
-whose factorization at the best value so far proves it no lower
-(``_least_minimum``).  Oscillation
-(Pruefer) and phase-integral counts provide independent cross-checks of
-the inertia route.  The Pruefer count
-samples its coefficients once for any number of modes, on a table of 8192
-points, and its RK4 steps hold a tolerance of 1e-6 each.  The phase
-integral of every well, the borderline one in s = log|t|, runs on the
-sin^2-mapped Gauss panels of ``weights._sin2_gauss_panels``, between each
-mode's turning points and the fixed breaks, which one lexsort orders for
-all modes (``_mode_panels``).
+terms on a Dirichlet grid, giving a symmetric tridiagonal matrix.  One LDL^T
+factorization serves both of its uses: LAPACK's dpttrf, loaded without
+importing scipy.linalg (``_lapack``).
+
+A count is the number of negative pivots (Sylvester's law of inertia), exact
+for the matrix: dpttrf stops at each pivot that is not positive, which is
+counted, clamped away from zero and folded into the next row, and resumes
+after it (``_negative_pivots``).  A Hardy minimum is the lowest generalized
+eigenvalue of a mode against a lumped weight mass on the last refinement
+level, returned as the least double at which dpttrf of K - mu M fails,
+whatever path found it.  ``_approach`` brackets it and closes in on it by
+inverse iteration (dpttrs), cold on the first level and from the coarser
+level's Rayleigh quotient and eigenvector on each finer one;
+``_least_failing_double`` pins it.  A coarser level needs only the minimum
+over modes (``_least_minimum``).
+
+Oscillation (Pruefer) and phase-integral counts are independent cross-checks
+of the inertia route.  The Pruefer count samples its coefficients once for
+any number of modes, on a table of 8192 points, and its RK4 steps hold a
+tolerance of 1e-6 each.  The phase integral of every well, the borderline
+one in s = log|t|, runs on the sin^2-mapped Gauss panels of
+``weights._sin2_gauss_panels``, between each mode's turning points and the
+fixed breaks, which one lexsort orders for all modes (``_mode_panels``).
 The turning points are bracketed on a probe that ends at the potential's
 support edge, so no bracket straddles its jump, and without a pass per mode:
 at one node the modes with a positive radicand are one run of the sorted
 modes, so each node's run ends, settled by the exact radicand, give every
-sign change (``_mode_brackets``).  Couplings are a batch axis as well: for a ladder of
-(coupling, modes) jobs, one root solve refines every turning point and one
-panel call integrates every panel (``phase_integral_counts``).
+sign change (``_mode_brackets``).  Couplings are a batch axis as well: for a
+ladder of (coupling, modes) jobs, one root solve refines every turning point
+and one panel call integrates every panel (``phase_integral_counts``).
 """
 
 import warnings
@@ -119,13 +114,51 @@ def assemble_mode(
     return ModeOperator(m=int(m), diag=diag(ang - lam * V.e2t_v(ti)), offdiag=off)
 
 
+# the coupling scipy's dpttrf wants of a 1 x 1 matrix
+_NO_COUPLING = np.zeros(1)
+
+
+@cache
+def _lapack():
+    """SciPy's LAPACK routines, dpttrf and dpttrs among them: the extension
+    ``scipy.linalg._flapack``, loaded from its file on first use.  Importing
+    it through ``scipy.linalg`` would cost more than numpy's own import.  A
+    copy already imported is reused, and ``scipy.linalg.lapack``, which
+    holds the same routines, stands in when the file is missing or fails to
+    load."""
+    import os
+    import sys
+    from importlib import machinery, util
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = util.find_spec("scipy")
+    for suffix in machinery.EXTENSION_SUFFIXES if spec else ():
+        path = os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack" + suffix)
+        if not os.path.isfile(path):
+            continue
+        loader = machinery.ExtensionFileLoader(name, path)
+        try:
+            module = util.module_from_spec(util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+        except ImportError:
+            break
+        # the loader may register the module without its package: a later
+        # import of scipy.linalg then imports it afresh, as a submodule
+        if sys.modules.get(name) is module:
+            del sys.modules[name]
+        return module
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def count_negative(op: ModeOperator) -> int:
     """Exact negative-eigenvalue count by LDL^T inertia (Sturm sequence).
 
     A NaN or infinite entry raises ValueError: the count would be meaningless.
     """
-    if not (np.isfinite(op.diag).all() and np.isfinite(op.offdiag).all()):
-        raise ValueError("mode operator entries must be finite")
     return _inertia_counter(op.offdiag)(op.diag)
 
 
@@ -146,77 +179,62 @@ def count_modes(field: RadialField, V: Potential, modes, grid: Grid, lam: float 
     return [count(diag((m - alpha) ** 2 - lv)) for m in modes]
 
 
-# a strong row's margin over the sum of its couplings
-_STRONG = 1.0 + 2.0**-40
-# couplings whose square is a normal double: b*b keeps its relative error
-_TAME = (2.0**-500, 2.0**500)
-
-
 def _inertia_counter(off):
     """The negative-pivot count of the tridiagonal (diag, off) as a function of
-    diag, warning (ZeroPivotWarning) when an exact zero pivot was perturbed.
-
-    The lists of the off-diagonal and of its squares, forward and reversed,
-    its largest square and the bound each row's diagonal must exceed are
-    made once, for every diagonal counted against it.  Row k is *strong*
-    when diag_k > (1 + 2^-40)(|off_{k-1}| + |off_k|) and each of those
-    couplings is 0 or within _TAME; a NaN row never is.
-    A matrix with no weak row counts 0 without a sweep.  Otherwise the sweep
-    runs forward, or over the reversed matrix when the leading strong run is
-    strictly longer than the trailing one, so the longer run comes last.
-    The kernel ends it at the first clamped pivot d >= |b| at or after the
-    last weak row, b the coupling to the next row.
-
-    Why that is exact: let the pivot satisfy d >= |b|, so d > 0 (a clamped
-    pivot is never 0), and let the next row be strong, a > (1 + 2^-40)(|b| +
-    |c|) with c its own coupling.  With b tame, fl(fl(b*b) / d) <= |b|(1 +
-    2^-53)^2, and rounding the strength bound costs at most a factor (1 -
-    2^-53)^2; the 2^-40 margin covers both, so a - fl(b*b / d) > |c| >= 0
-    exactly, and rounding keeps the next pivot >= |c| and nonzero, a clamp
-    to pivmin only raising it.  By induction every later pivot is positive:
-    the skipped rows add no negative and no zero pivot, whatever the grid
-    spacing.  Before the first row, d = 1 against a zero coupling, so a
-    wholly strong matrix counts 0.  pivmin stays that of the whole matrix.
-    """
-    off_list = off.tolist()
-    off_reversed = off_list[::-1]
-    # numpy's squares equal Python's b * b to the bit
-    squares = off * off
-    off2_list = squares.tolist()
-    off2_reversed = off2_list[::-1]
+    diag (``_negative_pivots``), warning (ZeroPivotWarning) when an exact zero
+    pivot was perturbed.  A NaN or infinite entry raises ValueError.  The
+    largest squared coupling, _pivmin's off-diagonal term, is found once for
+    every diagonal counted against off."""
+    if not np.isfinite(off).all():
+        raise ValueError("mode operator entries must be finite")
     # the one entry whose square is _pivmin's off-diagonal term
-    peak = off[[np.argmax(squares)]] if off.size else off
-    n = off.size + 1
-    couplings = np.abs(off)
-    bound = _STRONG * (np.r_[couplings, 0.0] + np.r_[0.0, couplings])
-    # no row next to a coupling outside _TAME (or NaN) is strong
-    wild = ~((couplings == 0.0) | ((couplings >= _TAME[0]) & (couplings <= _TAME[1])))
-    bound[:-1][wild] = np.inf
-    bound[1:][wild] = np.inf
+    peak = off[[np.argmax(off * off)]] if off.size else off
 
     def count(diag):
-        weak = np.flatnonzero(~(diag > bound))
-        if not weak.size:
-            return 0
-        first, last = int(weak[0]), int(weak[-1])
-        if first > n - 1 - last:
-            diag, stop = diag[::-1], n - 1 - first
-            off_sweep, off2_sweep = off_reversed, off2_reversed
-        else:
-            off_sweep, off2_sweep, stop = off_list, off2_list, last
-        # the kernel reads Python floats (IEEE doubles), which a memoryview
-        # hands out one at a time: the same count as on the array, faster
-        neg, zero_pivots = _kernels.tridiag_inertia(
-            memoryview(diag), off_sweep, off2_sweep, _pivmin(diag, peak), stop
-        )
+        if not np.isfinite(diag).all():
+            raise ValueError("mode operator entries must be finite")
+        neg, zero_pivots = _negative_pivots(diag, off, _pivmin(diag, peak))
         if zero_pivots:
             warnings.warn(
                 f"{zero_pivots} exact zero pivot(s) perturbed in inertia count",
                 ZeroPivotWarning,
             )
-        return int(neg)
+        return neg
 
     return count
+
+
+def _negative_pivots(diag, off, pivmin):
+    """(negative pivots, zero pivots) of the LDL^T factorization of the finite
+    tridiagonal (diag, off); by Sylvester's law of inertia the first is the
+    number of negative eigenvalues.  LAPACK's dpttrf runs the recurrence
+    d' = a - (b / d) b until a pivot is not positive, and returns its row.
+    That pivot is counted: an exact zero becomes +pivmin and is reported as
+    perturbed, and one in (-pivmin, 0) becomes -pivmin, so that no quotient
+    b / d overflows.  It is folded into the next row's diagonal, and dpttrf
+    resumes on the rows after it.  A pivot in (0, pivmin) stays as it is: a
+    quotient that overflows makes the next pivot -inf, its sign in exact
+    arithmetic, and the one after it that row's own diagonal."""
+    d, e = np.array(diag, dtype=float), np.array(off, dtype=float)
+    n, row, neg, zero_pivots = d.size, 0, 0, 0
+    dpttrf = _lapack().dpttrf
+    while row < n:
+        # the rows from row on, factored in place up to the failing one
+        # (overwrite_d and overwrite_e, passed by position)
+        pivots, _, info = dpttrf(d[row:], e[row:] if row < n - 1 else _NO_COUPLING, 1, 1)
+        if not info:
+            break
+        row += info
+        pivot = float(pivots[info - 1])
+        if pivot == 0.0:
+            pivot, zero_pivots = pivmin, zero_pivots + 1
+        else:
+            pivot, neg = min(pivot, -pivmin), neg + 1
+        if row < n:
+            # the failing row's coupling, which dpttrf leaves as it was
+            b = float(e[row - 1])
+            d[row] -= b / pivot * b
+    return neg, zero_pivots
 
 
 def _pivmin(diag, off):
@@ -236,11 +254,15 @@ def mode_truncation(field: RadialField, V: Potential, grid: Grid, lam: float = 1
     Modes beyond M see a pointwise nonnegative form and contribute no
     negative eigenvalues.  Raises NoTruncation when the claimed-forbidden
     modes are not actually forbidden at the grid edges (potential decaying
-    too slowly for this domain).
+    too slowly for this domain).  Raises DomainError where lam e^{2t} V_+ is
+    not finite.
     """
     _check_coupling(lam)
     t = grid.t
     vt = lam * V.vplus_density(t)
+    bad = ~np.isfinite(vt)
+    if bad.any():
+        raise DomainError(f"lam e^(2t) V_+ is not finite at t = {float(t[bad][0])!r}")
     if not np.any(vt > 0):
         return 0
     v_max = float(np.max(vt))
@@ -396,16 +418,6 @@ def _warm_bracket(pencil, rho):
         if sigma == 0.0:
             raise ValueError("K must be symmetric tridiagonal positive definite")
         hi, offset = sigma, 16.0 * offset
-
-
-# the coupling scipy's dpttrf wants of a 1 x 1 matrix
-_NO_COUPLING = np.zeros(1)
-
-
-@cache
-def _lapack():  # imported on first use: slow to import, and only Hardy solves need it
-    from scipy.linalg import lapack
-    return lapack
 
 
 def _factor(kdiag, off, mass, mu):

@@ -626,6 +626,23 @@ def test_config_type_errors_exit_1(tmp_path, capsys, config, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_count_with_a_non_finite_custom_potential_exits_1(tmp_path, capsys, value):
+    # a NaN in the table once printed total 0 and exited 0, and an inf ended
+    # in an OverflowError traceback
+    table = tmp_path / "v.txt"
+    table.write_text(f"-2 0\n-1 {value}\n0 0\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"potential": {"kind": "custom", "path": str(table)}}))
+    argv = ["--config", str(cfg), "count", "--lambda", "10", "--method", "inertia",
+            "--t-min", "-4", "--t-max", "1", "--grid", "200", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: ValueError: custom potential samples must be finite"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_import_loads_no_scipy_submodule():
     # a fresh interpreter: scipy is imported only inside the functions that use it
     heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg")
@@ -635,3 +652,61 @@ def test_import_loads_no_scipy_submodule():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _run_child(code):
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+_LAPACK_OUTPUTS = """
+def outputs(lapack):
+    rng = np.random.default_rng(3)
+    d, e, b = 4.0 + rng.random(50), rng.normal(size=49), rng.normal(size=50)
+    d[7] = -1.0  # a failing row as well
+    ok = lapack.dpttrf(d[:7], e[:6])
+    return [np.asarray(x).tobytes() for x in (*lapack.dpttrf(d, e), *ok, *lapack.dpttrs(*ok[:2], b[:7]))]
+"""
+
+
+def test_count_and_hardy_load_lapack_without_scipy_linalg():
+    # the direct load of scipy.linalg._flapack: not the package, and not a
+    # copy already in sys.modules; a later import of scipy.linalg gives the
+    # same routines, byte for byte
+    code = f"""
+import sys
+import numpy as np
+import maghardy as mh
+from maghardy import spectral
+{_LAPACK_OUTPUTS}
+grid = mh.Grid.auto(-400.0, 0.5, 600)
+mh.count_total(mh.BumpField(0.5), mh.VSigma(2.0), 20.0, grid, "inertia")
+mh.hardy_constant(mh.BumpField(0.5), mh.LogSquaredWeight(), mh.Grid.uniform(-8.0, 8.0, 101))
+lapack = spectral._lapack()
+print(lapack.__name__, type(lapack.__spec__.loader).__name__)
+print([m for m in sys.modules if m.startswith("scipy.linalg")])
+direct = outputs(lapack)
+import scipy.linalg.lapack
+print(direct == outputs(scipy.linalg.lapack), scipy.linalg.lapack.dpttrf is lapack.dpttrf)
+"""
+    assert _run_child(code) == ["scipy.linalg._flapack", "ExtensionFileLoader", "[]", "True", "True"]
+
+
+def test_lapack_falls_back_to_scipy_linalg_without_the_extension_file():
+    # then, with scipy.linalg imported, a fresh lookup reuses its extension
+    code = """
+import importlib.machinery
+import sys
+from maghardy import spectral
+suffixes = importlib.machinery.EXTENSION_SUFFIXES
+importlib.machinery.EXTENSION_SUFFIXES = [".missing"]
+lapack = spectral._lapack()
+print(lapack.__name__, lapack.dpttrf is sys.modules["scipy.linalg._flapack"].dpttrf)
+importlib.machinery.EXTENSION_SUFFIXES = suffixes
+spectral._lapack.cache_clear()
+print(spectral._lapack() is sys.modules["scipy.linalg._flapack"])
+"""
+    assert _run_child(code) == ["scipy.linalg.lapack", "True", "True"]

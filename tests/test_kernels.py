@@ -1,7 +1,7 @@
-"""The scalar kernels against LAPACK counts, closed forms and the
-recurrences they replaced."""
+"""The Pruefer kernel against its reference stepper and closed forms; the
+LAPACK inertia count against LAPACK and dense counts and a mirror of
+dpttrf's recurrence."""
 
-import warnings
 from bisect import bisect_left
 from math import cos, sin
 
@@ -13,15 +13,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 import maghardy as mh
 from maghardy import _kernels, spectral
-from maghardy.errors import ZeroPivotWarning
-from maghardy.spectral import _pivmin
-
-
-def _squares(off):
-    """The squared couplings spectral hands the kernel: numpy's off * off."""
-    off = np.asarray(off, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (off * off).tolist()
+from maghardy.spectral import ModeOperator, _negative_pivots, _pivmin
 
 
 def _lapack_negatives(d, e):
@@ -73,7 +65,7 @@ def test_inertia_matches_lapack(mat):
     d, e = mat
     want = _lapack_negatives(d, e)
     if want is not None:
-        assert _kernels.tridiag_inertia(d, e, _squares(e), _pivmin(d, e))[0] == want
+        assert _negative_pivots(d, e, _pivmin(d, e))[0] == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -82,7 +74,7 @@ def test_inertia_near_zero_pivots_matches_lapack(mat):
     d, e = mat
     want = _lapack_negatives(d, e)
     if want is not None:
-        assert _kernels.tridiag_inertia(d, e, _squares(e), _pivmin(d, e))[0] == want
+        assert _negative_pivots(d, e, _pivmin(d, e))[0] == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,61 +96,54 @@ def test_shifted_inertia_matches_lapack(mats, mu):
     shifted = kd - mu * md
     want = _lapack_negatives(shifted, e)
     if want is not None:
-        assert _kernels.tridiag_inertia(shifted, e, _squares(e), _pivmin(kd, e))[0] == want
+        assert _negative_pivots(shifted, e, _pivmin(kd, e))[0] == want
 
 
-def _reference_inertia(diag, off, pivmin):
-    """The indexed LDL^T loop the kernel replaced, kept as its oracle."""
-    n = len(diag)
-    neg = 0
-    zero_pivots = 0
-    low = -pivmin  # -pivmin < d < pivmin is abs(d) < pivmin, NaN and inf included
-    d = diag[0]
-    if d == 0.0:
-        d = pivmin
-        zero_pivots += 1
-    elif low < d < pivmin:
-        d = pivmin if d > 0.0 else low
-    if d < 0.0:
-        neg += 1
-    for i in range(1, n):
-        d = diag[i] - off[i - 1] * off[i - 1] / d
+def _dpttrf_inertia(diag, off, pivmin):
+    """(negative pivots, zero pivots) of the LDL^T recurrence as LAPACK's
+    dpttrf computes it, e = b / d and d' = a - e b, on Python floats, with a
+    pivot that is not positive clamped as ``spectral._negative_pivots``
+    clamps it: an exact zero to +pivmin, reported, and one in (-pivmin, 0)
+    to -pivmin.  The counter's oracle, and the Hardy certificate's in
+    tests/test_mpmath_oracles.py, written apart from LAPACK."""
+    diag, off = [float(a) for a in diag], [float(b) for b in off]
+    neg = zero_pivots = 0
+    # a zero coupling ahead of the first row makes its pivot a - 0 = a
+    d = 1.0
+    for a, b in zip(diag, [0.0, *off]):
+        d = a - (b / d) * b
         if d == 0.0:
-            d = pivmin
-            zero_pivots += 1
-        elif low < d < pivmin:
-            d = pivmin if d > 0.0 else low
-        if d < 0.0:
-            neg += 1
+            d, zero_pivots = pivmin, zero_pivots + 1
+        elif d < 0.0:
+            d, neg = min(d, -pivmin), neg + 1
     return neg, zero_pivots
 
 
 # "+piv" and "-piv" stand for +-pivmin, so that pivots land on it exactly
 _EDGE_ENTRIES = st.one_of(
-    st.sampled_from(
-        [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, np.nan, np.inf, -np.inf, "+piv", "-piv"]
-    ),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, "+piv", "-piv"]),
     st.floats(-1e3, 1e3),
-    st.floats(),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
 @st.composite
 def _edge_tridiagonals(draw):
-    """Entries at the recurrence's edges: zeros, subnormals, NaN, +-inf and
-    +-pivmin itself, in both the diagonal and the couplings; couplings are
-    often zero, so that a drawn +-pivmin reaches the pivot unchanged."""
+    """Finite entries at the recurrence's edges: zeros, subnormals, the
+    largest doubles and +-pivmin itself, in both the diagonal and the
+    couplings; couplings are often zero, so that a drawn +-pivmin reaches
+    the pivot unchanged."""
     n = draw(st.integers(1, 12))
     d = draw(st.lists(_EDGE_ENTRIES, min_size=n, max_size=n))
     e = draw(st.lists(st.one_of(st.just(0.0), _EDGE_ENTRIES), min_size=n - 1, max_size=n - 1))
 
     def values(xs, piv):
-        return [{"+piv": piv, "-piv": -piv}.get(x, x) if isinstance(x, str) else x for x in xs]
+        return np.array([{"+piv": piv, "-piv": -piv}.get(x, x) if isinstance(x, str) else x for x in xs])
 
     pivmin = draw(st.sampled_from(["_pivmin", 1e-290, 1.0]))
     if pivmin == "_pivmin":
-        with np.errstate(over="ignore", invalid="ignore"):
-            pivmin = _pivmin(np.array(values(d, 0.0)), np.array(values(e, 0.0)))
+        with np.errstate(over="ignore"):
+            pivmin = _pivmin(values(d, 0.0), values(e, 0.0))
     return values(d, pivmin), values(e, pivmin), pivmin
 
 
@@ -166,98 +151,35 @@ def _edge_tridiagonals(draw):
 @given(_edge_tridiagonals())
 def test_inertia_equals_reference_recurrence(mat):
     d, e, pivmin = mat
-    want = _reference_inertia(d, e, pivmin)
-    # the reference squares each coupling in Python, the kernel reads numpy's
-    # squares, which are the same to the bit
-    assert np.array(_squares(e)).tobytes() == np.array([b * b for b in e], dtype=float).tobytes()
-    assert _kernels.tridiag_inertia(d, e, _squares(e), pivmin) == want
-    # the library hands the diagonal over as a memoryview of an array
-    assert _kernels.tridiag_inertia(memoryview(np.array(d)), e, _squares(e), pivmin) == want
+    assert _negative_pivots(d, e, pivmin) == _dpttrf_inertia(d, e, pivmin)
 
 
 def test_inertia_empty_matrix():
     # a 0x0 matrix has no negative eigenvalue
-    assert _kernels.tridiag_inertia([], [], [], 1e-290) == (0, 0)
-    assert _kernels.tridiag_inertia(memoryview(np.zeros(0)), [], [], 1.0) == (0, 0)
+    assert _negative_pivots(np.zeros(0), np.zeros(0), 1e-290) == (0, 0)
+    assert mh.count_negative(ModeOperator(0, np.zeros(0), np.zeros(0))) == 0
 
 
 def test_zero_pivot_counted_nonnegative():
     # matrix diag(0): the zero pivot is perturbed positive and reported
-    d = np.zeros(3)
-    e = np.zeros(2)
-    neg, zero_pivots = _kernels.tridiag_inertia(d, e, _squares(e), 1e-290)
-    assert neg == 0 and zero_pivots == 3
+    assert _negative_pivots(np.zeros(3), np.zeros(2), 1e-290) == (0, 3)
 
 
-def _strong_rows(diag, off):
-    """The strong-row rule written out row by row: diag_k exceeds
-    (1 + 2^-40)(|off_{k-1}| + |off_k|), and each of those couplings is 0 or
-    between 2^-500 and 2^500 in magnitude."""
-    n = len(diag)
-
-    def tame(b):
-        return b == 0.0 or 2.0**-500 <= abs(b) <= 2.0**500
-
-    out = []
-    for k in range(n):
-        left = float(off[k - 1]) if k > 0 else 0.0
-        right = float(off[k]) if k < n - 1 else 0.0
-        bound = (1.0 + 2.0**-40) * (abs(left) + abs(right))
-        out.append(tame(left) and tame(right) and float(diag[k]) > bound)
-    return out
-
-
-def _planned_sweep(diag, off):
-    """(diag, off, stop) of the sweep the orientation rule asks for, or None
-    for a matrix with no weak row."""
-    strong = _strong_rows(diag, off)
-    if all(strong):
-        return None
-    n = len(diag)
-    first, last = strong.index(False), n - 1 - strong[::-1].index(False)
-    if first > n - 1 - last:
-        return diag[::-1], off[::-1], n - 1 - first
-    return diag, off, last
-
-
-def _count_with_kernel_calls(diag, off):
-    """spectral's count of (diag, off) and each kernel call it made, as
-    (diag, off, off2, pivmin, stop, result)."""
-    kernel, calls = _kernels.tridiag_inertia, []
-
-    def recording(d, e, e2, pivmin, stop=None):
-        result = kernel(d, e, e2, pivmin, stop)
-        calls.append((np.array(d), np.array(e), np.array(e2), pivmin, stop, result))
-        return result
-
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        warnings.simplefilter("ignore", ZeroPivotWarning)
-        mp.setattr(_kernels, "tridiag_inertia", recording)
-        with np.errstate(over="ignore", invalid="ignore"):
-            neg = spectral._inertia_counter(off)(diag)
-    return neg, calls
-
-
-def _assert_exit_equals_full_sweep(diag, off):
-    diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
-    neg, calls = _count_with_kernel_calls(diag, off)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pivmin = _pivmin(diag, off)
-    plan = _planned_sweep(diag, off)
-    if plan is None:
-        # no sweep at all, and the full forward sweep finds nothing either
-        assert calls == [] and neg == 0
-        assert _reference_inertia(diag.tolist(), off.tolist(), pivmin) == (0, 0)
-        return
-    want_diag, want_off, want_stop = plan
-    [(got_diag, got_off, got_off2, got_pivmin, stop, result)] = calls
-    assert got_diag.tobytes() == want_diag.tobytes()
-    assert got_off.tobytes() == want_off.tobytes()
-    assert got_off2.tobytes() == np.array(_squares(want_off)).tobytes()
-    assert (got_pivmin, stop) == (pivmin, want_stop)
-    # the early exit counts what the full sweep of the same orientation counts
-    assert result == _reference_inertia(want_diag.tolist(), want_off.tolist(), pivmin)
-    assert neg == result[0]
+@pytest.mark.parametrize(
+    "diag, off, negatives",
+    [
+        # det = 1e-310 - 1e-300 < 0; clamping the first pivot up to pivmin
+        # = 1e-292 once counted 0
+        ([1e-310, 1.0], [1e-150], 1),
+        # det = b (2.1e-162 - b) > 0; b * b, subnormal, rounds up by 23%, and
+        # squaring b before dividing once counted 1
+        ([2e-162, 2.1e-162], [2e-162], 0),
+    ],
+    ids=["subnormal-pivot", "subnormal-square"],
+)
+def test_count_follows_the_exact_determinant_at_pivmin_scale(diag, off, negatives):
+    op = ModeOperator(0, np.array(diag), np.array(off))
+    assert mh.count_negative(op) == negatives
 
 
 _FIELDS = st.one_of(
@@ -288,40 +210,6 @@ def _assembled_modes(draw, max_n=400):
     return op.diag, op.offdiag
 
 
-_SPECIAL_ROWS = [0.0, -0.0, np.inf, -np.inf, np.nan, -1.0, 1e-300, 5e-324]
-_SPECIAL_COUPLINGS = [0.0, -0.0, np.nan, np.inf, 2e-162, 1e-170, 1e200, 2.0**-500, 2.0**500]
-
-
-@st.composite
-def _dominant_runs(draw):
-    """Rows at, just above and just below the strong bound, with zero,
-    +-inf, NaN and negative rows, and couplings that are zero, non-finite,
-    or so small or large that their square leaves the normal range."""
-    n = draw(st.integers(1, 40))
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    off = scale * rng.normal(size=n - 1)
-    for k in draw(st.sets(st.integers(0, max(n - 2, 0)), max_size=4)) if n > 1 else ():
-        off[k] = draw(st.sampled_from(_SPECIAL_COUPLINGS)) * draw(st.sampled_from([1.0, -1.0]))
-    factors = st.sampled_from([0.5, 1.0, 1.0 + 2.0**-41, 2.0, 10.0])
-    factors = np.array(draw(st.lists(factors, min_size=n, max_size=n)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        couplings = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
-        diag = (1.0 + 2.0**-40) * couplings * factors
-    nudge = draw(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=n, max_size=n))
-    diag = np.where(np.array(nudge) > 0, np.nextafter(diag, np.inf), diag)
-    diag = np.where(np.array(nudge) < 0, np.nextafter(diag, -np.inf), diag)
-    for k in draw(st.sets(st.integers(0, n - 1), max_size=4)):
-        diag[k] = draw(st.sampled_from(_SPECIAL_ROWS))
-    return diag, off
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(_assembled_modes(), _dominant_runs(), _edge_tridiagonals().map(lambda m: m[:2])))
-def test_early_exit_equals_full_sweep_of_same_orientation(mat):
-    _assert_exit_equals_full_sweep(*mat)
-
-
 def _dense(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
@@ -334,29 +222,6 @@ def test_mode_count_matches_dense_eigvalsh(mat):
     scale = max(1.0, float(np.max(np.abs(w))))
     if np.min(np.abs(w)) >= 1e-8 * scale:
         assert spectral._inertia_counter(off)(diag) == int(np.sum(w < 0.0))
-
-
-def test_negative_pivot_right_after_last_weak_row():
-    # row 0 is weak, rows 1 and 2 are strong, and row 1's pivot is
-    # 3 - 1 / 0.01 < 0: ending the sweep at the last weak row would miss it
-    diag, off = np.array([0.01, 3.0, 3.0]), np.array([1.0, 1.0])
-    assert _strong_rows(diag, off) == [False, True, True]
-    pivmin = _pivmin(diag, off)
-    assert _kernels.tridiag_inertia(diag[:1], off[:0], [], pivmin) == (0, 0)
-    assert _kernels.tridiag_inertia(diag, off.tolist(), _squares(off), pivmin, 0) == (1, 0)
-    assert spectral._inertia_counter(off)(diag) == 1
-    assert int(np.sum(np.linalg.eigvalsh(_dense(diag, off)) < 0.0)) == 1
-    _assert_exit_equals_full_sweep(diag, off)
-
-
-def test_coupling_with_subnormal_square_keeps_rows_weak():
-    # b * b = 4e-324 rounds up by 23%, so the next pivot 2.1e-162 - b * b / d
-    # is negative though the row exceeds the strong bound
-    b = 2e-162
-    diag, off = np.array([b, 2.1e-162]), np.array([b])
-    assert _strong_rows(diag, off) == [False, False]
-    assert _kernels.tridiag_inertia(diag, off.tolist(), _squares(off), _pivmin(diag, off)) == (1, 0)
-    _assert_exit_equals_full_sweep(diag, off)
 
 
 def test_prufer_harmonic_oscillator_node_count():

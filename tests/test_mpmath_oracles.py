@@ -15,8 +15,10 @@ import pytest
 
 import maghardy as mh
 from maghardy.profiles import ZeroPotential
-from maghardy.spectral import ModeOperator, _lumps, assemble_mode, smallest_generalized_mu
+from maghardy.spectral import _lumps, _pivmin, assemble_mode, smallest_generalized_mu
 from maghardy.weights import level_measure
+
+from test_kernels import _dpttrf_inertia
 
 RTOL = 1e-13
 
@@ -166,6 +168,10 @@ def test_smallest_generalized_mu_matches_mpmath_sturm_bisection(case):
     with mp.workdps(40):
         exact = _sturm_mu(kdiag, off, mass, 2.0 * mu)
         assert abs(mp.mpf(mu) - exact) <= 1e-12 * exact, (mu, exact)
-    # the library's pure-Python LDL^T certifies it from both sides
-    count = lambda shift: mh.count_negative(ModeOperator(m, kdiag - shift * mass, off))
+    # the test-side mirror of dpttrf's recurrence certifies it from both
+    # sides, apart from the dpttrf the solve and count_negative both run
+    def count(shift):
+        shifted = kdiag - shift * mass
+        return _dpttrf_inertia(shifted, off, _pivmin(shifted, off))[0]
+
     assert count(mu * (1.0 - 1e-11)) == 0 and count(mu * (1.0 + 1e-11)) >= 1

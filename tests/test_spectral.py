@@ -198,20 +198,18 @@ _GAUSS = mh.GaussianWell(1.3, 0.8)
 def test_count_modes_equals_count_negative_per_mode(
     monkeypatch, field, V, grid, lam, zero_pivots
 ):
-    # the kernel sees the same diagonal, off-diagonal and pivmin, to the bit,
+    # the counter sees the same diagonal, off-diagonal and pivmin, to the bit,
     # and pivmin is _pivmin's on the whole matrix
-    kernel, inputs = _kernels.tridiag_inertia, []
+    counter, inputs = mh.spectral._negative_pivots, []
 
-    def recording(diag, off, off2, pivmin, stop=None):
-        diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+    def recording(diag, off, pivmin):
         assert pivmin == _pivmin(diag, off)
         digest = hashlib.sha256(diag.tobytes())
         digest.update(off.tobytes())
-        digest.update(np.asarray(off2, dtype=float).tobytes())
         inputs.append((digest.hexdigest(), pivmin))
-        return kernel(diag, off.tolist(), off2, pivmin, stop)
+        return counter(diag, off, pivmin)
 
-    monkeypatch.setattr(_kernels, "tridiag_inertia", recording)
+    monkeypatch.setattr(mh.spectral, "_negative_pivots", recording)
     m_max = mh.mode_truncation(field, V, grid, lam)
     modes = list(range(-m_max - 1, m_max + 2))
     many = _with_zero_pivot_warnings(lambda: count_modes(field, V, modes, grid, lam))
@@ -437,6 +435,28 @@ def test_count_negative_rejects_non_finite_operator(diag, off):
     op = ModeOperator(0, np.array(diag), np.array(off))
     with pytest.raises(ValueError, match="mode operator entries must be finite"):
         mh.count_negative(op)
+
+
+# infinite at the nodes with |t| < 0.5, zero elsewhere
+_INFINITE_WELL = mh.profiles.CallablePotential(lambda t: np.where(np.abs(t) < 0.5, np.inf, 0.0))
+
+
+def test_count_modes_rejects_non_finite_rows():
+    # rows with a diagonal of -inf once counted [39] here, while count_negative
+    # raised on the same rows
+    field, grid = mh.BumpField(0.5), mh.Grid.uniform(-8.0, 2.0, 401)
+    with pytest.raises(ValueError, match="mode operator entries must be finite"):
+        count_modes(field, _INFINITE_WELL, [0], grid, 10.0)
+    with pytest.raises(ValueError, match="mode operator entries must be finite"):
+        mh.count_negative(assemble_mode(field, _INFINITE_WELL, 0, grid, 10.0))
+
+
+@pytest.mark.parametrize("method", ["inertia", "prufer", "phase"])
+def test_count_total_rejects_an_infinite_potential(method):
+    # mode_truncation once ended every method with an OverflowError
+    grid = mh.Grid.uniform(-8.0, 2.0, 401)
+    with pytest.raises(DomainError, match=r"lam e\^\(2t\) V_\+ is not finite at t = -0\.4"):
+        mh.count_total(mh.BumpField(0.5), _INFINITE_WELL, 10.0, grid, method)
 
 
 def test_hardy_constant_rejects_negative_refinement_and_empty_modes():

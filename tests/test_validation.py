@@ -11,7 +11,16 @@ _NOT_INCREASING = "grid nodes must be strictly increasing"
 _STRADDLES = "geometric grid cannot straddle or touch t = 0"
 _NEEDS_GRID = "inertia and oscillation methods require a grid"
 _CUT = "cut list entries are |t_cut| values and must be positive"
-_NAN_FIELD = mh.CustomField(np.array([0.0, 1.0]), np.array([np.nan, 0.0]), "regular")
+_FIELD_NOT_FINITE = "custom field samples must be finite"
+_POTENTIAL_NOT_FINITE = "custom potential samples must be finite"
+
+
+def _hardy_of_overflowing_flux():
+    """Finite samples whose flux overflows: alpha, and every mode's K, are
+    infinite."""
+    field = mh.CustomField(np.array([0.0, 1.0]), np.array([1e308, 1e308]), "regular")
+    with np.errstate(over="ignore"):
+        return mh.hardy_constant(field, mh.LogSquaredWeight(), mh.Grid.uniform(-2, 2, 41))
 
 
 def _ladder(grid, method):
@@ -61,10 +70,20 @@ CASES = [
     pytest.param(lambda: mh.hardy_constant(mh.BumpField(0.5), mh.LogSquaredWeight(),
                                            mh.Grid.uniform(-8, 8, 201), [0.5, -0.5], 0),
                  ValueError, "modes must be integers", id="hardy-non-integer-modes"),
-    # a NaN flux density makes alpha, and every mode's K, NaN
-    pytest.param(lambda: mh.hardy_constant(_NAN_FIELD, mh.LogSquaredWeight(), mh.Grid.uniform(-2, 2, 41)),
-                 ValueError, "pencil entries must be finite and the masses nonnegative",
+    pytest.param(_hardy_of_overflowing_flux, ValueError, "pencil entries must be finite and the masses nonnegative",
                  id="hardy-non-finite-field"),
+    # a NaN in a potential's table once made `count --method inertia` print
+    # total 0, and an inf ended every count method with an OverflowError
+    pytest.param(lambda: mh.CustomPotential(np.array([0.0, 1.0]), np.array([np.nan, 1.0])),
+                 ValueError, _POTENTIAL_NOT_FINITE, id="custom-potential-nan"),
+    pytest.param(lambda: mh.CustomPotential(np.array([0.0, 1.0]), np.array([1.0, np.inf])),
+                 ValueError, _POTENTIAL_NOT_FINITE, id="custom-potential-inf"),
+    pytest.param(lambda: mh.CustomPotential(np.array([0.0, np.inf]), np.array([1.0, 1.0])),
+                 ValueError, _POTENTIAL_NOT_FINITE, id="custom-potential-inf-t"),
+    pytest.param(lambda: mh.CustomField(np.array([0.0, 1.0]), np.array([np.nan, 0.0]), "regular"),
+                 ValueError, _FIELD_NOT_FINITE, id="custom-field-nan"),
+    pytest.param(lambda: mh.CustomField(np.array([0.0, 1.0]), np.array([0.0, -np.inf]), "regular"),
+                 ValueError, _FIELD_NOT_FINITE, id="custom-field-inf"),
 ]
 
 

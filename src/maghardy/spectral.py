@@ -12,7 +12,12 @@ importing scipy.linalg (``_lapack``).
 A count is the number of negative pivots (Sylvester's law of inertia), exact
 for the matrix: dpttrf stops at each pivot that is not positive, which is
 counted, clamped away from zero and folded into the next row, and resumes
-after it (``_negative_pivots``).  A Hardy minimum is the lowest generalized
+after it (``_negative_pivots``).  It sweeps only the rows that can change the
+count: from the end with the shorter run of strong (diagonally dominant)
+rows, through the last weak row, to the first pivot that dominates its
+coupling, after which no pivot can be negative or zero
+(``_inertia_counter``).  Per mode, ``count_modes`` assembles only the rows
+that sweep reads.  A Hardy minimum is the lowest generalized
 eigenvalue of a mode against a lumped weight mass on the last refinement
 level, returned as the least double at which dpttrf of K - mu M fails,
 whatever path found it.  ``_approach`` brackets it and closes in on it by
@@ -40,7 +45,7 @@ and one panel call integrates every panel (``phase_integral_counts``).
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -81,13 +86,11 @@ def _lumps(grid: Grid) -> np.ndarray:
 
 
 def _mode_terms(grid: Grid):
-    """The interior nodes, the off-diagonal and the diagonal stiff + q * lump
-    as a function of q = (m - alpha)^2 - lam e^{2t} V: every mode's matrix of
-    the grid, bit for bit, whichever function assembles it."""
+    """The interior nodes, the off-diagonal, and the stiffness and lumps of
+    the diagonal stiff + q * lump, q = (m - alpha)^2 - lam e^{2t} V: every
+    mode's matrix of the grid, bit for bit, whichever function assembles it."""
     h = grid.steps
-    stiff = 1.0 / h[:-1] + 1.0 / h[1:]
-    lump = _lumps(grid)
-    return grid.t[1:-1], -1.0 / h[1:-1], lambda q: stiff + q * lump
+    return grid.t[1:-1], -1.0 / h[1:-1], 1.0 / h[:-1] + 1.0 / h[1:], _lumps(grid)
 
 
 def assemble_mode(
@@ -106,12 +109,12 @@ def assemble_mode(
     """
     _check_coupling(lam)
     _check_modes(m)
-    ti, off, diag = _mode_terms(grid)
+    ti, off, stiff, lump = _mode_terms(grid)
     if angular_override is None:
         ang = (m - field.alpha(ti)) ** 2
     else:
         ang = np.broadcast_to(np.asarray(angular_override, dtype=float), ti.shape)
-    return ModeOperator(m=int(m), diag=diag(ang - lam * V.e2t_v(ti)), offdiag=off)
+    return ModeOperator(m=int(m), diag=stiff + (ang - lam * V.e2t_v(ti)) * lump, offdiag=off)
 
 
 # the coupling scipy's dpttrf wants of a 1 x 1 matrix
@@ -157,9 +160,25 @@ def _lapack():
 def count_negative(op: ModeOperator) -> int:
     """Exact negative-eigenvalue count by LDL^T inertia (Sturm sequence).
 
+    The count runs on the rows that can change it (``_inertia_counter``): a
+    matrix with no weak row counts 0 without a sweep; otherwise dpttrf sweeps
+    from the end with the shorter strong run, through the last weak row, and
+    stops at the first pivot that dominates its coupling to the next row.
+
     A NaN or infinite entry raises ValueError: the count would be meaningless.
     """
-    return _inertia_counter(op.offdiag)(op.diag)
+    return _count_diagonal(_inertia_counter(op.offdiag), op.diag)
+
+
+def _count_diagonal(counter, diag):
+    """The count of an assembled diagonal against the counter's couplings."""
+    bound, peak, count = counter
+    if not np.isfinite(diag).all():
+        raise ValueError("mode operator entries must be finite")
+    weak = np.flatnonzero(diag <= bound)
+    if not weak.size:
+        return 0
+    return count(weak[0], weak[-1], lambda reverse: (diag[::-1] if reverse else diag, None), _pivmin(diag, peak))
 
 
 def count_modes(field: RadialField, V: Potential, modes, grid: Grid, lam: float = 1.0) -> list[int]:
@@ -167,33 +186,171 @@ def count_modes(field: RadialField, V: Potential, modes, grid: Grid, lam: float 
     V, m, grid, lam))`` for each m in ``modes``.
 
     Everything that does not depend on the mode (alpha, the potential and
-    ``_mode_terms``) is evaluated once.
+    ``_mode_terms``) is evaluated once, and each mode's diagonal only on the
+    rows its sweep reads (``_inertia_counter``).  Every IEEE operation of
+    stiff + ((m - alpha)^2 - lam e^{2t} V) lump is monotone in |m - alpha|,
+    which gives bounds shared by all modes:
+
+    - Row by row, no listed mode's diagonal lies below that of the integer
+      nearest alpha in the listed range (of alpha itself, clipped to it, when
+      a mode is not an integer).  Each mode looks for its weak rows only in
+      the hull of that diagonal's weak rows, and a mode above (below) alpha
+      on every row only in the weak rows of the listed mode next nearer
+      alpha on that side.
+    - The same chain of operations on max |m| + max |alpha|, max |lam e^{2t}
+      V| and the largest stiffness and lump bounds every entry of every
+      mode.  When it is finite, so is every diagonal, and it is a ceiling on
+      every mode's pivmin: a mode's own pivmin, that of its whole matrix, is
+      assembled only for a pivot that is 0 or above minus the ceiling.  When
+      it is not finite, each mode's whole diagonal is assembled and checked,
+      as ``count_negative`` checks it.
     """
     _check_coupling(lam)
     modes = list(modes)
     _check_modes(modes)
-    ti, off, diag = _mode_terms(grid)
+    ti, off, stiff, lump = _mode_terms(grid)
     alpha = field.alpha(ti)
     lv = lam * V.e2t_v(ti)
-    count = _inertia_counter(off)
-    return [count(diag((m - alpha) ** 2 - lv)) for m in modes]
+    counter = bound, peak, count = _inertia_counter(off)
+    n = ti.size
+
+    def diag(m):
+        return stiff + ((m - alpha) ** 2 - lv) * lump
+
+    if not modes:
+        return []
+    listed = np.asarray(modes, dtype=float)
+    low, high = float(alpha.min()), float(alpha.max())
+    reach = float(np.abs(listed).max()) + max(high, -low)
+    largest = float(stiff.max()) + (reach * reach + max(float(lv.max()), -float(lv.min()))) * float(lump.max())
+    if not np.isfinite(largest):
+        return [_count_diagonal(counter, diag(m)) for m in modes]
+    ceiling = _pivmin(np.array([largest]), peak)
+    nearest = np.rint(alpha) if (listed == np.rint(listed)).all() else alpha
+    weak = diag(nearest.clip(listed.min(), listed.max())) <= bound
+    lo = int(weak.argmax())
+    if not weak[lo]:
+        return [0] * len(modes)
+    hi = n - int(weak[::-1].argmax())
+    # the mode-independent terms and buffers, in both sweep orientations
+    terms = (stiff, alpha, lv, lump)
+    oriented = (terms, tuple(x[::-1] for x in terms))
+    buffers = (np.empty(n), np.empty(n))
+
+    def assemble(m, reverse, out, a, b):
+        # stiff + ((m - alpha)^2 - lv) lump on the oriented rows [a, b), to the bit
+        s, al, v, u = oriented[reverse]
+        o = out[a:b]
+        np.subtract(m, al[a:b], out=o)
+        np.square(o, out=o)
+        np.subtract(o, v[a:b], out=o)
+        np.multiply(o, u[a:b], out=o)
+        np.add(s[a:b], o, out=o)
+
+    def rows(m, a, b, reverse):
+        # the sweep's buffer for mode m, its rows [a, b) in place, and the
+        # function that assembles the others
+        d = buffers[reverse]
+        start, end = (n - b, n - a) if reverse else (a, b)
+        if reverse:
+            d[start:end] = buffers[0][a:b][::-1]
+
+        def fill(x, y):
+            for x, y in ((x, min(y, start)), (max(x, end), y)):
+                if x < y:
+                    assemble(m, reverse, d, x, y)
+
+        return d, fill
+
+    def pivmin(m):
+        return _pivmin(diag(m), peak)
+
+    # outward from alpha: on either side, each mode searches only the weak
+    # rows of the one before it
+    side = [int(m >= high) - int(m <= low) for m in modes]
+    spans, counts = {}, [0] * len(modes)
+    for i in sorted(range(len(modes)), key=lambda i: abs(modes[i] - (low + high) / 2)):
+        m = modes[i]
+        a, b = spans.get(side[i], (lo, hi))
+        if a == b:
+            continue
+        # those rows, assembled once for the weak test and the sweep
+        assemble(m, False, buffers[0], a, b)
+        weak = buffers[0][a:b] <= bound[a:b]
+        first = int(weak.argmax())
+        if not weak[first]:
+            if side[i]:
+                spans[side[i]] = (a, a)
+            continue
+        last = b - 1 - int(weak[::-1].argmax())
+        if side[i]:
+            spans[side[i]] = (a + first, last + 1)
+        counts[i] = count(a + first, last, partial(rows, m, a, b), partial(pivmin, m), ceiling)
+    return counts
+
+
+# a strong row's margin over the sum of its couplings
+_STRONG = 1.0 + 2.0**-40
+# couplings whose square is a normal double: a row beside any other nonzero
+# coupling is weak
+_TAME = (2.0**-500, 2.0**500)
+# rows a sweep first takes past the last weak row before it looks for its stop
+_PAST_LAST = 64
 
 
 def _inertia_counter(off):
-    """The negative-pivot count of the tridiagonal (diag, off) as a function of
-    diag (``_negative_pivots``), warning (ZeroPivotWarning) when an exact zero
-    pivot was perturbed.  A NaN or infinite entry raises ValueError.  The
-    largest squared coupling, _pivmin's off-diagonal term, is found once for
-    every diagonal counted against off."""
-    if not np.isfinite(off).all():
-        raise ValueError("mode operator entries must be finite")
-    # the one entry whose square is _pivmin's off-diagonal term
-    peak = off[[np.argmax(off * off)]] if off.size else off
+    """(strong-row bound, peak coupling, count) for tridiagonals with the
+    couplings ``off``.  A NaN or infinite coupling raises ValueError.
 
-    def count(diag):
-        if not np.isfinite(diag).all():
-            raise ValueError("mode operator entries must be finite")
-        neg, zero_pivots = _negative_pivots(diag, off, _pivmin(diag, peak))
+    Row k is *strong* when diag_k > bound_k = (1 + 2^-40)(|off_{k-1}| +
+    |off_k|) and each of those couplings is 0 or within _TAME.  ``count(first,
+    last, rows, pivmin, ceiling=None)`` takes the first and last weak rows of
+    a diagonal and returns its negative-pivot count (``_negative_pivots``),
+    warning (ZeroPivotWarning) when an exact zero pivot was perturbed.  The
+    sweep runs forward, or over the reversed matrix when the leading strong
+    run is strictly longer than the trailing one, so that the longer run comes
+    last; ``rows(reverse)`` gives that orientation's diagonal buffer and the
+    function that assembles rows of it (None when it is whole).  The sweep
+    ends at the first pivot p >= |b| at or after the last weak row, b the
+    coupling to the next row; the rows after it are never assembled.
+
+    Why that is exact: dpttrf computes the next pivot as a - fl(fl(b / p) b).
+    Let p >= |b|, so p > 0 (a clamped pivot is never 0), and let the next row
+    be strong, a > fl((1 + 2^-40) fl(|b| + |c|)) with c its own coupling.
+    Then |b / p| <= 1, so |fl(b / p)| <= 1 and 0 <= fl(fl(b / p) b) <= |b|:
+    rounding is monotone and 1 and |b| are doubles.  With b and c zero or
+    tame, the two roundings of the strength bound cost at most a factor (1 -
+    2^-53)^2, which the 2^-40 margin covers, so a - |b| > |c| exactly.  The
+    next pivot, a rounded difference above |c|, is >= |c| and never 0 (an
+    exact positive difference of doubles does not round to 0), so no clamp
+    touches it.  By induction every later pivot is positive: the skipped rows
+    add no negative and no zero pivot, whatever the grid spacing.  Before the
+    first row, a pivot of 1 meets a zero coupling, so a wholly strong matrix
+    counts 0.  pivmin stays that of the whole matrix.
+    """
+    couplings = np.abs(off)
+    # the one entry whose square is _pivmin's off-diagonal term
+    peak = off[[couplings.argmax()]] if off.size else off
+    if not np.isfinite(peak).all():
+        raise ValueError("mode operator entries must be finite")
+    bound = np.zeros(off.size + 1)
+    bound[:-1] = couplings
+    bound[1:] += couplings
+    bound *= _STRONG
+    if off.size and not _TAME[0] <= couplings.min() <= couplings.max() <= _TAME[1]:
+        # no row next to a nonzero coupling outside _TAME is strong
+        wild = (couplings != 0.0) & ((couplings < _TAME[0]) | (couplings > _TAME[1]))
+        bound[:-1][wild] = np.inf
+        bound[1:][wild] = np.inf
+    swept = (off, off[::-1])
+    n = bound.size
+
+    def count(first, last, rows, pivmin, ceiling=None):
+        reverse = bool(first > n - 1 - last)
+        d, fill = rows(reverse)
+        neg, zero_pivots = _negative_pivots(
+            d, swept[reverse], pivmin, n - 1 - first if reverse else last, fill, ceiling
+        )
         if zero_pivots:
             warnings.warn(
                 f"{zero_pivots} exact zero pivot(s) perturbed in inertia count",
@@ -201,10 +358,10 @@ def _inertia_counter(off):
             )
         return neg
 
-    return count
+    return bound, peak, count
 
 
-def _negative_pivots(diag, off, pivmin):
+def _negative_pivots(diag, off, pivmin, last=None, fill=None, ceiling=None):
     """(negative pivots, zero pivots) of the LDL^T factorization of the finite
     tridiagonal (diag, off); by Sylvester's law of inertia the first is the
     number of negative eigenvalues.  LAPACK's dpttrf runs the recurrence
@@ -214,26 +371,64 @@ def _negative_pivots(diag, off, pivmin):
     b / d overflows.  It is folded into the next row's diagonal, and dpttrf
     resumes on the rows after it.  A pivot in (0, pivmin) stays as it is: a
     quotient that overflows makes the next pivot -inf, its sign in exact
-    arithmetic, and the one after it that row's own diagonal."""
-    d, e = np.array(diag, dtype=float), np.array(off, dtype=float)
-    n, row, neg, zero_pivots = d.size, 0, 0, 0
+    arithmetic, and the one after it that row's own diagonal.
+
+    With ``last``, every row after it strong (``_inertia_counter``), the
+    sweep stops at the first pivot at or after ``last`` that dominates its
+    coupling to the next row.  With ``fill``, ``diag`` is a buffer, written
+    over, whose rows [a, b) ``fill(a, b)`` assembles before the sweep reads
+    them.  With ``ceiling``, an upper bound of pivmin, ``pivmin`` is a
+    function that returns it, called only for a pivot that is 0 or above
+    -ceiling."""
+    n = diag.size
+    if fill is None:
+        diag = np.array(diag, dtype=float)
+    if ceiling is None:
+        ceiling = pivmin
+    last = n - 1 if last is None else last
+    # dpttrf writes its multipliers over the couplings it reads
+    e = np.empty(max(n - 1, 0))
+    row = end = neg = zero_pivots = 0
     dpttrf = _lapack().dpttrf
     while row < n:
-        # the rows from row on, factored in place up to the failing one
+        if row == end:
+            # the next rows: _PAST_LAST past last, then as many again as the
+            # sweep has gone past it
+            end = min(n, max(end, last + 1) + max(_PAST_LAST, end - last))
+            if fill is not None:
+                fill(row, end)
+            e[row : end - 1] = off[row : end - 1]
+            if row:
+                # the previous row's pivot, folded as dpttrf folds it
+                b = off.item(row - 1)
+                diag[row] -= b / pivot * b
+        # the rows from row to end, factored in place up to the failing one
         # (overwrite_d and overwrite_e, passed by position)
-        pivots, _, info = dpttrf(d[row:], e[row:] if row < n - 1 else _NO_COUPLING, 1, 1)
+        pivots, _, info = dpttrf(diag[row:end], e[row : end - 1] if end - row > 1 else _NO_COUPLING, 1, 1)
         if not info:
-            break
+            if end == n:
+                break
+            # a pivot at or after last that dominates its coupling
+            k, row, pivot = max(row, last), end, pivots.item(-1)
+            if (pivots[k - end :] >= np.abs(off[k:end])).any():
+                break
+            continue
         row += info
-        pivot = float(pivots[info - 1])
-        if pivot == 0.0:
-            pivot, zero_pivots = pivmin, zero_pivots + 1
-        else:
-            pivot, neg = min(pivot, -pivmin), neg + 1
-        if row < n:
-            # the failing row's coupling, which dpttrf leaves as it was
-            b = float(e[row - 1])
-            d[row] -= b / pivot * b
+        pivot = pivots.item(info - 1)
+        if pivot == 0.0 or pivot > -ceiling:
+            if callable(pivmin):
+                pivmin = ceiling = pivmin()
+            if pivot == 0.0:
+                pivot, zero_pivots = pivmin, zero_pivots + 1
+            else:
+                pivot = min(pivot, -pivmin)
+        if pivot < 0.0:
+            neg += 1
+        elif row - 1 >= last and row < n and pivot >= abs(off.item(row - 1)):
+            break
+        if row < end:
+            b = off.item(row - 1)
+            diag[row] -= b / pivot * b
     return neg, zero_pivots
 
 
@@ -557,7 +752,7 @@ def hardy_constant(
     modes = list(dict.fromkeys(int(m) for m in m_range))
     history, g, starts = [], grid, {}
     for level in range(refine_levels + 1):
-        ti, off, diag = _mode_terms(g)
+        ti, off, stiff, lump = _mode_terms(g)
         mass = w.mass_density(ti) * _lumps(g)
         bad = ~((mass >= 0.0) & (mass < np.inf))
         if bad.any():
@@ -566,12 +761,12 @@ def hardy_constant(
         # row by row, no mode's K exceeds that of the mode farthest from
         # alpha: one check stands for every mode's
         farthest = np.maximum((min(modes) - alpha) ** 2, (max(modes) - alpha) ** 2)
-        if not np.isfinite(diag(farthest)).all():
+        if not np.isfinite(stiff + farthest * lump).all():
             raise ValueError("pencil entries must be finite and the masses nonnegative")
         solves = {}
         if (mass > 0.0).any():
             for m in modes:
-                pencil = (diag((m - alpha) ** 2), off, mass)
+                pencil = (stiff + (m - alpha) ** 2 * lump, off, mass)
                 start = starts.get(m)
                 if start is not None:
                     rho, x, t = start

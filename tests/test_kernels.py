@@ -2,6 +2,7 @@
 LAPACK inertia count against LAPACK and dense counts and a mirror of
 dpttrf's recurrence."""
 
+import warnings
 from bisect import bisect_left
 from math import cos, sin
 
@@ -13,6 +14,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 import maghardy as mh
 from maghardy import _kernels, spectral
+from maghardy.errors import ZeroPivotWarning
 from maghardy.spectral import ModeOperator, _negative_pivots, _pivmin
 
 
@@ -221,7 +223,184 @@ def test_mode_count_matches_dense_eigvalsh(mat):
     w = np.linalg.eigvalsh(_dense(diag, off))
     scale = max(1.0, float(np.max(np.abs(w))))
     if np.min(np.abs(w)) >= 1e-8 * scale:
-        assert spectral._inertia_counter(off)(diag) == int(np.sum(w < 0.0))
+        assert mh.count_negative(ModeOperator(0, diag, off)) == int(np.sum(w < 0.0))
+
+
+def _strong_rows(diag, off):
+    """The strong-row rule written out row by row: diag_k exceeds
+    (1 + 2^-40)(|off_{k-1}| + |off_k|), and each of those couplings is 0 or
+    between 2^-500 and 2^500 in magnitude."""
+    n = len(diag)
+
+    def tame(b):
+        return b == 0.0 or 2.0**-500 <= abs(b) <= 2.0**500
+
+    out = []
+    for k in range(n):
+        left = float(off[k - 1]) if k > 0 else 0.0
+        right = float(off[k]) if k < n - 1 else 0.0
+        bound = (1.0 + 2.0**-40) * (abs(left) + abs(right))
+        out.append(tame(left) and tame(right) and float(diag[k]) > bound)
+    return out
+
+
+def _planned_sweep(diag, off):
+    """(diag, off, last) of the sweep the orientation rule asks for, or None
+    for a matrix with no weak row."""
+    strong = _strong_rows(diag, off)
+    if all(strong):
+        return None
+    n = len(diag)
+    first, last = strong.index(False), n - 1 - strong[::-1].index(False)
+    if first > n - 1 - last:
+        return diag[::-1], off[::-1], n - 1 - first
+    return diag, off, last
+
+
+def _count_with_sweeps(diag, off, past_last):
+    """count_negative of (diag, off), with the sweep's first rows past the
+    last weak row set to ``past_last``, and each ``_negative_pivots`` call it
+    made, as (diag, off, pivmin, last, result)."""
+    sweep, calls = spectral._negative_pivots, []
+
+    def recording(d, e, pivmin, last=None, fill=None, ceiling=None):
+        got = (np.array(d), np.array(e), pivmin, last)
+        result = sweep(d, e, pivmin, last, fill, ceiling)
+        calls.append((*got, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroPivotWarning)
+        mp.setattr(spectral, "_negative_pivots", recording)
+        mp.setattr(spectral, "_PAST_LAST", past_last)
+        with np.errstate(over="ignore", invalid="ignore"):
+            neg = mh.count_negative(ModeOperator(0, diag, off))
+    return neg, calls
+
+
+def _assert_stop_equals_full_sweep(diag, off, past_last=64):
+    diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+    neg, calls = _count_with_sweeps(diag, off, past_last)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pivmin = _pivmin(diag, off)
+    plan = _planned_sweep(diag, off)
+    if plan is None:
+        # no sweep at all, and the full forward sweep finds nothing either
+        assert calls == [] and neg == 0
+        assert _dpttrf_inertia(diag, off, pivmin) == (0, 0)
+        return
+    want_diag, want_off, want_last = plan
+    [(got_diag, got_off, got_pivmin, last, result)] = calls
+    assert got_diag.tobytes() == want_diag.tobytes()
+    assert got_off.tobytes() == want_off.tobytes()
+    assert (got_pivmin, last) == (pivmin, want_last)
+    # the stopped sweep counts what the full sweep of the same orientation
+    # counts, zero pivots included
+    assert result == _dpttrf_inertia(want_diag, want_off, pivmin)
+    assert neg == result[0]
+
+
+# finite only: the counter rejects NaN and infinite entries before any sweep
+_SPECIAL_ROWS = [0.0, -0.0, -1.0, 1e-300, 5e-324, -5e-324]
+_SPECIAL_COUPLINGS = [0.0, -0.0, 2e-162, 1e-170, 1e200, 2.0**-500, 2.0**500, 1e-310]
+
+
+@st.composite
+def _dominant_runs(draw):
+    """Rows at, an ulp or two around and just above the strong bound, with
+    zero, subnormal and negative rows, and couplings that are zero or so
+    small or large that they fall outside _TAME."""
+    n = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    off = scale * rng.normal(size=n - 1)
+    for k in draw(st.sets(st.integers(0, max(n - 2, 0)), max_size=4)) if n > 1 else ():
+        off[k] = draw(st.sampled_from(_SPECIAL_COUPLINGS)) * draw(st.sampled_from([1.0, -1.0]))
+    factors = st.sampled_from([0.5, 1.0, 1.0 + 2.0**-41, 2.0, 10.0])
+    factors = np.array(draw(st.lists(factors, min_size=n, max_size=n)))
+    with np.errstate(over="ignore"):
+        couplings = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
+        diag = (1.0 + 2.0**-40) * couplings * factors
+    for k, ulps in enumerate(draw(st.lists(st.sampled_from([-2, -1, 0, 0, 1, 2]), min_size=n, max_size=n))):
+        for _ in range(abs(ulps)):
+            diag[k] = np.nextafter(diag[k], np.inf if ulps > 0 else -np.inf)
+    for k in draw(st.sets(st.integers(0, n - 1), max_size=4)):
+        diag[k] = draw(st.sampled_from(_SPECIAL_ROWS))
+    return np.where(np.isfinite(diag), diag, 1.0), off
+
+
+def _finite(mat):
+    return all(np.isfinite(x).all() for x in mat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _assembled_modes(), _dominant_runs(), _edge_tridiagonals().map(lambda m: m[:2]).filter(_finite)
+    ),
+    st.sampled_from([1, 2, 64]),
+)
+def test_early_exit_equals_full_sweep_of_same_orientation(mat, past_last):
+    # past_last = 1 or 2 makes the sweep stop and fold at rows right after
+    # the last weak one
+    _assert_stop_equals_full_sweep(*mat, past_last)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_tridiagonals(), _near_zero_pivots(), _assembled_modes(max_n=200)))
+def test_both_orientations_match_lapack(mat):
+    # each orientation's full sweep, and the stopped sweep, count LAPACK's
+    # negative eigenvalues
+    d, e = mat
+    want = _lapack_negatives(d, e)
+    if want is not None:
+        pivmin = _pivmin(d, e)
+        assert _negative_pivots(d, e, pivmin)[0] == want
+        assert _negative_pivots(d[::-1], e[::-1], pivmin)[0] == want
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroPivotWarning)
+            assert mh.count_negative(ModeOperator(0, d, e)) == want
+
+
+@pytest.mark.parametrize("past_last", [1, 64])
+def test_negative_pivot_right_after_last_weak_row(past_last):
+    # row 0 is weak, rows 1 and 2 are strong, and row 1's pivot is
+    # 3 - 1 / 0.01 < 0: ending the sweep at the last weak row would miss it
+    diag, off = np.array([0.01, 3.0, 3.0]), np.array([1.0, 1.0])
+    assert _strong_rows(diag, off) == [False, True, True]
+    pivmin = _pivmin(diag, off)
+    assert _negative_pivots(diag[:1], off[:0], pivmin) == (0, 0)
+    assert _negative_pivots(diag, off, pivmin, last=0) == (1, 0)
+    assert mh.count_negative(ModeOperator(0, diag, off)) == 1
+    assert int(np.sum(np.linalg.eigvalsh(_dense(diag, off)) < 0.0)) == 1
+    _assert_stop_equals_full_sweep(diag, off, past_last)
+
+
+@pytest.mark.parametrize("past_last", [1, 64])
+def test_negative_pivot_far_into_the_strong_tail(past_last):
+    # row 0 is the only weak row, and rows 1 on are strong by a margin of
+    # 2^-38: the pivots, from 0.99, stay positive and below their coupling,
+    # and fall slowly, until one turns negative about 100 rows on
+    n = 300
+    diag, off = np.full(n, 2.0 * (1.0 + 2.0**-38)), np.full(n - 1, -1.0)
+    diag[0] = 0.99
+    assert _strong_rows(diag, off) == [False] + [True] * (n - 1)
+    pivmin = _pivmin(diag, off)
+    assert _negative_pivots(diag[:66], off[:65], pivmin) == (0, 0)
+    assert _dpttrf_inertia(diag, off, pivmin) == (1, 0)
+    assert _lapack_negatives(diag, off) == 1
+    _assert_stop_equals_full_sweep(diag, off, past_last)
+
+
+def test_coupling_with_subnormal_square_keeps_rows_weak():
+    # b * b = 4e-324 is subnormal, so b lies outside _TAME and no row beside
+    # it is strong, though row 1 exceeds the bound; the matrix is positive
+    # definite, and dpttrf's (b / b) b keeps its next pivot 1e-163 exact
+    b = 2e-162
+    diag, off = np.array([b, 2.1e-162]), np.array([b])
+    assert _strong_rows(diag, off) == [False, False]
+    assert _dpttrf_inertia(diag, off, _pivmin(diag, off)) == (0, 0)
+    _assert_stop_equals_full_sweep(diag, off)
 
 
 def test_prufer_harmonic_oscillator_node_count():

@@ -198,29 +198,137 @@ _GAUSS = mh.GaussianWell(1.3, 0.8)
 def test_count_modes_equals_count_negative_per_mode(
     monkeypatch, field, V, grid, lam, zero_pivots
 ):
-    # the counter sees the same diagonal, off-diagonal and pivmin, to the bit,
-    # and pivmin is _pivmin's on the whole matrix
+    # the counter sees the same oriented diagonal, off-diagonal, last weak row
+    # and pivmin, to the bit, and pivmin is _pivmin's on the whole matrix;
+    # count_modes takes its modes outward from alpha, so the calls are
+    # compared as sets
     counter, inputs = mh.spectral._negative_pivots, []
 
-    def recording(diag, off, pivmin):
-        assert pivmin == _pivmin(diag, off)
+    def recording(diag, off, pivmin, last=None, fill=None, ceiling=None):
+        if fill is not None:
+            fill(0, diag.size)
+        floor = pivmin() if callable(pivmin) else pivmin
+        assert floor == _pivmin(diag, off) and (ceiling is None or floor <= ceiling)
         digest = hashlib.sha256(diag.tobytes())
         digest.update(off.tobytes())
-        inputs.append((digest.hexdigest(), pivmin))
-        return counter(diag, off, pivmin)
+        inputs.append((digest.hexdigest(), int(last), floor))
+        return counter(diag, off, pivmin, last, fill, ceiling)
 
     monkeypatch.setattr(mh.spectral, "_negative_pivots", recording)
     m_max = mh.mode_truncation(field, V, grid, lam)
     modes = list(range(-m_max - 1, m_max + 2))
     many = _with_zero_pivot_warnings(lambda: count_modes(field, V, modes, grid, lam))
-    many_inputs = inputs[:]
+    many_inputs = sorted(inputs)
     inputs.clear()
     single = _with_zero_pivot_warnings(
         lambda: [mh.count_negative(assemble_mode(field, V, m, grid, lam=lam)) for m in modes]
     )
     assert many == single
-    assert many_inputs == inputs
+    assert many_inputs == sorted(inputs)
     assert sum(many[0]) > 0 and many[1] == zero_pivots
+
+
+def _sweeps_of(monkeypatch, call):
+    """call()'s result, its ZeroPivotWarnings, and per _negative_pivots call
+    the pivmin that the sweep used (None when it needed none) and the rows
+    [x, y) it asked its fill to assemble."""
+    counter, sweeps = mh.spectral._negative_pivots, []
+
+    def recording(diag, off, pivmin, last=None, fill=None, ceiling=None):
+        seen = {"pivmin": None, "filled": []}
+        sweeps.append(seen)
+        if callable(pivmin):
+            lazy = pivmin
+
+            def pivmin():
+                seen["pivmin"] = lazy()
+                return seen["pivmin"]
+
+        else:
+            seen["pivmin"] = pivmin
+        if fill is not None:
+            lazy_fill = fill
+
+            def fill(x, y):
+                seen["filled"].append((x, y))
+                lazy_fill(x, y)
+
+        return counter(diag, off, pivmin, last, fill, ceiling)
+
+    monkeypatch.setattr(mh.spectral, "_negative_pivots", recording)
+    result = _with_zero_pivot_warnings(call)
+    monkeypatch.undo()
+    return result, sweeps
+
+
+def test_count_modes_clamps_with_the_whole_matrix_pivmin(monkeypatch):
+    # mode 1's first pivot is 2 + (1 - 3) * 1 = 0 exactly, and is clamped to
+    # pivmin; its largest diagonal, 1e31 at t = 151 (row 151), lies in the
+    # strong tail that the sweep stops before and never assembles, yet sets
+    # pivmin = 1e31 * 1e-292
+    grid = mh.Grid.uniform(-1.0, 199.0, 201)
+    V = mh.CustomPotential(
+        np.array([-0.5, 0.0, 0.5, 150.0, 151.0, 152.0]),
+        np.array([0.0, 3.0, 0.0, 0.0, -1e31 * np.exp(-302.0), 0.0]),
+    )
+    op = assemble_mode(mh.ZeroField(), V, 1, grid)
+    assert op.diag[0] == 0.0 and int(np.argmax(np.abs(op.diag))) == 151
+    whole = _pivmin(op.diag, op.offdiag)
+    assert whole > 1e5 * _pivmin(op.diag[:150], op.offdiag[:149])
+    (counts, warned), [sweep] = _sweeps_of(monkeypatch, lambda: count_modes(mh.ZeroField(), V, [1], grid))
+    assert max(y for _, y in sweep["filled"]) <= 151
+    (count, single_warned), [single] = _sweeps_of(monkeypatch, lambda: mh.count_negative(op))
+    assert counts == [count] == [1] and warned == single_warned == 1
+    assert sweep["pivmin"] == single["pivmin"] == whole
+
+
+# the count benchmark's largest inertia op, from seed 4242's draws: bump flux
+# 0.66935, a Gaussian well of depth 1.50723 and width 0.66617, and
+# lam depth width^2 = 1e4, with its 123 modes on a 6001-node grid
+_COUNT_CASE = (
+    mh.BumpField(0.6693508851539307),
+    mh.GaussianWell(1.507230064548501, 0.6661666324297678),
+    list(range(-61, 62)),
+    mh.Grid.uniform(-12.0, 3.0, 6001),
+    np.geomspace(1e2, 1e4, 5)[-1] / (1.507230064548501 * 0.6661666324297678 * 0.6661666324297678),
+)
+
+
+def test_count_modes_negative_pivots_need_no_pivmin(monkeypatch):
+    # a pivot at or below minus the ceiling is never clamped: no mode of the
+    # count benchmark's largest ladder step assembles its whole diagonal
+    (counts, _), sweeps = _sweeps_of(monkeypatch, lambda: count_modes(*_COUNT_CASE))
+    assert sum(counts) > 2000 and all(s["pivmin"] is None for s in sweeps)
+
+
+def test_count_modes_falls_back_when_the_entry_bound_overflows():
+    # (1e154)^2 plus a potential of 1e308 overflows the bound on every
+    # entry, though each mode's own diagonal is finite
+    grid, field = mh.Grid.uniform(-1.0, 1.0, 41), mh.BumpField(0.5)
+    V = mh.CustomPotential(np.array([-1.0, 1.0]), np.array([1e308, 1e308]) * np.exp(-2.0))
+    modes = [0, 1e154, -3]
+    want = [mh.count_negative(assemble_mode(field, V, m, grid)) for m in modes]
+    assert count_modes(field, V, modes, grid) == want and sum(want) > 0
+
+
+def test_count_cost_in_lapack_rows(monkeypatch):
+    # rows dpttrf swept (its info when a pivot fails, else the rows passed):
+    # 244343 in 2632 calls, against 737877 in 2626 when every mode was
+    # assembled and swept over all 5999 rows
+    lapack, cost = mh.spectral._lapack(), {"rows": 0, "calls": 0}
+    dpttrf = lapack.dpttrf
+
+    def counted(d, *args):
+        out = dpttrf(d, *args)
+        cost["calls"] += 1
+        cost["rows"] += out[2] or len(d)
+        return out
+
+    monkeypatch.setattr(lapack, "dpttrf", counted)
+    field, V, modes, grid, lam = _COUNT_CASE
+    assert mh.mode_truncation(field, V, grid, lam) == 61
+    assert sum(count_modes(*_COUNT_CASE)) > 2000
+    assert cost["rows"] <= 300_000 and cost["calls"] <= 2_900, cost
 
 
 def _mode_truncation_loop(field, V, grid, lam):
@@ -647,9 +755,9 @@ def test_hardy_coarse_level_solves_a_mode_its_order_ranks_second(monkeypatch):
     assert stages.count(("end", 199)) == 1
     # ranked behind mode 0 (a Rayleigh quotient above mode 0's), mode 1's
     # screen at mode 0's minimum must fail and run its end stage
-    ti, off, diag = mh.spectral._mode_terms(grid)
+    ti, off, stiff, lump = mh.spectral._mode_terms(grid)
     mass = w.mass_density(ti) * _lumps(grid)
-    pencils = [(diag((m - field.alpha(ti)) ** 2), off, mass) for m in (0, 1)]
+    pencils = [(stiff + (m - field.alpha(ti)) ** 2 * lump, off, mass) for m in (0, 1)]
     solves = [(pencil, mh.spectral._approach(pencil)) for pencil in pencils]
     lo, hi, rho, x = solves[1][1]
     solves[1] = pencils[1], (lo, hi, 2.0 * solves[0][1][2], x)
@@ -1336,43 +1444,49 @@ def _assert_brackets_equal(probe, terms, modes):
         assert np.array_equal(g, w)
 
 
-# integral and half-integral values make am == 0 and exact zeros common
-_QUARTERS = st.integers(-24, 24).map(lambda k: k / 4.0)
-_MODE_VALUES = st.one_of(st.integers(-8, 8), _QUARTERS, st.floats(-8.0, 8.0))
-
-
 @st.composite
 def _scan_inputs(draw):
     """A probe's terms (well, alpha, g, barrier) and a mode list: unsorted,
     sparse, repeated and non-integer modes; nodes with well <= barrier, with
     g = inf (s beyond 709 in s = log|t|), with alpha on a mode, and with a
-    radicand exactly 0 for one of the modes."""
-    modes = draw(st.lists(_MODE_VALUES, max_size=12))
-    n = draw(st.integers(2, 16))
-    well, alpha, g, barrier = [], [], [], []
-    for _ in range(n):
-        kind = draw(st.sampled_from(["free", "free", "closed", "g-inf", "zero"]))
-        a = draw(st.one_of(_QUARTERS, st.floats(-9.0, 9.0)))
-        b = draw(st.sampled_from([0.0, 0.25, 0.125]))
-        gi = draw(st.sampled_from([1.0, 1.0, 0.5, 3.0, 1e200]))
-        w = draw(st.one_of(st.floats(-5.0, 80.0), st.sampled_from([1e300, b])))
-        if kind == "closed":
-            w = b - draw(st.floats(0.0, 5.0))
-        elif kind == "g-inf":
-            gi = np.inf
-        elif kind == "zero" and modes:
-            # dyadic values: (m - alpha)^2 + barrier and the radicand are exact
-            a, gi = draw(_QUARTERS), 1.0
-            w = (float(draw(st.sampled_from(modes))) - a) ** 2 + b
-        well.append(w)
-        alpha.append(a)
-        g.append(gi)
-        barrier.append(b)
-    terms = [np.array(x) for x in (well, alpha, g, barrier)]
+    radicand exactly 0 for one of the modes.  Built with numpy from one drawn
+    seed: hypothesis's own draws cost more than the scan they feed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def quarters(size):
+        # integral and half-integral values make am == 0 and exact zeros common
+        return rng.integers(-24, 25, size) / 4.0
+
+    def floats(lo, hi, size):
+        # uniform, with the range's ends and 0.0 mixed in
+        x = rng.uniform(lo, hi, size)
+        ends = rng.random(size) < 0.1
+        x[ends] = rng.choice([lo, hi, 0.0], ends.sum())
+        return x
+
+    k = int(rng.integers(0, 13))
+    kind = rng.integers(0, 3, k)
+    values = np.choose(kind, [rng.integers(-8, 9, k), quarters(k), floats(-8.0, 8.0, k)])
+    modes = [int(v) if c == 0 else float(v) for c, v in zip(kind, values)]
+    n = int(rng.integers(2, 17))
+    kind = rng.choice(["free", "free", "closed", "g-inf", "zero"], n)
+    alpha = np.where(rng.random(n) < 0.5, quarters(n), floats(-9.0, 9.0, n))
+    barrier = rng.choice([0.0, 0.25, 0.125], n)
+    g = rng.choice([1.0, 1.0, 0.5, 3.0, 1e200], n)
+    well = np.where(rng.random(n) < 0.5, floats(-5.0, 80.0, n), np.where(rng.random(n) < 0.5, 1e300, barrier))
+    closed = kind == "closed"
+    well[closed] = barrier[closed] - floats(0.0, 5.0, n)[closed]
+    g[kind == "g-inf"] = np.inf
+    if modes:
+        # dyadic values: (m - alpha)^2 + barrier and the radicand are exact
+        zero = kind == "zero"
+        alpha[zero], g[zero] = quarters(n)[zero], 1.0
+        well[zero] = (rng.choice(np.array(modes, dtype=float), n)[zero] - alpha[zero]) ** 2 + barrier[zero]
+    terms = [well, alpha, g, barrier]
     # the direct coordinate passes g = 1 and a zero barrier as scalars
-    if draw(st.booleans()):
+    if rng.random() < 0.5:
         terms[2] = 1.0
-    if draw(st.booleans()):
+    if rng.random() < 0.5:
         terms[3] = 0.0
     probe = np.linspace(-3.0, 5.0, n)
     return probe, tuple(terms), modes

@@ -42,6 +42,7 @@ ladder of (coupling, modes) jobs, one root solve refines every turning point
 and one panel call integrates every panel (``phase_integral_counts``).
 """
 
+import sys
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -130,7 +131,6 @@ def _lapack():
     holds the same routines, stands in when the file is missing or fails to
     load."""
     import os
-    import sys
     from importlib import machinery, util
 
     name = "scipy.linalg._flapack"
@@ -434,13 +434,16 @@ def _negative_pivots(diag, off, pivmin, last=None, fill=None, ceiling=None):
 
 def _pivmin(diag, off):
     """Pivot floor: large enough to stop e^2/d overflow, far below any
-    physically meaningful pivot."""
+    physically meaningful pivot.  Its scale is capped at the largest double,
+    so that a coupling whose square overflows leaves it finite."""
     scale = 1.0
     if diag.size:
         scale = max(scale, float(np.max(np.abs(diag))))
     if off.size:
-        scale = max(scale, float(np.max(off * off)))
-    return scale * 1e-292
+        # a Python float square overflows to inf without a warning
+        b = float(np.max(np.abs(off)))
+        scale = max(scale, b * b)
+    return min(scale, sys.float_info.max) * 1e-292
 
 
 def mode_truncation(field: RadialField, V: Potential, grid: Grid, lam: float = 1.0) -> int:

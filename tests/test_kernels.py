@@ -2,6 +2,7 @@
 LAPACK inertia count against LAPACK and dense counts and a mirror of
 dpttrf's recurrence."""
 
+import sys
 import warnings
 from bisect import bisect_left
 from math import cos, sin
@@ -122,31 +123,44 @@ def _dpttrf_inertia(diag, off, pivmin):
 
 
 # "+piv" and "-piv" stand for +-pivmin, so that pivots land on it exactly
-_EDGE_ENTRIES = st.one_of(
-    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, "+piv", "-piv"]),
-    st.floats(-1e3, 1e3),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
+_EDGE_ENTRIES = (0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, "+piv", "-piv")
+_EDGE_VALUES = np.array([0.0 if isinstance(x, str) else x for x in _EDGE_ENTRIES])
+_EDGE_PIV_SIGNS = np.array([{"+piv": 1.0, "-piv": -1.0}.get(x, 0.0) for x in _EDGE_ENTRIES])
+# doubles that hypothesis's floats() favours, among them the largest one
+_NASTY = np.array([sys.float_info.max, sys.float_info.min, 2.0**53, 1e6, 1.0, 0.5, 1e-6])
+
+
+def _edge_values(rng, size):
+    """A third each: one of _EDGE_ENTRIES, a value in [-1e3, 1e3], and any
+    finite double (random bits, or one of _NASTY with a random sign).
+    Returns the values, 0 for +-pivmin, and the sign of each +-pivmin."""
+    pick = rng.integers(0, len(_EDGE_ENTRIES), size)
+    bits = np.frombuffer(rng.bytes(8 * size), dtype=np.float64)
+    bits = np.where(np.isfinite(bits), bits, np.copysign(sys.float_info.max, bits))
+    nasty = rng.choice(_NASTY, size) * rng.choice([-1.0, 1.0], size)
+    wild = np.where(rng.random(size) < 0.25, nasty, bits)
+    kind = rng.integers(0, 3, size)
+    values = np.choose(kind, [_EDGE_VALUES[pick], rng.uniform(-1e3, 1e3, size), wild])
+    return values, np.where(kind == 0, _EDGE_PIV_SIGNS[pick], 0.0)
 
 
 @st.composite
 def _edge_tridiagonals(draw):
     """Finite entries at the recurrence's edges: zeros, subnormals, the
     largest doubles and +-pivmin itself, in both the diagonal and the
-    couplings; couplings are often zero, so that a drawn +-pivmin reaches
-    the pivot unchanged."""
-    n = draw(st.integers(1, 12))
-    d = draw(st.lists(_EDGE_ENTRIES, min_size=n, max_size=n))
-    e = draw(st.lists(st.one_of(st.just(0.0), _EDGE_ENTRIES), min_size=n - 1, max_size=n - 1))
-
-    def values(xs, piv):
-        return np.array([{"+piv": piv, "-piv": -piv}.get(x, x) if isinstance(x, str) else x for x in xs])
-
-    pivmin = draw(st.sampled_from(["_pivmin", 1e-290, 1.0]))
-    if pivmin == "_pivmin":
-        with np.errstate(over="ignore"):
-            pivmin = _pivmin(values(d, 0.0), values(e, 0.0))
-    return values(d, pivmin), values(e, pivmin), pivmin
+    couplings; couplings are zero half the time, so that a drawn +-pivmin
+    reaches the pivot unchanged.  Built with numpy from one drawn seed:
+    hypothesis's own draws cost more than the sweep they feed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 13))
+    d, d_piv = _edge_values(rng, n)
+    e, e_piv = _edge_values(rng, n - 1)
+    zero = rng.random(n - 1) < 0.5
+    e[zero], e_piv[zero] = 0.0, 0.0
+    pivmin = [None, 1e-290, 1.0][int(rng.integers(0, 3))]
+    if pivmin is None:
+        pivmin = _pivmin(d, e)
+    return np.where(d_piv != 0.0, d_piv * pivmin, d), np.where(e_piv != 0.0, e_piv * pivmin, e), pivmin
 
 
 @settings(max_examples=400, deadline=None)
@@ -182,6 +196,23 @@ def test_zero_pivot_counted_nonnegative():
 def test_count_follows_the_exact_determinant_at_pivmin_scale(diag, off, negatives):
     op = ModeOperator(0, np.array(diag), np.array(off))
     assert mh.count_negative(op) == negatives
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_pivmin_stays_finite_when_a_coupling_square_overflows(reverse):
+    # 1e200 squared overflows: pivmin was once inf, so that the negative
+    # pivot -2e200 was clamped to -inf and the next pivot was -1, 2 counted;
+    # reversed, the clamp made the next pivot 0, a spurious zero pivot
+    diag, off = np.array([5e199, 0.0, -1.0]), np.array([1e200, 1e200])
+    if reverse:
+        diag = diag[::-1].copy()
+    assert int(np.sum(eigvalsh_tridiagonal(diag, off) < 0.0)) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pivmin = _pivmin(diag, off)
+        assert np.isfinite(pivmin)
+        assert mh.count_negative(ModeOperator(0, diag, off)) == 1
+        assert _dpttrf_inertia(diag, off, pivmin) == (1, 0)
 
 
 _FIELDS = st.one_of(
@@ -564,6 +595,26 @@ def _vsigma_count_sweeps():
     return _count_sweeps(mh.BumpField(0.5), mh.VSigma(2.0), 50.0, mh.Grid.auto(-400.0, 0.5, 6000))
 
 
+def _table_args(t_nodes, centre):
+    """A sweep across the table t_nodes of the Gaussian well of the trig
+    problems, centred on ``centre``, from a first step of span/1024."""
+    t0, t1 = float(t_nodes[0]), float(t_nodes[-1])
+    x = t_nodes - centre
+    q = 0.25 - 400.0 * np.exp(2.0 * x - x * x)
+    return (t_nodes, q, t0, t1, 1e-6, (t1 - t0) / 1024.0, (t1 - t0) * 1e-12)
+
+
+# Tables for the lookup: dyadic nodes, on which the step ends land exactly;
+# quadratic spacing, on which the computed cell is mostly wrong; and a span
+# far from 0, on which the index arithmetic rounds across the nodes that
+# step ends nearly hit, and mid + h/2 often rounds away from t + h
+_LOOKUP_TABLES = {
+    "dyadic": lambda: [_table_args(np.linspace(-8.0, 8.0, 2049), 1.0)],
+    "non-uniform": lambda: [_table_args(-12.0 + 15.0 * np.linspace(0.0, 1.0, 4096) ** 2, 1.0)],
+    "far-span": lambda: [_table_args(np.linspace(1e6, 1e6 + 7.3, 4097), 1e6 + 5.0)],
+}
+
+
 @pytest.mark.parametrize(
     "sweeps",
     [
@@ -571,16 +622,34 @@ def _vsigma_count_sweeps():
         lambda: [_trig_problem_args(*_TRIG_PROBLEMS[1])],
         lambda: [_trig_problem_args(*_TRIG_PROBLEMS[2])],
         _vsigma_count_sweeps,
+        *_LOOKUP_TABLES.values(),
     ],
-    ids=["count-prufer", "gaussian-well", "step-well", "vsigma-auto"],
+    ids=["count-prufer", "gaussian-well", "step-well", "vsigma-auto", *_LOOKUP_TABLES],
 )
 def test_prufer_shared_slope_equals_reference_stepper(sweeps):
-    # sharing the first slope and the coefficient lookups, and writing the
-    # slopes inline, leave theta and the failure flag the same to the bit
+    # sharing the first slope and the coefficient lookups, computing each
+    # lookup's cell and writing the slopes inline leave theta and the
+    # failure flag the same to the bit
     args = sweeps()
     assert args
     for a in args:
         assert _kernels.prufer_sweep(*a) == _reference_prufer_sweep(*a)
+
+
+def _bisections(monkeypatch, args):
+    """How often the kernel's lookups bisect in the sweeps ``args``."""
+    calls = []
+    monkeypatch.setattr(_kernels, "bisect_left", lambda a, x: calls.append(x) or bisect_left(a, x))
+    for a in args:
+        _kernels.prufer_sweep(*a)
+    return len(calls)
+
+
+def test_prufer_lookup_computes_its_cell_on_equal_spacing(monkeypatch):
+    # prufer_count's own table, 8192 equally spaced points, never needs a
+    # bisection; a quadratically spaced one does, so the count is live
+    assert _bisections(monkeypatch, _prufer_count_sweeps()) == 0
+    assert _bisections(monkeypatch, _LOOKUP_TABLES["non-uniform"]()) > 0
 
 
 def test_interp_lookup_equals_searchsorted():

@@ -11,13 +11,14 @@ importing scipy.linalg (``_lapack``).
 
 A count is the number of negative pivots (Sylvester's law of inertia), exact
 for the matrix: dpttrf stops at each pivot that is not positive, which is
-counted, clamped away from zero and folded into the next row, and resumes
-after it (``_negative_pivots``).  It sweeps only the rows that can change the
-count: from the end with the shorter run of strong (diagonally dominant)
-rows, through the last weak row, to the first pivot that dominates its
-coupling, after which no pivot can be negative or zero
-(``_inertia_counter``).  Per mode, ``count_modes`` assembles only the rows
-that sweep reads.  A Hardy minimum is the lowest generalized
+counted, clamped away from zero by LAPACK's pivot floor PIVMIN (``_pivmin``)
+and folded into the next row, and resumes after it (``_negative_pivots``).
+It sweeps only the rows that can change the count: from the end with the
+shorter run of strong (diagonally dominant) rows, through the last weak row,
+to the first pivot that dominates its coupling, after which no pivot can be
+negative or zero (``_inertia_counter``).  Per mode, ``count_modes``
+assembles only the rows that sweep reads, and every mode diagonal comes from
+one writer (``_diagonal``).  A Hardy minimum is the lowest generalized
 eigenvalue of a mode against a lumped weight mass on the last refinement
 level, returned as the least double at which dpttrf of K - mu M fails,
 whatever path found it.  ``_approach`` brackets it and closes in on it by
@@ -94,28 +95,25 @@ def _mode_terms(grid: Grid):
     return grid.t[1:-1], -1.0 / h[1:-1], 1.0 / h[:-1] + 1.0 / h[1:], _lumps(grid)
 
 
-def assemble_mode(
-    field: RadialField,
-    V: Potential,
-    m: int,
-    grid: Grid,
-    lam: float = 1.0,
-    angular_override=None,
-) -> ModeOperator:
-    """Tridiagonal matrix of the mode form with Dirichlet ends.
+def _diagonal(m, stiff, alpha, lv, lump, out=None):
+    """Mode m's diagonal stiff + ((m - alpha)^2 - lv) lump, lv = lam e^{2t} V,
+    written into ``out`` when it is given: the one writer of every mode
+    diagonal, so that each is the same to the bit whichever function needs
+    it."""
+    d = np.subtract(m, alpha, out=out)
+    np.square(d, out=d)
+    np.subtract(d, lv, out=d)
+    np.multiply(d, lump, out=d)
+    return np.add(stiff, d, out=d)
 
-    ``angular_override`` replaces the (m - alpha)^2 coefficient with given
-    values at interior nodes (scalar or array); used for the discrete-angular
-    cross-check against the full two-dimensional operator.
-    """
+
+def assemble_mode(field: RadialField, V: Potential, m: int, grid: Grid, lam: float = 1.0) -> ModeOperator:
+    """Tridiagonal matrix of the mode form with Dirichlet ends."""
     _check_coupling(lam)
     _check_modes(m)
     ti, off, stiff, lump = _mode_terms(grid)
-    if angular_override is None:
-        ang = (m - field.alpha(ti)) ** 2
-    else:
-        ang = np.broadcast_to(np.asarray(angular_override, dtype=float), ti.shape)
-    return ModeOperator(m=int(m), diag=stiff + (ang - lam * V.e2t_v(ti)) * lump, offdiag=off)
+    diag = _diagonal(m, stiff, field.alpha(ti), lam * V.e2t_v(ti), lump)
+    return ModeOperator(m=int(m), diag=diag, offdiag=off)
 
 
 # the coupling scipy's dpttrf wants of a 1 x 1 matrix
@@ -172,13 +170,13 @@ def count_negative(op: ModeOperator) -> int:
 
 def _count_diagonal(counter, diag):
     """The count of an assembled diagonal against the counter's couplings."""
-    bound, peak, count = counter
+    bound, count = counter
     if not np.isfinite(diag).all():
         raise ValueError("mode operator entries must be finite")
     weak = np.flatnonzero(diag <= bound)
     if not weak.size:
         return 0
-    return count(weak[0], weak[-1], lambda reverse: (diag[::-1] if reverse else diag, None), _pivmin(diag, peak))
+    return count(weak[0], weak[-1], lambda reverse: (diag[::-1] if reverse else diag, None))
 
 
 def count_modes(field: RadialField, V: Potential, modes, grid: Grid, lam: float = 1.0) -> list[int]:
@@ -186,24 +184,20 @@ def count_modes(field: RadialField, V: Potential, modes, grid: Grid, lam: float 
     V, m, grid, lam))`` for each m in ``modes``.
 
     Everything that does not depend on the mode (alpha, the potential and
-    ``_mode_terms``) is evaluated once, and each mode's diagonal only on the
-    rows its sweep reads (``_inertia_counter``).  Every IEEE operation of
-    stiff + ((m - alpha)^2 - lam e^{2t} V) lump is monotone in |m - alpha|,
-    which gives bounds shared by all modes:
+    ``_mode_terms``) is evaluated once, and each mode's diagonal
+    (``_diagonal``) only on the rows its sweep reads (``_inertia_counter``).
+    Every IEEE operation of the diagonal is monotone in |m - alpha|, which
+    gives bounds shared by all modes:
 
-    - Row by row, no listed mode's diagonal lies below that of the integer
-      nearest alpha in the listed range (of alpha itself, clipped to it, when
-      a mode is not an integer).  Each mode looks for its weak rows only in
-      the hull of that diagonal's weak rows, and a mode above (below) alpha
-      on every row only in the weak rows of the listed mode next nearer
-      alpha on that side.
+    - Row by row, no diagonal of a mode above (below) alpha on every row lies
+      below that of the listed mode next nearer alpha on that side.  The
+      first mode on each side looks for its weak rows in all rows, and each
+      later one only in the weak rows of the one before it.
     - The same chain of operations on max |m| + max |alpha|, max |lam e^{2t}
       V| and the largest stiffness and lump bounds every entry of every
-      mode.  When it is finite, so is every diagonal, and it is a ceiling on
-      every mode's pivmin: a mode's own pivmin, that of its whole matrix, is
-      assembled only for a pivot that is 0 or above minus the ceiling.  When
-      it is not finite, each mode's whole diagonal is assembled and checked,
-      as ``count_negative`` checks it.
+      mode.  When it is finite, so is every diagonal.  When it is not, each
+      mode's whole diagonal is assembled and checked, as ``count_negative``
+      checks it.
     """
     _check_coupling(lam)
     modes = list(modes)
@@ -211,41 +205,24 @@ def count_modes(field: RadialField, V: Potential, modes, grid: Grid, lam: float 
     ti, off, stiff, lump = _mode_terms(grid)
     alpha = field.alpha(ti)
     lv = lam * V.e2t_v(ti)
-    counter = bound, peak, count = _inertia_counter(off)
+    counter = bound, count = _inertia_counter(off)
     n = ti.size
-
-    def diag(m):
-        return stiff + ((m - alpha) ** 2 - lv) * lump
-
     if not modes:
         return []
-    listed = np.asarray(modes, dtype=float)
     low, high = float(alpha.min()), float(alpha.max())
-    reach = float(np.abs(listed).max()) + max(high, -low)
+    reach = float(np.abs(np.asarray(modes, dtype=float)).max()) + max(high, -low)
     largest = float(stiff.max()) + (reach * reach + max(float(lv.max()), -float(lv.min()))) * float(lump.max())
     if not np.isfinite(largest):
-        return [_count_diagonal(counter, diag(m)) for m in modes]
-    ceiling = _pivmin(np.array([largest]), peak)
-    nearest = np.rint(alpha) if (listed == np.rint(listed)).all() else alpha
-    weak = diag(nearest.clip(listed.min(), listed.max())) <= bound
-    lo = int(weak.argmax())
-    if not weak[lo]:
-        return [0] * len(modes)
-    hi = n - int(weak[::-1].argmax())
+        return [_count_diagonal(counter, _diagonal(m, stiff, alpha, lv, lump)) for m in modes]
     # the mode-independent terms and buffers, in both sweep orientations
     terms = (stiff, alpha, lv, lump)
     oriented = (terms, tuple(x[::-1] for x in terms))
     buffers = (np.empty(n), np.empty(n))
 
     def assemble(m, reverse, out, a, b):
-        # stiff + ((m - alpha)^2 - lv) lump on the oriented rows [a, b), to the bit
+        # mode m's diagonal on the oriented rows [a, b)
         s, al, v, u = oriented[reverse]
-        o = out[a:b]
-        np.subtract(m, al[a:b], out=o)
-        np.square(o, out=o)
-        np.subtract(o, v[a:b], out=o)
-        np.multiply(o, u[a:b], out=o)
-        np.add(s[a:b], o, out=o)
+        _diagonal(m, s[a:b], al[a:b], v[a:b], u[a:b], out=out[a:b])
 
     def rows(m, a, b, reverse):
         # the sweep's buffer for mode m, its rows [a, b) in place, and the
@@ -262,16 +239,13 @@ def count_modes(field: RadialField, V: Potential, modes, grid: Grid, lam: float 
 
         return d, fill
 
-    def pivmin(m):
-        return _pivmin(diag(m), peak)
-
     # outward from alpha: on either side, each mode searches only the weak
     # rows of the one before it
     side = [int(m >= high) - int(m <= low) for m in modes]
     spans, counts = {}, [0] * len(modes)
     for i in sorted(range(len(modes)), key=lambda i: abs(modes[i] - (low + high) / 2)):
         m = modes[i]
-        a, b = spans.get(side[i], (lo, hi))
+        a, b = spans.get(side[i], (0, n))
         if a == b:
             continue
         # those rows, assembled once for the weak test and the sweep
@@ -285,7 +259,7 @@ def count_modes(field: RadialField, V: Potential, modes, grid: Grid, lam: float 
         last = b - 1 - int(weak[::-1].argmax())
         if side[i]:
             spans[side[i]] = (a + first, last + 1)
-        counts[i] = count(a + first, last, partial(rows, m, a, b), partial(pivmin, m), ceiling)
+        counts[i] = count(a + first, last, partial(rows, m, a, b))
     return counts
 
 
@@ -299,20 +273,21 @@ _PAST_LAST = 64
 
 
 def _inertia_counter(off):
-    """(strong-row bound, peak coupling, count) for tridiagonals with the
-    couplings ``off``.  A NaN or infinite coupling raises ValueError.
+    """(strong-row bound, count) for tridiagonals with the couplings ``off``.
+    A NaN or infinite coupling raises ValueError.
 
     Row k is *strong* when diag_k > bound_k = (1 + 2^-40)(|off_{k-1}| +
     |off_k|) and each of those couplings is 0 or within _TAME.  ``count(first,
-    last, rows, pivmin, ceiling=None)`` takes the first and last weak rows of
-    a diagonal and returns its negative-pivot count (``_negative_pivots``),
-    warning (ZeroPivotWarning) when an exact zero pivot was perturbed.  The
-    sweep runs forward, or over the reversed matrix when the leading strong
-    run is strictly longer than the trailing one, so that the longer run comes
-    last; ``rows(reverse)`` gives that orientation's diagonal buffer and the
-    function that assembles rows of it (None when it is whole).  The sweep
-    ends at the first pivot p >= |b| at or after the last weak row, b the
-    coupling to the next row; the rows after it are never assembled.
+    last, rows)`` takes the first and last weak rows of a diagonal and returns
+    its negative-pivot count (``_negative_pivots``), with the pivot floor
+    ``_pivmin(off)``, warning (ZeroPivotWarning) when an exact zero pivot was
+    perturbed.  The sweep runs forward, or over the reversed matrix when the
+    leading strong run is strictly longer than the trailing one, so that the
+    longer run comes last; ``rows(reverse)`` gives that orientation's diagonal
+    buffer and the function that assembles rows of it (None when it is
+    whole).  The sweep ends at the first pivot p >= |b| at or after the last
+    weak row, b the coupling to the next row; the rows after it are never
+    assembled.
 
     Why that is exact: dpttrf computes the next pivot as a - fl(fl(b / p) b).
     Let p >= |b|, so p > 0 (a clamped pivot is never 0), and let the next row
@@ -326,13 +301,12 @@ def _inertia_counter(off):
     touches it.  By induction every later pivot is positive: the skipped rows
     add no negative and no zero pivot, whatever the grid spacing.  Before the
     first row, a pivot of 1 meets a zero coupling, so a wholly strong matrix
-    counts 0.  pivmin stays that of the whole matrix.
+    counts 0.
     """
-    couplings = np.abs(off)
-    # the one entry whose square is _pivmin's off-diagonal term
-    peak = off[[couplings.argmax()]] if off.size else off
-    if not np.isfinite(peak).all():
+    if not np.isfinite(off).all():
         raise ValueError("mode operator entries must be finite")
+    pivmin = _pivmin(off)
+    couplings = np.abs(off)
     bound = np.zeros(off.size + 1)
     bound[:-1] = couplings
     bound[1:] += couplings
@@ -345,12 +319,10 @@ def _inertia_counter(off):
     swept = (off, off[::-1])
     n = bound.size
 
-    def count(first, last, rows, pivmin, ceiling=None):
+    def count(first, last, rows):
         reverse = bool(first > n - 1 - last)
         d, fill = rows(reverse)
-        neg, zero_pivots = _negative_pivots(
-            d, swept[reverse], pivmin, n - 1 - first if reverse else last, fill, ceiling
-        )
+        neg, zero_pivots = _negative_pivots(d, swept[reverse], pivmin, n - 1 - first if reverse else last, fill)
         if zero_pivots:
             warnings.warn(
                 f"{zero_pivots} exact zero pivot(s) perturbed in inertia count",
@@ -358,10 +330,10 @@ def _inertia_counter(off):
             )
         return neg
 
-    return bound, peak, count
+    return bound, count
 
 
-def _negative_pivots(diag, off, pivmin, last=None, fill=None, ceiling=None):
+def _negative_pivots(diag, off, pivmin, last=None, fill=None):
     """(negative pivots, zero pivots) of the LDL^T factorization of the finite
     tridiagonal (diag, off); by Sylvester's law of inertia the first is the
     number of negative eigenvalues.  LAPACK's dpttrf runs the recurrence
@@ -371,20 +343,17 @@ def _negative_pivots(diag, off, pivmin, last=None, fill=None, ceiling=None):
     b / d overflows.  It is folded into the next row's diagonal, and dpttrf
     resumes on the rows after it.  A pivot in (0, pivmin) stays as it is: a
     quotient that overflows makes the next pivot -inf, its sign in exact
-    arithmetic, and the one after it that row's own diagonal.
+    arithmetic, and the one after it that row's own diagonal.  Folds run on
+    Python floats, which overflow to +-inf without a warning.
 
     With ``last``, every row after it strong (``_inertia_counter``), the
     sweep stops at the first pivot at or after ``last`` that dominates its
     coupling to the next row.  With ``fill``, ``diag`` is a buffer, written
     over, whose rows [a, b) ``fill(a, b)`` assembles before the sweep reads
-    them.  With ``ceiling``, an upper bound of pivmin, ``pivmin`` is a
-    function that returns it, called only for a pivot that is 0 or above
-    -ceiling."""
+    them."""
     n = diag.size
     if fill is None:
         diag = np.array(diag, dtype=float)
-    if ceiling is None:
-        ceiling = pivmin
     last = n - 1 if last is None else last
     # dpttrf writes its multipliers over the couplings it reads
     e = np.empty(max(n - 1, 0))
@@ -401,7 +370,7 @@ def _negative_pivots(diag, off, pivmin, last=None, fill=None, ceiling=None):
             if row:
                 # the previous row's pivot, folded as dpttrf folds it
                 b = off.item(row - 1)
-                diag[row] -= b / pivot * b
+                diag[row] = diag.item(row) - b / pivot * b
         # the rows from row to end, factored in place up to the failing one
         # (overwrite_d and overwrite_e, passed by position)
         pivots, _, info = dpttrf(diag[row:end], e[row : end - 1] if end - row > 1 else _NO_COUPLING, 1, 1)
@@ -415,35 +384,29 @@ def _negative_pivots(diag, off, pivmin, last=None, fill=None, ceiling=None):
             continue
         row += info
         pivot = pivots.item(info - 1)
-        if pivot == 0.0 or pivot > -ceiling:
-            if callable(pivmin):
-                pivmin = ceiling = pivmin()
-            if pivot == 0.0:
-                pivot, zero_pivots = pivmin, zero_pivots + 1
-            else:
-                pivot = min(pivot, -pivmin)
+        if pivot == 0.0:
+            pivot, zero_pivots = pivmin, zero_pivots + 1
+        elif pivot > -pivmin:
+            pivot = -pivmin
         if pivot < 0.0:
             neg += 1
         elif row - 1 >= last and row < n and pivot >= abs(off.item(row - 1)):
             break
         if row < end:
             b = off.item(row - 1)
-            diag[row] -= b / pivot * b
+            diag[row] = diag.item(row) - b / pivot * b
     return neg, zero_pivots
 
 
-def _pivmin(diag, off):
-    """Pivot floor: large enough to stop e^2/d overflow, far below any
-    physically meaningful pivot.  Its scale is capped at the largest double,
-    so that a coupling whose square overflows leaves it finite."""
-    scale = 1.0
-    if diag.size:
-        scale = max(scale, float(np.max(np.abs(diag))))
-    if off.size:
-        # a Python float square overflows to inf without a warning
-        b = float(np.max(np.abs(off)))
-        scale = max(scale, b * b)
-    return min(scale, sys.float_info.max) * 1e-292
+def _pivmin(off):
+    """LAPACK's pivot floor PIVMIN (dstebz; Demmel, Dhillon & Ren, ETNA 3,
+    1995): the smallest normal double times max(1, max b^2) over the
+    couplings b, so that no quotient b / pivot overflows.  The scale is
+    capped at the largest double, so that a coupling whose square overflows
+    leaves it finite."""
+    # a Python float square overflows to inf without a warning
+    b = float(np.max(np.abs(off))) if off.size else 0.0
+    return min(max(1.0, b * b), sys.float_info.max) * sys.float_info.min
 
 
 def mode_truncation(field: RadialField, V: Potential, grid: Grid, lam: float = 1.0) -> int:
@@ -769,7 +732,7 @@ def hardy_constant(
         solves = {}
         if (mass > 0.0).any():
             for m in modes:
-                pencil = (stiff + (m - alpha) ** 2 * lump, off, mass)
+                pencil = (_diagonal(m, stiff, alpha, 0.0, lump), off, mass)
                 start = starts.get(m)
                 if start is not None:
                     rho, x, t = start

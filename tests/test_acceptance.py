@@ -13,7 +13,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 import maghardy as mh
-from maghardy.spectral import _lumps, assemble_mode
+from maghardy.spectral import ModeOperator, _mode_terms, assemble_mode
 
 from test_quadform import qform_2d_oracle
 
@@ -326,16 +326,17 @@ def test_criterion_10_counting_oracles():
            worst_gap <= 1, f"worst |inertia-pruefer| = {worst_gap}")
 
     # 2D dense polar oracle on one small instance
-    zero, V, lam = mh.ZeroField(), mh.GaussianWell(1.0, 1.0), 40.0
+    V, lam = mh.GaussianWell(1.0, 1.0), 40.0
     g = mh.Grid.uniform(-5.0, 2.5, 61)
     n_theta = 16
     dtheta = 2.0 * np.pi / n_theta
+    # discrete angular mode k: its eigenvalue c in place of (m - alpha)^2
+    ti, off, stiff, lump = _mode_terms(g)
     mode_sum = 0
     for k in range(n_theta):
         c = 2.0 * (1.0 - np.cos(2.0 * np.pi * k / n_theta)) / dtheta**2
-        mode_sum += mh.count_negative(assemble_mode(zero, V, 0, g, lam=lam, angular_override=c))
-    t, h, ti = g.t, g.steps, g.t[1:-1]
-    lump = _lumps(g)
+        mode_sum += mh.count_negative(ModeOperator(0, stiff + (c - lam * V.e2t_v(ti)) * lump, off))
+    h = g.steps
     T = (
         np.diag(1.0 / h[:-1] + 1.0 / h[1:] - lam * V.e2t_v(ti) * lump)
         + np.diag(-1.0 / h[1:-1], 1)

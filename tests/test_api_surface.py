@@ -12,7 +12,7 @@ import types
 
 import maghardy
 
-MAX_OPTIONS = 44
+MAX_OPTIONS = 43
 
 
 def _defaults(qualname, fn):

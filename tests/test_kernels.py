@@ -68,7 +68,7 @@ def test_inertia_matches_lapack(mat):
     d, e = mat
     want = _lapack_negatives(d, e)
     if want is not None:
-        assert _negative_pivots(d, e, _pivmin(d, e))[0] == want
+        assert _negative_pivots(d, e, _pivmin(e))[0] == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -77,7 +77,7 @@ def test_inertia_near_zero_pivots_matches_lapack(mat):
     d, e = mat
     want = _lapack_negatives(d, e)
     if want is not None:
-        assert _negative_pivots(d, e, _pivmin(d, e))[0] == want
+        assert _negative_pivots(d, e, _pivmin(e))[0] == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -99,7 +99,7 @@ def test_shifted_inertia_matches_lapack(mats, mu):
     shifted = kd - mu * md
     want = _lapack_negatives(shifted, e)
     if want is not None:
-        assert _negative_pivots(shifted, e, _pivmin(kd, e))[0] == want
+        assert _negative_pivots(shifted, e, _pivmin(e))[0] == want
 
 
 def _dpttrf_inertia(diag, off, pivmin):
@@ -159,7 +159,7 @@ def _edge_tridiagonals(draw):
     e[zero], e_piv[zero] = 0.0, 0.0
     pivmin = [None, 1e-290, 1.0][int(rng.integers(0, 3))]
     if pivmin is None:
-        pivmin = _pivmin(d, e)
+        pivmin = _pivmin(e)
     return np.where(d_piv != 0.0, d_piv * pivmin, d), np.where(e_piv != 0.0, e_piv * pivmin, e), pivmin
 
 
@@ -190,12 +190,38 @@ def test_zero_pivot_counted_nonnegative():
         # det = b (2.1e-162 - b) > 0; b * b, subnormal, rounds up by 23%, and
         # squaring b before dividing once counted 1
         ([2e-162, 2.1e-162], [2e-162], 0),
+        # a pivot floor that grew with the largest diagonal entry, max(1,
+        # max |d|, max b^2) 1e-292, clamped the ordinary pivot -1 (or -1e-3)
+        # to a larger negative value, whose fold turned the next pivot
+        # negative: each of these once counted 2
+        ([-1.0, -1e300], [1e153], 1),
+        ([-1e-3, -1.0, 1e300, 1.0], [1.0, 0.0, 0.0], 1),
+        ([-1.0, -1e295], [1e150], 1),
+        ([1.0, 1e300, -1.0, -1e-3], [0.0, 0.0, 1.0], 1),
+        # the fold of -2e16 into 1.79e308 overflows to +inf, its sign in
+        # exact arithmetic; on a numpy scalar it once warned
+        ([-2e16, 1.79e308], [1.34e161], 1),
     ],
-    ids=["subnormal-pivot", "subnormal-square"],
+    ids=[
+        "subnormal-pivot",
+        "subnormal-square",
+        "huge-fold",
+        "huge-diagonal-after",
+        "huge-fold-1e295",
+        "huge-diagonal-before",
+        "overflowing-fold",
+    ],
 )
 def test_count_follows_the_exact_determinant_at_pivmin_scale(diag, off, negatives):
-    op = ModeOperator(0, np.array(diag), np.array(off))
-    assert mh.count_negative(op) == negatives
+    # both orientations, through count_negative and the recurrence's mirror
+    # at LAPACK's pivot floor, count as LAPACK's eigensolver does
+    for d, e in ((diag, off), (diag[::-1], off[::-1])):
+        d, e = np.array(d), np.array(e)
+        assert int(np.sum(eigvalsh_tridiagonal(d, e) < 0.0)) == negatives
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mh.count_negative(ModeOperator(0, d, e)) == negatives
+            assert _dpttrf_inertia(d, e, _pivmin(e)) == (negatives, 0)
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
@@ -209,7 +235,7 @@ def test_pivmin_stays_finite_when_a_coupling_square_overflows(reverse):
     assert int(np.sum(eigvalsh_tridiagonal(diag, off) < 0.0)) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pivmin = _pivmin(diag, off)
+        pivmin = _pivmin(off)
         assert np.isfinite(pivmin)
         assert mh.count_negative(ModeOperator(0, diag, off)) == 1
         assert _dpttrf_inertia(diag, off, pivmin) == (1, 0)
@@ -294,9 +320,9 @@ def _count_with_sweeps(diag, off, past_last):
     made, as (diag, off, pivmin, last, result)."""
     sweep, calls = spectral._negative_pivots, []
 
-    def recording(d, e, pivmin, last=None, fill=None, ceiling=None):
+    def recording(d, e, pivmin, last=None, fill=None):
         got = (np.array(d), np.array(e), pivmin, last)
-        result = sweep(d, e, pivmin, last, fill, ceiling)
+        result = sweep(d, e, pivmin, last, fill)
         calls.append((*got, result))
         return result
 
@@ -312,8 +338,7 @@ def _count_with_sweeps(diag, off, past_last):
 def _assert_stop_equals_full_sweep(diag, off, past_last=64):
     diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
     neg, calls = _count_with_sweeps(diag, off, past_last)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pivmin = _pivmin(diag, off)
+    pivmin = _pivmin(off)
     plan = _planned_sweep(diag, off)
     if plan is None:
         # no sweep at all, and the full forward sweep finds nothing either
@@ -385,7 +410,7 @@ def test_both_orientations_match_lapack(mat):
     d, e = mat
     want = _lapack_negatives(d, e)
     if want is not None:
-        pivmin = _pivmin(d, e)
+        pivmin = _pivmin(e)
         assert _negative_pivots(d, e, pivmin)[0] == want
         assert _negative_pivots(d[::-1], e[::-1], pivmin)[0] == want
         with warnings.catch_warnings():
@@ -399,7 +424,7 @@ def test_negative_pivot_right_after_last_weak_row(past_last):
     # 3 - 1 / 0.01 < 0: ending the sweep at the last weak row would miss it
     diag, off = np.array([0.01, 3.0, 3.0]), np.array([1.0, 1.0])
     assert _strong_rows(diag, off) == [False, True, True]
-    pivmin = _pivmin(diag, off)
+    pivmin = _pivmin(off)
     assert _negative_pivots(diag[:1], off[:0], pivmin) == (0, 0)
     assert _negative_pivots(diag, off, pivmin, last=0) == (1, 0)
     assert mh.count_negative(ModeOperator(0, diag, off)) == 1
@@ -416,7 +441,7 @@ def test_negative_pivot_far_into_the_strong_tail(past_last):
     diag, off = np.full(n, 2.0 * (1.0 + 2.0**-38)), np.full(n - 1, -1.0)
     diag[0] = 0.99
     assert _strong_rows(diag, off) == [False] + [True] * (n - 1)
-    pivmin = _pivmin(diag, off)
+    pivmin = _pivmin(off)
     assert _negative_pivots(diag[:66], off[:65], pivmin) == (0, 0)
     assert _dpttrf_inertia(diag, off, pivmin) == (1, 0)
     assert _lapack_negatives(diag, off) == 1
@@ -430,7 +455,7 @@ def test_coupling_with_subnormal_square_keeps_rows_weak():
     b = 2e-162
     diag, off = np.array([b, 2.1e-162]), np.array([b])
     assert _strong_rows(diag, off) == [False, False]
-    assert _dpttrf_inertia(diag, off, _pivmin(diag, off)) == (0, 0)
+    assert _dpttrf_inertia(diag, off, _pivmin(off)) == (0, 0)
     _assert_stop_equals_full_sweep(diag, off)
 
 

@@ -172,6 +172,6 @@ def test_smallest_generalized_mu_matches_mpmath_sturm_bisection(case):
     # sides, apart from the dpttrf the solve and count_negative both run
     def count(shift):
         shifted = kdiag - shift * mass
-        return _dpttrf_inertia(shifted, off, _pivmin(shifted, off))[0]
+        return _dpttrf_inertia(shifted, off, _pivmin(off))[0]
 
     assert count(mu * (1.0 - 1e-11)) == 0 and count(mu * (1.0 + 1e-11)) >= 1

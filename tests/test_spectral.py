@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.linalg import lapack as scipy_lapack
 
 import maghardy as mh
@@ -199,20 +199,19 @@ def test_count_modes_equals_count_negative_per_mode(
     monkeypatch, field, V, grid, lam, zero_pivots
 ):
     # the counter sees the same oriented diagonal, off-diagonal, last weak row
-    # and pivmin, to the bit, and pivmin is _pivmin's on the whole matrix;
+    # and pivmin, to the bit, and pivmin is _pivmin's of the couplings;
     # count_modes takes its modes outward from alpha, so the calls are
     # compared as sets
     counter, inputs = mh.spectral._negative_pivots, []
 
-    def recording(diag, off, pivmin, last=None, fill=None, ceiling=None):
+    def recording(diag, off, pivmin, last=None, fill=None):
         if fill is not None:
             fill(0, diag.size)
-        floor = pivmin() if callable(pivmin) else pivmin
-        assert floor == _pivmin(diag, off) and (ceiling is None or floor <= ceiling)
+        assert pivmin == _pivmin(off)
         digest = hashlib.sha256(diag.tobytes())
         digest.update(off.tobytes())
-        inputs.append((digest.hexdigest(), int(last), floor))
-        return counter(diag, off, pivmin, last, fill, ceiling)
+        inputs.append((digest.hexdigest(), int(last), pivmin))
+        return counter(diag, off, pivmin, last, fill)
 
     monkeypatch.setattr(mh.spectral, "_negative_pivots", recording)
     m_max = mh.mode_truncation(field, V, grid, lam)
@@ -230,22 +229,13 @@ def test_count_modes_equals_count_negative_per_mode(
 
 def _sweeps_of(monkeypatch, call):
     """call()'s result, its ZeroPivotWarnings, and per _negative_pivots call
-    the pivmin that the sweep used (None when it needed none) and the rows
-    [x, y) it asked its fill to assemble."""
+    the pivmin it was given and the rows [x, y) it asked its fill to
+    assemble."""
     counter, sweeps = mh.spectral._negative_pivots, []
 
-    def recording(diag, off, pivmin, last=None, fill=None, ceiling=None):
-        seen = {"pivmin": None, "filled": []}
+    def recording(diag, off, pivmin, last=None, fill=None):
+        seen = {"pivmin": pivmin, "filled": []}
         sweeps.append(seen)
-        if callable(pivmin):
-            lazy = pivmin
-
-            def pivmin():
-                seen["pivmin"] = lazy()
-                return seen["pivmin"]
-
-        else:
-            seen["pivmin"] = pivmin
         if fill is not None:
             lazy_fill = fill
 
@@ -253,7 +243,7 @@ def _sweeps_of(monkeypatch, call):
                 seen["filled"].append((x, y))
                 lazy_fill(x, y)
 
-        return counter(diag, off, pivmin, last, fill, ceiling)
+        return counter(diag, off, pivmin, last, fill)
 
     monkeypatch.setattr(mh.spectral, "_negative_pivots", recording)
     result = _with_zero_pivot_warnings(call)
@@ -263,9 +253,9 @@ def _sweeps_of(monkeypatch, call):
 
 def test_count_modes_clamps_with_the_whole_matrix_pivmin(monkeypatch):
     # mode 1's first pivot is 2 + (1 - 3) * 1 = 0 exactly, and is clamped to
-    # pivmin; its largest diagonal, 1e31 at t = 151 (row 151), lies in the
-    # strong tail that the sweep stops before and never assembles, yet sets
-    # pivmin = 1e31 * 1e-292
+    # pivmin, which both paths take from the couplings alone: the diagonal of
+    # 1e31 at t = 151 (row 151), in the strong tail that the sweep stops
+    # before and never assembles, leaves it at LAPACK's floor
     grid = mh.Grid.uniform(-1.0, 199.0, 201)
     V = mh.CustomPotential(
         np.array([-0.5, 0.0, 0.5, 150.0, 151.0, 152.0]),
@@ -273,13 +263,29 @@ def test_count_modes_clamps_with_the_whole_matrix_pivmin(monkeypatch):
     )
     op = assemble_mode(mh.ZeroField(), V, 1, grid)
     assert op.diag[0] == 0.0 and int(np.argmax(np.abs(op.diag))) == 151
-    whole = _pivmin(op.diag, op.offdiag)
-    assert whole > 1e5 * _pivmin(op.diag[:150], op.offdiag[:149])
+    floor = _pivmin(op.offdiag)
+    assert floor == np.finfo(float).tiny
     (counts, warned), [sweep] = _sweeps_of(monkeypatch, lambda: count_modes(mh.ZeroField(), V, [1], grid))
     assert max(y for _, y in sweep["filled"]) <= 151
     (count, single_warned), [single] = _sweeps_of(monkeypatch, lambda: mh.count_negative(op))
     assert counts == [count] == [1] and warned == single_warned == 1
-    assert sweep["pivmin"] == single["pivmin"] == whole
+    assert sweep["pivmin"] == single["pivmin"] == floor
+
+
+def test_count_modes_counts_beside_a_huge_repulsive_spike():
+    # mode 1's pivots are -1 and -0.5 - 1 / -1 = 0.5 at t = 0 and 1, and a
+    # repulsive spike makes the diagonal 1e300 at t = 50; a pivot floor that
+    # grew with the largest diagonal entry, 1e300 * 1e-292, clamped -1 to
+    # -1e8, so that the next pivot stayed negative: 2 counted, 1 exact
+    grid = mh.Grid.uniform(-1.0, 99.0, 101)
+    V = mh.CustomPotential(
+        np.array([-0.5, 0.0, 1.0, 1.5, 49.5, 50.0, 50.5]),
+        np.array([0.0, 4.0, 3.5 * np.exp(-2.0), 0.0, 0.0, -1e300 * np.exp(-100.0), 0.0]),
+    )
+    op = assemble_mode(mh.ZeroField(), V, 1, grid)
+    assert float(np.max(op.diag)) > 1e299
+    want = int(np.sum(eigvalsh_tridiagonal(op.diag, op.offdiag) < 0.0))
+    assert count_modes(mh.ZeroField(), V, [1], grid) == [mh.count_negative(op)] == [want] == [1]
 
 
 # the count benchmark's largest inertia op, from seed 4242's draws: bump flux
@@ -292,13 +298,6 @@ _COUNT_CASE = (
     mh.Grid.uniform(-12.0, 3.0, 6001),
     np.geomspace(1e2, 1e4, 5)[-1] / (1.507230064548501 * 0.6661666324297678 * 0.6661666324297678),
 )
-
-
-def test_count_modes_negative_pivots_need_no_pivmin(monkeypatch):
-    # a pivot at or below minus the ceiling is never clamped: no mode of the
-    # count benchmark's largest ladder step assembles its whole diagonal
-    (counts, _), sweeps = _sweeps_of(monkeypatch, lambda: count_modes(*_COUNT_CASE))
-    assert sum(counts) > 2000 and all(s["pivmin"] is None for s in sweeps)
 
 
 def test_count_modes_falls_back_when_the_entry_bound_overflows():

@@ -37,6 +37,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -44,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, counting, profiles, quadform, spectral, weights
+from . import __version__, profiles  # each runner imports the other modules it uses
 from .errors import (
     ConfigError,
     MagHardyError,
@@ -112,7 +113,13 @@ def build_potential(spec: dict | None) -> profiles.Potential:
     return _build("potential", spec, "zero", _POTENTIAL_KINDS)
 
 
-def build_weight(spec: dict | None, field=None) -> weights.Weight:
+def build_weight(spec: dict | None, field=None):
+    from . import weights
+
+    def slow_log(s):
+        from .quadform import slow_log_weight
+        return slow_log_weight()
+
     def flux_augmented(s):
         if field is None:
             raise ConfigError("flux_augmented weight needs a field section")
@@ -127,7 +134,7 @@ def build_weight(spec: dict | None, field=None) -> weights.Weight:
         "flux_augmented": flux_augmented,
         "shifted_log": lambda s: weights.ShiftedLogWeight(r0=_parse_float(s["r0"], "weight.r0")),
         "aharonov_bohm": lambda s: weights.AharonovBohmWeight(mu=float(s["mu"])),
-        "slow_log": lambda s: quadform.slow_log_weight(),
+        "slow_log": slow_log,
     }
     return _build("weight", spec, "log_squared", kinds)
 
@@ -202,6 +209,7 @@ def _run_flux(config):
 
 
 def _run_weight(config):
+    from . import weights
     field = build_field(config.get("field")) if config.get("field") else None
     w = build_weight(config.get("weight"), field=field)
     t = _resolve_t(config)
@@ -215,6 +223,7 @@ def _run_weight(config):
 
 
 def _run_vnorm(config):
+    from . import weights
     V = build_potential(config.get("potential"))
     a = float(config.get("a", 2.0))
     t_min_cap = float(config.get("t_min_cap", -1e4))
@@ -236,6 +245,7 @@ def _run_vnorm(config):
 
 
 def _run_identity_check(config):
+    from . import quadform
     r0 = _parse_float(config.get("r0", math.e), "r0")
     n = int(config.get("grid", {}).get("n", config.get("n", 1000)))
     t_max = float(np.log(r0)) - 0.1
@@ -245,6 +255,7 @@ def _run_identity_check(config):
 
 
 def _run_probe_zero(config):
+    from . import quadform
     field = build_field(config.get("field"))
     b = float(config.get("b", 1.5))
     alpha = float(config.get("alpha", 0.4))
@@ -273,6 +284,7 @@ def _run_probe_zero(config):
 
 
 def _run_probe_infinity(config):
+    from . import quadform
     field_spec = config.get("field") or {"kind": "bump", "total_flux": 1.0}
     field = build_field(field_spec)
     bad = config.get("bad_weight", "slow_log")
@@ -302,6 +314,7 @@ def _run_probe_infinity(config):
 
 
 def _run_hardy(config):
+    from . import spectral
     field = build_field(config.get("field"))
     w = build_weight(config.get("weight"), field=field)
     grid = build_grid(config.get("grid"))
@@ -323,6 +336,7 @@ def _run_hardy(config):
 
 
 def _run_count(config):
+    from . import counting
     field = build_field(config.get("field"))
     V = build_potential(config.get("potential"))
     lam = float(config.get("lambda", 1.0))
@@ -349,6 +363,7 @@ def _lambda_ladder(config):
 
 
 def _run_sweep(config):
+    from . import counting
     field_spec = config.get("field") or {"kind": "bump", "total_flux": 0.5}
     field = build_field(field_spec)
     V = build_potential(config.get("potential") or {"kind": "vsigma", "sigma": 2.0})
@@ -370,6 +385,7 @@ def _run_sweep(config):
 
 
 def _run_bound(config):
+    from . import counting
     V = build_potential(config.get("potential") or {"kind": "vsigma", "sigma": 2.0})
     bound = counting.bound_jst(V, t_min_cap=float(config.get("t_min_cap", -1e4)))
     result = {"log_weight_bound": bound.as_dict()}
@@ -703,5 +719,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def console_main() -> int:
+    """``main()``, then exit without interpreter teardown.  If stdout or
+    stderr fails to flush, the code is returned and the interpreter's own
+    exit reports the failed write, as it would without this entry."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None where the descriptor is closed
+                stream.flush()
+    except OSError:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

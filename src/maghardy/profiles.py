@@ -14,7 +14,6 @@ library reads, so radii as extreme as e^{-1e6} never touch an exponential.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -509,16 +508,6 @@ class ScaledPotential(Potential):
 
     def e2t_v(self, t):
         return self.lam * self.base.e2t_v(t)
-
-
-@dataclass(frozen=True)
-class CallablePotential(Potential):
-    """Potential defined by a closed-form density e^{2t} V(t)."""
-
-    density: Callable
-
-    def e2t_v(self, t):
-        return self.density(_as_array(t))
 
 
 def load_custom_columns(path) -> tuple[np.ndarray, np.ndarray]:

@@ -447,12 +447,6 @@ def _measure_antiderivative(t):
     return np.arctan(t) + 0.5 * np.sign(t) * np.log1p(t * t)
 
 
-def level_measure(ls: LevelSet) -> float:
-    """int over the level set of w0(r)(1+|log r|) r dr, in closed form."""
-    F = _measure_antiderivative(np.reshape(ls.intervals, -1))
-    return float(np.sum(F[1::2] - F[0::2]))
-
-
 @dataclass(frozen=True)
 class VNormResult:
     value: float

@@ -8,7 +8,13 @@ lower it.
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import maghardy
 
@@ -81,3 +87,55 @@ def test_count_sees_each_kind_of_option():
     assert settable_values(ns) == [
         "C.method(v)", "C.make(w)", "D.b", "D.c", "f(y)", "f(z)"
     ]
+
+
+# The public names of the namespace, as the eager imports of 0.1.0 gave them.
+PUBLIC_NAMES = sorted(
+    """
+    AharonovBohmWeight BoundValue BumpField CountReport CustomField CustomPotential
+    CustomTestFunction CustomWeight FluxAugmentedWeight GaussianWell Grid HardyEstimate
+    LevelSet LogLogPowerField LogPowerField LogPowerWeight LogSquaredWeight ModeBump
+    ModeOperator OriginProbe Potential RadialField ScaledPotential ShiftedLogWeight StepWell
+    SumField SweepResult TailProbe VSigma Weight ZeroField ZeroPotential assemble_mode
+    bound_jst check_f_identity count_ladder count_modes count_negative count_total counting
+    errors eval_weight fit_loglog_slope flux flux_quadrature grids hardy_constant
+    hardy_probe_at_zero infinity_probe lambda_bounds_check level_set log_moment
+    mode_truncation phase_integral_count phase_integral_counts phi profiles prufer_count
+    qform qform_checked quadform radial_1d_inequality_check select_eta_log
+    singularity_class slow_log_weight spectral sweep_exponent v_norm_a
+    verify_counting_bound weighted_norm weights
+    """.split()
+)
+
+
+def test_namespace_names_are_those_of_the_eager_imports():
+    # a fresh interpreter: dir() there lists no module that a test imported
+    code = """
+import maghardy
+print(*sorted(n for n in dir(maghardy) if not n.startswith("_")))
+names = {}
+exec("from maghardy import *", names)
+print(*sorted(n for n in names if not n.startswith("_")))
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    listed, starred = out.stdout.splitlines()
+    assert listed.split() == PUBLIC_NAMES
+    assert starred.split() == PUBLIC_NAMES
+
+
+def test_namespace_names_load_their_objects():
+    for name in PUBLIC_NAMES:
+        obj = getattr(maghardy, name)
+        if inspect.ismodule(obj):
+            assert obj is sys.modules[f"maghardy.{name}"]
+        else:
+            assert obj is getattr(sys.modules[obj.__module__], name)
+    assert maghardy.count_total is maghardy.counting.count_total
+    with pytest.raises(AttributeError, match="no_such_name"):
+        maghardy.no_such_name
+    with pytest.raises(ImportError):
+        from maghardy import no_such_name  # noqa: F401

@@ -334,15 +334,19 @@ _README_CONFIGS = {
 }
 
 
-def test_readme_command_lines_merge_to_their_configs():
+def _readme_lines():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
-    lines = [
+    return [
         line
         for block in blocks
         for line in block.replace("\\\n", " ").splitlines()
         if line.startswith("maghardy ")
     ]
+
+
+def test_readme_command_lines_merge_to_their_configs():
+    lines = _readme_lines()
     merged = {}
     for line in lines:
         args = cli.build_parser().parse_args(shlex.split(line)[1:])
@@ -710,3 +714,102 @@ spectral._lapack.cache_clear()
 print(spectral._lapack() is sys.modules["scipy.linalg._flapack"])
 """
     assert _run_child(code) == ["scipy.linalg.lapack", "True", "True"]
+
+
+
+# What each README line must not load: a subcommand imports the modules it
+# runs, and the package namespace loads a name's module on first use.
+_NOT_LOADED = {
+    "flux": {"spectral", "counting", "quadform", "weights", "_kernels"},
+    "identity-check": {"spectral", "counting"},
+    "probe-zero": {"spectral", "counting"},
+    "probe-infinity": {"spectral", "counting"},
+    "hardy": {"counting", "quadform"},
+    "count": {"quadform"},
+    "sweep": {"quadform"},
+    "bound": {"quadform"},
+    "vnorm": {"spectral", "counting", "quadform"},
+}
+
+
+@pytest.mark.parametrize("line", _readme_lines(), ids=lambda line: line.split()[1])
+def test_readme_line_loads_only_the_modules_it_runs(tmp_path, line):
+    argv = [*shlex.split(line)[1:], "--out", str(tmp_path)]
+    code = f"""
+import sys
+from maghardy import cli
+code = cli.main({argv!r})
+print(code, *sorted(m.partition(".")[2] for m in sys.modules if m.startswith("maghardy.")))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert out.returncode == 0, out.stderr
+    status, *loaded = out.stdout.splitlines()[-1].split()
+    assert status in ("0", "2"), out.stderr
+    assert {"cli", "profiles"} <= set(loaded)
+    assert not _NOT_LOADED[argv[0]] & set(loaded), loaded
+
+
+_FLUX_LINE = ["flux", "--field", "example1", "--b0", "1", "--gamma", "2", "--r", "0.1353352832"]
+
+
+def _console(argv, out_dir, stdout=subprocess.PIPE, buffered=True, **kwargs):
+    """``python -m maghardy.cli``; a buffered stdout, which a pipe or a file
+    gets by default, holds the output until the final flush."""
+    env = _child_env()
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "maghardy.cli", *argv, "--out", str(out_dir)],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        **kwargs,
+    )
+
+
+def test_console_exit_codes_and_messages(tmp_path):
+    ok = _console(_FLUX_LINE, tmp_path / "ok")
+    (report,) = (tmp_path / "ok").glob("flux-*.json")
+    assert (ok.returncode, ok.stderr) == (0, f"report: {report}\n")
+    bound = [line for line in _readme_lines() if line.split()[1] == "bound"]
+    warned = _console(shlex.split(bound[0])[1:], tmp_path / "warned")
+    (report,) = (tmp_path / "warned").glob("bound-*.json")
+    assert warned.returncode == 2
+    assert warned.stderr.splitlines() == [
+        "warning: UnboundedWarning: log-weighted potential integral grows without saturating",
+        f"report: {report}",
+    ]
+    bad = _console(["flux", "--field", "nope", "--r", "1"], tmp_path / "bad")
+    assert (bad.returncode, bad.stdout) == (1, "")
+    assert bad.stderr == "config error: field.kind: unknown kind 'nope'\n"
+
+
+def test_console_prints_one_complete_json_line_to_a_pipe(tmp_path):
+    out = _console(_FLUX_LINE, tmp_path)
+    (report,) = tmp_path.glob("flux-*.json")
+    assert out.returncode == 0
+    assert out.stdout.count("\n") == 1 and out.stdout.endswith("}\n")
+    assert json.loads(out.stdout) == json.loads(report.read_text())["results"]
+
+
+def test_console_with_stdout_closed_exits_0(tmp_path):
+    # the interpreter sets sys.stdout to None when descriptor 1 is closed
+    out = _console(_FLUX_LINE, tmp_path, stdout=None, preexec_fn=lambda: os.close(1))
+    (report,) = tmp_path.glob("flux-*.json")
+    assert (out.returncode, out.stderr) == (0, f"report: {report}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("buffered", [True, False])
+def test_console_write_error_exits_nonzero(tmp_path, buffered):
+    # unbuffered, the print fails inside main; buffered, the flush after it
+    # fails; either way the exit code says so, as without the fast exit
+    with open("/dev/full", "w") as full:
+        out = _console(_FLUX_LINE, tmp_path, stdout=full, buffered=buffered)
+    assert out.returncode != 0
+    assert "No space left on device" in out.stderr

@@ -16,8 +16,8 @@ import pytest
 import maghardy as mh
 from maghardy.profiles import ZeroPotential
 from maghardy.spectral import _lumps, _pivmin, assemble_mode, smallest_generalized_mu
-from maghardy.weights import level_measure
 
+from closed_forms import CallablePotential, level_measure
 from test_kernels import _dpttrf_inertia
 
 RTOL = 1e-13
@@ -101,7 +101,7 @@ _WELLS = [
     (mh.StepWell(2.0, 0.01), 0.5),
 ]
 # about twenty intervals; deeper caps would give thousands, at a quad each
-_OSCILLATING = mh.profiles.CallablePotential(density=lambda t: (1.1 + np.sin(t)) / (1.0 + t * t))
+_OSCILLATING = CallablePotential(density=lambda t: (1.1 + np.sin(t)) / (1.0 + t * t))
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,8 @@ from maghardy.spectral import (
     smallest_generalized_mu,
 )
 
+from closed_forms import CallablePotential
+
 
 def test_assemble_zero_zero_is_laplacian():
     g = mh.Grid.uniform(0.0, 1.0, 11)
@@ -545,7 +547,7 @@ def test_count_negative_rejects_non_finite_operator(diag, off):
 
 
 # infinite at the nodes with |t| < 0.5, zero elsewhere
-_INFINITE_WELL = mh.profiles.CallablePotential(lambda t: np.where(np.abs(t) < 0.5, np.inf, 0.0))
+_INFINITE_WELL = CallablePotential(lambda t: np.where(np.abs(t) < 0.5, np.inf, 0.0))
 
 
 def test_count_modes_rejects_non_finite_rows():
@@ -1137,7 +1139,7 @@ def test_prufer_count_rejects_bad_input_before_sweeping(monkeypatch, kwargs, mes
 
 def test_prufer_count_raises_when_its_step_underflows():
     # Q = -1e200 turns theta faster than any step above span * 1e-12 can follow
-    V = mh.profiles.CallablePotential(lambda t: np.full_like(t, 1e200))
+    V = CallablePotential(lambda t: np.full_like(t, 1e200))
     with pytest.raises(StiffnessFailure, match="underflowed its step size"):
         mh.prufer_count(mh.ZeroField(), V, 0, (0.0, 1.0))
 
@@ -1362,7 +1364,7 @@ def test_phase_integral_matches_quad_reference(field, V, lam, modes, kw):
 
 def test_phase_integral_non_finite_potential_raises():
     # +inf on a band inside the open region: quad would integrate it to inf
-    band = mh.profiles.CallablePotential(
+    band = CallablePotential(
         density=lambda t: np.where(np.abs(t + 1.0) < 0.3, np.inf, np.exp(2.0 * t))
     )
     with pytest.raises(DomainError, match="not finite"):
@@ -1542,7 +1544,7 @@ def test_mode_runs_evaluate_a_fixed_number_of_probe_rows(monkeypatch):
 def test_phase_integral_unconverged_quadrature_raises(density):
     # scipy's quad gives a number and a warning on these; the Gauss panels
     # must raise at their depth or open-interval limit
-    V = mh.profiles.CallablePotential(density=density)
+    V = CallablePotential(density=density)
     with pytest.raises(QuadratureFailure):
         mh.phase_integral_count(mh.ZeroField(), V, 0, 50.0)
 

@@ -10,7 +10,8 @@ from scipy import optimize
 
 import maghardy as mh
 from maghardy.errors import DomainError, ScanResolutionWarning, UnboundedWarning
-from maghardy.weights import level_measure
+
+from closed_forms import CallablePotential, level_measure
 
 
 def test_baseline_weight_values():
@@ -81,7 +82,7 @@ def test_select_eta_log_quarter_rule():
 def test_level_set_zero_and_constant_ratio():
     assert mh.level_set(mh.ZeroPotential(), 1.0).is_empty
     # V = 2 * rho0 has constant ratio 2
-    dbl = mh.profiles.CallablePotential(density=lambda t: 2.0 / (1.0 + t * t))
+    dbl = CallablePotential(density=lambda t: 2.0 / (1.0 + t * t))
     ls_lo = mh.level_set(dbl, 1.0, t_min_cap=-100.0)
     assert not ls_lo.is_empty and ls_lo.truncated_left
     lo, hi = ls_lo.intervals[0]
@@ -290,7 +291,7 @@ def test_v_norm_matches_scalar_reference(V, cap, a):
 
 def test_non_finite_ratio_raises_domain_error():
     # NaN on -5 < t < -3 only: the scan must not read it as "below threshold"
-    holed = mh.profiles.CallablePotential(
+    holed = CallablePotential(
         density=lambda t: np.where((t > -5.0) & (t < -3.0), np.nan, 2.0 / (1.0 + t * t))
     )
     with pytest.raises(DomainError, match=r"t = -4\.99"):
@@ -302,7 +303,7 @@ def test_non_finite_ratio_raises_domain_error():
 
 
 def test_level_set_scan_resolution_warning():
-    osc = mh.profiles.CallablePotential(
+    osc = CallablePotential(
         density=lambda t: (1.1 + np.sin(40.0 * t)) / (1.0 + t * t)
     )
     calls = (
@@ -434,7 +435,7 @@ def test_log_moment_alpha09_converges():
 
 
 _oscillating = st.floats(1.0, 60.0).map(
-    lambda k: mh.profiles.CallablePotential(
+    lambda k: CallablePotential(
         density=lambda t: (1.1 + np.sin(k * t)) / (1.0 + t * t)
     )
 )
@@ -607,11 +608,11 @@ def _v_norm_outcome(call, monkeypatch, per_cap):
     return out, [w.category.__name__ for w in caught], solves
 
 
-_oscillating_15 = mh.profiles.CallablePotential(
+_oscillating_15 = CallablePotential(
     density=lambda t: (1.1 + np.sin(15.0 * t)) / (1.0 + t * t)
 )
 # finite above t = -150 only: the caps' scans fail from the second on
-_nan_below_150 = mh.profiles.CallablePotential(
+_nan_below_150 = CallablePotential(
     density=lambda t: np.where(t < -150.0, np.nan, 2.0 / (1.0 + t * t))
 )
 _SWEEP_CASES = [

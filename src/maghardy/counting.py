@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientGrowth
-from .grids import Grid
+from .grids import Grid, _sorted_unique
 from .profiles import Potential, RadialField
 from .spectral import (
     _check_coupling,
@@ -178,7 +178,7 @@ def _log_weight_integral(V: Potential, t_min: float, t_max: float) -> float:
     sup = V.support_t_max
 
     def integral(lo, hi, edge, density):
-        pts = np.unique([lo, hi] + ([edge] if lo < edge < hi else []))
+        pts = _sorted_unique([lo, hi] + ([edge] if lo < edge < hi else []))
         return float(np.sum(_sin2_gauss_panels(lambda x, _: density(x), pts[:-1], pts[1:])))
 
     def tail(s):

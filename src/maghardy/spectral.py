@@ -58,7 +58,7 @@ from .errors import (
     StiffnessFailure,
     ZeroPivotWarning,
 )
-from .grids import Grid
+from .grids import Grid, _sorted_unique
 from .profiles import Potential, RadialField, ScaledPotential, VSigma
 from .weights import Weight, _roots, _sin2_gauss_panels
 
@@ -1053,7 +1053,9 @@ def _mode_brackets(probe, terms, modes):
     when its position lies in one of their runs and not in the other.
     """
     well, alpha, g, barrier = np.broadcast_arrays(*terms)
-    u, inverse = np.unique(np.asarray(modes, dtype=float), return_inverse=True)
+    modes = np.asarray(modes, dtype=float)
+    u = _sorted_unique(modes)
+    inverse = np.searchsorted(u, modes)  # modes are finite, so each finds itself
     if not u.size:
         none = probe[:0]
         return (none, none, none, none, inverse), inverse

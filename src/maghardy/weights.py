@@ -11,14 +11,15 @@ The sup-functional over thresholds tau,
 
     ([V]_a)^a = sup_{tau>0} tau^a * int_{ {V > tau w0} } w0(r) (1+|log r|) r dr
 
-with w0 the baseline weight, is evaluated from one scan of V/w0 per cap.  The
-scan segments crossed by every threshold of a batch are found in one pass
-(sorted thresholds against each segment's value range), a bracketed root
-solve refines all those crossings, and the measures are closed form.  A
-geometric tau grid brackets the best tau, a zoom of 32 log-spaced thresholds
-per round narrows the bracket, and sweeping the lower domain cap detects
-divergence.  The caps of a sweep search in lockstep, so one root solve per
-round refines the crossings of every cap still searching.
+with w0 the baseline weight, is evaluated from one scan of V/w0 per cap.  A
+batch of thresholds searches only the scan segments whose value range meets
+the batch's threshold range, a bracketed root solve refines all their
+crossings, and the measures are closed form.  A geometric tau grid brackets
+the best tau, a zoom of 32 log-spaced thresholds per round narrows the
+bracket, and sweeping the lower domain cap detects divergence.  DomainError
+is raised where the grid's top threshold, or tau^a times a positive
+measure, is not finite.  The caps of a sweep search in lockstep, so one
+root solve per round refines the crossings of every cap still searching.
 
 One cap sweep serves this functional and ``counting.bound_jst``: the caps
 (``_caps``), the 1% saturation rule (``_saturation``) and the upper end
@@ -38,6 +39,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError, QuadratureFailure, ScanResolutionWarning, UnboundedWarning
+from .grids import _sorted_unique
 from .profiles import Potential, RadialField, _as_array, _resolve_t
 
 # refinement limits per Gauss panel: halvings of one theta-interval, and
@@ -359,19 +361,27 @@ class _LevelScan:
         pieces = [np.linspace(max(t_min_cap, -2.0), _T_MAX, max(scan_n // 4, 16))]
         if t_min_cap < -2.0:
             pieces.insert(0, -np.geomspace(2.0, -t_min_cap, scan_n)[::-1])
-        nodes = np.unique(np.concatenate(pieces))
+        nodes = _sorted_unique(np.concatenate(pieces))
         # V vanishes past its support edge, so the scan ends there, no lower
         # than the cap
         sup = V.support_t_max
         end = _T_MAX if sup is None else max(min(_T_MAX, sup), t_min_cap)
         self.nodes = nodes = np.append(nodes[nodes < end], end)
-        fine_t = np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))  # interleaved
+        # nodes at the even slots, midpoints at the odd ones: the rounded
+        # midpoint of two floats lies between them unless their sum
+        # overflows (and the ratio rejects that -inf), so this is sorted
+        fine_t = np.empty(2 * nodes.size - 1)
+        fine_t[0::2], fine_t[1::2] = nodes, 0.5 * (nodes[:-1] + nodes[1:])
         fine = self.ratio(fine_t)
         self.vals = vals = np.ascontiguousarray(fine[0::2])
         self.rmax = float(np.max(vals))
-        # segment i is crossed by tau iff min(v_i, v_i+1) <= tau < max(v_i, v_i+1)
+        # segment i is crossed by tau iff min(v_i, v_i+1) <= tau < max(v_i, v_i+1).
+        # The spans are mostly a few monotone runs, which timsort ("stable")
+        # merges in about half quicksort's time; the sorted values are the same
         self.spans = [
-            np.sort(f(v[:-1], v[1:])) for v in (vals, fine) for f in (np.minimum, np.maximum)
+            np.sort(f(v[:-1], v[1:]), kind="stable")
+            for v in (vals, fine)
+            for f in (np.minimum, np.maximum)
         ]
         padded = np.concatenate([[-np.inf], vals, [-np.inf]])  # so open ends count as crossings
         self.seg_lo = np.minimum(padded[:-1], padded[1:])
@@ -391,11 +401,14 @@ class _LevelScan:
             msg = "ratio oscillates faster than the level-set scan grid"
             warnings.warn(msg, ScanResolutionWarning)
         # padded segment j (cut j-1) is crossed by the taus of sorted rank
-        # first_j .. first_j + hits_j - 1; owner is each crossing's tau index
+        # first_j .. first_j + hits_j - 1; owner is each crossing's tau index.
+        # Only a segment whose value range meets the batch's can be crossed.
         order = np.argsort(taus)
-        first = np.searchsorted(taus[order], self.seg_lo)
-        hits = np.searchsorted(taus[order], self.seg_hi) - first
-        seg = np.repeat(np.arange(hits.size), hits)
+        st = taus[order]
+        cand = np.flatnonzero((self.seg_lo <= st[-1]) & (self.seg_hi > st[0]))
+        first = np.searchsorted(st, self.seg_lo[cand])
+        hits = np.searchsorted(st, self.seg_hi[cand]) - first
+        seg = np.repeat(cand, hits)
         owner = order[np.arange(seg.size) - np.repeat(np.cumsum(hits) - hits - first, hits)]
         by_tau = np.lexsort((seg, owner))  # each threshold's cuts in increasing order
         cut, owner = seg[by_tau] - 1, owner[by_tau]
@@ -472,7 +485,9 @@ def _sup_search(rmax: float):
     of the log-tau bracket and keeps the argmax's two neighbours, until the
     bracket is narrower than 1e-10.  A grid of zero values ends the search
     at (0, 0): level sets shrink as tau grows, so every set a zoom could ask
-    for has measure 0 too."""
+    for has measure 0 too.  DomainError when rmax * 1e8 overflows."""
+    if not np.isfinite(rmax * 1e8):
+        raise DomainError(f"the threshold grid rmax * [1e-8, 1e8] overflows: rmax = {rmax!r}")
     taus = np.geomspace(rmax * 1e-8, rmax * 1e8, 512)
     vals = yield taus
     if not vals.any():
@@ -491,6 +506,18 @@ def _sup_search(rmax: float):
         lo, hi = max(j - 1, 0), min(j + 1, xs.size - 1)
         x, v = xs[[lo, hi]], vs[[lo, hi]]
     return best, arg_t
+
+
+def _tau_a_measure(taus, a, measure):
+    """tau^a * measure, and 0 where the measure is 0: above rmax every level
+    set is empty, and tau^a may overflow there.  DomainError where the
+    product is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.where(measure > 0, taus**a * measure, 0.0)
+    if not np.isfinite(vals).all():
+        bad = float(taus[~np.isfinite(vals)][0])
+        raise DomainError(f"tau^a * measure is not finite at tau = {bad!r}")
+    return vals
 
 
 def _sup_over_thresholds(V: Potential, a: float, caps):
@@ -516,7 +543,8 @@ def _sup_over_thresholds(V: Potential, a: float, caps):
         roots = np.split(_roots(ratio, *solve), sizes[:-1])
         for (k, taus), (cut, owner, _), r in zip(list(asked.items()), parts, roots):
             try:
-                asked[k] = searches[k].send(taus**a * scans[k].finish(taus, cut, owner, r)[1])
+                measure = scans[k].finish(taus, cut, owner, r)[1]
+                asked[k] = searches[k].send(_tau_a_measure(taus, a, measure))
             except StopIteration as done:
                 sups[k] = done.value
                 del asked[k]
@@ -601,7 +629,7 @@ def threshold_curve(V: Potential, a: float, t_min_cap: float = -1e4):
     if scan.rmax <= 0:
         return np.zeros(0), np.zeros(0)
     taus = np.geomspace(scan.rmax * 1e-6, scan.rmax, 200)
-    return taus, taus**a * scan.levels(taus)[1]
+    return taus, _tau_a_measure(taus, a, scan.levels(taus)[1])
 
 
 def log_moment(w: Weight, alpha: float, R: float) -> float:

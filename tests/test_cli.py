@@ -647,6 +647,16 @@ def test_count_with_a_non_finite_custom_potential_exits_1(tmp_path, capsys, valu
     assert not (tmp_path / "out").exists()
 
 
+def test_vnorm_of_a_well_too_deep_for_the_threshold_grid_exits_1(tmp_path, capsys):
+    # rmax * 1e8 overflows: this once printed value 0 and "arg_t": Infinity, exit 0
+    argv = ["vnorm", "--potential", "gaussian", "--depth", "1e302", "--a", "2",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DomainError: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_import_loads_no_scipy_submodule():
     # a fresh interpreter: scipy is imported only inside the functions that use it
     heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg")
@@ -718,7 +728,8 @@ print(spectral._lapack() is sys.modules["scipy.linalg._flapack"])
 
 
 # What each README line must not load: a subcommand imports the modules it
-# runs, and the package namespace loads a name's module on first use.
+# runs, and the package namespace loads a name's module on first use.  No
+# line loads numpy.ma either.
 _NOT_LOADED = {
     "flux": {"spectral", "counting", "quadform", "weights", "_kernels"},
     "identity-check": {"spectral", "counting"},
@@ -739,16 +750,18 @@ def test_readme_line_loads_only_the_modules_it_runs(tmp_path, line):
 import sys
 from maghardy import cli
 code = cli.main({argv!r})
-print(code, *sorted(m.partition(".")[2] for m in sys.modules if m.startswith("maghardy.")))
+loaded = sorted(m.partition(".")[2] for m in sys.modules if m.startswith("maghardy."))
+print(code, "numpy.ma" in sys.modules, *loaded)
 """
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
     )
     assert out.returncode == 0, out.stderr
-    status, *loaded = out.stdout.splitlines()[-1].split()
+    status, masked, *loaded = out.stdout.splitlines()[-1].split()
     assert status in ("0", "2"), out.stderr
     assert {"cli", "profiles"} <= set(loaded)
     assert not _NOT_LOADED[argv[0]] & set(loaded), loaded
+    assert masked == "False", "numpy.ma was loaded"
 
 
 _FLUX_LINE = ["flux", "--field", "example1", "--b0", "1", "--gamma", "2", "--r", "0.1353352832"]

@@ -357,6 +357,22 @@ def test_v_norm_homogeneity():
         assert scaled.value == pytest.approx(lam * base.value, rel=1e-6)
 
 
+def test_v_norm_of_a_deep_well_is_homogeneous_where_tau_to_the_a_overflows():
+    # grid thresholds above rmax have empty level sets, and tau^a overflows
+    # there; this once gave NaN, which won the argmax, and value 0
+    unit = mh.v_norm_a(mh.GaussianWell(1.0, 1.0), 2.0, -100.0, 1)
+    deep = mh.v_norm_a(mh.GaussianWell(1e150, 1.0), 2.0, -100.0, 1)
+    assert deep.value == pytest.approx(1e150 * unit.value, rel=1e-12)
+
+
+def test_v_norm_raises_where_the_threshold_grid_overflows():
+    deep = mh.GaussianWell(1e302, 1.0)
+    with pytest.raises(DomainError, match="threshold grid"):  # rmax * 1e8 overflows
+        mh.v_norm_a(deep, 2.0, -100.0, 1)
+    with pytest.raises(DomainError, match=r"tau\^a \* measure is not finite"):
+        mh.weights.threshold_curve(deep, 2.0, -100.0)
+
+
 def test_v_norm_homogeneity_random_property():
     V = mh.GaussianWell(depth=3.0, width=0.8)
     rng = np.random.default_rng(5)
@@ -463,17 +479,8 @@ def _outcome(call):
     return out, sum(issubclass(w.category, ScanResolutionWarning) for w in caught)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.one_of(_potentials, _oscillating),
-    st.one_of(_caps, st.sampled_from([-1.0, -2.0, -30.0])),
-    _tau_draws,
-    st.randoms(use_true_random=False),
-)
-def test_levels_equals_loop_reference(V, cap, draws, rnd):
-    # the batch against a loop of one-threshold calls, each of which
-    # test_level_set_matches_scalar_reference checks against scalar brentq
-    scan = mh.weights._LevelScan(V, cap)
+def _thresholds(scan, draws, rnd):
+    """The thresholds of ``_tau_draws`` on a scan, with repeats, shuffled."""
     scale = scan.rmax or 1.0  # a cap above the support of VSigma scans V/w0 = 0
     vals = scan.vals[scan.vals > 0] if scan.rmax > 0 else np.array([scale])  # thresholds are positive
     taus = []
@@ -486,6 +493,21 @@ def test_levels_equals_loop_reference(V, cap, draws, rnd):
             taus.append(float(vals[int(u * (vals.size - 1))]))
     taus = taus + rnd.sample(taus, min(3, len(taus)))  # repeated thresholds
     rnd.shuffle(taus)
+    return taus
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(_potentials, _oscillating),
+    st.one_of(_caps, st.sampled_from([-1.0, -2.0, -30.0])),
+    _tau_draws,
+    st.randoms(use_true_random=False),
+)
+def test_levels_equals_loop_reference(V, cap, draws, rnd):
+    # the batch against a loop of one-threshold calls, each of which
+    # test_level_set_matches_scalar_reference checks against scalar brentq
+    scan = mh.weights._LevelScan(V, cap)
+    taus = _thresholds(scan, draws, rnd)
     got, n_warn = _outcome(lambda: scan.levels(taus))
     singles = [_outcome(lambda: scan.levels(tau)) for tau in taus]
     assert (n_warn > 0) == any(w for _, w in singles)
@@ -495,6 +517,51 @@ def test_levels_equals_loop_reference(V, cap, draws, rnd):
         return
     want = [np.concatenate(c) for c in zip(*(out for out, _ in singles))]
     for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def _whole_scan_brackets(scan, taus):
+    """``_LevelScan.brackets`` without its warning check, as it was before it
+    searched only the segments whose value range meets the batch's: every
+    padded segment of the scan against the sorted thresholds."""
+    order = np.argsort(taus)
+    first = np.searchsorted(taus[order], scan.seg_lo)
+    hits = np.searchsorted(taus[order], scan.seg_hi) - first
+    seg = np.repeat(np.arange(hits.size), hits)
+    owner = order[np.arange(seg.size) - np.repeat(np.cumsum(hits) - hits - first, hits)]
+    by_tau = np.lexsort((seg, owner))
+    cut, owner = seg[by_tau] - 1, owner[by_tau]
+    inner = (cut >= 0) & (cut < scan.nodes.size - 1)
+    i, lvl = cut[inner], taus[owner[inner]]
+    nodes, vals = scan.nodes, scan.vals
+    return cut, owner, (nodes[i], nodes[i + 1], vals[i] - lvl, vals[i + 1] - lvl, lvl)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(_potentials, _oscillating),
+    st.one_of(_caps, st.sampled_from([-1.0, -2.0, -30.0])),
+    _tau_draws,
+    st.randoms(use_true_random=False),
+    st.sampled_from(["draws", "grid", "zoom"]),
+    st.floats(-10.0, 0.0),
+)
+def test_brackets_equal_the_whole_scan_search(V, cap, draws, rnd, batch, log_width):
+    # the drawn thresholds, the 512-threshold grid of _sup_search, or a zoom
+    # round: 32 log-spaced thresholds in a bracket around a drawn one
+    scan = mh.weights._LevelScan(V, cap)
+    taus = np.array(_thresholds(scan, draws, rnd))
+    scale = scan.rmax or 1.0
+    if batch == "grid":
+        taus = np.geomspace(scale * 1e-8, scale * 1e8, 512)
+    elif batch == "zoom":
+        half = 10.0**log_width
+        taus = np.exp(np.linspace(np.log(taus[0]) - half, np.log(taus[0]) + half, 34)[1:-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScanResolutionWarning)
+        cut, owner, solve = scan.brackets(taus)
+    want_cut, want_owner, want_solve = _whole_scan_brackets(scan, taus)
+    for g, w in zip((cut, owner, *solve), (want_cut, want_owner, *want_solve)):
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 

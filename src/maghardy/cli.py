@@ -29,6 +29,17 @@ Config schema::
     r | t, b, alpha, cuts [...], alpha_exp, n_list [...], bad_weight, r0,
     out
 
+The sections each subcommand reads, and so the section flags it takes::
+
+    flux, probe-zero, probe-infinity   field
+    weight                             field, weight
+    vnorm                              potential
+    identity-check                     grid.n (its --grid sets the top-level n)
+    hardy                              field, weight, grid
+    count, sweep, bound                field, potential, grid
+
+Any other section flag, and any abbreviated flag, is a usage error.
+
 Exit status: 0 success, 2 success with collected warnings, 1 error (usage
 and config errors included).
 """
@@ -247,7 +258,7 @@ def _run_vnorm(config):
 def _run_identity_check(config):
     from . import quadform
     r0 = _parse_float(config.get("r0", math.e), "r0")
-    n = int(config.get("grid", {}).get("n", config.get("n", 1000)))
+    n = int((config.get("grid") or {}).get("n", config.get("n", 1000)))
     t_max = float(np.log(r0)) - 0.1
     grid = Grid.uniform(-6.0, t_max, n)
     residual = quadform.check_f_identity(r0, grid)
@@ -387,7 +398,8 @@ def _run_sweep(config):
 def _run_bound(config):
     from . import counting
     V = build_potential(config.get("potential") or {"kind": "vsigma", "sigma": 2.0})
-    bound = counting.bound_jst(V, t_min_cap=float(config.get("t_min_cap", -1e4)))
+    t_min_cap = float(config.get("t_min_cap", -1e4))
+    bound = counting.bound_jst(V, t_min_cap=t_min_cap)
     result = {"log_weight_bound": bound.as_dict()}
     tables = {}
     if config.get("a") is not None:
@@ -399,6 +411,8 @@ def _run_bound(config):
             float(config["a"]),
             _lambda_ladder(config),
             method=config.get("method", "phase"),
+            grid=build_grid(config["grid"]) if config.get("grid") else None,
+            t_min_cap=t_min_cap,
         )
         result["counting_bound"] = {
             "a": table["a"],
@@ -529,25 +543,32 @@ def _int_range(text):
 
 _FLOAT = {"type": float}
 _INT = {"type": int}
-_MODEL_FLAGS = (
+_FIELD_FLAGS = (
     ("--field", "field.kind", {}),
     ("--b0", "field.b0", _FLOAT),
     ("--gamma", "field.gamma", _FLOAT),
     ("--total-flux", "field.total_flux", _FLOAT),
     ("--r1", "field.r1", _FLOAT),
+)
+_POTENTIAL_FLAGS = (
     ("--potential", "potential.kind", {}),
     ("--sigma", "potential.sigma", _FLOAT),
     ("--depth", "potential.depth", _FLOAT),
     ("--width", "potential.width", _FLOAT),
     ("--radius", "potential.radius", _FLOAT),
+)
+_WEIGHT_FLAGS = (
     ("--weight", "weight.kind", {}),
     ("--t-eta", "weight.t_eta", _FLOAT),
     ("--mu", "weight.mu", _FLOAT),
+)
+_GRID_FLAGS = (
     ("--t-min", "grid.t_min", _FLOAT),
     ("--t-max", "grid.t_max", _FLOAT),
     ("--grid", "grid.n", {"type": int, "help": "number of grid nodes"}),
     ("--grid-kind", "grid.kind", {"choices": ("uniform", "geometric", "auto")}),
 )
+_COUNT_FLAGS = _FIELD_FLAGS + _POTENTIAL_FLAGS + _GRID_FLAGS
 _RADIUS_FLAGS = (("--r", "r", {}), ("--t", "t", _FLOAT))
 _LAMBDA_FLAGS = (
     ("--lambda-min", "lambdas.min", _FLOAT),
@@ -560,16 +581,20 @@ _METHOD_FLAG = ("--method", "method", {"choices": ("inertia", "prufer", "phase")
 # keywords).  A dotted key is an entry of a section, e.g. potential.sigma;
 # --b, --r0 and --grid map to different keys in different subcommands.  No
 # flag has a default: an absent flag leaves the config value, and the runner
-# supplies the default.
+# supplies the default.  A subcommand takes only the sections its runner
+# builds, so any other flag is a usage error, not a silently ignored value.
 _FLAGS = {
-    "flux": ("flux function of a radial field", _MODEL_FLAGS + _RADIUS_FLAGS),
+    "flux": ("flux function of a radial field", _FIELD_FLAGS + _RADIUS_FLAGS),
     "weight": (
         "evaluate a Hardy weight",
-        _MODEL_FLAGS + _RADIUS_FLAGS + (("--b", "weight.b", _FLOAT), ("--r0", "weight.r0", {})),
+        _FIELD_FLAGS
+        + _WEIGHT_FLAGS
+        + _RADIUS_FLAGS
+        + (("--b", "weight.b", _FLOAT), ("--r0", "weight.r0", {})),
     ),
     "vnorm": (
         "capped sup-functional of a potential",
-        _MODEL_FLAGS
+        _POTENTIAL_FLAGS
         + (
             ("--a", "a", _FLOAT),
             ("--t-min-cap", "t_min_cap", _FLOAT),
@@ -580,7 +605,7 @@ _FLAGS = {
     "identity-check": ("algebraic identity residual", (("--r0", "r0", {}), ("--grid", "n", _INT))),
     "probe-zero": (
         "weight optimality probe at the origin",
-        _MODEL_FLAGS
+        _FIELD_FLAGS
         + (
             ("--b", "b", _FLOAT),
             ("--alpha", "alpha", _FLOAT),
@@ -589,7 +614,7 @@ _FLAGS = {
     ),
     "probe-infinity": (
         "weight optimality probe at infinity",
-        _MODEL_FLAGS
+        _FIELD_FLAGS
         + (
             ("--alpha-exp", "alpha_exp", _FLOAT),
             ("--n-list", "n_list", {"type": _floats}),
@@ -598,16 +623,19 @@ _FLAGS = {
     ),
     "hardy": (
         "discrete Hardy-constant estimate",
-        _MODEL_FLAGS + (("--m-range", "m_range", {"type": _int_range}), ("--refine", "refine", _INT)),
+        _FIELD_FLAGS
+        + _WEIGHT_FLAGS
+        + _GRID_FLAGS
+        + (("--m-range", "m_range", {"type": _int_range}), ("--refine", "refine", _INT)),
     ),
     "count": (
         "negative-eigenvalue count at one coupling",
-        _MODEL_FLAGS + (("--lambda", "lambda", _FLOAT), _METHOD_FLAG),
+        _COUNT_FLAGS + (("--lambda", "lambda", _FLOAT), _METHOD_FLAG),
     ),
-    "sweep": ("coupling sweep and exponent fit", _MODEL_FLAGS + _LAMBDA_FLAGS + (_METHOD_FLAG,)),
+    "sweep": ("coupling sweep and exponent fit", _COUNT_FLAGS + _LAMBDA_FLAGS + (_METHOD_FLAG,)),
     "bound": (
         "integral bound and counting-bound table",
-        _MODEL_FLAGS
+        _COUNT_FLAGS
         + (("--a", "a", _FLOAT), ("--t-min-cap", "t_min_cap", _FLOAT))
         + _LAMBDA_FLAGS
         + (_METHOD_FLAG,),
@@ -619,7 +647,11 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1: exit status 2 means "ok with warnings".  Any
     token that float() or ``_int_range`` reads is a value, not a flag:
     argparse by itself reads only -5 and -.5 as negative numbers, not -1e3,
-    -inf or the mode range -1:1."""
+    -inf or the mode range -1:1.  A flag is read only under its full name:
+    an abbreviation would read ``vnorm --t-min`` as ``--t-min-cap``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def _parse_optional(self, arg_string):
         for read in (float, _int_range):

@@ -564,17 +564,28 @@ def _check_cap(t_min_cap: float):
 def _caps(t_min_cap: float, cap_doublings: int, cap_schedule: str = "double") -> list:
     """The lower caps of a sweep: t_min_cap and ``cap_doublings`` extensions
     of it, each doubling t ("double") or squaring |t| ("square", which needs
-    t_min_cap < -1)."""
+    t_min_cap < -1); a sweep whose last cap is not a finite double is a
+    ValueError."""
     _check_cap(t_min_cap)
     if cap_doublings < 0:
         raise ValueError("cap_doublings must be nonnegative")
-    if cap_schedule == "double":
-        return [t_min_cap * (2.0**k) for k in range(cap_doublings + 1)]
-    if cap_schedule == "square":
-        if t_min_cap >= -1.0:
-            raise ValueError("cap_schedule 'square' needs t_min_cap < -1")
-        return [-((-t_min_cap) ** (2.0**k)) for k in range(cap_doublings + 1)]
-    raise ValueError("cap_schedule must be 'double' or 'square'")
+    try:
+        if cap_schedule == "double":
+            caps = [t_min_cap * (2.0**k) for k in range(cap_doublings + 1)]
+        elif cap_schedule == "square":
+            if t_min_cap >= -1.0:
+                raise ValueError("cap_schedule 'square' needs t_min_cap < -1")
+            caps = [-((-t_min_cap) ** (2.0**k)) for k in range(cap_doublings + 1)]
+        else:
+            raise ValueError("cap_schedule must be 'double' or 'square'")
+    except OverflowError:  # a float power past the largest double
+        caps = [-np.inf]
+    if not np.isfinite(caps[-1]):
+        raise ValueError(
+            f"the cap sweep from t_min_cap={t_min_cap!r} with {cap_doublings} "
+            f"{cap_schedule} extension(s) leaves the finite range"
+        )
+    return caps
 
 
 def _saturation(values, message: str):

@@ -1,11 +1,13 @@
-"""A ratchet on the options of the public API.
+"""A ratchet on the options of the public API and of the command line.
 
 Every settable value with a default is a configuration that the tests have to
 cover.  This test counts them in the top-level ``maghardy`` namespace, so a
 new option has to raise ``MAX_OPTIONS`` in review, and a removed one should
-lower it.
+lower it.  The flags of the CLI subcommands are counted the same way against
+``MAX_CLI_FLAGS``.
 """
 
+import argparse
 import dataclasses
 import inspect
 import os
@@ -17,8 +19,10 @@ from pathlib import Path
 import pytest
 
 import maghardy
+from maghardy import cli
 
 MAX_OPTIONS = 43
+MAX_CLI_FLAGS = 114
 
 
 def _defaults(qualname, fn):
@@ -60,6 +64,24 @@ def settable_values(namespace):
 def test_settable_values_do_not_grow():
     found = settable_values(maghardy)
     assert len(found) <= MAX_OPTIONS, "\n".join(found)
+
+
+def cli_flags(parser):
+    """``subcommand --flag`` for each flag a subparser registers, apart from
+    the help flags and the global options every subcommand repeats."""
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        f"{name} {flag}"
+        for name, sub in subs.choices.items()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help", "--config", "--out", "--pretty")
+    ]
+
+
+def test_cli_flags_do_not_grow():
+    found = cli_flags(cli.build_parser())
+    assert len(found) <= MAX_CLI_FLAGS, "\n".join(found)
 
 
 def test_count_sees_each_kind_of_option():

@@ -1,5 +1,6 @@
 """CLI dispatch, report determinism, CSV emission, exit codes."""
 
+import argparse
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maghardy import cli, profiles, weights
+from maghardy import cli, counting, profiles, weights
 from maghardy.errors import ConfigError
 from maghardy.grids import Grid
 
@@ -265,6 +266,148 @@ def test_bound_subcommand_with_counting_table():
     assert tables["bound_table"]["columns"] == ["lambda", "N", "va_pow_a", "ratio"]
 
 
+def test_bound_counts_on_its_grid(tmp_path, capsys):
+    argv = ["bound", "--potential", "vsigma", "--sigma", "2", "--a", "2", "--method", "inertia"]
+    grid_flags = ["--t-min", "-40", "--t-max", "2", "--grid", "2001"]
+    assert cli.main([*argv, *grid_flags, "--out", str(tmp_path / "out")]) in (0, 2)
+    (csv,) = (tmp_path / "out").glob("*-bound_table.csv")
+    counts = [int(line.split(",")[1]) for line in csv.read_text().splitlines()[1:]]
+    grid = Grid.uniform(-40.0, 2.0, 2001)
+    field, V = profiles.BumpField(0.5), profiles.VSigma(2.0)
+    assert counts == [
+        counting.count_total(field, V, lam, grid, method="inertia").total
+        for lam in np.geomspace(10.0, 1e4, 7)
+    ]
+    capsys.readouterr()
+    # without a grid section the inertia table has nothing to count on
+    assert cli.main([*argv, "--out", str(tmp_path / "none")]) == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: inertia and oscillation methods require a grid\n"
+    )
+    assert not (tmp_path / "none").exists()
+
+
+def test_bound_cap_reaches_the_counting_table(tmp_path, capsys):
+    argv = ["bound", "--potential", "gaussian", "--a", "2", "--t-min-cap", "-50",
+            "--lambda-max", "100", "--lambda-n", "3", "--out", str(tmp_path)]
+    assert cli.main(argv) in (0, 2)
+    results = json.loads(capsys.readouterr().out)
+    assert [c for c, _ in results["log_weight_bound"]["cap_sequence"]] == [-50.0, -100.0, -200.0, -400.0]
+    assert [c for c, _ in results["counting_bound"]["v_norm"]["cap_sequence"]] == [-50.0, -100.0]
+
+
+def test_identity_check_reads_a_null_grid_as_absent(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"grid": None, "n": 300}))
+    assert cli.main(["--config", str(cfg), "identity-check", "--out", str(tmp_path / "out")]) == 0
+    assert json.loads(capsys.readouterr().out)["grid_n"] == 300
+
+
+def _offered(sub):
+    """(flag, config key) of each flag a subcommand takes beyond the global ones."""
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (flag, action.dest)
+        for action in subs.choices[sub]._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help", "--config", "--out", "--pretty")
+    ]
+
+
+class _ReadKeys(dict):
+    """A config that records the top-level keys, sections included, a runner
+    looks up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# A value for every config key a flag sets, with small grids and ladders.
+_FLAG_VALUES = {
+    "field.kind": "bump", "field.b0": "1", "field.gamma": "2", "field.total_flux": "1",
+    "field.r1": "1",
+    "potential.kind": "vsigma", "potential.sigma": "2", "potential.depth": "1",
+    "potential.width": "1", "potential.radius": "1",
+    "weight.kind": "log_squared", "weight.t_eta": "1", "weight.mu": "0.3", "weight.b": "1.5",
+    "weight.r0": "e",
+    "grid.t_min": "-10", "grid.t_max": "1", "grid.n": "201", "grid.kind": "uniform",
+    "r": "0.5", "t": "-0.5", "a": "2", "t_min_cap": "-50", "cap_doublings": "1",
+    "cap_schedule": "double", "r0": "e", "n": "200", "b": "1.5", "alpha": "0.4",
+    "cuts": "8,16", "alpha_exp": "0.5", "n_list": "100,1000", "bad_weight": "slow_log",
+    "m_range": "-1:1", "refine": "0", "lambda": "20", "method": "inertia",
+    "lambdas.min": "10", "lambdas.max": "1000", "lambdas.n": "5",
+}
+
+
+@pytest.mark.parametrize("sub", sorted(cli._RUNNERS))
+def test_each_offered_flag_sets_a_key_its_runner_reads(sub):
+    offered = _offered(sub)
+    argv = [sub, *(f"{flag}={_FLAG_VALUES[key]}" for flag, key in offered)]
+    config = cli._merge_args({}, cli.build_parser().parse_args(argv))
+    read = set()
+    # a given t shadows r, so a second run without t looks r up
+    for cfg in (config, {k: v for k, v in config.items() if k != "t"}):
+        cfg = _ReadKeys(cfg)
+        assert cli.run(cfg)[2] in (0, 2)
+        read |= cfg.read
+    unread = {flag for flag, key in offered if key.partition(".")[0] not in read}
+    assert not unread, f"{sub} offers flags its runner never reads: {sorted(unread)}"
+
+
+# The flags that set an entry of each model section, and the sections each
+# subcommand's runner builds.
+_SECTION_FLAGS = {
+    "field": ("--field", "--b0", "--gamma", "--total-flux", "--r1"),
+    "potential": ("--potential", "--sigma", "--depth", "--width", "--radius"),
+    "weight": ("--weight", "--t-eta", "--mu"),
+    "grid": ("--t-min", "--t-max", "--grid", "--grid-kind"),
+}
+_COUNT_SECTIONS = {"field", "potential", "grid"}
+_SECTIONS_TAKEN = {
+    "flux": {"field"},
+    "weight": {"field", "weight"},
+    "vnorm": {"potential"},
+    "identity-check": set(),
+    "probe-zero": {"field"},
+    "probe-infinity": {"field"},
+    "hardy": {"field", "weight", "grid"},
+    "count": _COUNT_SECTIONS,
+    "sweep": _COUNT_SECTIONS,
+    "bound": _COUNT_SECTIONS,
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_SECTIONS_TAKEN))
+def test_a_subcommand_takes_only_the_section_flags_of_its_sections(tmp_path, capsys, sub):
+    offered = dict(_offered(sub))
+    for section, flags in _SECTION_FLAGS.items():
+        for flag in flags:
+            key = offered.get(flag)
+            if section in _SECTIONS_TAKEN[sub]:
+                assert key is not None and key.startswith(f"{section}."), (sub, flag)
+            elif key is not None:  # identity-check's --grid sets the top-level n
+                assert not key.startswith(f"{section}."), (sub, flag)
+            else:
+                # vnorm --t-min as well: an abbreviation would read it as --t-min-cap
+                with pytest.raises(SystemExit) as exc:
+                    cli.main([sub, flag, "100", "--out", str(tmp_path / "out")])
+                assert exc.value.code == 1
+                err = capsys.readouterr().err
+                assert err.startswith("usage: maghardy")
+                assert err.splitlines()[-1] == f"maghardy: error: unrecognized arguments: {flag} 100"
+    assert not (tmp_path / "out").exists()
+
+
 def test_probe_infinity_subcommand():
     config = {
         "subcommand": "probe-infinity",
@@ -509,6 +652,8 @@ _VSIGMA_COUNT = ["count", "--potential", "vsigma", "--sigma", "2"]
         (None, ["count", "--lambda", "-1e0"]),
         (None, ["bound", "--potential", "vsigma", "--sigma", "2", "--a", "nan"]),
         (None, ["bound", "--potential", "vsigma", "--sigma", "2", "--t-min-cap", "nan"]),
+        (None, [*_SQUARE_VNORM, "--a", "2", "--t-min-cap=-1e200"]),
+        (None, ["bound", "--potential", "vsigma", "--sigma", "2", "--t-min-cap=-1e308"]),
         (None, ["hardy", "--grid", "101", "--refine", "-1"]),
         (None, ["hardy", "--grid", "101", "--m-range", "3:-3"]),
     ],
@@ -530,6 +675,8 @@ _VSIGMA_COUNT = ["count", "--potential", "vsigma", "--sigma", "2"]
         "negative-exponent-coupling",
         "bound-nan-exponent",
         "bound-nan-cap",
+        "square-schedule-cap-overflows",
+        "bound-cap-overflows",
         "hardy-negative-refine",
         "hardy-empty-m-range",
     ],

@@ -625,6 +625,23 @@ def test_square_schedule_and_cap_doublings_validation():
     assert [c for c, _ in res.cap_sequence] == [-1.5, -2.25, -(1.5**4)]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mh.v_norm_a(mh.VSigma(2.0), 2.0, -1e200, 1, cap_schedule="square"),
+        lambda: mh.v_norm_a(mh.VSigma(2.0), 2.0, -2.0, 20, cap_schedule="square"),
+        lambda: mh.v_norm_a(mh.VSigma(2.0), 2.0, -1e308, 1),
+        lambda: mh.v_norm_a(mh.VSigma(2.0), 2.0, -1.0, 2000),
+        lambda: mh.bound_jst(mh.VSigma(2.0), t_min_cap=-1e308),
+    ],
+    ids=["square", "square-power", "double", "double-power", "bound_jst"],
+)
+def test_cap_sweep_past_the_largest_double_is_a_value_error(call):
+    # an OverflowError of the float power, or a cap of -inf, never reaches a scan
+    with pytest.raises(ValueError, match="leaves the finite range"):
+        call()
+
+
 def test_subnormal_threshold_level_set_is_finite():
     # the ratio at the last positive scan node: the Illinois halving takes
     # the subnormal bracket values to 0, and the secant step through them

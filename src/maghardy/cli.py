@@ -258,7 +258,7 @@ def _run_vnorm(config):
 def _run_identity_check(config):
     from . import quadform
     r0 = _parse_float(config.get("r0", math.e), "r0")
-    n = int((config.get("grid") or {}).get("n", config.get("n", 1000)))
+    n = int(config.get("n", (config.get("grid") or {}).get("n", 1000)))
     t_max = float(np.log(r0)) - 0.1
     grid = Grid.uniform(-6.0, t_max, n)
     residual = quadform.check_f_identity(r0, grid)

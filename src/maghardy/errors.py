@@ -42,7 +42,7 @@ class PreconditionError(MagHardyError):
 
 
 class StiffnessFailure(MagHardyError):
-    """Adaptive phase integration could not meet the per-step tolerance."""
+    """A cell of the Pruefer count's table is too long for its coefficient."""
 
 
 class NoTruncation(MagHardyError):

@@ -27,11 +27,10 @@ level's Rayleigh quotient and eigenvector on each finer one;
 ``_least_failing_double`` pins it.  A coarser level needs only the minimum
 over modes (``_least_minimum``).
 
-Oscillation (Pruefer) and phase-integral counts are independent cross-checks
-of the inertia route.  The Pruefer count samples its coefficients once for
-any number of modes, on a table of 8192 points, and its RK4 steps hold a
-tolerance of 1e-6 each.  The phase integral of every well, the borderline
-one in s = log|t|, runs on the sin^2-mapped Gauss panels of
+The oscillation (Pruefer) count runs the same counter on the exact-element
+tridiagonal of an 8192-point table (``prufer_count``); the phase integral is
+an independent cross-check.  The phase integral of every well, the
+borderline one in s = log|t|, runs on the sin^2-mapped Gauss panels of
 ``weights._sin2_gauss_panels``, between each mode's turning points and the
 fixed breaks, which one lexsort orders for all modes (``_mode_panels``).
 The turning points are bracketed on a probe that ends at the potential's
@@ -784,24 +783,31 @@ def prufer_count(
     t_range: tuple,
     lam: float = 1.0,
 ) -> int | list[int]:
-    """Node count of the zero-energy solution across t_range.
-
-    Integrates the phase of -u'' + ((m-alpha)^2 - lam e^{2t} V) u = 0 with
-    u(t0) = 0; the number of pi-crossings equals the Dirichlet negative-
-    eigenvalue count on the interval up to boundary effects of +-1.  The
-    RK4 steps hold a tolerance of 1e-6 per step, from a first step of
-    span/1024; StiffnessFailure is raised when a step would fall below
-    span * 1e-12.
+    """Node count in (t0, t1) of the zero-energy solution of -u'' + Q u = 0,
+    Q = (m - alpha)^2 - lam e^{2t} V, u(t0) = 0: by Sturm's oscillation
+    theorem, the Dirichlet negative-eigenvalue count on t_range.
 
     ``m`` is one mode or a sequence of modes; a sequence gives the list of
     per-mode counts, equal to the one-mode calls.  alpha and lam e^{2t} V are
-    sampled once for all of them, on a table of 8192 equally spaced points
-    (the coefficient is interpolated linearly between them).
+    sampled once for all of them, on a table of 8192 equally spaced points; a
+    NaN or infinite sample raises ValueError.  Each cell takes the mean q of
+    the linear interpolant of Q on it, and the count is that of this
+    piecewise-constant coefficient, exactly: the negative pivots of its
+    exact-element tridiagonal (``_kernels.cell_entries``), counted as
+    ``count_negative`` counts.
+
+    Why that is exact: when every cell has q h^2 > -pi^2 (h its length),
+    H^1_0 splits, orthogonally for the form, into the functions that solve
+    the equation on each cell, fixed by their nodal values, and those that
+    vanish at every node.  The form is positive definite on the second part,
+    each cell being shorter than half a wavelength, and is the tridiagonal on
+    the first; so the Dirichlet negative index is the tridiagonal's
+    (Haynsworth).  A cell with q h^2 <= -pi^2 could hold a node of its own
+    and raises StiffnessFailure.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not t1 > t0:
         raise ValueError("t_range must be increasing")
-    # an infinite span makes every step infinite and every error NaN
     if not np.isfinite(t1 - t0):
         raise ValueError("t_range must have finite ends and a finite span")
     _check_coupling(lam)
@@ -810,15 +816,23 @@ def prufer_count(
     tq = np.linspace(t0, t1, 8192)
     alpha = field.alpha(tq)
     lv = lam * V.e2t_v(tq)
-    span = t1 - t0
+    if not (np.isfinite(alpha).all() and np.isfinite(lv).all()):
+        raise ValueError("mode operator entries must be finite")
+    h = np.diff(tq)
     counts = []
     for mode in modes:
-        theta, fail = _kernels.prufer_sweep(
-            tq, (mode - alpha) ** 2 - lv, t0, t1, 1e-6, span / 1024.0, span * 1e-12
-        )
-        if fail:
-            raise StiffnessFailure("adaptive phase integration underflowed its step size")
-        counts.append(int(np.floor(theta / np.pi)))
+        # a coefficient past the largest double only makes its cell stronger
+        with np.errstate(over="ignore"):
+            q = np.square(mode - alpha) - lv
+            z = np.minimum(0.5 * (q[:-1] + q[1:]) * h * h, sys.float_info.max)
+        long = np.flatnonzero(z <= -np.pi**2)
+        if long.size:
+            raise StiffnessFailure(
+                f"the cell at t = {tq[long[0]]:.6g} is too long for the table spacing {(t1 - t0) / 8191:.6g}: "
+                f"q h^2 = {z[long[0]]:.6g} <= -pi^2, so it could hold a node"
+            )
+        f, g = _kernels.cell_entries(z)
+        counts.append(_count_diagonal(_inertia_counter(-g[1:-1]), f[:-1] + f[1:]))
     return counts[0] if np.ndim(m) == 0 else counts
 
 

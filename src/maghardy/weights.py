@@ -51,6 +51,9 @@ _MAX_OPEN = 300
 _ZOOM_POINTS = 32
 # upper end t = log r of every scan and bound integral: r = e^30
 _T_MAX = 30.0
+# lowest cap of a scan or a bound integral: down to it, t^2 and 1/t^2 are
+# normal doubles
+_CAP_FLOOR = -(2.0**510)
 # a cap sweep saturates when its last step changes the value by less than 1%
 _SATURATION_TOL = 0.01
 
@@ -357,6 +360,8 @@ class _LevelScan:
     """
 
     def __init__(self, V: Potential, t_min_cap: float, scan_n: int = 4000):
+        if t_min_cap < _CAP_FLOOR:
+            raise ValueError(f"t_min_cap={t_min_cap!r} lies below -2^510, the lowest cap a scan takes")
         self.ratio = _ratio(V)
         pieces = [np.linspace(max(t_min_cap, -2.0), _T_MAX, max(scan_n // 4, 16))]
         if t_min_cap < -2.0:
@@ -564,7 +569,7 @@ def _check_cap(t_min_cap: float):
 def _caps(t_min_cap: float, cap_doublings: int, cap_schedule: str = "double") -> list:
     """The lower caps of a sweep: t_min_cap and ``cap_doublings`` extensions
     of it, each doubling t ("double") or squaring |t| ("square", which needs
-    t_min_cap < -1); a sweep whose last cap is not a finite double is a
+    t_min_cap < -1); a sweep whose last cap lies below _CAP_FLOOR is a
     ValueError."""
     _check_cap(t_min_cap)
     if cap_doublings < 0:
@@ -580,10 +585,10 @@ def _caps(t_min_cap: float, cap_doublings: int, cap_schedule: str = "double") ->
             raise ValueError("cap_schedule must be 'double' or 'square'")
     except OverflowError:  # a float power past the largest double
         caps = [-np.inf]
-    if not np.isfinite(caps[-1]):
+    if not caps[-1] >= _CAP_FLOOR:
         raise ValueError(
-            f"the cap sweep from t_min_cap={t_min_cap!r} with {cap_doublings} "
-            f"{cap_schedule} extension(s) leaves the finite range"
+            f"the cap sweep from t_min_cap={t_min_cap!r} with {cap_doublings} {cap_schedule} "
+            f"extension(s) leaves the finite range: its last cap {caps[-1]!r} lies below -2^510"
         )
     return caps
 

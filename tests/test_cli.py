@@ -303,6 +303,18 @@ def test_identity_check_reads_a_null_grid_as_absent(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["grid_n"] == 300
 
 
+def test_identity_check_grid_flag_wins_over_the_config_grid(tmp_path, capsys):
+    # --grid sets the top-level n; the runner once read grid.n first, and
+    # reported grid_n: 500 here
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"grid": {"n": 500}}))
+    argv = ["--config", str(cfg), "identity-check", "--out", str(tmp_path / "out")]
+    assert cli.main([*argv, "--grid", "300"]) == 0
+    assert json.loads(capsys.readouterr().out)["grid_n"] == 300
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["grid_n"] == 500
+
+
 def _offered(sub):
     """(flag, config key) of each flag a subcommand takes beyond the global ones."""
     parser = cli.build_parser()
@@ -654,6 +666,8 @@ _VSIGMA_COUNT = ["count", "--potential", "vsigma", "--sigma", "2"]
         (None, ["bound", "--potential", "vsigma", "--sigma", "2", "--t-min-cap", "nan"]),
         (None, [*_SQUARE_VNORM, "--a", "2", "--t-min-cap=-1e200"]),
         (None, ["bound", "--potential", "vsigma", "--sigma", "2", "--t-min-cap=-1e308"]),
+        (None, ["vnorm", "--potential", "vsigma", "--sigma", "2", "--a", "2", "--t-min-cap=-1e200"]),
+        (None, ["bound", "--potential", "vsigma", "--sigma", "2", "--t-min-cap=-1e160"]),
         (None, ["hardy", "--grid", "101", "--refine", "-1"]),
         (None, ["hardy", "--grid", "101", "--m-range", "3:-3"]),
     ],
@@ -677,6 +691,8 @@ _VSIGMA_COUNT = ["count", "--potential", "vsigma", "--sigma", "2"]
         "bound-nan-cap",
         "square-schedule-cap-overflows",
         "bound-cap-overflows",
+        "vnorm-cap-below-floor",
+        "bound-cap-below-floor",
         "hardy-negative-refine",
         "hardy-empty-m-range",
     ],

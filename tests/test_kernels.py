@@ -1,11 +1,10 @@
-"""The Pruefer kernel against its reference stepper and closed forms; the
-LAPACK inertia count against LAPACK and dense counts and a mirror of
-dpttrf's recurrence."""
+"""The LAPACK inertia count against LAPACK and dense counts and a mirror of
+dpttrf's recurrence; the exact-element Pruefer count against an RK4 stepper
+of the continuum phase."""
 
 import sys
 import warnings
 from bisect import bisect_left
-from math import cos, sin
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 import maghardy as mh
-from maghardy import _kernels, spectral
+from maghardy import spectral
 from maghardy.errors import ZeroPivotWarning
 from maghardy.spectral import ModeOperator, _negative_pivots, _pivmin
 
@@ -459,20 +458,9 @@ def test_coupling_with_subnormal_square_keeps_rows_weak():
     _assert_stop_equals_full_sweep(diag, off)
 
 
-def test_prufer_harmonic_oscillator_node_count():
-    # -u'' = k^2 u on (0, L): theta(L) = k L exactly for Q = -k^2
-    k = 3.0
-    L = np.pi
-    tq = np.linspace(0.0, L, 100)
-    qq = np.full_like(tq, -(k**2))
-    theta, fail = _kernels.prufer_sweep(tq, qq, 0.0, L, 1e-9, 0.01, 1e-14)
-    assert fail == 0
-    assert abs(theta - k * L) < 1e-6
-    assert int(np.floor(theta / np.pi)) == 2  # sin(3t) has nodes at pi/3, 2pi/3
-
-
-# The Pruefer kernel's reference: the step-doubling loop whose three RK4 steps
-# each compute their own slopes and look Q up afresh, on np.sin and np.cos.
+# A continuum oracle for prufer_count: the Pruefer angle of the linearly
+# interpolated coefficient, by step doubling whose three RK4 steps each
+# compute their own slopes and look Q up afresh, on np.sin and np.cos.
 
 
 def _reference_prufer_sweep(t_nodes, q_nodes, t0, t1, tol, h_init, h_min):
@@ -541,160 +529,18 @@ def _interp(t_nodes, q_nodes, n, t):
     return q_nodes[i] * (1.0 - w) + q_nodes[i + 1] * w
 
 
-def _numpy_trig(monkeypatch):
-    """Patch the kernel's math.sin and math.cos to np.sin and np.cos, and
-    record every angle they take."""
-    angles = []
-    monkeypatch.setattr(_kernels, "sin", lambda x: angles.append(x) or np.sin(x))
-    monkeypatch.setattr(_kernels, "cos", lambda x: np.cos(x))
-    return angles
-
-
-_TRIG_PROBLEMS = [
-    (lambda t: np.full_like(t, -9.0), (0.0, np.pi), 1e-9),
-    (lambda t: 0.25 - 400.0 * np.exp(2.0 * t - t * t), (-12.0, 3.0), 1e-6),
-    (lambda t: 1.0 - 2500.0 * (np.abs(t) < 1.0), (-8.0, 2.0), 1e-6),
-]
-
-
-def _trig_problem_args(q_of_t, span, tol):
-    tq = np.linspace(*span, 4096)
-    return (tq, q_of_t(tq), span[0], span[1], tol, (span[1] - span[0]) / 1024.0, 1e-12)
-
-
-@pytest.mark.parametrize(
-    "q_of_t, span, tol", _TRIG_PROBLEMS, ids=["harmonic", "gaussian-well", "step-well"]
-)
-def test_prufer_theta_equals_numpy_trig_reference(monkeypatch, q_of_t, span, tol):
-    args = _trig_problem_args(q_of_t, span, tol)
-    theta, fail = _kernels.prufer_sweep(*args)
-    _numpy_trig(monkeypatch)
-    want_theta, want_fail = _kernels.prufer_sweep(*args)
-    assert (theta, fail) == (want_theta, want_fail)
-    assert theta > np.pi
-
-
-def test_prufer_rhs_equals_numpy_trig_reference(monkeypatch):
-    # the kernel's slope cos^2 - Q sin^2 takes math.sin and math.cos of each
-    # angle; theta absorbs a one-ulp change in a slope, so the sweep test
-    # alone would miss one: compare the trig values on the angles themselves,
-    # random ones and every angle the kernel's sweeps of the problems above
-    # take a sine of
-    angles = _numpy_trig(monkeypatch)
-    for problem in _TRIG_PROBLEMS:
-        _kernels.prufer_sweep(*_trig_problem_args(*problem))
-    monkeypatch.undo()
-    rng = np.random.default_rng(5)
-    random = np.concatenate([rng.uniform(-10.0, 200.0, 20000), rng.normal(size=2000) * 1e-8])
-    assert len(angles) > 1000
-    for theta in [*angles, *random.tolist()]:
-        assert sin(theta) == np.sin(theta)
-        assert cos(theta) == np.cos(theta)
-
-
-def _count_sweeps(field, V, lam, grid):
-    """The kernel arguments of every mode's sweep in a count_total Pruefer count."""
-    kernel, sweeps = _kernels.prufer_sweep, []
-
-    def recording(*args):
-        sweeps.append(args)
-        return kernel(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "prufer_sweep", recording)
-        mh.count_total(field, V, lam, grid, method="prufer")
-    return sweeps
-
-
-def _prufer_count_sweeps():
-    """A count shaped like the count benchmark's: bump field, Gaussian well
-    at lam depth width^2 = 100, [-12, 3] at 3001 nodes."""
-    depth, width = 1.3, 0.8
-    well = mh.GaussianWell(depth, width)
-    grid = mh.Grid.uniform(-12.0, 3.0, 3001)
-    return _count_sweeps(mh.BumpField(0.5), well, 1e2 / (depth * width * width), grid)
-
-
-def _vsigma_count_sweeps():
-    """The borderline potential on the README count's auto grid."""
-    return _count_sweeps(mh.BumpField(0.5), mh.VSigma(2.0), 50.0, mh.Grid.auto(-400.0, 0.5, 6000))
-
-
-def _table_args(t_nodes, centre):
-    """A sweep across the table t_nodes of the Gaussian well of the trig
-    problems, centred on ``centre``, from a first step of span/1024."""
-    t0, t1 = float(t_nodes[0]), float(t_nodes[-1])
-    x = t_nodes - centre
-    q = 0.25 - 400.0 * np.exp(2.0 * x - x * x)
-    return (t_nodes, q, t0, t1, 1e-6, (t1 - t0) / 1024.0, (t1 - t0) * 1e-12)
-
-
-# Tables for the lookup: dyadic nodes, on which the step ends land exactly;
-# quadratic spacing, on which the computed cell is mostly wrong; and a span
-# far from 0, on which the index arithmetic rounds across the nodes that
-# step ends nearly hit, and mid + h/2 often rounds away from t + h
-_LOOKUP_TABLES = {
-    "dyadic": lambda: [_table_args(np.linspace(-8.0, 8.0, 2049), 1.0)],
-    "non-uniform": lambda: [_table_args(-12.0 + 15.0 * np.linspace(0.0, 1.0, 4096) ** 2, 1.0)],
-    "far-span": lambda: [_table_args(np.linspace(1e6, 1e6 + 7.3, 4097), 1e6 + 5.0)],
-}
-
-
-@pytest.mark.parametrize(
-    "sweeps",
-    [
-        _prufer_count_sweeps,
-        lambda: [_trig_problem_args(*_TRIG_PROBLEMS[1])],
-        lambda: [_trig_problem_args(*_TRIG_PROBLEMS[2])],
-        _vsigma_count_sweeps,
-        *_LOOKUP_TABLES.values(),
-    ],
-    ids=["count-prufer", "gaussian-well", "step-well", "vsigma-auto", *_LOOKUP_TABLES],
-)
-def test_prufer_shared_slope_equals_reference_stepper(sweeps):
-    # sharing the first slope and the coefficient lookups, computing each
-    # lookup's cell and writing the slopes inline leave theta and the
-    # failure flag the same to the bit
-    args = sweeps()
-    assert args
-    for a in args:
-        assert _kernels.prufer_sweep(*a) == _reference_prufer_sweep(*a)
-
-
-def _bisections(monkeypatch, args):
-    """How often the kernel's lookups bisect in the sweeps ``args``."""
-    calls = []
-    monkeypatch.setattr(_kernels, "bisect_left", lambda a, x: calls.append(x) or bisect_left(a, x))
-    for a in args:
-        _kernels.prufer_sweep(*a)
-    return len(calls)
-
-
-def test_prufer_lookup_computes_its_cell_on_equal_spacing(monkeypatch):
-    # prufer_count's own table, 8192 equally spaced points, never needs a
-    # bisection; a quadratically spaced one does, so the count is live
-    assert _bisections(monkeypatch, _prufer_count_sweeps()) == 0
-    assert _bisections(monkeypatch, _LOOKUP_TABLES["non-uniform"]()) > 0
-
-
-def test_interp_lookup_equals_searchsorted():
-    # the Pruefer coefficient lookup bisects a node list; it must pick the
-    # interval np.searchsorted picks, so theta stays the same to the bit
-    rng = np.random.default_rng(11)
-    nodes = np.sort(rng.uniform(-8.0, 2.0, 257))
-    vals = rng.normal(size=nodes.size)
-    n = nodes.size
-
-    def searchsorted_interp(t):
-        if t <= nodes[0]:
-            return vals[0]
-        if t >= nodes[n - 1]:
-            return vals[n - 1]
-        i = min(max(int(np.searchsorted(nodes, t)) - 1, 0), n - 2)
-        w = (t - nodes[i]) / (nodes[i + 1] - nodes[i])
-        return vals[i] * (1.0 - w) + vals[i + 1] * w
-
-    points = np.concatenate([rng.uniform(-8.0, 2.0, 2000), nodes, [-9.0, -8.0, 2.0, 3.0, 1e300]])
-    t_list, q_list = nodes.tolist(), vals.tolist()
-    for t in points.tolist():
-        assert _interp(t_list, q_list, n, t) == searchsorted_interp(t)
+def test_prufer_count_equals_the_rk4_phase_on_the_benchmark_table():
+    # the count workload's Pruefer op at seed 4242: each mode's exact-element
+    # count equals floor(theta / pi) of the RK4 phase on the same 8192-point
+    # table, the interpolated coefficient's node count
+    rng = np.random.default_rng(4242)
+    bump = mh.BumpField(float(rng.uniform(0.2, 0.8)))
+    depth, width = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 1.2))
+    well, lam = mh.GaussianWell(depth, width), 1e2 / (depth * width * width)
+    per_mode = mh.count_total(bump, well, lam, mh.Grid.uniform(-12.0, 3.0, 3001), method="prufer").per_mode
+    tq = np.linspace(-12.0, 3.0, 8192)
+    assert len(per_mode) == 13 and sum(per_mode.values()) == 25
+    for m, count in per_mode.items():
+        q = (m - bump.alpha(tq)) ** 2 - lam * well.e2t_v(tq)
+        theta, fail = _reference_prufer_sweep(tq, q, -12.0, 3.0, 1e-6, 15.0 / 1024.0, 15e-12)
+        assert not fail and count == int(np.floor(theta / np.pi))

@@ -1,19 +1,26 @@
 """Closed forms against mpmath at 30 digits: fluxes, VSigma, level measures;
-and the Hardy pencil's lowest eigenvalue by a 40-digit Sturm bisection.
+the Hardy pencil's lowest eigenvalue by a 40-digit Sturm bisection; and the
+exact-element cell entries and the Pruefer count they give.
 
 Each oracle is an mpmath evaluation of the defining formula: the flux is the
 integral of the field's t-density from -infinity, and the level measure the
 integral of (1+|t|)/(1+t^2) over each interval.  Every such comparison
 asserts a relative error of at most 1e-13.  The Hardy oracle bisects the
 float pencil K - sigma M, exactly as assembled, on its LDL^T pivots at 40
-digits, and the solve must agree within 1e-12 relative.
+digits, and the solve must agree within 1e-12 relative.  The cell entries
+are the closed forms at 40 digits, and the count of a table of cell
+constants is the number of sign changes of the zero-energy solution,
+propagated cell by cell in mpmath.
 """
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maghardy as mh
+from maghardy import _kernels
 from maghardy.profiles import ZeroPotential
 from maghardy.spectral import _lumps, _pivmin, assemble_mode, smallest_generalized_mu
 
@@ -175,3 +182,89 @@ def test_smallest_generalized_mu_matches_mpmath_sturm_bisection(case):
         return _dpttrf_inertia(shifted, off, _pivmin(off))[0]
 
     assert count(mu * (1.0 - 1e-11)) == 0 and count(mu * (1.0 + 1e-11)) >= 1
+
+
+def _cell_entries_oracle(z):
+    """(sqrt(z) coth sqrt(z), sqrt(z) / sinh sqrt(z)) at the double z, with
+    their continuations k cot k and k / sin k, k = sqrt(-z), below 0."""
+    z = mp.mpf(float(z))
+    if z > 0:
+        x = mp.sqrt(z)
+        return x * mp.coth(x), x / mp.sinh(x)
+    if z < 0:
+        k = mp.sqrt(-z)
+        return k * mp.cot(k), k / mp.sin(k)
+    return mp.mpf(1), mp.mpf(1)
+
+
+def test_cell_entries_match_mpmath():
+    # 1e-12 relative, or absolute where the entry is below 1 in size (F
+    # changes sign at z = -pi^2 / 4); the series switch at |z| = 1e-4 is
+    # probed an ulp away on both sides
+    rng = np.random.default_rng(3)
+    switch = [np.nextafter(1e-4, x) for x in (0.0, 1.0)] + [1e-4]
+    z = np.concatenate([
+        [0.0, 5e-324, -5e-324, 1e-300, -1e-300, -9.86, -np.pi**2 / 4, 1e300],
+        switch, np.negative(switch),
+        np.logspace(-20, 300, 400), -np.logspace(-20, np.log10(9.86), 300),
+        rng.uniform(-9.86, 40.0, 300), rng.uniform(-1e-3, 1e-3, 100),
+    ])
+    f, g = _kernels.cell_entries(z)
+    with mp.workdps(40):
+        for x, got in zip(z.tolist(), zip(f.tolist(), g.tolist())):
+            for value, exact in zip(got, _cell_entries_oracle(x)):
+                assert abs(mp.mpf(value) - exact) <= 1e-12 * max(1, abs(exact)), (x, value, exact)
+
+
+# a table of 8192 points on (0, 8191/256): every cell has length 1/256
+# exactly, so each cell constant is the exact mean of its integer nodes and
+# k h < pi for every node value above -(256 pi)^2
+_H = 1.0 / 256.0
+_NODES = st.one_of(
+    st.sampled_from([0, 1, -1, 60, -40, -2000, -60000, -600000]), st.integers(-600000, 60)
+)
+
+
+@st.composite
+def _cell_tables(draw):
+    """Node values that are constant on up to six runs of the table."""
+    breaks = sorted(draw(st.sets(st.integers(1, 8191), max_size=5)))
+    q = np.empty(8192)
+    for a, b in zip([0, *breaks], [*breaks, 8192]):
+        q[a:b] = draw(_NODES)
+    return q
+
+
+def _sign_changes(q):
+    """(sign changes of u at the nodes, |u| / |(u, u')| at the last node) of
+    the solution of u'' = q u with u = 0 and u' = 1 at the first node, on
+    cells of length _H with the mean of their nodes as constant: no cell
+    with k h < pi holds two zeros, so each zero is one sign change."""
+    h, steps = mp.mpf(_H), {}
+    u, p, changes = mp.mpf(0), mp.mpf(1), 0
+    for a, b in zip(q[:-1].tolist(), q[1:].tolist()):
+        c = mp.mpf(a + b) / 2
+        if c not in steps:
+            r = mp.sqrt(abs(c))
+            if c > 0:
+                steps[c] = (mp.cosh(r * h), mp.sinh(r * h) / r, r * mp.sinh(r * h))
+            elif c < 0:
+                steps[c] = (mp.cos(r * h), mp.sin(r * h) / r, -r * mp.sin(r * h))
+            else:
+                steps[c] = (mp.mpf(1), h, mp.mpf(0))
+        cos, sin, slope = steps[c]
+        before = u
+        u, p = cos * u + sin * p, slope * u + cos * p
+        changes += before * u < 0
+    return changes, abs(u) / mp.sqrt(u * u + p * p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cell_tables())
+def test_prufer_count_of_cell_constants_equals_the_sign_changes(q):
+    V = CallablePotential(lambda t: -q)
+    changes, end = _sign_changes(q)
+    # a solution that nearly vanishes at the last node sits at a Dirichlet
+    # eigenvalue of 0, where rounding may decide the count
+    if end > 1e-9:
+        assert mh.prufer_count(mh.ZeroField(), V, 0, (0.0, 8191 * _H)) == changes

@@ -488,7 +488,7 @@ def test_per_mode_functions_reject_non_finite_or_negative_coupling(lam):
 @pytest.mark.parametrize("V", [mh.GaussianWell(1.0, 1.0), mh.VSigma(2.0)], ids=["gauss", "vsigma"])
 def test_mode_functions_reject_non_finite_modes_before_any_work(monkeypatch, V, bad):
     # a NaN mode once gave a phase count of 3.889, NaN and infinite modes an
-    # inertia count of 0 and a Pruefer StiffnessFailure
+    # inertia count of 0 and a Pruefer StiffnessFailure from the RK4 sweep
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before the modes were checked")
 
@@ -498,7 +498,7 @@ def test_mode_functions_reject_non_finite_modes_before_any_work(monkeypatch, V, 
         (mh.spectral, "_phase_panels"),
         (mh.spectral, "_direct_coordinate"),
         (mh.spectral, "_loglog_coordinate"),
-        (_kernels, "prufer_sweep"),
+        (_kernels, "cell_entries"),
         (type(field), "alpha"),
     ]:
         monkeypatch.setattr(module, name, no_work)
@@ -1107,6 +1107,9 @@ def test_warm_approach_from_each_kind_of_start(pencil, rho0, x0):
 def test_prufer_zero_potential_no_nodes():
     assert mh.prufer_count(mh.ZeroField(), ZeroPotential(), 0, (-6.0, 2.0)) == 0
     assert mh.prufer_count(mh.BumpField(flux=0.5), ZeroPotential(), 1, (-6.0, 2.0)) == 0
+    # q h^2, and for m = 1e200 q itself, overflow: each cell only grows
+    # stronger, and no warning is raised
+    assert mh.prufer_count(mh.ZeroField(), ZeroPotential(), [0, 1, 1e200], (0.0, 1e200)) == [0, 0, 0]
 
 
 @pytest.mark.parametrize(
@@ -1127,36 +1130,52 @@ def test_prufer_zero_potential_no_nodes():
     ],
 )
 def test_prufer_count_rejects_bad_input_before_sweeping(monkeypatch, kwargs, message):
-    # an infinite span once hung the sweep
-    def no_sweep(*args):
-        raise AssertionError("the sweep ran")
+    # an infinite span once hung the RK4 sweep
+    def no_entries(*args):
+        raise AssertionError("the cell entries were computed")
 
-    monkeypatch.setattr(_kernels, "prufer_sweep", no_sweep)
+    monkeypatch.setattr(_kernels, "cell_entries", no_entries)
     args = {"t_range": (-8.0, 2.0), **kwargs}
     with pytest.raises(ValueError, match=message):
         mh.prufer_count(mh.ZeroField(), mh.GaussianWell(), 0, **args)
 
 
-def test_prufer_count_raises_when_its_step_underflows():
-    # Q = -1e200 turns theta faster than any step above span * 1e-12 can follow
+@pytest.mark.parametrize("density", [np.nan, np.inf, -np.inf])
+def test_prufer_count_rejects_a_non_finite_table_before_any_entry(monkeypatch, density):
+    def no_entries(*args):
+        raise AssertionError("the cell entries were computed")
+
+    monkeypatch.setattr(_kernels, "cell_entries", no_entries)
+    V = CallablePotential(lambda t: np.where(t > 1.0, density, 1.0))
+    with pytest.raises(ValueError, match="mode operator entries must be finite"):
+        mh.prufer_count(mh.ZeroField(), V, [0, 1], (-8.0, 2.0))
+
+
+def test_prufer_count_raises_when_a_cell_is_too_long():
+    # Q = -1e200 e^{2t} gives each cell of the table q h^2 far below -pi^2:
+    # a cell could hold a node, which no tridiagonal entry can count; the RK4
+    # sweep once failed here because its step underflowed
     V = CallablePotential(lambda t: np.full_like(t, 1e200))
-    with pytest.raises(StiffnessFailure, match="underflowed its step size"):
+    with pytest.raises(StiffnessFailure, match=r"the cell at t = 0 is too long for the table spacing 0\.000122085"):
         mh.prufer_count(mh.ZeroField(), V, 0, (0.0, 1.0))
+    # a cell at q h^2 just above -pi^2 counts; just below, it raises
+    h = 1.0 / 8191.0
+    for k, fails in ((np.pi * (1.0 - 1e-9) / h, False), (np.pi * (1.0 + 1e-9) / h, True)):
+        V = CallablePotential(lambda t, k=k: np.full_like(t, k * k))
+        if fails:
+            with pytest.raises(StiffnessFailure, match="too long"):
+                mh.prufer_count(mh.ZeroField(), V, 0, (0.0, 1.0))
+        else:
+            assert mh.prufer_count(mh.ZeroField(), V, 0, (0.0, 1.0)) == 8190
 
 
 def test_prufer_count_of_modes_equals_one_mode_sweeps(monkeypatch):
     # the coefficient table is sampled once for every mode, and each mode's
-    # theta is the sweep of its own (m - alpha)^2 - lam e^{2t} V, to the bit
+    # count is that of its own one-mode call
     field, V, lam, span = mh.BumpField(0.5), mh.GaussianWell(1.3, 0.8), 150.0, (-12.0, 3.0)
     modes = [-4, 0, 2, 2, 7]
-    tq = np.linspace(*span, 8192)
-    want = []
-    for m in modes:
-        theta, fail = _kernels.prufer_sweep(
-            tq, (m - field.alpha(tq)) ** 2 - lam * V.e2t_v(tq), *span, 1e-6, 15.0 / 1024.0, 15.0e-12
-        )
-        assert not fail
-        want.append(int(np.floor(theta / np.pi)))
+    want = [mh.prufer_count(field, V, m, span, lam) for m in modes]
+    assert sum(want) > 0
     samples = []
     e2t_v = type(V).e2t_v
     monkeypatch.setattr(
@@ -1164,7 +1183,29 @@ def test_prufer_count_of_modes_equals_one_mode_sweeps(monkeypatch):
     )
     got = mh.prufer_count(field, V, modes, span, lam)
     assert got == want and samples == [8192]
-    assert [mh.prufer_count(field, V, m, span, lam) for m in modes] == want
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 100, 1000, 8000])
+@pytest.mark.parametrize("frac", [0.5, 1e-6, 1.0 - 1e-6])
+def test_prufer_count_of_a_constant_coefficient_is_exact(count, frac):
+    # -u'' - k^2 u = 0 with u(t0) = 0 is sin(k (t - t0)): its zeros in (t0,
+    # t0 + L) number ceil(k L / pi) - 1 when k L / pi is not an integer
+    span = (-3.0, 5.0)
+    k = (count + frac) * np.pi / 8.0
+    V = CallablePotential(lambda t: np.full_like(t, k * k))
+    assert mh.prufer_count(mh.ZeroField(), V, 0, span) == count
+
+
+def test_prufer_count_sees_a_well_at_the_end_of_flat_ground():
+    # lam e^{2t} V is negligible below t = -5: the RK4 sweep doubled its step
+    # on that flat ground, up to a quarter of the span, and stepped over the
+    # well just below t = 0, counting 0, 0 and 0
+    V, lams = mh.StepWell(1.0, 1.0), (20.0, 100.0, 1000.0)
+    want = [2, 3, 10]
+    assert [mh.prufer_count(mh.ZeroField(), V, 0, (-400.0, 0.5), lam) for lam in lams] == want
+    assert [mh.prufer_count(mh.ZeroField(), V, 0, (-20.0, 0.5), lam) for lam in lams] == want
+    grid = mh.Grid.uniform(-400.0, 0.5, 200001)
+    assert [count_modes(mh.ZeroField(), V, [0], grid, lam)[0] for lam in lams] == want
 
 
 def test_prufer_matches_inertia_step_well():

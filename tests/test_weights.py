@@ -1,5 +1,6 @@
 """Weight families, level sets, the sup-functional, log moments."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -640,6 +641,44 @@ def test_cap_sweep_past_the_largest_double_is_a_value_error(call):
     # an OverflowError of the float power, or a cap of -inf, never reaches a scan
     with pytest.raises(ValueError, match="leaves the finite range"):
         call()
+
+
+@pytest.mark.parametrize("cap", [-1e160, -1e200, np.nextafter(-(2.0**510), -np.inf)])
+def test_a_cap_below_the_floor_is_a_value_error(cap):
+    # t * t in the scan's V/w0 overflows below about -1.3e154: these once
+    # failed with a RuntimeWarning, and bound_jst with a QuadratureFailure
+    V = mh.VSigma(2.0)
+    for call, message in (
+        (lambda: mh.v_norm_a(V, 2.0, cap, 0), r"leaves the finite range: its last cap .* lies below -2\^510"),
+        (lambda: mh.level_set(V, 0.05, cap), r"lies below -2\^510"),
+        (lambda: mh.weights.threshold_curve(V, 2.0, cap), r"lies below -2\^510"),
+        (lambda: mh.bound_jst(V, cap), r"leaves the finite range: its last cap .* lies below -2\^510"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # a sweep that starts above the floor and crosses it
+    with pytest.raises(ValueError, match=r"its last cap -1.6e\+154 lies below -2\^510"):
+        mh.v_norm_a(V, 2.0, -1e153, 4)
+
+
+def test_caps_at_and_above_the_floor_keep_their_values():
+    V = mh.VSigma(2.0)
+    r = mh.v_norm_a(V, 2.0, -1e150, 0)
+    assert (r.value, r.arg_t) == (0.9995061266978035, 0.05380795987637736)
+    assert mh.level_set(V, 0.05, -1e150).intervals == ((-1e150, -2.0),)
+    taus, vals = mh.weights.threshold_curve(V, 2.0, -1e150)
+    assert hashlib.sha256(taus.tobytes() + vals.tobytes()).hexdigest()[:16] == "24adbc9ab82228e2"
+    assert mh.bound_jst(V, -1e150).cap_sequence == (
+        (-1e150, 35.92778566267191),
+        (-2e150, 35.96506380466103),
+        (-4e150, 36.00230463409395),
+        (-8e150, 36.03950826278789),
+    )
+    floor = -(2.0**510)
+    assert mh.v_norm_a(V, 2.0, floor, 0).value > 0.999
+    assert mh.level_set(V, 0.05, floor).intervals[0][0] < -1e153
+    assert mh.weights.threshold_curve(V, 2.0, floor)[1].max() > 0.99
+    assert mh.bound_jst(V, floor / 8.0).value > 36.0
 
 
 def test_subnormal_threshold_level_set_is_finite():

@@ -255,12 +255,15 @@ def sweep_exponent(
 ) -> SweepResult:
     """Fit the growth exponent of log N against log lam.
 
-    The ladder must be geometric with at least 5 points; the fit window is
-    the largest decade of the ladder on which every count is >= 10.
+    The ladder must be geometric with at least 5 positive, distinct
+    couplings; the fit window is the largest decade of the ladder on which
+    every count is >= 10, and ``fit_window`` its first and last coupling.
     """
     lams = np.asarray(sorted(float(x) for x in lambda_list))
     if lams.size < 5:
         raise ValueError("need at least 5 ladder points")
+    if not (lams[0] > 0.0 and np.all(lams[1:] > lams[:-1])):
+        raise ValueError("ladder couplings must be positive and distinct")
     ratios = lams[1:] / lams[:-1]
     if np.max(ratios) / np.min(ratios) > 1.2:
         raise ValueError("ladder must be geometric")
@@ -287,6 +290,6 @@ def sweep_exponent(
     return SweepResult(
         reports=tuple(reports),
         fitted_exponent=float(slope),
-        fit_window=(float(np.exp(x[0])), float(np.exp(x[-1]))),
+        fit_window=(float(lams[window][0]), float(lams[window][-1])),
         residual=resid,
     )

@@ -5,41 +5,31 @@ The mode-m quadratic form in t = log r,
     q_m[u] = int ( |u'|^2 + (m - alpha(t))^2 |u|^2 - e^{2t} V(t) |u|^2 ) dt,
 
 is discretized with cell-difference stiffness and trapezoid-lumped zero-order
-terms on a Dirichlet grid, giving a symmetric tridiagonal matrix.  One LDL^T
-factorization serves both of its uses: LAPACK's dpttrf, loaded without
-importing scipy.linalg (``_lapack``).
+terms on a Dirichlet grid, giving a symmetric tridiagonal matrix.  Every
+factorization is LAPACK's LDL^T (dpttrf), loaded without importing
+scipy.linalg (``_lapack``).  The contracts:
 
-A count is the number of negative pivots (Sylvester's law of inertia), exact
-for the matrix: dpttrf stops at each pivot that is not positive, which is
-counted, clamped away from zero by LAPACK's pivot floor PIVMIN (``_pivmin``)
-and folded into the next row, and resumes after it (``_negative_pivots``).
-It sweeps only the rows that can change the count: from the end with the
-shorter run of strong (diagonally dominant) rows, through the last weak row,
-to the first pivot that dominates its coupling, after which no pivot can be
-negative or zero (``_inertia_counter``).  Per mode, ``count_modes``
-assembles only the rows that sweep reads, and every mode diagonal comes from
-one writer (``_diagonal``).  A Hardy minimum is the lowest generalized
-eigenvalue of a mode against a lumped weight mass on the last refinement
-level, returned as the least double at which dpttrf of K - mu M fails,
-whatever path found it.  ``_approach`` brackets it and closes in on it by
-inverse iteration (dpttrs), cold on the first level and from the coarser
-level's Rayleigh quotient and eigenvector on each finer one;
-``_least_failing_double`` pins it.  A coarser level needs only the minimum
-over modes (``_least_minimum``).
+- An inertia count (``count_negative``, ``count_modes``) is the number of
+  negative pivots, exact for the assembled matrix (Sylvester's law of
+  inertia), with LAPACK's pivot floor PIVMIN (``_pivmin``); an exact zero
+  pivot counts as non-negative and emits a ZeroPivotWarning.
+- A Pruefer count (``prufer_count``) is exact for the coefficient held at
+  its cell mean on each cell of an 8192-point table: the same counter runs
+  on that coefficient's exact-element tridiagonal, and a cell too long for
+  its coefficient raises StiffnessFailure.
+- A Hardy minimum (``hardy_constant``) is the least double mu at which
+  dpttrf of K - mu M fails on the last refinement level; the minima rise
+  under refinement, from below the continuum value.
+- The phase integral (``phase_integral_count``), an independent
+  cross-check, is the semiclassical count (1/pi) int sqrt((lam e^{2t} V -
+  (m - alpha)^2 - kappa)_+) dt with the critical tail shift kappa.
+- A NaN, infinite or negative coupling, a NaN or infinite mode, and a
+  non-finite operator or table raise ValueError; a non-finite lam e^{2t} V+
+  in ``mode_truncation`` and an infinite, negative or NaN weight mass in
+  ``hardy_constant`` raise DomainError.
 
-The oscillation (Pruefer) count runs the same counter on the exact-element
-tridiagonal of an 8192-point table (``prufer_count``); the phase integral is
-an independent cross-check.  The phase integral of every well, the
-borderline one in s = log|t|, runs on the sin^2-mapped Gauss panels of
-``weights._sin2_gauss_panels``, between each mode's turning points and the
-fixed breaks, which one lexsort orders for all modes (``_mode_panels``).
-The turning points are bracketed on a probe that ends at the potential's
-support edge, so no bracket straddles its jump, and without a pass per mode:
-at one node the modes with a positive radicand are one run of the sorted
-modes, so each node's run ends, settled by the exact radicand, give every
-sign change (``_mode_brackets``).  Couplings are a batch axis as well: for a
-ladder of (coupling, modes) jobs, one root solve refines every turning point
-and one panel call integrates every panel (``phase_integral_counts``).
+How each path gets there is in the docstrings of ``_inertia_counter``,
+``count_modes``, ``hardy_constant``, ``prufer_count`` and ``_mode_brackets``.
 """
 
 import sys
@@ -718,7 +708,7 @@ def hardy_constant(
     history, g, starts = [], grid, {}
     for level in range(refine_levels + 1):
         ti, off, stiff, lump = _mode_terms(g)
-        mass = w.mass_density(ti) * _lumps(g)
+        mass = w.mass_density(ti) * lump
         bad = ~((mass >= 0.0) & (mass < np.inf))
         if bad.any():
             raise DomainError(f"weight mass is infinite, negative or NaN at t = {float(ti[bad][0])!r}")

@@ -355,8 +355,14 @@ class _LevelScan:
     ``finish`` turns the roots into ends and measures.  A caller may solve
     the brackets of several scans of one V in one ``_roots`` call: the solve
     works bracket by bracket, so each root is that of a solve of its own.
-    A ScanResolutionWarning is emitted when, for a threshold below the scan
-    maximum, the midpoint-refined scan sees another crossing count.
+    A ScanResolutionWarning is emitted exactly for a batch holding a tau <
+    rmax (the scan maximum) that the midpoint-refined scan crosses another
+    number of times.  A segment with node values lo <= hi is crossed iff lo
+    <= tau < hi, and so is each half; with m its midpoint value, the halves
+    cross as often as the segment except twice on [hi, m) if m > hi and on
+    [m, lo) if m < lo.  So the counts differ exactly on these ``overshoot``
+    intervals, m clipped at rmax and empty ones dropped; each kept one has
+    start < end, so #(starts <= tau) - #(ends <= tau) counts those holding tau.
     """
 
     def __init__(self, V: Potential, t_min_cap: float, scan_n: int = 4000):
@@ -372,37 +378,29 @@ class _LevelScan:
         sup = V.support_t_max
         end = _T_MAX if sup is None else max(min(_T_MAX, sup), t_min_cap)
         self.nodes = nodes = np.append(nodes[nodes < end], end)
-        # nodes at the even slots, midpoints at the odd ones: the rounded
-        # midpoint of two floats lies between them unless their sum
-        # overflows (and the ratio rejects that -inf), so this is sorted
+        # nodes and midpoints interleaved in t order, so one ratio call names
+        # the first non-finite t (a rounded midpoint lies between its nodes
+        # unless their sum overflows, and the ratio rejects that -inf)
         fine_t = np.empty(2 * nodes.size - 1)
         fine_t[0::2], fine_t[1::2] = nodes, 0.5 * (nodes[:-1] + nodes[1:])
         fine = self.ratio(fine_t)
         self.vals = vals = np.ascontiguousarray(fine[0::2])
         self.rmax = float(np.max(vals))
-        # segment i is crossed by tau iff min(v_i, v_i+1) <= tau < max(v_i, v_i+1).
-        # The spans are mostly a few monotone runs, which timsort ("stable")
-        # merges in about half quicksort's time; the sorted values are the same
-        self.spans = [
-            np.sort(f(v[:-1], v[1:]), kind="stable")
-            for v in (vals, fine)
-            for f in (np.minimum, np.maximum)
-        ]
         padded = np.concatenate([[-np.inf], vals, [-np.inf]])  # so open ends count as crossings
         self.seg_lo = np.minimum(padded[:-1], padded[1:])
         self.seg_hi = np.maximum(padded[:-1], padded[1:])
+        lo, hi, mid = self.seg_lo[1:-1], self.seg_hi[1:-1], fine[1::2]
+        up, down = mid > hi, lo > mid
+        start = np.concatenate([hi[up], mid[down]])
+        end = np.concatenate([np.minimum(mid[up], self.rmax), lo[down]])
+        self.overshoot = np.sort(start[start < end]), np.sort(end[start < end])
 
     def brackets(self, taus):
         """Each threshold's cuts in increasing order, their owners (indices
         into ``taus``) and the root solve's (a, b, fa, fb, tau) of the cuts
         that lie between two nodes."""
-
-        def crossings(lo, hi):
-            return np.searchsorted(lo, taus, "right") - np.searchsorted(hi, taus, "right")
-
-        # at or above rmax the scan's level set is empty by construction
-        differ = crossings(*self.spans[:2]) != crossings(*self.spans[2:])
-        if np.any(differ & (taus < self.rmax)):
+        start, end = self.overshoot
+        if np.any(np.searchsorted(start, taus, "right") > np.searchsorted(end, taus, "right")):
             msg = "ratio oscillates faster than the level-set scan grid"
             warnings.warn(msg, ScanResolutionWarning)
         # padded segment j (cut j-1) is crossed by the taus of sorted rank
@@ -444,10 +442,11 @@ def level_set(V: Potential, t_val: float, t_min_cap: float = -1e6, scan_n: int =
 
     Each end is refined until its bracket is at most 1e-9 + 8.9e-16 |t| wide
     (brentq's tolerance, attainable at any float magnitude); an end at V's
-    support edge is the edge itself.  A 2x finer scan that sees a different
-    crossing count emits a ScanResolutionWarning (never silently dropped); a
-    non-finite V/w0 on the scan raises DomainError.
-    The scan needs ``scan_n`` >= 16, the node floor of its t-side piece.
+    support edge is the edge itself.  A ScanResolutionWarning is emitted
+    exactly when t_val lies below the scan maximum and the midpoint-refined
+    scan crosses it another number of times; a larger ``scan_n`` (at least
+    16, the node floor of the t-side piece) refines the scan.  A non-finite
+    V/w0 on the scan raises DomainError.
     """
     if not t_val > 0:
         raise ValueError("threshold must be positive")

@@ -1,10 +1,10 @@
 """A ratchet on the options of the public API and of the command line.
 
 Every settable value with a default is a configuration that the tests have to
-cover.  This test counts them in the top-level ``maghardy`` namespace, so a
-new option has to raise ``MAX_OPTIONS`` in review, and a removed one should
-lower it.  The flags of the CLI subcommands are counted the same way against
-``MAX_CLI_FLAGS``.
+cover.  This test counts them in the top-level ``maghardy`` namespace and
+asserts that the count equals ``MAX_OPTIONS``, so a new option has to raise
+it in review and a removed one has to lower it.  The flags of the CLI
+subcommands are counted the same way against ``MAX_CLI_FLAGS``.
 """
 
 import argparse
@@ -63,7 +63,10 @@ def settable_values(namespace):
 
 def test_settable_values_do_not_grow():
     found = settable_values(maghardy)
-    assert len(found) <= MAX_OPTIONS, "\n".join(found)
+    assert len(found) == MAX_OPTIONS, (
+        f"{len(found)} settable values, MAX_OPTIONS = {MAX_OPTIONS}: set it to the count "
+        "(lower it for a removed option; a new one needs review)\n" + "\n".join(found)
+    )
 
 
 def cli_flags(parser):
@@ -81,7 +84,10 @@ def cli_flags(parser):
 
 def test_cli_flags_do_not_grow():
     found = cli_flags(cli.build_parser())
-    assert len(found) <= MAX_CLI_FLAGS, "\n".join(found)
+    assert len(found) == MAX_CLI_FLAGS, (
+        f"{len(found)} CLI flags, MAX_CLI_FLAGS = {MAX_CLI_FLAGS}: set it to the count "
+        "(lower it for a removed flag; a new one needs review)\n" + "\n".join(found)
+    )
 
 
 def test_count_sees_each_kind_of_option():

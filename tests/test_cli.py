@@ -649,6 +649,7 @@ _VSIGMA_COUNT = ["count", "--potential", "vsigma", "--sigma", "2"]
     [
         (None, ["count", "--lambda", "-1"]),
         (None, ["sweep", "--lambda-n", "3"]),
+        (None, ["sweep", "--lambda-min", "10", "--lambda-max", "10"]),
         ({"potential": {"kind": "vsigma", "sigma": 2.0}, "a": "x"}, ["vnorm"]),
         (None, ["vnorm", "--potential", "vsigma", "--sigma", "2", "--cap-doublings", "-1"]),
         (None, [*_SQUARE_VNORM, "--t-min-cap", "-0.5", "--cap-doublings", "2"]),
@@ -674,6 +675,7 @@ _VSIGMA_COUNT = ["count", "--potential", "vsigma", "--sigma", "2"]
     ids=[
         "negative-coupling",
         "short-ladder",
+        "one-coupling-ladder",
         "non-numeric-value",
         "negative-cap-doublings",
         "square-schedule-cap-above-minus-1",

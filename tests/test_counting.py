@@ -152,15 +152,18 @@ def test_verify_counting_bound_ratio_stays_bounded():
 
 
 def test_sweep_exponent_borderline_quadratic():
+    lams = np.geomspace(10.0, 1e4, 7)
     sweep = mh.sweep_exponent(
         mh.BumpField(flux=0.5),
         mh.VSigma(sigma=2.0),
-        np.geomspace(10.0, 1e4, 7),
+        lams,
         method="phase",
     )
     assert 1.6 <= sweep.fitted_exponent <= 2.2
     totals = [r.total for r in sweep.reports]
     assert all(b >= a for a, b in zip(totals[:-1], totals[1:]))
+    # the window's own couplings, not exp(log lam) of them
+    assert sweep.fit_window == (lams[4], lams[6]) == (1000.0, 10000.0)
 
 
 def test_sweep_exponent_weyl_regime():
@@ -178,6 +181,14 @@ def test_sweep_requires_geometric_ladder():
         mh.sweep_exponent(
             mh.ZeroField(), mh.GaussianWell(), [1.0, 2.0, 10.0, 11.0, 200.0]
         )
+
+
+@pytest.mark.parametrize("lams", [[10.0] * 5, [0.0, 1.0, 2.0, 4.0, 8.0]], ids=["repeated", "zero"])
+def test_sweep_rejects_a_repeated_or_nonpositive_coupling(lams):
+    # one repeated coupling once fitted an exponent by minimum norm, and a
+    # zero coupling divided by zero before the geometric check
+    with pytest.raises(ValueError, match="positive and distinct"):
+        mh.sweep_exponent(mh.BumpField(0.5), mh.VSigma(2.0), lams)
 
 
 def test_sweep_insufficient_growth():

@@ -566,6 +566,43 @@ def test_brackets_equal_the_whole_scan_search(V, cap, draws, rnd, batch, log_wid
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+def _refined_crossings_differ(scan, tau):
+    """Whether the scan's nodes and the nodes with their midpoints
+    interleaved see {V/w0 > tau} change sign another number of times, for
+    tau below the scan maximum: sign changes counted directly, sharing no
+    code with the overshoot intervals."""
+    fine_t = np.empty(2 * scan.nodes.size - 1)
+    fine_t[0::2], fine_t[1::2] = scan.nodes, 0.5 * (scan.nodes[:-1] + scan.nodes[1:])
+    fine = scan.ratio(fine_t)
+    changes = [np.count_nonzero(np.diff(v > tau)) for v in (scan.vals, fine)]
+    return tau < scan.rmax and changes[0] != changes[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(_potentials, _oscillating),
+    st.one_of(_caps, st.sampled_from([-1.0, -2.0, -30.0])),
+    st.sampled_from([40, 4000]),
+    _tau_draws,
+    st.randoms(use_true_random=False),
+)
+def test_resolution_warning_fires_exactly_where_the_refined_count_differs(V, cap, scan_n, draws, rnd):
+    # one brackets call per threshold, so a warning at one threshold cannot
+    # hide a missed overshoot interval at another; the interval ends and
+    # their neighbouring doubles are where an off-by-one rule would differ
+    scan = mh.weights._LevelScan(V, cap, scan_n)
+    ends = np.unique(np.concatenate(scan.overshoot)).tolist()
+    ends = rnd.sample(ends, min(len(ends), 15)) + [scan.rmax]
+    near = [np.nextafter(e, d) for e in ends for d in (-np.inf, np.inf)]
+    taus = (_thresholds(scan, draws, rnd) + ends + near)[:64]
+    for tau in taus:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scan.brackets(np.array([tau]))
+        warned = any(issubclass(w.category, ScanResolutionWarning) for w in caught)
+        assert warned == _refined_crossings_differ(scan, tau), tau
+
+
 # VSigma on the caps of the double and of the square schedule from -100
 _ZOOM_CASES = [
     *[(mh.VSigma(s), s, cap) for s in (1.5, 2.0, 3.0) for cap in (-100.0, -200.0, -400.0)],

@@ -4,7 +4,8 @@ All radial machinery works on strictly increasing node sets in t.  Two basic
 constructors are provided: uniform spacing, and geometric spacing in |t|
 (needed for potentials whose level sets reach |t| ~ 1e6 and beyond).  The
 ``auto`` constructor glues a linear core on [-1, 1] onto geometric tails so
-one grid can span, say, t in [-1e7, 5] without wasting nodes.
+one grid can span, say, t in [-1e7, 5] without wasting nodes; an interval
+beyond +-1 gets a tail alone.
 """
 
 from dataclasses import dataclass, field
@@ -61,27 +62,33 @@ class Grid:
     def auto(cls, t_min: float, t_max: float, n: int) -> "Grid":
         """Linear nodes on [-1, 1], geometric tails outside.
 
-        Node budget is split in proportion to the log-extent of each piece so
-        wide tails are resolved without starving the core.
+        Only the pieces that meet [t_min, t_max] are built: a tail runs from
+        |t| = 1, or from the interval's end nearer 0 where that lies beyond
+        1, to its far end.  The node budget is split in proportion to the
+        log-extent of each piece (2 for the core), so wide tails are resolved
+        without starving the core.  ``n`` is that budget, not the node count:
+        each piece gets at least 8 nodes, its share is rounded, and pieces
+        that meet share their node at -1 or 1.  ``Grid.auto(-100, 100, 100)``
+        gives 33 nodes to each piece and has 97 nodes.
         """
         pieces = []
         lo = max(t_min, -1.0)
         hi = min(t_max, 1.0)
         spans = []
         if t_min < -1.0:
-            spans.append(("left", np.log10(-t_min)))
+            spans.append(("left", np.log10(-t_min) - np.log10(max(-t_max, 1.0))))
         if hi > lo:
             spans.append(("core", 2.0))
         if t_max > 1.0:
-            spans.append(("right", np.log10(t_max)))
+            spans.append(("right", np.log10(t_max) - np.log10(max(t_min, 1.0))))
         total = sum(s for _, s in spans)
         counts = {name: max(8, int(round(n * s / total))) for name, s in spans}
         if t_min < -1.0:
-            pieces.append(-np.geomspace(1.0, -t_min, counts["left"])[::-1])
+            pieces.append(-np.geomspace(max(-t_max, 1.0), -t_min, counts["left"])[::-1])
         if hi > lo:
             pieces.append(np.linspace(lo, hi, counts["core"]))
         if t_max > 1.0:
-            pieces.append(np.geomspace(1.0, t_max, counts["right"]))
+            pieces.append(np.geomspace(max(t_min, 1.0), t_max, counts["right"]))
         nodes = _sorted_unique(np.concatenate(pieces))
         nodes[0] = t_min
         nodes[-1] = t_max

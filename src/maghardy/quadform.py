@@ -303,9 +303,16 @@ def slow_log_weight() -> Weight:
 
 
 def fit_loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log y against log x."""
+    """Least-squares slope of log y against log x.  ValueError unless the x
+    are at least two distinct positive finite values and every y is positive
+    and finite: otherwise the fit is rank-deficient or takes a log of 0."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    srt = np.sort(xs)
+    if not (xs.size >= 2 and 0.0 < srt[0] and srt[-1] < np.inf and np.all(srt[1:] > srt[:-1])):
+        raise ValueError("x must hold at least two distinct positive finite values")
+    if not (ys.shape == xs.shape and np.all((ys > 0.0) & (ys < np.inf))):
+        raise ValueError("y must hold one positive finite value per x")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 

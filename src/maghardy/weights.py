@@ -18,8 +18,9 @@ crossings, and the measures are closed form.  A geometric tau grid brackets
 the best tau, a zoom of 32 log-spaced thresholds per round narrows the
 bracket, and sweeping the lower domain cap detects divergence.  DomainError
 is raised where the grid's top threshold, or tau^a times a positive
-measure, is not finite.  The caps of a sweep search in lockstep, so one
-root solve per round refines the crossings of every cap still searching.
+measure, is not finite.  The scans of a sweep's caps are one table, and
+each round makes one bracket search, root solve and zoom step for every
+cap still searching.
 
 One cap sweep serves this functional and ``counting.bound_jst``: the caps
 (``_caps``), the 1% saturation rule (``_saturation``) and the upper end
@@ -235,33 +236,46 @@ def _roots(ratio, a, b, fa, fb, tau):
     ends gives the root.  Every step is finite: the end values have opposite
     signs, f1 > 0 is never halved, and the Illinois denominator is floored at
     the smallest subnormal.
+
+    A converged bracket never moves again, so an open one moved an end at
+    every step: the previous step's masks tell which (a NaN value moves
+    neither end).  The ends are the two rows of one array each for x, f and
+    g, updated in place.  The caps of a ``_LevelScan`` share one call, which
+    works bracket by bracket, so each root is that of a solve of its own.
     """
     up = fa > 0
-    x0, x1 = np.where(up, b, a), np.where(up, a, b)  # ratio <= tau at x0, > tau at x1
-    f0, f1 = np.where(up, fb, fa), np.where(up, fa, fb)
-    g0, g1 = f0, f1  # the values the Illinois steps use, halved where an end is kept
-    side = np.zeros(x0.shape)  # +1 (-1): the last step moved x1 (x0)
-    w1 = w2 = np.full(x0.shape, np.inf)  # widths one and two steps back
+    X = np.array([np.where(up, b, a), np.where(up, a, b)])  # ratio <= tau at x0, > tau at x1
+    F = np.array([np.where(up, fb, fa), np.where(up, fa, fb)])
+    G = F.copy()  # the values the Illinois steps use, halved where an end is kept
+    (x0, x1), (f0, f1), (g0, g1) = X, F, G
+    moved = np.zeros(X.shape, bool)  # row 0 (1): the last step moved x0 (x1)
+    h1 = h2 = np.full(up.shape, np.inf)  # half-widths one and two steps back
     while True:
-        w, mid = np.abs(x1 - x0), 0.5 * (x0 + x1)
+        d = x1 - x0
+        w, mid = np.abs(d), 0.5 * (x0 + x1)
         tol = 1e-9 + 8.9e-16 * np.abs(mid)
         active = w > tol
         if not active.any():
-            return x0 - f0 * (x1 - x0) / (f1 - f0)
+            return x0 - f0 * d / (f1 - f0)
         # g1 >= 0 >= g0 keeps the quotient below w + 0.5; the floor turns the
         # 0/0 of two values halved to 0 into a step to x0
-        step = x0 - g0 * (x1 - x0) / np.maximum(g1 - g0, _SMALLEST_SUBNORMAL)
-        x = np.where(w > 0.5 * w2, mid, step)
-        x = np.clip(x, np.minimum(x0, x1) + 0.5 * tol, np.maximum(x0, x1) - 0.5 * tol)
+        step = x0 - g0 * d / np.maximum(g1 - g0, _SMALLEST_SUBNORMAL)
+        x = np.where(w > h2, mid, step)
+        half = 0.5 * tol
+        x = np.minimum(np.maximum(x, np.minimum(x0, x1) + half), np.maximum(x0, x1) - half)
         x = np.where(active, x, mid)  # converged brackets: evaluate inside, keep as is
         fx = ratio(x) - tau
-        move1, move0 = active & (fx > 0), active & (fx <= 0)
-        g0 = np.where(move1 & (side > 0), 0.5 * g0, g0)
-        g1 = np.where(move0 & (side < 0), 0.5 * g1, g1)
-        x1, f1, g1 = np.where(move1, x, x1), np.where(move1, fx, f1), np.where(move1, fx, g1)
-        x0, f0, g0 = np.where(move0, x, x0), np.where(move0, fx, f0), np.where(move0, fx, g0)
-        side = np.where(move1, 1.0, np.where(move0, -1.0, side))
-        w1, w2 = w, w1
+        # halve the g of the end the last step kept: where this step moves
+        # that end, the copy below replaces it, so only an end kept twice in
+        # a row stays halved (a converged bracket's g is never used again)
+        np.multiply(G, 0.5, out=G, where=moved[::-1])
+        np.less_equal(fx, 0.0, out=moved[0])
+        np.greater(fx, 0.0, out=moved[1])
+        moved &= active
+        np.copyto(X, x, where=moved)
+        np.copyto(F, fx, where=moved)
+        np.copyto(G, fx, where=moved)
+        h1, h2 = 0.5 * w, h1
 
 
 @functools.cache
@@ -340,100 +354,128 @@ def _ratio(V: Potential):
 
 
 class _LevelScan:
-    """One scan of V/w0 from the lower cap to _T_MAX, and its level sets.
+    """The scans of V/w0 of the caps of a sweep, each from its cap to
+    _T_MAX, and their level sets, as one table.
 
-    The scan ends at V's support edge where that lies below _T_MAX (and at
-    the cap where the edge lies at or below it): the edge is its last node,
-    so a set that reaches the edge closes there exactly, with no root solve
-    across the jump of V.
+    A scan ends at V's support edge where that lies below _T_MAX (and at the
+    cap where the edge lies at or below it): the edge is its last node, so a
+    set that reaches the edge closes there exactly, with no root solve across
+    the jump of V.  The table holds each cap's nodes and values in t order,
+    padded on each side with a copy of its end node of value -inf, so an open
+    end counts as a crossing and ends at that node.  Segment s joins entries
+    s and s + 1; the one joining two caps has both values -inf and is never
+    crossed.  The scans are built in cap order, so the first cap whose scan
+    fails raises.
 
-    ``levels(taus)`` gives, for a threshold grid, the ends of all intervals of
-    {V/w0 > tau} as one flat array (start, end, start, ...), each threshold's
-    level-set measure and whether its set reaches the lower cap.  It runs in
-    two steps around one bracketed root solve: ``brackets`` finds the
-    crossings (the scan's sign changes) and the solve's brackets, and
-    ``finish`` turns the roots into ends and measures.  A caller may solve
-    the brackets of several scans of one V in one ``_roots`` call: the solve
-    works bracket by bracket, so each root is that of a solve of its own.
-    A ScanResolutionWarning is emitted exactly for a batch holding a tau <
-    rmax (the scan maximum) that the midpoint-refined scan crosses another
-    number of times.  A segment with node values lo <= hi is crossed iff lo
-    <= tau < hi, and so is each half; with m its midpoint value, the halves
-    cross as often as the segment except twice on [hi, m) if m > hi and on
-    [m, lo) if m < lo.  So the counts differ exactly on these ``overshoot``
-    intervals, m clipped at rmax and empty ones dropped; each kept one has
-    start < end, so #(starts <= tau) - #(ends <= tau) counts those holding tau.
+    ``levels(taus, caps)`` gives, for thresholds ``taus[r]`` of cap
+    ``caps[r]``, the ends of all intervals of {V/w0 > tau} as one flat array
+    (start, end, start, ...), each threshold's level-set measure and whether
+    its set reaches the lower cap.  It makes one bracket search, one bracketed
+    root solve and one sum of measures for every cap, and each root is that
+    of a solve of its own.  A ScanResolutionWarning is emitted once for each
+    cap whose thresholds hold a tau < rmax (that cap's scan maximum) that the
+    midpoint-refined scan crosses another number of times.  A segment with
+    node values lo <= hi is crossed iff lo <= tau < hi, and so is each half;
+    with m its midpoint value, the halves cross as often as the segment except
+    twice on [hi, m) if m > hi and on [m, lo) if m < lo.  So the counts
+    differ exactly on these ``overshoot`` intervals, m clipped at rmax and
+    empty ones dropped; each kept one has start < end, so #(starts <= tau) -
+    #(ends <= tau) counts those holding tau.
     """
 
-    def __init__(self, V: Potential, t_min_cap: float, scan_n: int = 4000):
-        if t_min_cap < _CAP_FLOOR:
-            raise ValueError(f"t_min_cap={t_min_cap!r} lies below -2^510, the lowest cap a scan takes")
+    def __init__(self, V: Potential, caps, scan_n: int = 4000):
         self.ratio = _ratio(V)
-        pieces = [np.linspace(max(t_min_cap, -2.0), _T_MAX, max(scan_n // 4, 16))]
-        if t_min_cap < -2.0:
-            pieces.insert(0, -np.geomspace(2.0, -t_min_cap, scan_n)[::-1])
-        nodes = _sorted_unique(np.concatenate(pieces))
-        # V vanishes past its support edge, so the scan ends there, no lower
-        # than the cap
         sup = V.support_t_max
-        end = _T_MAX if sup is None else max(min(_T_MAX, sup), t_min_cap)
-        self.nodes = nodes = np.append(nodes[nodes < end], end)
-        # nodes and midpoints interleaved in t order, so one ratio call names
-        # the first non-finite t (a rounded midpoint lies between its nodes
-        # unless their sum overflows, and the ratio rejects that -inf)
-        fine_t = np.empty(2 * nodes.size - 1)
-        fine_t[0::2], fine_t[1::2] = nodes, 0.5 * (nodes[:-1] + nodes[1:])
-        fine = self.ratio(fine_t)
-        self.vals = vals = np.ascontiguousarray(fine[0::2])
-        self.rmax = float(np.max(vals))
-        padded = np.concatenate([[-np.inf], vals, [-np.inf]])  # so open ends count as crossings
-        self.seg_lo = np.minimum(padded[:-1], padded[1:])
-        self.seg_hi = np.maximum(padded[:-1], padded[1:])
-        lo, hi, mid = self.seg_lo[1:-1], self.seg_hi[1:-1], fine[1::2]
-        up, down = mid > hi, lo > mid
-        start = np.concatenate([hi[up], mid[down]])
-        end = np.concatenate([np.minimum(mid[up], self.rmax), lo[down]])
-        self.overshoot = np.sort(start[start < end]), np.sort(end[start < end])
+        ts, vs, rmax, self.overshoot = [], [], [], []
+        for cap in caps:
+            if cap < _CAP_FLOOR:
+                raise ValueError(f"t_min_cap={cap!r} lies below -2^510, the lowest cap a scan takes")
+            pieces = [np.linspace(max(cap, -2.0), _T_MAX, max(scan_n // 4, 16))]
+            if cap < -2.0:
+                pieces.insert(0, -np.geomspace(2.0, -cap, scan_n)[::-1])
+            t = _sorted_unique(np.concatenate(pieces))
+            # V vanishes past its support edge, so the scan ends there, no
+            # lower than the cap
+            end = _T_MAX if sup is None else max(min(_T_MAX, sup), cap)
+            t = np.append(t[t < end], end)
+            # nodes and midpoints interleaved in t order, so one ratio call
+            # names the first non-finite t (a rounded midpoint lies between
+            # its nodes unless their sum overflows, and the ratio rejects
+            # that -inf)
+            fine_t = np.empty(2 * t.size - 1)
+            fine_t[0::2], fine_t[1::2] = t, 0.5 * (t[:-1] + t[1:])
+            fine = self.ratio(fine_t)
+            v, mid = fine[0::2], fine[1::2]
+            ts.append(t)
+            vs.append(v)
+            rmax.append(np.max(v))
+            lo, hi = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
+            up, down = mid > hi, lo > mid
+            start = np.concatenate([hi[up], mid[down]])
+            stop = np.concatenate([np.minimum(mid[up], rmax[-1]), lo[down]])
+            self.overshoot.append((np.sort(start[start < stop]), np.sort(stop[start < stop])))
+        self.rmax = np.array(rmax)
+        # cap k's entries are bounds[k] .. bounds[k + 1] - 1, its first node
+        # bounds[k] + 1
+        self.bounds = np.cumsum([0] + [t.size + 2 for t in ts])
+        self.nodes, self.vals = nodes, vals = np.empty(self.bounds[-1]), np.empty(self.bounds[-1])
+        for at, t, v in zip(self.bounds, ts, vs):
+            end = at + t.size + 1
+            nodes[at], nodes[at + 1 : end], nodes[end] = t[0], t, t[-1]
+            vals[at], vals[at + 1 : end], vals[end] = -np.inf, v, -np.inf
+        self.seg_lo, self.seg_hi = np.minimum(vals[:-1], vals[1:]), np.maximum(vals[:-1], vals[1:])
 
-    def brackets(self, taus):
-        """Each threshold's cuts in increasing order, their owners (indices
-        into ``taus``) and the root solve's (a, b, fa, fb, tau) of the cuts
-        that lie between two nodes."""
-        start, end = self.overshoot
-        if np.any(np.searchsorted(start, taus, "right") > np.searchsorted(end, taus, "right")):
-            msg = "ratio oscillates faster than the level-set scan grid"
-            warnings.warn(msg, ScanResolutionWarning)
-        # padded segment j (cut j-1) is crossed by the taus of sorted rank
-        # first_j .. first_j + hits_j - 1; owner is each crossing's tau index.
-        # Only a segment whose value range meets the batch's can be crossed.
-        order = np.argsort(taus)
-        st = taus[order]
-        cand = np.flatnonzero((self.seg_lo <= st[-1]) & (self.seg_hi > st[0]))
-        first = np.searchsorted(st, self.seg_lo[cand])
-        hits = np.searchsorted(st, self.seg_hi[cand]) - first
+    def _rows(self, taus, caps):
+        """Thresholds as one row per cap, and the caps; by default one row
+        for every cap of the table."""
+        caps = np.arange(self.rmax.size) if caps is None else np.asarray(caps)
+        return np.asarray(taus, dtype=float).reshape(caps.size, -1), caps
+
+    def brackets(self, taus, caps=None):
+        """The segments each threshold crosses, in increasing order, their
+        owners (indices into the flat ``taus``) and the root solve's (a, b,
+        fa, fb, tau) of the crossings inside a segment of two nodes."""
+        taus, caps = self._rows(taus, caps)
+        m = taus.shape[1]
+        order = np.argsort(taus, axis=1)
+        st = taus[np.arange(caps.size)[:, None], order]  # each cap's thresholds in increasing order
+        # np.searchsorted has no batched form, so each row searches its own
+        # cap's segments and overshoot intervals; the rest is one array
+        # program for all rows
+        parts = []
+        for r, k in enumerate(caps):
+            start, end = self.overshoot[k]
+            if start.size and np.any(np.searchsorted(start, st[r], "right") > np.searchsorted(end, st[r], "right")):
+                msg = "ratio oscillates faster than the level-set scan grid"
+                warnings.warn(msg, ScanResolutionWarning)
+            # segment s of cap k is crossed by its thresholds of sorted rank
+            # first_s .. first_s + hits_s - 1.  Only a segment whose value
+            # range meets the cap's threshold range can be crossed.
+            s0, s1 = self.bounds[k], self.bounds[k + 1] - 1
+            cand = s0 + np.flatnonzero((self.seg_lo[s0:s1] <= st[r, -1]) & (self.seg_hi[s0:s1] > st[r, 0]))
+            first = np.searchsorted(st[r], self.seg_lo[cand])
+            hits = np.searchsorted(st[r], self.seg_hi[cand]) - first
+            parts.append((cand, hits, first + r * m))
+        # owner is each crossing's threshold, an index into the flat taus
+        cand, hits, first = (np.concatenate(x) for x in zip(*parts))
         seg = np.repeat(cand, hits)
+        order = (order + m * np.arange(caps.size)[:, None]).ravel()
         owner = order[np.arange(seg.size) - np.repeat(np.cumsum(hits) - hits - first, hits)]
-        by_tau = np.lexsort((seg, owner))  # each threshold's cuts in increasing order
-        cut, owner = seg[by_tau] - 1, owner[by_tau]
-        # cut -1 opens at the cap, cut n-1 closes at the scan's end, other ends lie in (cut, cut+1)
-        inner = (cut >= 0) & (cut < self.nodes.size - 1)
-        i, lvl = cut[inner], taus[owner[inner]]
+        by_tau = np.lexsort((seg, owner))  # each threshold's crossings in increasing order
+        seg, owner = seg[by_tau], owner[by_tau]
+        inner = self.seg_lo[seg] > -np.inf  # a padding entry's crossing ends at its node
+        i, lvl = seg[inner], taus.ravel()[owner[inner]]
         nodes, vals = self.nodes, self.vals
-        return cut, owner, (nodes[i], nodes[i + 1], vals[i] - lvl, vals[i + 1] - lvl, lvl)
+        return seg, owner, (nodes[i], nodes[i + 1], vals[i] - lvl, vals[i + 1] - lvl, lvl)
 
-    def finish(self, taus, cut, owner, roots):
-        """Ends, measures and truncation flags from ``brackets``' cuts and owners
-        and the roots of its solve."""
-        ends = np.where(cut < 0, self.nodes[0], self.nodes[-1])
-        ends[(cut >= 0) & (cut < self.nodes.size - 1)] = roots
+    def levels(self, taus, caps=None):
+        taus, caps = self._rows(taus, caps)
+        seg, owner, solve = self.brackets(taus, caps)
+        ends = self.nodes[seg]  # both nodes of a padding segment are its cap's end node
+        ends[self.seg_lo[seg] > -np.inf] = _roots(self.ratio, *solve)
         F = _measure_antiderivative(ends)
         measure = np.bincount(owner[0::2], weights=F[1::2] - F[0::2], minlength=taus.size)
-        return ends, measure, self.vals[0] > taus
-
-    def levels(self, taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        cut, owner, solve = self.brackets(taus)
-        return self.finish(taus, cut, owner, _roots(self.ratio, *solve))
+        return ends, measure, (self.vals[self.bounds[caps] + 1, None] > taus).ravel()
 
 
 def level_set(V: Potential, t_val: float, t_min_cap: float = -1e6, scan_n: int = 4000) -> LevelSet:
@@ -454,7 +496,7 @@ def level_set(V: Potential, t_val: float, t_min_cap: float = -1e6, scan_n: int =
         raise ValueError("the scan needs finite t_min_cap < t_max = 30")
     if not scan_n >= 16:
         raise ValueError("scan_n must be at least 16")
-    ends, _, truncated = _LevelScan(V, t_min_cap, scan_n).levels(t_val)
+    ends, _, truncated = _LevelScan(V, [t_min_cap], scan_n).levels(t_val)
     intervals = tuple(zip(ends[0::2].tolist(), ends[1::2].tolist()))
     return LevelSet(threshold=float(t_val), intervals=intervals, truncated_left=bool(truncated[0]))
 
@@ -480,38 +522,6 @@ class VNormResult:
         }
 
 
-def _sup_search(rmax: float):
-    """One cap's search for the largest tau^a * measure, as a generator: it
-    yields threshold arrays, is sent their tau^a * measure, and returns the
-    largest value seen and its tau.  A geometric grid of 512 thresholds over
-    rmax * [1e-8, 1e8] brackets the best tau;
-    each zoom round then asks for _ZOOM_POINTS equally spaced interior points
-    of the log-tau bracket and keeps the argmax's two neighbours, until the
-    bracket is narrower than 1e-10.  A grid of zero values ends the search
-    at (0, 0): level sets shrink as tau grows, so every set a zoom could ask
-    for has measure 0 too.  DomainError when rmax * 1e8 overflows."""
-    if not np.isfinite(rmax * 1e8):
-        raise DomainError(f"the threshold grid rmax * [1e-8, 1e8] overflows: rmax = {rmax!r}")
-    taus = np.geomspace(rmax * 1e-8, rmax * 1e8, 512)
-    vals = yield taus
-    if not vals.any():
-        return 0.0, 0.0
-    k = int(np.argmax(vals))
-    best, arg_t = float(vals[k]), float(taus[k])
-    lo, hi = max(k - 1, 0), min(k + 1, taus.size - 1)
-    x, v = np.log(taus[[lo, hi]]), vals[[lo, hi]]
-    while x[1] - x[0] >= 1e-10:
-        xs = np.linspace(x[0], x[1], _ZOOM_POINTS + 2)
-        ts = np.exp(xs[1:-1])
-        vs = np.concatenate([v[:1], (yield ts), v[1:]])
-        j = int(np.argmax(vs))
-        if vs[j] > best:  # the ends are old values, so j is an interior point
-            best, arg_t = float(vs[j]), float(ts[j - 1])
-        lo, hi = max(j - 1, 0), min(j + 1, xs.size - 1)
-        x, v = xs[[lo, hi]], vs[[lo, hi]]
-    return best, arg_t
-
-
 def _tau_a_measure(taus, a, measure):
     """tau^a * measure, and 0 where the measure is 0: above rmax every level
     set is empty, and tau^a may overflow there.  DomainError where the
@@ -528,31 +538,58 @@ def _sup_over_thresholds(V: Potential, a: float, caps):
     """(largest tau^a * measure seen, its tau) for each lower cap; (0, 0)
     where V/w0 vanishes on the scan or its level sets have measure 0.
 
-    Every cap runs ``_sup_search``, all in lockstep: a round's level sets of
-    every cap still searching share one ``_roots`` call, since every scan is
-    of the same V/w0.  The scans are built in cap order, so the first cap
-    whose scan fails raises.
+    Each cap searches from its scan maximum rmax.  A geometric grid of 512
+    thresholds over rmax * [1e-8, 1e8] brackets the best tau; each zoom
+    round then takes _ZOOM_POINTS equally spaced interior points of the
+    log-tau bracket and keeps the argmax's two neighbours, until the bracket
+    is narrower than 1e-10.  A grid of zero values ends the search at (0, 0):
+    level sets shrink as tau grows, so every set a zoom could ask for has
+    measure 0 too.  DomainError when rmax * 1e8 overflows.  The caps are an
+    array axis: a round is one ``levels`` call on one table for the (caps
+    still searching) x thresholds array, and one zoom step for all of them.
     """
-    scans = [_LevelScan(V, cap) for cap in caps]
-    ratio = _ratio(V)
-    sups = [(0.0, 0.0)] * len(scans)
-    searches = {
-        k: _sup_search(scan.rmax) for k, scan in enumerate(scans) if scan.rmax > 0.0
-    }
-    asked = {k: next(search) for k, search in searches.items()}
-    while asked:
-        parts = [scans[k].brackets(taus) for k, taus in asked.items()]
-        solve = [np.concatenate(args) for args in zip(*(solve for _, _, solve in parts))]
-        sizes = np.cumsum([solve[0].size for _, _, solve in parts])
-        roots = np.split(_roots(ratio, *solve), sizes[:-1])
-        for (k, taus), (cut, owner, _), r in zip(list(asked.items()), parts, roots):
-            try:
-                measure = scans[k].finish(taus, cut, owner, r)[1]
-                asked[k] = searches[k].send(_tau_a_measure(taus, a, measure))
-            except StopIteration as done:
-                sups[k] = done.value
-                del asked[k]
-    return sups
+    scan = _LevelScan(V, caps)
+    sups = np.zeros((len(caps), 2))
+    live = np.flatnonzero(scan.rmax > 0.0)
+    if not live.size:
+        return [tuple(s) for s in sups.tolist()]
+    rmax = scan.rmax[live]
+    with np.errstate(over="ignore"):
+        top = rmax * 1e8
+    if not np.isfinite(top).all():
+        bad = float(rmax[~np.isfinite(top)][0])
+        raise DomainError(f"the threshold grid rmax * [1e-8, 1e8] overflows: rmax = {bad!r}")
+
+    def values(taus, rows_of):  # tau^a * measure for the thresholds taus[r] of cap rows_of[r]
+        return _tau_a_measure(taus, a, scan.levels(taus, rows_of)[1].reshape(taus.shape))
+
+    taus = np.geomspace(rmax * 1e-8, top, 512, axis=1)
+    vals = values(taus, live)
+    found = vals.any(axis=1)
+    live, taus, vals = live[found], taus[found], vals[found]
+    rows = np.arange(live.size)
+    k = np.argmax(vals, axis=1)
+    best, arg_t = vals[rows, k], taus[rows, k]
+    pick = np.stack([np.maximum(k - 1, 0), np.minimum(k + 1, taus.shape[1] - 1)], axis=1)
+    x, v = np.log(taus[rows[:, None], pick]), vals[rows[:, None], pick]
+    while True:
+        going = x[:, 1] - x[:, 0] >= 1e-10
+        if not going.all():
+            sups[live[~going]] = np.stack([best, arg_t], axis=1)[~going]
+            live, x, v, best, arg_t = (z[going] for z in (live, x, v, best, arg_t))
+            rows = np.arange(live.size)
+        if not live.size:
+            return [tuple(s) for s in sups.tolist()]
+        xs = np.linspace(x[:, 0], x[:, 1], _ZOOM_POINTS + 2, axis=1)
+        ts = np.exp(xs[:, 1:-1])
+        vs = np.hstack([v[:, :1], values(ts, live), v[:, 1:]])
+        j = np.argmax(vs, axis=1)
+        peak = vs[rows, j]
+        better = peak > best  # the ends are old values, so j is an interior point there
+        best = np.where(better, peak, best)
+        arg_t = np.where(better, ts[rows, np.minimum(j, _ZOOM_POINTS) - 1], arg_t)
+        pick = np.stack([np.maximum(j - 1, 0), np.minimum(j + 1, xs.shape[1] - 1)], axis=1)
+        x, v = xs[rows[:, None], pick], vs[rows[:, None], pick]
 
 
 def _check_exponent(a: float):
@@ -640,10 +677,11 @@ def threshold_curve(V: Potential, a: float, t_min_cap: float = -1e4):
     rmax * [1e-6, 1], for plotting the sup search."""
     _check_exponent(a)
     _check_cap(t_min_cap)
-    scan = _LevelScan(V, t_min_cap)
-    if scan.rmax <= 0:
+    scan = _LevelScan(V, [t_min_cap])
+    rmax = scan.rmax[0]
+    if rmax <= 0:
         return np.zeros(0), np.zeros(0)
-    taus = np.geomspace(scan.rmax * 1e-6, scan.rmax, 200)
+    taus = np.geomspace(rmax * 1e-6, rmax, 200)
     return taus, _tau_a_measure(taus, a, scan.levels(taus)[1])
 
 

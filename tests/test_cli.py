@@ -671,6 +671,7 @@ _VSIGMA_COUNT = ["count", "--potential", "vsigma", "--sigma", "2"]
         (None, ["bound", "--potential", "vsigma", "--sigma", "2", "--t-min-cap=-1e160"]),
         (None, ["hardy", "--grid", "101", "--refine", "-1"]),
         (None, ["hardy", "--grid", "101", "--m-range", "3:-3"]),
+        (None, ["probe-zero", "--b", "1.5", "--alpha", "0.4", "--cuts", "8,8,8,8"]),
     ],
     ids=[
         "negative-coupling",
@@ -697,6 +698,7 @@ _VSIGMA_COUNT = ["count", "--potential", "vsigma", "--sigma", "2"]
         "bound-cap-below-floor",
         "hardy-negative-refine",
         "hardy-empty-m-range",
+        "probe-zero-repeated-cuts",
     ],
 )
 def test_library_value_errors_exit_1(tmp_path, capsys, config, argv):
@@ -763,6 +765,13 @@ def test_config_errors_exit_1(tmp_path, capsys, config, argv, message):
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_count_on_an_auto_grid_beyond_minus_one(tmp_path):
+    # Grid.auto once failed on an interval that does not meet [-1, 1]
+    argv = ["count", "--potential", "gaussian", "--depth", "1", "--width", "0.05", "--lambda", "2000",
+            "--t-min", "-100", "--t-max", "-2", "--grid", "2000", "--grid-kind", "auto"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
 
 
 def test_grid_kinds_build_their_grids():

@@ -1,5 +1,6 @@
 """End-to-end counting: oracles, bound checks, coupling sweeps."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -17,6 +18,35 @@ def test_count_total_rejects_non_finite_or_negative_coupling(method, lam):
     g = mh.Grid.auto(-400.0, 0.5, 600)
     with pytest.raises(ValueError, match="coupling must be finite and nonnegative"):
         mh.count_total(mh.BumpField(0.5), mh.VSigma(2.0), lam, g, method=method)
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((-400.0, 0.5, 6000), "81b842ebc15d7b1d"),  # the count workload's and README's grid
+        ((-1e7, 1.0, 2000), "f18fb8ee0fd0ff20"),  # count_ladder's truncation grid
+        ((-40.0, 0.5, 8), "675efb2f6411fa9a"),
+        ((-100.0, 100.0, 100), "fbcfa7a247d3033a"),
+    ],
+)
+def test_auto_grids_that_meet_the_core_keep_their_nodes(args, digest):
+    assert hashlib.sha256(mh.Grid.auto(*args).t.tobytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("t_min, t_max", [(-100.0, -2.0), (2.0, 100.0), (-1e6, -1.5), (1.5, 1e6)])
+def test_auto_grid_on_an_interval_beyond_one_is_one_geometric_tail(t_min, t_max):
+    # these once raised "grid nodes must be strictly increasing": each tail
+    # ran from |t| = 1, past the interval's near end
+    g = mh.Grid.auto(t_min, t_max, 100)
+    want = mh.Grid.geometric(t_min, t_max, 100).t
+    assert (g.t_min, g.t_max, g.n) == (t_min, t_max, 100)
+    assert np.allclose(g.t, want, rtol=1e-14, atol=0.0)
+
+
+def test_auto_grid_budget_is_not_its_node_count():
+    # three pieces of 33 nodes, which share their nodes at -1 and 1
+    assert mh.Grid.auto(-100.0, 100.0, 100).n == 97
+    assert mh.Grid.auto(-0.5, 100.0, 100).n == 99
 
 
 def test_count_total_zero_coupling():

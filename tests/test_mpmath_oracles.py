@@ -116,7 +116,7 @@ _OSCILLATING = CallablePotential(density=lambda t: (1.1 + np.sin(t)) / (1.0 + t 
     [*[(V, r, cap) for V, r in _WELLS for cap in (-100.0, -1e4, -1e8)], (_OSCILLATING, 0.3, -100.0)],
 )
 def test_level_measure_matches_mpmath_quad(V, rel_tau, cap):
-    rmax = mh.weights._LevelScan(V, cap).rmax
+    rmax = mh.weights._LevelScan(V, [cap]).rmax[0]
     ls = mh.level_set(V, rel_tau * rmax, t_min_cap=cap)
     assert not ls.is_empty
     exact = sum(_measure_oracle(lo, hi) for lo, hi in ls.intervals)

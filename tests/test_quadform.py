@@ -1,5 +1,7 @@
 """Quadratic-form probes: identity, sandwich, Parseval reduction, optimality."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -198,6 +200,27 @@ def test_probe_zero_divergence_slope():
     assert all(r2 > r1 for r1, r2 in zip(ratios[:-1], ratios[1:]))
     slope = mh.fit_loglog_slope([r.parameter for r in recs], ratios)
     assert slope == pytest.approx(0.30, abs=0.05)
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ([1.0, 2.0, 3.0], [1.0, 0.0, 3.0]),  # log 0: nan after a RuntimeWarning
+        ([8.0, 8.0, 8.0, 8.0], [1.0, 1.1, 1.2, 1.3]),  # rank-deficient: a slope from one x
+        ([8.0, 16.0, 16.0], [1.0, 2.0, 3.0]),
+        ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]),
+        ([-1.0, 1.0, 2.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, np.inf], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [1.0, -2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [1.0, np.nan, 3.0]),
+        ([2.0], [1.0]),
+        ([1.0, 2.0, 3.0], [1.0, 2.0]),
+    ],
+)
+def test_loglog_fit_rejects_a_degenerate_ladder(xs, ys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must hold"):
+            mh.fit_loglog_slope(xs, ys)
 
 def test_probe_zero_control_saturates():
     recs = mh.hardy_probe_at_zero(mh.ZeroField(), b=2.5, alpha=0.4, cut_list=[8, 16, 32, 64])

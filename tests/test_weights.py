@@ -118,7 +118,8 @@ def test_level_set_reaches_the_support_edge_above_the_node_maximum():
     V = mh.StepWell(2.0, 0.01)
     edge = np.log(0.01)
     ratio = lambda t: 2.0 * np.exp(2.0 * t) * (1.0 + t * t)
-    node_max = float(np.max(mh.weights._LevelScan(V, -1e4).vals[:-1]))
+    _, vals, _ = _one_cap(mh.weights._LevelScan(V, [-1e4]))
+    node_max = float(np.max(vals[:-1]))
     assert 1.006 * node_max < ratio(edge) < 1.007 * node_max
     tau = 0.5 * (node_max + ratio(edge))
     ls = mh.level_set(V, tau, t_min_cap=-1e4)
@@ -140,7 +141,7 @@ def test_support_edge_at_or_below_the_cap_gives_zero_results(monkeypatch):
     ]
     brackets, rounds = mh.weights._LevelScan.brackets, []
     monkeypatch.setattr(
-        mh.weights._LevelScan, "brackets", lambda self, taus: rounds.append(0) or brackets(self, taus)
+        mh.weights._LevelScan, "brackets", lambda self, *args: rounds.append(0) or brackets(self, *args)
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -161,7 +162,7 @@ def test_support_edge_at_or_below_the_cap_gives_zero_results(monkeypatch):
 
 def test_v_norm_solves_no_bracket_across_the_support_edge(monkeypatch):
     # every level set of VSigma ends at its jump t = -2; brackets there once
-    # took up to 34 Illinois steps, and each lockstep solve waited for them
+    # took up to 34 Illinois steps, and each round's shared solve waited for them
     roots, evals = mh.weights._roots, []
 
     def counted(ratio, *args):
@@ -480,10 +481,18 @@ def _outcome(call):
     return out, sum(issubclass(w.category, ScanResolutionWarning) for w in caught)
 
 
-def _thresholds(scan, draws, rnd):
-    """The thresholds of ``_tau_draws`` on a scan, with repeats, shuffled."""
-    scale = scan.rmax or 1.0  # a cap above the support of VSigma scans V/w0 = 0
-    vals = scan.vals[scan.vals > 0] if scan.rmax > 0 else np.array([scale])  # thresholds are positive
+def _one_cap(scan, k=0):
+    """Cap k's scan in a table: its nodes and values without the padding
+    copies, and its maximum."""
+    lo, hi = scan.bounds[k] + 1, scan.bounds[k + 1] - 1
+    return scan.nodes[lo:hi], scan.vals[lo:hi], float(scan.rmax[k])
+
+
+def _thresholds(scan, draws, rnd, k=0):
+    """The thresholds of ``_tau_draws`` on cap k's scan, with repeats, shuffled."""
+    _, vals, rmax = _one_cap(scan, k)
+    scale = rmax or 1.0  # a cap above the support of VSigma scans V/w0 = 0
+    vals = vals[vals > 0] if rmax > 0 else np.array([scale])  # thresholds are positive
     taus = []
     for kind, u in draws:
         if kind == "rel":
@@ -507,7 +516,7 @@ def _thresholds(scan, draws, rnd):
 def test_levels_equals_loop_reference(V, cap, draws, rnd):
     # the batch against a loop of one-threshold calls, each of which
     # test_level_set_matches_scalar_reference checks against scalar brentq
-    scan = mh.weights._LevelScan(V, cap)
+    scan = mh.weights._LevelScan(V, [cap])
     taus = _thresholds(scan, draws, rnd)
     got, n_warn = _outcome(lambda: scan.levels(taus))
     singles = [_outcome(lambda: scan.levels(tau)) for tau in taus]
@@ -522,48 +531,64 @@ def test_levels_equals_loop_reference(V, cap, draws, rnd):
 
 
 def _whole_scan_brackets(scan, taus):
-    """``_LevelScan.brackets`` without its warning check, as it was before it
-    searched only the segments whose value range meets the batch's: every
-    padded segment of the scan against the sorted thresholds."""
+    """``_LevelScan.brackets`` of a one-cap table without its warning check,
+    as it was before it searched only the segments whose value range meets
+    the batch's: every segment of the scan against the sorted thresholds."""
     order = np.argsort(taus)
     first = np.searchsorted(taus[order], scan.seg_lo)
     hits = np.searchsorted(taus[order], scan.seg_hi) - first
     seg = np.repeat(np.arange(hits.size), hits)
     owner = order[np.arange(seg.size) - np.repeat(np.cumsum(hits) - hits - first, hits)]
     by_tau = np.lexsort((seg, owner))
-    cut, owner = seg[by_tau] - 1, owner[by_tau]
-    inner = (cut >= 0) & (cut < scan.nodes.size - 1)
-    i, lvl = cut[inner], taus[owner[inner]]
+    seg, owner = seg[by_tau], owner[by_tau]
+    inner = (seg > 0) & (seg < hits.size - 1)  # the end segments join a padding copy
+    i, lvl = seg[inner], taus[owner[inner]]
     nodes, vals = scan.nodes, scan.vals
-    return cut, owner, (nodes[i], nodes[i + 1], vals[i] - lvl, vals[i + 1] - lvl, lvl)
+    return seg, owner, (nodes[i], nodes[i + 1], vals[i] - lvl, vals[i + 1] - lvl, lvl)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(_potentials, _oscillating),
-    st.one_of(_caps, st.sampled_from([-1.0, -2.0, -30.0])),
+    st.lists(st.one_of(_caps, st.sampled_from([-1.0, -2.0, -30.0])), min_size=1, max_size=4),
     _tau_draws,
     st.randoms(use_true_random=False),
     st.sampled_from(["draws", "grid", "zoom"]),
     st.floats(-10.0, 0.0),
 )
-def test_brackets_equal_the_whole_scan_search(V, cap, draws, rnd, batch, log_width):
-    # the drawn thresholds, the 512-threshold grid of _sup_search, or a zoom
+def test_brackets_equal_the_whole_scan_search(V, caps, draws, rnd, batch, log_width):
+    # a table of 1 to 4 caps, asked for thresholds of a subset of its caps
+    # (a cap whose search has ended asks for none), against the one-cap
+    # table of each cap asked: the brackets to the bit, and one resolution
+    # warning for each cap whose own table warns.  Each cap's thresholds are
+    # the drawn ones, the 512-threshold grid of the sup search, or a zoom
     # round: 32 log-spaced thresholds in a bracket around a drawn one
-    scan = mh.weights._LevelScan(V, cap)
-    taus = np.array(_thresholds(scan, draws, rnd))
-    scale = scan.rmax or 1.0
-    if batch == "grid":
-        taus = np.geomspace(scale * 1e-8, scale * 1e8, 512)
-    elif batch == "zoom":
-        half = 10.0**log_width
-        taus = np.exp(np.linspace(np.log(taus[0]) - half, np.log(taus[0]) + half, 34)[1:-1])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ScanResolutionWarning)
-        cut, owner, solve = scan.brackets(taus)
-    want_cut, want_owner, want_solve = _whole_scan_brackets(scan, taus)
-    for g, w in zip((cut, owner, *solve), (want_cut, want_owner, *want_solve)):
-        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+    scan = mh.weights._LevelScan(V, caps)
+    rows = sorted(rnd.sample(range(len(caps)), rnd.randint(1, len(caps))))
+    taus = []
+    for k in rows:
+        row = np.array(_thresholds(scan, draws, rnd, k))
+        scale = scan.rmax[k] or 1.0
+        if batch == "grid":
+            row = np.geomspace(scale * 1e-8, scale * 1e8, 512)
+        elif batch == "zoom":
+            half = 10.0**log_width
+            row = np.exp(np.linspace(np.log(row[0]) - half, np.log(row[0]) + half, 34)[1:-1])
+        taus.append(row)
+    taus = np.array(taus)
+    (seg, owner, solve), n_warn = _outcome(lambda: scan.brackets(taus, rows))
+    m, at, want_warn = taus.shape[1], 0, 0
+    for r, k in enumerate(rows):
+        one = mh.weights._LevelScan(V, [caps[k]])
+        want_warn += _outcome(lambda: one.brackets(taus[r]))[1] > 0
+        want_seg, want_owner, want_solve = _whole_scan_brackets(one, taus[r])
+        mine = owner // m == r
+        got_solve = [x[at : at + want_solve[0].size] for x in solve]
+        at += want_solve[0].size
+        got = (seg[mine] - scan.bounds[k], owner[mine] - r * m, *got_solve)
+        for g, w in zip(got, (want_seg, want_owner, *want_solve)):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert at == solve[0].size and n_warn == want_warn
 
 
 def _refined_crossings_differ(scan, tau):
@@ -571,11 +596,12 @@ def _refined_crossings_differ(scan, tau):
     interleaved see {V/w0 > tau} change sign another number of times, for
     tau below the scan maximum: sign changes counted directly, sharing no
     code with the overshoot intervals."""
-    fine_t = np.empty(2 * scan.nodes.size - 1)
-    fine_t[0::2], fine_t[1::2] = scan.nodes, 0.5 * (scan.nodes[:-1] + scan.nodes[1:])
+    nodes, vals, rmax = _one_cap(scan)
+    fine_t = np.empty(2 * nodes.size - 1)
+    fine_t[0::2], fine_t[1::2] = nodes, 0.5 * (nodes[:-1] + nodes[1:])
     fine = scan.ratio(fine_t)
-    changes = [np.count_nonzero(np.diff(v > tau)) for v in (scan.vals, fine)]
-    return tau < scan.rmax and changes[0] != changes[1]
+    changes = [np.count_nonzero(np.diff(v > tau)) for v in (vals, fine)]
+    return tau < rmax and changes[0] != changes[1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -590,9 +616,9 @@ def test_resolution_warning_fires_exactly_where_the_refined_count_differs(V, cap
     # one brackets call per threshold, so a warning at one threshold cannot
     # hide a missed overshoot interval at another; the interval ends and
     # their neighbouring doubles are where an off-by-one rule would differ
-    scan = mh.weights._LevelScan(V, cap, scan_n)
-    ends = np.unique(np.concatenate(scan.overshoot)).tolist()
-    ends = rnd.sample(ends, min(len(ends), 15)) + [scan.rmax]
+    scan = mh.weights._LevelScan(V, [cap], scan_n)
+    ends = np.unique(np.concatenate(scan.overshoot[0])).tolist()
+    ends = rnd.sample(ends, min(len(ends), 15)) + [scan.rmax[0]]
     near = [np.nextafter(e, d) for e in ends for d in (-np.inf, np.inf)]
     taus = (_thresholds(scan, draws, rnd) + ends + near)[:64]
     for tau in taus:
@@ -622,20 +648,21 @@ def test_zoom_matches_golden_section(V, a, cap, monkeypatch):
     brackets = mh.weights._LevelScan.brackets
     calls = []
 
-    def counted(self, taus):  # one call per round: the grid or a zoom
+    def counted(self, taus, *caps):  # one call per round: the grid or a zoom
         calls.append(np.size(taus))
-        return brackets(self, taus)
+        return brackets(self, taus, *caps)
 
     monkeypatch.setattr(mh.weights._LevelScan, "brackets", counted)
     [(value, arg_t)] = mh.weights._sup_over_thresholds(V, a, [cap])
     assert len(calls) <= 10
     monkeypatch.undo()
-    scan = mh.weights._LevelScan(V, cap)
-    if scan.rmax <= 0.0:
+    scan = mh.weights._LevelScan(V, [cap])
+    rmax = scan.rmax[0]
+    if rmax <= 0.0:
         assert (value, arg_t) == (0.0, 0.0)
         return
     g = lambda taus: taus**a * scan.levels(taus)[1]
-    taus = np.geomspace(scan.rmax * 1e-8, scan.rmax * 1e8, 512)
+    taus = np.geomspace(rmax * 1e-8, rmax * 1e8, 512)
     k = int(np.argmax(g(taus)))
     assert value >= g(taus)[k]
     x = np.linspace(np.log(taus[max(k - 1, 0)]), np.log(taus[min(k + 1, 511)]), 4097)
@@ -727,6 +754,91 @@ def test_subnormal_threshold_level_set_is_finite():
     [(lo, hi)] = ls.intervals
     assert np.isfinite(lo) and np.isfinite(hi)
     assert lo == -100.0 and 2.0 < hi < 3.0
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Illinois step before its ends were updated in place, kept
+# here as an oracle for the leaner step of ``weights._roots``.
+# ---------------------------------------------------------------------------
+
+
+def _illinois_reference(ratio, a, b, fa, fb, tau):
+    """``weights._roots`` with a ``side`` array, ends rebuilt by ``np.where``
+    at every step, full widths two steps back and ``np.clip``."""
+    up = fa > 0
+    x0, x1 = np.where(up, b, a), np.where(up, a, b)
+    f0, f1 = np.where(up, fb, fa), np.where(up, fa, fb)
+    g0, g1 = f0, f1
+    side = np.zeros(x0.shape)  # +1 (-1): the last step moved x1 (x0)
+    w1 = w2 = np.full(x0.shape, np.inf)
+    while True:
+        w, mid = np.abs(x1 - x0), 0.5 * (x0 + x1)
+        tol = 1e-9 + 8.9e-16 * np.abs(mid)
+        active = w > tol
+        if not active.any():
+            return x0 - f0 * (x1 - x0) / (f1 - f0)
+        step = x0 - g0 * (x1 - x0) / np.maximum(g1 - g0, 5e-324)
+        x = np.where(w > 0.5 * w2, mid, step)
+        x = np.clip(x, np.minimum(x0, x1) + 0.5 * tol, np.maximum(x0, x1) - 0.5 * tol)
+        x = np.where(active, x, mid)
+        fx = ratio(x) - tau
+        move1, move0 = active & (fx > 0), active & (fx <= 0)
+        g0 = np.where(move1 & (side > 0), 0.5 * g0, g0)
+        g1 = np.where(move0 & (side < 0), 0.5 * g1, g1)
+        x1, f1, g1 = np.where(move1, x, x1), np.where(move1, fx, f1), np.where(move1, fx, g1)
+        x0, f0, g0 = np.where(move0, x, x0), np.where(move0, fx, f0), np.where(move0, fx, g0)
+        side = np.where(move1, 1.0, np.where(move0, -1.0, side))
+        w1, w2 = w, w1
+
+
+_SUBNORMAL_TAU = 1.6433e-320  # the ratio at the Gaussian well's last positive scan node
+
+
+@st.composite
+def _root_problems(draw):
+    """(ratio, (a, b, fa, fb, tau)): brackets of a non-monotone ratio, in the
+    t range of the scans or near |t| = 1e8 where rounding limits them, each
+    of either orientation and some already narrower than the tolerance; or
+    a scan's brackets at drawn thresholds, with the subnormal one among
+    those of the Gaussian well."""
+    kind = draw(st.sampled_from(["sine", "deep", "scan"]))
+    if kind == "scan":
+        V, cap = draw(st.sampled_from([
+            (mh.GaussianWell(1.0, 0.5), -100.0), (mh.VSigma(2.0), -1e8), (mh.VSigma(1.5), -1e16),
+        ]))
+        scan = mh.weights._LevelScan(V, [cap])
+        rel = draw(st.lists(st.floats(-330.0, 0.0), min_size=1, max_size=8))
+        taus = np.array([_SUBNORMAL_TAU] + [scan.rmax[0] * 10.0**u for u in rel])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ScanResolutionWarning)
+            return scan.ratio, scan.brackets(taus[taus > 0])[2]
+    k, c = draw(st.floats(0.5, 40.0)), draw(st.floats(-2.0, 2.0))
+    ratio = lambda t: np.sin(k * t) + c * t
+    a, b, fa, fb, tau = [], [], [], [], []
+    for u, log_w, frac in draw(st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(-12.0, 1.0), st.floats(0.01, 0.99)), min_size=1, max_size=16
+    )):
+        lo = -1e8 * (1.0 + u) if kind == "deep" else 100.0 * (u - 0.5)
+        hi = lo + 10.0**log_w
+        v_lo, v_hi = ratio(np.array([lo, hi]))
+        level = v_lo + frac * (v_hi - v_lo)
+        if hi > lo and (v_lo - level > 0) != (v_hi - level > 0):
+            a, b, fa, fb, tau = a + [lo], b + [hi], fa + [v_lo - level], fb + [v_hi - level], tau + [level]
+    return ratio, tuple(np.array(x) for x in (a, b, fa, fb, tau))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_root_problems())
+def test_roots_equal_the_reference_illinois_step(problem):
+    ratio, solve = problem
+    got, want = [], []
+    for roots, evals in ((mh.weights._roots, got), (_illinois_reference, want)):
+        def counted(t):
+            evals.append(t.size)
+            return ratio(t)
+
+        evals.append(roots(counted, *solve).tobytes())
+    assert got == want  # the roots to the bit, and the same ratio evaluations
 
 
 # ---------------------------------------------------------------------------
